@@ -16,7 +16,6 @@ from .engine import (
     PacketVerdict,
     Pipeline,
     XfsmRow,
-    chain,
 )
 from .extractor import FieldSpec, KeyScope, PacketRecord, extract, flow_key
 from .flow_context import Activity, FlowContext, FlowContextTable
@@ -61,7 +60,6 @@ __all__ = [
     "build_engine",
     "bundled_program",
     "bundled_programs",
-    "chain",
     "decode",
     "encode",
     "evaluate",

@@ -89,18 +89,6 @@ def parse_action(text: str) -> Action:
     raise ValueError(f"unknown action {text!r}")
 
 
-def encode_action(action: Action) -> int:
-    """16-bit wire form: kind in the top nibble, dscp/port packed below."""
-    if not 0 <= action.port < 64 or not 0 <= action.dscp < 64:
-        raise ValueError("port and dscp must fit in 6 bits")
-    return (int(action.kind) << 12) | (action.dscp << 6) | action.port
-
-
-def decode_action(word: int) -> Action:
-    kind = ActionKind((word >> 12) & 0xF)
-    return Action(kind, port=word & 0x3F, dscp=(word >> 6) & 0x3F)
-
-
 @dataclass(frozen=True)
 class XfsmRow:
     """One compiled transition.
@@ -257,6 +245,11 @@ class Engine:
             if self._next_boundary is None:
                 self._next_boundary = (ts // self._period + 1) * self._period
             while ts >= self._next_boundary:
+                if not self.context.occupancy:
+                    # a scan of an empty table changes nothing, so the
+                    # boundaries up to ts are skipped arithmetically
+                    self._next_boundary = (ts // self._period + 1) * self._period
+                    break
                 self.context.housekeep(self._next_boundary)
                 self._next_boundary += self._period
         if self.hazard_window:
@@ -265,6 +258,8 @@ class Engine:
         h = record.h
         lookup_key = self._lookup_scope.key(h)
         ctx = self.context.lookup_context(lookup_key)
+        # read before the commit below, which may update ctx in place
+        state = ctx.state
         r = ctx.r
         g = self.g
         scratch = self._scratch
@@ -276,7 +271,7 @@ class Engine:
             g_view = g
         bits = evaluate_compiled(self._conds, r, g_view, h) if self._conds else 0
 
-        key = (ctx.state << COND_BITS) | bits
+        key = (state << COND_BITS) | bits
         for slot in self._match_slots:
             key = (key << FIELD_BITS) | h[slot]
         row_idx = self.xfsm.lookup(key)
@@ -284,7 +279,7 @@ class Engine:
             raise EngineError("transition table miss despite catch-all row")
         row = self._rows[row_idx]
 
-        next_state = row.next_state if row.next_state is not None else ctx.state
+        next_state = row.next_state if row.next_state is not None else state
         plan = self._row_plans[row_idx]
         if plan:
             r2, g2 = execute_plan(plan, r, g_view, h, self.alu)
@@ -309,7 +304,7 @@ class Engine:
             stats.truncated_fields += 1
         action_name = self._row_action_name[row_idx]
         stats.actions[action_name] = stats.actions.get(action_name, 0) + 1
-        pre_label = self._labels.get(ctx.state, f"state_{ctx.state}")
+        pre_label = self._labels.get(state, f"state_{state}")
         tkey = (pre_label, row_idx)
         counts = self._transition_counts
         counts[tkey] = counts.get(tkey, 0) + 1
@@ -383,8 +378,3 @@ class Pipeline:
         for engine, _ in self.stages:
             if engine.hazard_window:
                 engine.flush()
-
-
-def chain(stages: Sequence[tuple[Engine, Binder]]) -> Pipeline:
-    """Compose engine stages into a pipeline (single stage is fine)."""
-    return Pipeline(stages)

@@ -1,18 +1,21 @@
 """Per-flow context storage.
 
-Exact-match contexts live in a d-left hash table: d independent subtables,
-each hashed with its own seed, with insertion going to the least-loaded
-candidate bucket (leftmost subtable on ties). A small ternary table
-handles wildcard fallbacks, mainly to seed protocol-specific default
-states. A lookup miss is not an error: the default context (state 0, all
-registers zero) is synthesized on the fly, and an entry is only allocated
-when a non-default context is written back, so idle traffic costs no
-table space.
+Exact-match contexts live in one key -> context dict, placed as in a
+d-left hash table: d independent subtables, each hashed with its own
+seed, with insertion going to the least-loaded candidate bucket (leftmost
+subtable on ties). Only the per-bucket load counts are kept, plus each
+context's home bucket so that its eviction releases the right count; a
+key whose candidate buckets are all full is dropped and counted. A small
+ternary table handles wildcard fallbacks, mainly to seed
+protocol-specific default states. A lookup miss is not an error: the
+default context (state 0, all registers zero) is synthesized on the fly,
+and an entry is only allocated when a non-default context is written
+back, so idle traffic costs no table space.
 
 Housekeeping reclaims stale entries with a two-step activity flag: a
 periodic scan demotes ACTIVE entries to INACTIVE and deletes entries that
 stayed INACTIVE a full cycle (i.e. were not touched by any lookup or
-write-back in between).
+write-back in between). A scan visits only the stored entries.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ KEY_WIDTH = 128
 class Activity(enum.IntEnum):
     INACTIVE = 0
     ACTIVE = 1
-    DELETED = 2  # reported for cells that were reclaimed
 
 
 @dataclass(slots=True)
@@ -42,6 +44,9 @@ class FlowContext:
     state: int = DEFAULT_STATE
     r: list[int] = field(default_factory=lambda: [0] * NUM_FLOW_REGISTERS)
     activity: Activity = Activity.ACTIVE
+    # flat index (subtable * buckets + bucket) of the bucket holding a
+    # stored context; -1 for synthesized ones
+    home: int = -1
 
 
 @dataclass(frozen=True)
@@ -81,40 +86,22 @@ class FlowContextTable:
             for i in range(subtables)
         )
         self._seed_bytes = [s.to_bytes(8, "little") for s in self.seeds]
-        # cells[sub][bucket] is a list of bucket_depth slots, each either
-        # None or a (key, FlowContext) pair
-        self._cells: list[list[list[Optional[tuple[int, FlowContext]]]]] = [
-            [[None] * bucket_depth for _ in range(buckets)] for _ in range(subtables)
-        ]
-        self._candidates: dict[int, tuple[int, ...]] = {}
-        # exact-match accelerator: key -> (bucket cell list, slot); the
-        # cells themselves stay authoritative for geometry and housekeeping
-        self._index: dict[int, tuple[list, int]] = {}
+        self._contexts: dict[int, FlowContext] = {}
+        # entries per bucket, indexed like FlowContext.home
+        self._load = [0] * (subtables * buckets)
         self.fallback = TernaryTable(width=KEY_WIDTH, capacity=fallback_capacity)
-        self.occupancy = 0
         self.high_water = 0
         self.evictions = 0
         self.table_full_drops = 0
 
     def _positions(self, key: int) -> tuple[int, ...]:
-        pos = self._candidates.get(key)
-        if pos is None:
-            kb = key.to_bytes(16, "big")
-            pos = tuple(
-                int.from_bytes(
-                    hashlib.blake2b(kb, digest_size=8, key=sb).digest(), "little"
-                )
-                % self.buckets
-                for sb in self._seed_bytes
-            )
-            self._candidates[key] = pos
-        return pos
-
-    def _find(self, key: int) -> Optional[tuple[int, FlowContext]]:
-        pos = self._index.get(key)
-        if pos is None:
-            return None
-        return pos[0][pos[1]]
+        """Candidate bucket of ``key`` in each subtable."""
+        kb = key.to_bytes(16, "big")
+        return tuple(
+            int.from_bytes(hashlib.blake2b(kb, digest_size=8, key=sb).digest(), "little")
+            % self.buckets
+            for sb in self._seed_bytes
+        )
 
     def add_fallback(
         self,
@@ -139,9 +126,8 @@ class FlowContextTable:
         returned object is owned by the table on exact hits: callers must
         treat it as read-only and publish changes via write_back.
         """
-        cell = self._find(key)
-        if cell is not None:
-            ctx = cell[1]
+        ctx = self._contexts.get(key)
+        if ctx is not None:
             ctx.activity = Activity.ACTIVE
             return ctx
         entry = self.fallback.lookup(key)
@@ -155,36 +141,32 @@ class FlowContextTable:
         Existing entries are updated in place. A default-valued context
         (state 0, all registers zero) is not allocated for an absent key,
         so flows that never leave the default state occupy nothing. When
-        all candidate cells are taken the context is dropped and counted;
+        all candidate buckets are full the context is dropped and counted;
         processing continues.
         """
-        cell = self._find(key)
-        if cell is not None:
-            ctx = cell[1]
+        ctx = self._contexts.get(key)
+        if ctx is not None:
             ctx.state = state
             ctx.r[:] = registers
             ctx.activity = Activity.ACTIVE
             return True
         if state == DEFAULT_STATE and not any(registers):
             return True
-        positions = self._positions(key)
-        best_sub = -1
+        load = self._load
+        home = -1
         best_load = self.bucket_depth
-        for sub, bucket in enumerate(positions):
-            load = sum(1 for c in self._cells[sub][bucket] if c is not None)
-            if load < best_load:
-                best_load = load
-                best_sub = sub
-        if best_sub < 0:
+        for sub, bucket in enumerate(self._positions(key)):
+            candidate = sub * self.buckets + bucket
+            if load[candidate] < best_load:
+                best_load = load[candidate]
+                home = candidate
+        if home < 0:
             self.table_full_drops += 1
             return False
-        bucket_cells = self._cells[best_sub][positions[best_sub]]
-        slot = next(i for i, c in enumerate(bucket_cells) if c is None)
-        bucket_cells[slot] = (key, FlowContext(state, list(registers)))
-        self._index[key] = (bucket_cells, slot)
-        self.occupancy += 1
-        if self.occupancy > self.high_water:
-            self.high_water = self.occupancy
+        load[home] += 1
+        self._contexts[key] = FlowContext(state, list(registers), home=home)
+        if len(self._contexts) > self.high_water:
+            self.high_water = len(self._contexts)
         return True
 
     def housekeep(self, now: int = 0) -> int:
@@ -193,27 +175,25 @@ class FlowContextTable:
         Returns the number of entries evicted. ``now`` is informational
         (the scan is flag-driven, not timestamp-driven).
         """
-        evicted = 0
-        for sub_cells in self._cells:
-            for bucket_cells in sub_cells:
-                for i, cell in enumerate(bucket_cells):
-                    if cell is None:
-                        continue
-                    ctx = cell[1]
-                    if ctx.activity == Activity.ACTIVE:
-                        ctx.activity = Activity.INACTIVE
-                    else:
-                        bucket_cells[i] = None
-                        del self._index[cell[0]]
-                        evicted += 1
-        self.occupancy -= evicted
-        self.evictions += evicted
-        return evicted
+        stale = []
+        for key, ctx in self._contexts.items():
+            if ctx.activity == Activity.ACTIVE:
+                ctx.activity = Activity.INACTIVE
+            else:
+                stale.append(key)
+        for key in stale:
+            self._load[self._contexts.pop(key).home] -= 1
+        self.evictions += len(stale)
+        return len(stale)
 
     def get(self, key: int) -> Optional[FlowContext]:
         """Exact-match peek without touching the activity flag."""
-        cell = self._find(key)
-        return cell[1] if cell is not None else None
+        return self._contexts.get(key)
+
+    @property
+    def occupancy(self) -> int:
+        """Number of stored contexts."""
+        return len(self._contexts)
 
     def __len__(self) -> int:
-        return self.occupancy
+        return len(self._contexts)

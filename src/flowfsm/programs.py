@@ -892,26 +892,6 @@ def compile_rows(config: ProgramConfig) -> list[XfsmRow]:
     return compiled
 
 
-def check_totality(config: ProgramConfig) -> list[tuple[str, int]]:
-    """(state, condition-vector) pairs not covered by any row.
-
-    Header matches are treated as wildcards for this check; a program with
-    a catch-all row is always total.
-    """
-    rows = compile_rows(config)
-    missing = []
-    for label, code in config.states.items():
-        for bits in range(1 << conditions.NUM_CONDITIONS):
-            for row in rows:
-                sv, sm = row.state
-                cv, cm = row.cond
-                if code & sm == sv and bits & cm == cv:
-                    break
-            else:
-                missing.append((label, bits))
-    return missing
-
-
 def build_engine(
     config: ProgramConfig,
     *,

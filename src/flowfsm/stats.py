@@ -67,29 +67,3 @@ class RunStats:
     def to_json(self, include_timing: bool = False) -> str:
         return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=False)
 
-    def merge(self, other: "RunStats") -> "RunStats":
-        """Associative combination of stats from partitioned runs."""
-        out = RunStats(
-            program=self.program,
-            seed=self.seed,
-            packets=self.packets + other.packets,
-            occupancy=self.occupancy + other.occupancy,
-            high_water=max(self.high_water, other.high_water),
-            evictions=self.evictions + other.evictions,
-            table_full_drops=self.table_full_drops + other.table_full_drops,
-            div_zero=self.div_zero + other.div_zero,
-            ewma_time_violations=self.ewma_time_violations
-            + other.ewma_time_violations,
-            truncated_fields=self.truncated_fields + other.truncated_fields,
-            hash_seeds=self.hash_seeds,
-            hazard_window=self.hazard_window,
-            hw_faithful_div=self.hw_faithful_div,
-            partitionable=self.partitionable,
-        )
-        for src in (self.actions, other.actions):
-            for k, v in src.items():
-                out.actions[k] = out.actions.get(k, 0) + v
-        for src in (self.transitions, other.transitions):
-            for k, v in src.items():
-                out.transitions[k] = out.transitions.get(k, 0) + v
-        return out

@@ -89,6 +89,27 @@ def test_table_full_on_adversarial_keys():
     assert table.table_full_drops == 1
     # the store keeps serving the already-present keys
     assert table.lookup_context(colliders[0]).state == 1
+    # evicting the four idle colliders frees their buckets for the fifth
+    assert table.housekeep() == 0
+    assert table.housekeep() == 4
+    assert table.write_back(colliders[4], 1, [0, 0, 0, 0])
+    assert table.occupancy == 1
+    assert table.table_full_drops == 1
+
+
+def test_bookkeeping_bounded_by_capacity_over_many_keys():
+    table = small_table()
+    for key in range(20_000):
+        table.write_back(key, 1, [0, 0, 0, 0])
+        if key % 500 == 499:
+            table.housekeep()
+            table.housekeep()
+    sizes = {
+        name: len(value)
+        for name, value in vars(table).items()
+        if isinstance(value, (dict, list))
+    }
+    assert max(sizes.values()) <= table.capacity, sizes
 
 
 def test_housekeep_touched_entry_stays():
