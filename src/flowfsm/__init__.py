@@ -14,7 +14,6 @@ from .engine import (
     ActionKind,
     Engine,
     PacketVerdict,
-    Pipeline,
     XfsmRow,
 )
 from .extractor import FieldSpec, KeyScope, PacketRecord, extract, flow_key
@@ -23,7 +22,6 @@ from .programs import (
     ProgramConfig,
     build_engine,
     bundled_program,
-    bundled_programs,
     load,
     loads,
     make_binder,
@@ -51,7 +49,6 @@ __all__ = [
     "Operand",
     "PacketRecord",
     "PacketVerdict",
-    "Pipeline",
     "ProgramConfig",
     "RunStats",
     "TernaryEntry",
@@ -59,7 +56,6 @@ __all__ = [
     "XfsmRow",
     "build_engine",
     "bundled_program",
-    "bundled_programs",
     "decode",
     "encode",
     "evaluate",

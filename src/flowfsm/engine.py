@@ -13,9 +13,6 @@ every update of packets before i, including back-to-back packets of the
 same flow. An opt-in hazard window delays update visibility by a fixed
 number of packets to study pipelined-hardware behaviour; it is off for all
 normal runs.
-
-Engines can be chained into a pipeline; a DROP at one stage suppresses all
-later stages for that packet, and a DSCP rewrite is visible downstream.
 """
 
 from __future__ import annotations
@@ -105,8 +102,6 @@ class XfsmRow:
     next_state: Optional[int]
     action: Action
     instructions: tuple[Instruction, ...]
-    row_id: int
-    label: str = ""
 
     def match_key(self) -> tuple[int, int]:
         """(value, mask) of this row in the packed table layout."""
@@ -337,44 +332,3 @@ class Engine:
 
 Binder = Callable[[Mapping[str, object], int], PacketRecord]
 
-
-class Pipeline:
-    """Chained engine stages sharing one input stream.
-
-    Each stage owns private context and global state and binds its own
-    packet record from the raw trace row. A DROP verdict short-circuits
-    the remaining stages; a DSCP rewrite is applied to the row view handed
-    to downstream stages (their ``dscp``-sourced field reflects it).
-    """
-
-    def __init__(self, stages: Sequence[tuple[Engine, Binder]]):
-        if not stages:
-            raise ValueError("pipeline needs at least one stage")
-        self.stages = list(stages)
-        self._seq = 0
-
-    def process_row(self, row: Mapping[str, object]) -> list[PacketVerdict]:
-        seq = self._seq
-        self._seq += 1
-        verdicts: list[PacketVerdict] = []
-        view: Mapping[str, object] = row
-        for engine, binder in self.stages:
-            record = binder(view, seq)
-            verdict = engine.process_packet(record)
-            verdicts.append(verdict)
-            if verdict.action.kind == ActionKind.DROP:
-                break
-            if verdict.action.kind == ActionKind.SET_DSCP:
-                patched = dict(view)
-                patched["dscp"] = verdict.action.dscp
-                view = patched
-        return verdicts
-
-    def run_trace(
-        self, rows: Iterable[Mapping[str, object]]
-    ) -> Iterator[list[PacketVerdict]]:
-        for row in rows:
-            yield self.process_row(row)
-        for engine, _ in self.stages:
-            if engine.hazard_window:
-                engine.flush()

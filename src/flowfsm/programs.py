@@ -11,6 +11,7 @@ See docs/SCHEMA.md for the field-by-field reference and a worked listing.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 from pathlib import Path
@@ -35,6 +36,27 @@ META_SOURCES = ("ts", "in_port", "pkt_len")
 STAY = "_stay"
 
 FIELD_MASK = 0xFFFFFFFF
+
+TOP_LEVEL_KEYS = (
+    "name",
+    "description",
+    "timestamp_unit",
+    "ports",
+    "max_parse_depth",
+    "fields",
+    "lookup_scope",
+    "update_scope",
+    "states",
+    "globals",
+    "flow_scratch",
+    "conditions",
+    "match_fields",
+    "rows",
+    "context_fallback",
+    "classifier_tree",
+    "table_sizes",
+    "management_period",
+)
 
 
 class ProgramError(Exception):
@@ -125,6 +147,32 @@ class ClassifierTree:
     base_priority: int
     root: Union[TreeNode, TreeLeaf]
 
+    def rows(self) -> tuple[RowDef, ...]:
+        """One row per root-to-leaf path, leftmost (all-true) path first,
+        with priorities counting up from ``base_priority``."""
+        paths: list[tuple[tuple[tuple[str, int], ...], TreeLeaf]] = []
+
+        def walk(node: Union[TreeNode, TreeLeaf], path: tuple) -> None:
+            if isinstance(node, TreeLeaf):
+                paths.append((path, node))
+            else:
+                walk(node.if_true, path + ((node.condition, 1),))
+                walk(node.if_false, path + ((node.condition, 0),))
+
+        walk(self.root, ((self.gate, 1),))
+        return tuple(
+            RowDef(
+                state=self.in_state,
+                cond=path,
+                match=(),
+                priority=self.base_priority + j,
+                next_state=leaf.state,
+                action=leaf.action,
+                instructions=(),
+            )
+            for j, (path, leaf) in enumerate(paths)
+        )
+
 
 @dataclass(frozen=True)
 class TableSizes:
@@ -156,10 +204,6 @@ class ProgramConfig:
     # extra per-flow scratch registers, each addressed through a donated
     # (otherwise unused) global selector slot: (alias name, G slot index)
     flow_scratch: tuple[tuple[str, int], ...] = ()
-
-    @property
-    def ticks_per_second(self) -> int:
-        return TIMESTAMP_UNITS[self.timestamp_unit]
 
     def field_by_name(self, name: str) -> FieldDef:
         for f in self.fields:
@@ -205,6 +249,62 @@ def _to_int(value: object, where: str, problems: list[str]) -> int:
     return 0
 
 
+def _u32(value: object, where: str, problems: list[str]) -> int:
+    """A 32-bit register value."""
+    v = _to_int(value, where, problems)
+    if not 0 <= v <= FIELD_MASK:
+        problems.append(f"{where}: value does not fit in 32 bits")
+    return v & FIELD_MASK
+
+
+def _expect(
+    value: object, kind: type, where: str, problems: list[str], required: bool = False
+):
+    """``value`` if it is a ``kind`` (list or dict), else report it and use an
+    empty one. ``required`` also rejects an empty value."""
+    if isinstance(value, kind) and (value or not required):
+        return value
+    what = "list" if kind is list else "mapping"
+    problems.append(f"{where}: expected a {'non-empty ' if required else ''}{what}")
+    return kind()
+
+
+def _entries(doc: Mapping, key: str, problems: list[str], required: bool = False):
+    """Yield (index, location, entry) for each mapping in the list ``doc[key]``;
+    other items are reported at ``key[i]``."""
+    for i, item in enumerate(_expect(doc.get(key, []), list, key, problems, required)):
+        where = f"{key}[{i}]"
+        if isinstance(item, dict):
+            yield i, where, item
+        else:
+            problems.append(f"{where}: expected a mapping")
+
+
+def _priority(item: Mapping, where: str, seen: set[int], problems: list[str]) -> int:
+    """The entry's ``priority``: required, non-negative and unique in ``seen``."""
+    priority = _to_int(item.get("priority", -1), f"{where}.priority", problems)
+    if priority < 0:
+        problems.append(f"{where}: priority must be a non-negative integer")
+    elif priority in seen:
+        problems.append(f"{where}: duplicate priority {priority}")
+    seen.add(priority)
+    return priority
+
+
+def _action(text: object, where: str, ports: int, problems: list[str]) -> Action:
+    """Parse an action; forwarding actions must name a port in 1..ports."""
+    try:
+        action = parse_action(str(text))
+    except ValueError as exc:
+        problems.append(f"{where}: {exc}")
+        return Action(ActionKind.NONE)
+    if action.kind in (ActionKind.FORWARD, ActionKind.SET_DSCP) and not (
+        1 <= action.port <= ports
+    ):
+        problems.append(f"{where}: port {action.port} outside 1..{ports}")
+    return action
+
+
 def _parse_pattern(
     value: object, width: int, where: str, problems: list[str]
 ) -> tuple[int, int]:
@@ -241,6 +341,28 @@ def _format_pattern(pattern: tuple[int, int], width: int) -> object:
     if mask == full:
         return value
     return f"0x{value:x}/0x{mask:x}"
+
+
+def _match(
+    item: Mapping,
+    where: str,
+    widths: Mapping[str, int],
+    allowed: str,
+    problems: list[str],
+) -> tuple[tuple[str, tuple[int, int]], ...]:
+    """The entry's ``match`` patterns over the fields in ``widths`` (name to
+    pattern width), which the document lists under ``allowed``."""
+    patterns = []
+    for name, text in _expect(
+        item.get("match", {}), dict, f"{where}.match", problems
+    ).items():
+        name = str(name)
+        if name not in widths:
+            problems.append(f"{where}: field {name!r} is not listed in {allowed}")
+            continue
+        at = f"{where}.match.{name}"
+        patterns.append((name, _parse_pattern(text, widths[name], at, problems)))
+    return tuple(patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +412,7 @@ def _build(doc: dict, source: str) -> ProgramConfig:
     fields: list[FieldDef] = []
     seen_names: set[str] = set()
     seen_slots: set[int] = set()
-    raw_fields = doc.get("fields", [])
-    if not isinstance(raw_fields, list):
-        problems.append("fields: expected a list")
-        raw_fields = []
-    for i, item in enumerate(raw_fields):
-        where = f"fields[{i}]"
-        if not isinstance(item, dict):
-            problems.append(f"{where}: expected a mapping")
-            continue
+    for _, where, item in _entries(doc, "fields", problems):
         fname = item.get("name")
         if not isinstance(fname, str) or not fname:
             problems.append(f"{where}: missing name")
@@ -330,9 +444,7 @@ def _build(doc: dict, source: str) -> ProgramConfig:
                 )
         mask = item.get("mask")
         if mask is not None:
-            mask = _to_int(mask, f"{where}.mask", problems)
-            if not 0 <= mask <= FIELD_MASK:
-                problems.append(f"{where}: mask does not fit in 32 bits")
+            mask = _u32(mask, f"{where}.mask", problems)
         if src is None and offset is None:
             problems.append(f"{where}: needs a source column or a raw offset")
         fields.append(FieldDef(fname, slot, width, src, offset, mask))
@@ -340,10 +452,7 @@ def _build(doc: dict, source: str) -> ProgramConfig:
     field_map = {f.name: f for f in fields}
 
     def scope_of(key: str) -> tuple[str, ...]:
-        names = doc.get(key, [])
-        if not isinstance(names, list) or not names:
-            problems.append(f"{key}: must be a non-empty list of field names")
-            return ()
+        names = _expect(doc.get(key), list, key, problems, required=True)
         total = 0
         for n in names:
             if n not in field_map:
@@ -361,10 +470,7 @@ def _build(doc: dict, source: str) -> ProgramConfig:
 
     # --- states ---------------------------------------------------------
     states: dict[str, int] = {}
-    raw_states = doc.get("states", {})
-    if not isinstance(raw_states, dict) or not raw_states:
-        problems.append("states: must be a non-empty mapping of label to code")
-        raw_states = {}
+    raw_states = _expect(doc.get("states"), dict, "states", problems, required=True)
     for label, code in raw_states.items():
         code = _to_int(code, f"states.{label}", problems)
         if not 0 <= code < (1 << 16):
@@ -377,26 +483,17 @@ def _build(doc: dict, source: str) -> ProgramConfig:
 
     # --- globals --------------------------------------------------------
     gvals = [0, 0, 0, 0]
-    raw_globals = doc.get("globals", {})
-    if not isinstance(raw_globals, dict):
-        problems.append("globals: expected a mapping G0..G3 to values")
-        raw_globals = {}
+    raw_globals = _expect(doc.get("globals", {}), dict, "globals", problems)
     for key, value in raw_globals.items():
         k = str(key).upper()
         if k in ("G0", "G1", "G2", "G3"):
-            v = _to_int(value, f"globals.{k}", problems)
-            if not 0 <= v <= FIELD_MASK:
-                problems.append(f"globals.{k}: value does not fit in 32 bits")
-            gvals[int(k[1])] = v & FIELD_MASK
+            gvals[int(k[1])] = _u32(value, f"globals.{k}", problems)
         else:
             problems.append(f"globals: unknown register {key!r}")
 
     # --- per-flow scratch registers --------------------------------------
     scratch: list[tuple[str, int]] = []
-    raw_scratch = doc.get("flow_scratch", {})
-    if not isinstance(raw_scratch, dict):
-        problems.append("flow_scratch: expected a mapping of alias to G slot")
-        raw_scratch = {}
+    raw_scratch = _expect(doc.get("flow_scratch", {}), dict, "flow_scratch", problems)
     donated: set[int] = set()
     for alias, gname in raw_scratch.items():
         alias = str(alias)
@@ -433,21 +530,12 @@ def _build(doc: dict, source: str) -> ProgramConfig:
 
     cond_list: list[tuple[str, conditions.ConditionSpec]] = []
     cond_names: dict[str, int] = {}
-    raw_conds = doc.get("conditions", [])
-    if not isinstance(raw_conds, list):
-        problems.append("conditions: expected a list")
-        raw_conds = []
-    if len(raw_conds) > conditions.NUM_CONDITIONS:
-        problems.append(
-            f"conditions: {len(raw_conds)} configured, at most "
-            f"{conditions.NUM_CONDITIONS} comparator slots exist"
-        )
-        raw_conds = raw_conds[: conditions.NUM_CONDITIONS]
-    for i, item in enumerate(raw_conds):
-        where = f"conditions[{i}]"
-        if not isinstance(item, dict):
-            problems.append(f"{where}: expected a mapping")
-            continue
+    for i, where, item in _entries(doc, "conditions", problems):
+        if i == conditions.NUM_CONDITIONS:
+            problems.append(
+                f"conditions: at most {conditions.NUM_CONDITIONS} conditions fit "
+                "the comparator slots"
+            )
         cname = str(item.get("name", f"C{i}"))
         if cname in cond_names:
             problems.append(f"{where}: duplicate condition name {cname!r}")
@@ -457,41 +545,31 @@ def _build(doc: dict, source: str) -> ProgramConfig:
         except KeyError:
             problems.append(f"{where}: unknown comparison {op_txt!r}")
             op = conditions.CmpOp.EQ
-        spec = None
         try:
             lhs = conditions.parse_operand(resolve_token(str(item.get("lhs", ""))))
             rhs = conditions.parse_operand(resolve_token(str(item.get("rhs", ""))))
-            spec = conditions.ConditionSpec(op, lhs, rhs)
         except ValueError as exc:
             problems.append(f"{where}: {exc}")
-        if spec is not None:
-            cond_names[cname] = i
-            cond_list.append((cname, spec))
+            continue
+        cond_names[cname] = i
+        cond_list.append((cname, conditions.ConditionSpec(op, lhs, rhs)))
 
     # --- match fields ----------------------------------------------------
-    match_fields = doc.get("match_fields", [])
-    if not isinstance(match_fields, list):
-        problems.append("match_fields: expected a list")
-        match_fields = []
+    match_fields = tuple(
+        str(n)
+        for n in _expect(doc.get("match_fields", []), list, "match_fields", problems)
+    )
     for n in match_fields:
         if n not in field_map:
             problems.append(f"match_fields: unknown field {n!r}")
     if len(match_fields) > 4:
         problems.append("match_fields: at most 4 fields fit the row match budget")
-    match_fields = tuple(str(n) for n in match_fields)
 
     # --- rows -------------------------------------------------------------
     rows: list[RowDef] = []
     priorities: set[int] = set()
-    raw_rows = doc.get("rows", [])
-    if not isinstance(raw_rows, list) or not raw_rows:
-        problems.append("rows: at least one transition row is required")
-        raw_rows = []
-    for i, item in enumerate(raw_rows):
-        where = f"rows[{i}]"
-        if not isinstance(item, dict):
-            problems.append(f"{where}: expected a mapping")
-            continue
+    row_widths = dict.fromkeys(match_fields, 32)  # the XFSM matches 32-bit words
+    for i, where, item in _entries(doc, "rows", problems, required=True):
         rid = item.get("id")
         if rid is not None:
             rid = str(rid)
@@ -504,11 +582,9 @@ def _build(doc: dict, source: str) -> ProgramConfig:
             if state not in states:
                 problems.append(f"{where}: unknown state {state!r}")
         cond_pat: list[tuple[str, int]] = []
-        raw_cond = item.get("cond", {})
-        if not isinstance(raw_cond, dict):
-            problems.append(f"{where}: cond must be a mapping")
-            raw_cond = {}
-        for cname, bit in raw_cond.items():
+        for cname, bit in _expect(
+            item.get("cond", {}), dict, f"{where}.cond", problems
+        ).items():
             cname = str(cname)
             if cname not in cond_names:
                 problems.append(f"{where}: unknown condition {cname!r}")
@@ -520,27 +596,8 @@ def _build(doc: dict, source: str) -> ProgramConfig:
                 problems.append(f"{where}: condition {cname} must be 0, 1 or '*'")
                 continue
             cond_pat.append((cname, bit))
-        match_pat: list[tuple[str, tuple[int, int]]] = []
-        raw_match = item.get("match", {})
-        if not isinstance(raw_match, dict):
-            problems.append(f"{where}: match must be a mapping")
-            raw_match = {}
-        for fname, pattern in raw_match.items():
-            fname = str(fname)
-            if fname not in match_fields:
-                problems.append(
-                    f"{where}: field {fname!r} is not listed in match_fields"
-                )
-                continue
-            match_pat.append(
-                (fname, _parse_pattern(pattern, 32, f"{where}.match.{fname}", problems))
-            )
-        priority = _to_int(item.get("priority", -1), f"{where}.priority", problems)
-        if priority < 0:
-            problems.append(f"{where}: priority must be a non-negative integer")
-        elif priority in priorities:
-            problems.append(f"{where}: duplicate priority {priority}")
-        priorities.add(priority)
+        match_pat = _match(item, where, row_widths, "match_fields", problems)
+        priority = _priority(item, where, priorities, problems)
         nxt = item.get("next", STAY)
         if nxt == STAY or nxt is None:
             nxt = None
@@ -548,22 +605,9 @@ def _build(doc: dict, source: str) -> ProgramConfig:
             nxt = str(nxt)
             if nxt not in states:
                 problems.append(f"{where}: next state {nxt!r} not declared")
-        try:
-            action = parse_action(str(item.get("action", "none")))
-            if action.kind in (ActionKind.FORWARD, ActionKind.SET_DSCP) and not (
-                1 <= action.port <= ports
-            ):
-                problems.append(
-                    f"{where}: port {action.port} outside 1..{ports}"
-                )
-        except ValueError as exc:
-            problems.append(f"{where}: {exc}")
-            action = Action(ActionKind.NONE)
+        action = _action(item.get("action", "none"), where, ports, problems)
         instrs: list[alu.Instruction] = []
-        raw_update = item.get("update", [])
-        if not isinstance(raw_update, list):
-            problems.append(f"{where}: update must be a list of instructions")
-            raw_update = []
+        raw_update = _expect(item.get("update", []), list, f"{where}.update", problems)
         for j, text in enumerate(raw_update):
             try:
                 instrs.append(alu.parse_instruction(str(text), resolve_token))
@@ -575,7 +619,7 @@ def _build(doc: dict, source: str) -> ProgramConfig:
             RowDef(
                 state=state,
                 cond=tuple(cond_pat),
-                match=tuple(match_pat),
+                match=match_pat,
                 priority=priority,
                 next_state=nxt,
                 action=action,
@@ -584,7 +628,7 @@ def _build(doc: dict, source: str) -> ProgramConfig:
             )
         )
 
-    if raw_rows and not any(
+    if rows and not any(
         r.state is None and not r.cond and not r.match for r in rows
     ):
         problems.append("rows: a catch-all row (state '*', no cond/match) is required")
@@ -592,88 +636,49 @@ def _build(doc: dict, source: str) -> ProgramConfig:
     # --- context fallback --------------------------------------------------
     fallback: list[FallbackDef] = []
     fb_priorities: set[int] = set()
-    raw_fallback = doc.get("context_fallback", [])
-    if not isinstance(raw_fallback, list):
-        problems.append("context_fallback: expected a list")
-        raw_fallback = []
-    for i, item in enumerate(raw_fallback):
-        where = f"context_fallback[{i}]"
-        if not isinstance(item, dict):
-            problems.append(f"{where}: expected a mapping")
-            continue
+    scope_widths = {
+        n: field_map[n].width if n in field_map else 32 for n in lookup_scope
+    }
+    for _, where, item in _entries(doc, "context_fallback", problems):
         st = str(item.get("state", ""))
         if st not in states:
             problems.append(f"{where}: unknown state {st!r}")
-        prio = _to_int(item.get("priority", -1), f"{where}.priority", problems)
-        if prio in fb_priorities:
-            problems.append(f"{where}: duplicate priority {prio}")
-        fb_priorities.add(prio)
-        pats: list[tuple[str, tuple[int, int]]] = []
-        raw_match = item.get("match", {})
-        if not isinstance(raw_match, dict):
-            problems.append(f"{where}: match must be a mapping")
-            raw_match = {}
-        for fname, pattern in raw_match.items():
-            fname = str(fname)
-            if fname not in lookup_scope:
-                problems.append(
-                    f"{where}: field {fname!r} is not part of the lookup scope"
-                )
-                continue
-            width = field_map[fname].width if fname in field_map else 32
-            pats.append(
-                (
-                    fname,
-                    _parse_pattern(pattern, width, f"{where}.match.{fname}", problems),
-                )
-            )
-        regs = item.get("registers", [0, 0, 0, 0])
+        prio = _priority(item, where, fb_priorities, problems)
+        pats = _match(item, where, scope_widths, "lookup_scope", problems)
+        regs = item.get("registers", [])
         if not isinstance(regs, list) or len(regs) > 4:
             problems.append(f"{where}: registers must be a list of up to 4 values")
-            regs = [0, 0, 0, 0]
-        regs = [_to_int(v, f"{where}.registers", problems) for v in regs]
+            regs = []
+        regs = [
+            _u32(v, f"{where}.registers[{i}]", problems) for i, v in enumerate(regs)
+        ]
         regs += [0] * (4 - len(regs))
-        fallback.append(FallbackDef(prio, st, tuple(pats), tuple(regs)))
+        fallback.append(FallbackDef(prio, st, pats, tuple(regs)))
 
     # --- classifier tree ----------------------------------------------------
     tree: Optional[ClassifierTree] = None
-    raw_tree = doc.get("classifier_tree")
-    if raw_tree is not None:
-        if not isinstance(raw_tree, dict):
-            problems.append("classifier_tree: expected a mapping")
-        else:
-            tree = _parse_tree(raw_tree, states, cond_names, ports, problems)
-            if tree is not None:
-                leaves = sum(1 for _ in _tree_paths(tree.root))
-                for p in range(tree.base_priority, tree.base_priority + leaves):
-                    if p in priorities:
-                        problems.append(
-                            f"classifier_tree: expanded priority {p} collides "
-                            "with an explicit row"
-                        )
+    if doc.get("classifier_tree") is not None:
+        tree = _parse_tree(doc["classifier_tree"], states, cond_names, ports, problems)
+    tree_rows = tree.rows() if tree is not None else ()
+    for row in tree_rows:
+        if row.priority in priorities:
+            problems.append(
+                f"classifier_tree: expanded priority {row.priority} collides "
+                "with an explicit row"
+            )
 
     # --- sizes and period --------------------------------------------------
-    sizes = TableSizes()
-    raw_sizes = doc.get("table_sizes", {})
-    if not isinstance(raw_sizes, dict):
-        problems.append("table_sizes: expected a mapping")
-        raw_sizes = {}
+    raw_sizes = _expect(doc.get("table_sizes", {}), dict, "table_sizes", problems)
     size_kwargs = {}
-    for key in (
-        "context_subtables",
-        "context_buckets",
-        "bucket_depth",
-        "context_fallback",
-        "xfsm",
-    ):
-        if key in raw_sizes:
-            v = _to_int(raw_sizes[key], f"table_sizes.{key}", problems)
+    for f in dataclasses.fields(TableSizes):
+        if f.name in raw_sizes:
+            v = _to_int(raw_sizes[f.name], f"table_sizes.{f.name}", problems)
             if v < 1:
-                problems.append(f"table_sizes.{key}: must be positive")
+                problems.append(f"table_sizes.{f.name}: must be positive")
                 v = 1
-            size_kwargs[key] = v
+            size_kwargs[f.name] = v
     sizes = TableSizes(**size_kwargs)
-    total_rows = len(rows) + (sum(1 for _ in _tree_paths(tree.root)) if tree else 0)
+    total_rows = len(rows) + len(tree_rows)
     if total_rows > sizes.xfsm:
         problems.append(
             f"rows: {total_rows} rows exceed the transition table capacity "
@@ -694,27 +699,7 @@ def _build(doc: dict, source: str) -> ProgramConfig:
     if period == 0:
         period = TIMESTAMP_UNITS.get(unit, 1_000_000)
 
-    unknown = set(doc) - {
-        "name",
-        "description",
-        "timestamp_unit",
-        "ports",
-        "max_parse_depth",
-        "fields",
-        "lookup_scope",
-        "update_scope",
-        "states",
-        "globals",
-        "flow_scratch",
-        "conditions",
-        "match_fields",
-        "rows",
-        "context_fallback",
-        "classifier_tree",
-        "table_sizes",
-        "management_period",
-    }
-    for key in sorted(unknown):
+    for key in sorted(set(doc) - set(TOP_LEVEL_KEYS), key=str):
         problems.append(f"unknown top-level key {key!r}")
 
     if problems:
@@ -742,12 +727,34 @@ def _build(doc: dict, source: str) -> ProgramConfig:
 
 
 def _parse_tree(
-    raw: dict,
+    raw: object,
     states: dict[str, int],
     cond_names: dict[str, int],
     ports: int,
     problems: list[str],
 ) -> Optional[ClassifierTree]:
+    def walk(node: object, where: str) -> Union[TreeNode, TreeLeaf, None]:
+        if not isinstance(node, dict):
+            problems.append(f"{where}: expected a mapping")
+            return None
+        if "class" in node:
+            st = str(node.get("class", ""))
+            if st not in states:
+                problems.append(f"{where}: unknown state {st!r}")
+            action = _action(node.get("action", "none"), where, ports, problems)
+            return TreeLeaf(st, action)
+        cname = str(node.get("condition", ""))
+        if cname not in cond_names:
+            problems.append(f"{where}: unknown condition {cname!r}")
+        t = walk(node.get("if_true"), where + ".if_true")
+        f = walk(node.get("if_false"), where + ".if_false")
+        if t is None or f is None:
+            return None
+        return TreeNode(cname, t, f)
+
+    if not isinstance(raw, dict):
+        problems.append("classifier_tree: expected a mapping")
+        return None
     gate = str(raw.get("gate", ""))
     if gate not in cond_names:
         problems.append(f"classifier_tree.gate: unknown condition {gate!r}")
@@ -757,46 +764,10 @@ def _parse_tree(
     base = _to_int(raw.get("base_priority", -1), "classifier_tree.base_priority", problems)
     if base < 0:
         problems.append("classifier_tree.base_priority: must be non-negative")
-
-    def walk(node: object, path: str) -> Union[TreeNode, TreeLeaf, None]:
-        where = f"classifier_tree.{path}"
-        if not isinstance(node, dict):
-            problems.append(f"{where}: expected a mapping")
-            return None
-        if "class" in node:
-            st = str(node.get("class", ""))
-            if st not in states:
-                problems.append(f"{where}: unknown state {st!r}")
-            try:
-                action = parse_action(str(node.get("action", "none")))
-            except ValueError as exc:
-                problems.append(f"{where}: {exc}")
-                action = Action(ActionKind.NONE)
-            return TreeLeaf(st, action)
-        cname = str(node.get("condition", ""))
-        if cname not in cond_names:
-            problems.append(f"{where}: unknown condition {cname!r}")
-        t = walk(node.get("if_true"), path + ".if_true")
-        f = walk(node.get("if_false"), path + ".if_false")
-        if t is None or f is None:
-            return None
-        return TreeNode(cname, t, f)
-
-    root = walk(raw.get("tree"), "tree")
+    root = walk(raw.get("tree"), "classifier_tree.tree")
     if root is None or gate not in cond_names or in_state not in states or base < 0:
         return None
     return ClassifierTree(gate, in_state, base, root)
-
-
-def _tree_paths(
-    node: Union[TreeNode, TreeLeaf], path: tuple[tuple[str, int], ...] = ()
-):
-    """Yield (condition-bit path, leaf) pairs, leftmost (all-true) first."""
-    if isinstance(node, TreeLeaf):
-        yield path, node
-        return
-    yield from _tree_paths(node.if_true, path + ((node.condition, 1),))
-    yield from _tree_paths(node.if_false, path + ((node.condition, 0),))
 
 
 # ---------------------------------------------------------------------------
@@ -809,87 +780,37 @@ def _compiled_scope(config: ProgramConfig, names: Sequence[str]) -> KeyScope:
     )
 
 
-def _cond_index(config: ProgramConfig) -> dict[str, int]:
-    return {name: i for i, (name, _) in enumerate(config.conditions)}
-
-
 def _compile_row(
-    config: ProgramConfig,
-    cond_idx: Mapping[str, int],
-    row_id: int,
-    state: Optional[str],
-    cond: Sequence[tuple[str, int]],
-    match: Sequence[tuple[str, tuple[int, int]]],
-    priority: int,
-    next_state: Optional[str],
-    action: Action,
-    instructions: tuple[alu.Instruction, ...],
-    label: str,
+    config: ProgramConfig, cond_idx: Mapping[str, int], row: RowDef
 ) -> XfsmRow:
-    if state is None:
+    if row.state is None:
         state_pat = (0, 0)
     else:
-        state_pat = (config.states[state], (1 << 16) - 1)
+        state_pat = (config.states[row.state], (1 << 16) - 1)
     cval = cmask = 0
-    for cname, bit in cond:
+    for cname, bit in row.cond:
         pos = cond_idx[cname]
         cmask |= 1 << pos
         cval |= bit << pos
-    by_name = dict(match)
-    fields = tuple(by_name.get(n, (0, 0)) for n in config.match_fields)
-    nxt = None if next_state is None else config.states[next_state]
+    by_name = dict(row.match)
     return XfsmRow(
         state=state_pat,
         cond=(cval, cmask),
-        fields=fields,
-        priority=priority,
-        next_state=nxt,
-        action=action,
-        instructions=instructions,
-        row_id=row_id,
-        label=label,
+        fields=tuple(by_name.get(n, (0, 0)) for n in config.match_fields),
+        priority=row.priority,
+        next_state=None if row.next_state is None else config.states[row.next_state],
+        action=row.action,
+        instructions=row.instructions,
     )
 
 
 def compile_rows(config: ProgramConfig) -> list[XfsmRow]:
-    """Explicit rows plus tree-expanded decision rows, in row-id order."""
-    cond_idx = _cond_index(config)
-    compiled = []
-    for i, row in enumerate(config.rows):
-        compiled.append(
-            _compile_row(
-                config,
-                cond_idx,
-                i,
-                row.state,
-                row.cond,
-                row.match,
-                row.priority,
-                row.next_state,
-                row.action,
-                row.instructions,
-                row.row_id or f"row{i}",
-            )
-        )
+    """Explicit rows, then tree-expanded decision rows; the list position is
+    the verdict's row id."""
+    cond_idx = {name: i for i, (name, _) in enumerate(config.conditions)}
     tree = config.classifier_tree
-    if tree is not None:
-        for j, (path, leaf) in enumerate(_tree_paths(tree.root)):
-            compiled.append(
-                _compile_row(
-                    config,
-                    cond_idx,
-                    len(config.rows) + j,
-                    tree.in_state,
-                    ((tree.gate, 1),) + tuple(path),
-                    (),
-                    tree.base_priority + j,
-                    leaf.state,
-                    leaf.action,
-                    (),
-                    f"tree_leaf{j}",
-                )
-            )
-    return compiled
+    tree_rows = tree.rows() if tree is not None else ()
+    return [_compile_row(config, cond_idx, row) for row in (*config.rows, *tree_rows)]
 
 
 def build_engine(
@@ -909,22 +830,25 @@ def build_engine(
         fallback_capacity=sizes.context_fallback,
         num_registers=4 + len(config.flow_scratch),
     )
-    scope_fields = [config.field_by_name(n) for n in config.lookup_scope]
+    lookup_scope = _compiled_scope(config, config.lookup_scope)
     for fb in config.context_fallback:
-        value = mask = 0
-        pat = dict(fb.match)
-        for f in scope_fields:
-            v, m = pat.get(f.name, (0, 0))
-            value = (value << f.width) | (v & ((1 << f.width) - 1))
-            mask = (mask << f.width) | (m & ((1 << f.width) - 1))
-        pad = extractor.FLOW_KEY_WIDTH - sum(f.width for f in scope_fields)
+        # the pattern as header slot values, packed by the lookup scope
+        value = [0] * extractor.NUM_HEADER_SLOTS
+        mask = [0] * extractor.NUM_HEADER_SLOTS
+        for name, (v, m) in fb.match:
+            slot = config.field_by_name(name).slot
+            value[slot], mask[slot] = v, m
         context.add_fallback(
-            value << pad, mask << pad, fb.priority, config.states[fb.state], fb.registers
+            lookup_scope.key(value),
+            lookup_scope.key(mask),
+            fb.priority,
+            config.states[fb.state],
+            fb.registers,
         )
     return Engine(
         name=config.name,
         state_labels={code: label for label, code in config.states.items()},
-        lookup_scope=_compiled_scope(config, config.lookup_scope),
+        lookup_scope=lookup_scope,
         update_scope=_compiled_scope(config, config.update_scope),
         compiled_conditions=conditions.compile_specs(
             [spec for _, spec in config.conditions]
@@ -1024,18 +948,33 @@ def make_binder(config: ProgramConfig, mode: str = "csv") -> engine_mod.Binder:
 # serialization and bundled programs
 
 
+def _tree_doc(node: Union[TreeNode, TreeLeaf]) -> dict:
+    if isinstance(node, TreeLeaf):
+        return {"class": node.state, "action": format_action(node.action)}
+    return {
+        "condition": node.condition,
+        "if_true": _tree_doc(node.if_true),
+        "if_false": _tree_doc(node.if_false),
+    }
+
+
 def serialize(config: ProgramConfig) -> str:
     """Canonical YAML form; load(serialize(c)) == c."""
-    doc: dict = {
+    tree = config.classifier_tree
+    doc = {
         "name": config.name,
         "timestamp_unit": config.timestamp_unit,
         "ports": config.ports,
         "max_parse_depth": config.max_parse_depth,
-        "fields": [],
+        "fields": [
+            {k: v for k, v in dataclasses.asdict(f).items() if v is not None}
+            for f in config.fields
+        ],
         "lookup_scope": list(config.lookup_scope),
         "update_scope": list(config.update_scope),
         "states": dict(config.states),
         "globals": {f"G{i}": v for i, v in enumerate(config.globals_init)},
+        "flow_scratch": {alias: f"G{slot}" for alias, slot in config.flow_scratch},
         "conditions": [
             {
                 "name": name,
@@ -1046,81 +985,42 @@ def serialize(config: ProgramConfig) -> str:
             for name, spec in config.conditions
         ],
         "match_fields": list(config.match_fields),
-        "rows": [],
-        "management_period": config.management_period,
-        **(
-            {"flow_scratch": {a: f"G{s}" for a, s in config.flow_scratch}}
-            if config.flow_scratch
-            else {}
-        ),
-        "table_sizes": {
-            "context_subtables": config.table_sizes.context_subtables,
-            "context_buckets": config.table_sizes.context_buckets,
-            "bucket_depth": config.table_sizes.bucket_depth,
-            "context_fallback": config.table_sizes.context_fallback,
-            "xfsm": config.table_sizes.xfsm,
-        },
-    }
-    for f in config.fields:
-        entry: dict = {"name": f.name, "slot": f.slot, "width": f.width}
-        if f.source is not None:
-            entry["source"] = f.source
-        if f.offset is not None:
-            entry["offset"] = f.offset
-        if f.mask is not None:
-            entry["mask"] = f.mask
-        doc["fields"].append(entry)
-    for row in config.rows:
-        entry = {
-            "state": row.state if row.state is not None else "*",
-            "priority": row.priority,
-            "next": row.next_state if row.next_state is not None else STAY,
-            "action": format_action(row.action),
-        }
-        if row.row_id is not None:
-            entry["id"] = row.row_id
-        if row.cond:
-            entry["cond"] = {name: bit for name, bit in row.cond}
-        if row.match:
-            entry["match"] = {
-                name: _format_pattern(pat, 32) for name, pat in row.match
+        "rows": [
+            {
+                "id": row.row_id,
+                "state": "*" if row.state is None else row.state,
+                "cond": dict(row.cond),
+                "match": {name: _format_pattern(pat, 32) for name, pat in row.match},
+                "priority": row.priority,
+                "next": STAY if row.next_state is None else row.next_state,
+                "action": format_action(row.action),
+                "update": [alu.format_instruction(i) for i in row.instructions],
             }
-        if row.instructions:
-            entry["update"] = [alu.format_instruction(i) for i in row.instructions]
-        doc["rows"].append(entry)
-    if config.context_fallback:
-        doc["context_fallback"] = [
+            for row in config.rows
+        ],
+        "context_fallback": [
             {
                 "priority": fb.priority,
                 "state": fb.state,
                 "match": {
-                    name: _format_pattern(
-                        pat, config.field_by_name(name).width
-                    )
+                    name: _format_pattern(pat, config.field_by_name(name).width)
                     for name, pat in fb.match
                 },
                 "registers": list(fb.registers),
             }
             for fb in config.context_fallback
-        ]
-    if config.classifier_tree is not None:
-        tree = config.classifier_tree
-
-        def dump(node: Union[TreeNode, TreeLeaf]) -> dict:
-            if isinstance(node, TreeLeaf):
-                return {"class": node.state, "action": format_action(node.action)}
-            return {
-                "condition": node.condition,
-                "if_true": dump(node.if_true),
-                "if_false": dump(node.if_false),
-            }
-
-        doc["classifier_tree"] = {
+        ],
+        "classifier_tree": None
+        if tree is None
+        else {
             "gate": tree.gate,
             "in_state": tree.in_state,
             "base_priority": tree.base_priority,
-            "tree": dump(tree.root),
-        }
+            "tree": _tree_doc(tree.root),
+        },
+        "table_sizes": dataclasses.asdict(config.table_sizes),
+        "management_period": config.management_period,
+    }
     return yaml.safe_dump(doc, sort_keys=False)
 
 
@@ -1144,7 +1044,3 @@ def bundled_path(name: str) -> Path:
 def bundled_program(name: str) -> ProgramConfig:
     return load(bundled_path(name))
 
-
-def bundled_programs() -> list[ProgramConfig]:
-    """All bundled application configs, loaded and validated."""
-    return [bundled_program(name) for name in BUNDLED]

@@ -6,8 +6,11 @@ as oracles; they must not call into the package's table or ALU code.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import struct
+
+import yaml
 
 from flowfsm import programs
 from flowfsm.extractor import PacketRecord
@@ -162,3 +165,90 @@ def window_bound_brute(times, burst, q, max_pairs=40000):
             if checked >= max_pairs:
                 return True
     return True
+
+
+def bundled_doc(name):
+    """Parsed YAML document of a bundled program, for tests to mutate."""
+    return yaml.safe_load(programs.bundled_path(name).read_text())
+
+
+DELETE = object()
+
+
+def patched_doc(base, path, value):
+    """Copy of a bundled document with the item at ``path`` set (or deleted).
+
+    ``path`` is a tuple of mapping keys and list indices from the top level.
+    """
+    doc = copy.deepcopy(bundled_doc(base))
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+# Program that covers what no bundled program has: a masked fallback on a
+# scope field narrower than 32 bits, fallback registers, a "0x02/0x02" row
+# match, a row without an id, and a flow scratch register.
+SYNTHETIC_PROGRAM = """
+name: synthetic
+timestamp_unit: ticks
+ports: 8
+fields:
+  - {name: ip_src, slot: 0, width: 32, source: ip_src}
+  - {name: ip_proto, slot: 1, width: 8, source: ip_proto, offset: 184, mask: 0xff}
+  - {name: tcp_flags, slot: 2, width: 8, source: tcp_flags}
+lookup_scope: [ip_src, ip_proto]
+states: {DEFAULT: 0, MONITOR: 1, SEEN: 2}
+globals: {G0: 5}
+flow_scratch: {R4: G1}
+conditions:
+  - {name: C0, op: GE, lhs: R0, rhs: G0}
+match_fields: [tcp_flags]
+rows:
+  - {id: syn, state: MONITOR, match: {tcp_flags: "0x02/0x02"}, priority: 3,
+     next: SEEN, action: "fwd:2", update: ["ADDI R4 R4 1"]}
+  - {state: "*", cond: {C0: 1}, priority: 2, next: _stay, action: drop}
+  - {id: any, priority: 1, action: "fwd:1", update: ["ADDI R0 R0 1"]}
+context_fallback:
+  - {priority: 2, state: MONITOR, match: {ip_proto: "0x06/0x0f"},
+     registers: [1, 2, 3, 4]}
+  - {priority: 1, state: SEEN, match: {ip_src: "0x0a000000/0xff000000"}}
+"""
+
+# One document per loader gap: (base program, path, value, location of the
+# expected problem).
+LOOSE_FALLBACK = {"state": "LONG", "match": {"ip_dst": 7}}
+GAP_CASES = {
+    "fallback_without_priority": (
+        "long_flow", ("context_fallback",), [LOOSE_FALLBACK], "context_fallback[0]"
+    ),
+    "fallback_negative_priority": (
+        "long_flow",
+        ("context_fallback",),
+        [{**LOOSE_FALLBACK, "priority": -1}],
+        "context_fallback[0]",
+    ),
+    "fallback_negative_register": (
+        "long_flow",
+        ("context_fallback",),
+        [{**LOOSE_FALLBACK, "priority": 1, "registers": [0, -5]}],
+        "context_fallback[0].registers",
+    ),
+    "fallback_wide_register": (
+        "long_flow",
+        ("context_fallback",),
+        [{**LOOSE_FALLBACK, "priority": 1, "registers": [2**40]}],
+        "context_fallback[0].registers",
+    ),
+    "tree_leaf_port": (
+        "c45_classifier",
+        ("classifier_tree", "tree", "if_true", "action"),
+        "fwd:9",
+        "classifier_tree.tree.if_true",
+    ),
+}

@@ -1,0 +1,201 @@
+"""Program loader: round trip, rejection locations, tree expansion, fallbacks."""
+
+import pytest
+import yaml
+
+from flowfsm import programs
+from flowfsm.engine import Action, ActionKind
+from flowfsm.extractor import KeyScope
+from flowfsm.programs import ProgramValidationError
+
+from helpers import DELETE, GAP_CASES, SYNTHETIC_PROGRAM, bundled_doc, patched_doc
+
+
+def problems_of(doc):
+    with pytest.raises(ProgramValidationError) as info:
+        programs.loads(yaml.safe_dump(doc), source="doc")
+    return [p.removeprefix("doc: ") for p in info.value.problems]
+
+
+def assert_rejected_at(doc, location):
+    problems = problems_of(doc)
+    assert any(p.startswith(location) for p in problems), problems
+
+
+@pytest.mark.parametrize("name", programs.BUNDLED + ("synthetic",))
+def test_serialize_round_trip(name):
+    if name == "synthetic":
+        config = programs.loads(SYNTHETIC_PROGRAM)
+    else:
+        config = programs.bundled_program(name)
+    text = programs.serialize(config)
+    assert programs.loads(text) == config
+    assert programs.serialize(programs.loads(text)) == text
+
+
+def test_synthetic_program_covers_the_unbundled_schema():
+    config = programs.loads(SYNTHETIC_PROGRAM)
+    narrow = config.field_by_name("ip_proto")
+    assert narrow.width < 32 and narrow.name in config.lookup_scope
+    assert dict(config.context_fallback[0].match) == {"ip_proto": (0x06, 0x0F)}
+    assert config.context_fallback[0].registers == (1, 2, 3, 4)
+    assert dict(config.rows[0].match) == {"tcp_flags": (0x02, 0x02)}
+    assert config.rows[1].row_id is None
+    assert config.flow_scratch == (("R4", 1),)
+
+
+def test_classifier_tree_expands_after_the_explicit_rows():
+    config = programs.bundled_program("c45_classifier")
+    rows = programs.compile_rows(config)
+    tree_rows = rows[len(config.rows) :]
+    web, p2p = config.states["WEB"], config.states["P2P"]
+    # leftmost (all-true) path first; C0 is the gate, C1..C3 the tree
+    assert [(r.priority, r.next_state, r.cond) for r in tree_rows] == [
+        (40, web, (0b0011, 0b0011)),
+        (41, p2p, (0b1101, 0b1111)),
+        (42, web, (0b0101, 0b1111)),
+        (43, p2p, (0b0001, 0b0111)),
+    ]
+    assert all(r.state == (config.states["MEASURE"], 0xFFFF) for r in tree_rows)
+    assert tree_rows[0].action == Action(ActionKind.SET_DSCP, port=1, dscp=10)
+    assert all(r.instructions == () and r.fields == () for r in tree_rows)
+
+
+def test_fallback_key_follows_the_lookup_scope_layout():
+    # scope [ip_src/32, ip_proto/8]: the ip_proto fallback sits on the
+    # second, narrower field of the key
+    config = programs.loads(SYNTHETIC_PROGRAM)
+    context = programs.build_engine(config).context
+    scope = KeyScope([(0, 32), (1, 8)])
+
+    def state_of(ip_src, ip_proto):
+        h = [ip_src, ip_proto, 0, 0, 0, 0, 0, 0]
+        return context.lookup_context(scope.key(h))
+
+    monitor, seen = config.states["MONITOR"], config.states["SEEN"]
+    hit = state_of(0x01020304, 0x06)
+    assert (hit.state, hit.r) == (monitor, [1, 2, 3, 4, 0])
+    assert state_of(0x01020304, 0x16).state == monitor  # only the low nibble
+    assert state_of(0x01020304, 0x07).state == 0
+    assert state_of(0x0A000001, 0x07).state == seen
+    assert state_of(0x0B000001, 0x11).state == 0
+
+
+def test_fallback_on_the_second_scope_field_steers_packets():
+    doc = patched_doc(
+        "long_flow",
+        ("context_fallback",),
+        [{"priority": 1, "state": "LONG", "match": {"ip_dst": 7}}],
+    )
+    config = programs.loads(yaml.safe_dump(doc))
+    engine, bind = programs.build_engine(config), programs.make_binder(config)
+    rows = [{"ts": 0, "ip_src": 1, "ip_dst": 7}, {"ts": 1, "ip_src": 1, "ip_dst": 8}]
+    verdicts = list(engine.run_trace(bind(row, i) for i, row in enumerate(rows)))
+    assert [v.pre_state for v in verdicts] == ["LONG", "DEFAULT"]
+
+
+@pytest.mark.parametrize("case", sorted(GAP_CASES))
+def test_loader_gaps_are_rejected_with_a_location(case):
+    base, path, value, location = GAP_CASES[case]
+    assert_rejected_at(patched_doc(base, path, value), location)
+
+
+def test_fallback_registers_are_stored_as_given():
+    doc = patched_doc(
+        "long_flow",
+        ("context_fallback",),
+        [{"priority": 0, "state": "LONG", "match": {"ip_dst": 7},
+          "registers": [0xFFFFFFFF, "0x10"]}],
+    )
+    config = programs.loads(yaml.safe_dump(doc))
+    assert config.context_fallback[0].registers == (0xFFFFFFFF, 0x10, 0, 0)
+
+
+L, C = "long_flow", "c45_classifier"
+FIELD0 = ("fields", 0)
+ROW0 = ("rows", 0)
+BROKEN = [
+    # (base, path, value, location)
+    (L, ("name",), DELETE, "name"),
+    (L, ("timestamp_unit",), "hours", "timestamp_unit"),
+    (L, ("ports",), 0, "ports"),
+    (L, ("fields",), {}, "fields"),
+    (L, FIELD0, "ip_src", "fields[0]"),
+    (L, FIELD0 + ("name",), DELETE, "fields[0]"),
+    (L, ("fields", 1, "slot"), 0, "fields[1]"),
+    (L, FIELD0 + ("width",), 40, "fields[0]"),
+    (L, FIELD0 + ("source",), DELETE, "fields[0]"),
+    (L, FIELD0 + ("mask",), 2**33, "fields[0]"),
+    (L, ("lookup_scope",), ["ip_src", "nope"], "lookup_scope"),
+    (L, ("update_scope",), [], "update_scope"),
+    (L, ("states",), {"A": 1}, "states"),
+    (L, ("states", "LONG"), 1 << 16, "states.LONG"),
+    (L, ("globals",), {"G0": -1}, "globals.G0"),
+    (L, ("globals",), {"G7": 1}, "globals"),
+    (L, ("globals",), [3], "globals"),
+    (L, ("flow_scratch",), {"R4": "G0"}, "flow_scratch.R4"),
+    (C, ("flow_scratch",), {"R4": "H1"}, "flow_scratch.R4"),
+    (L, ("conditions", 0, "op"), "NE", "conditions[0]"),
+    (L, ("conditions", 0, "rhs"), "Q9", "conditions[0]"),
+    (L, ("conditions",), [{"op": "GT", "lhs": "R0", "rhs": "G0"}] * 9, "conditions"),
+    (L, ("match_fields",), ["nope"], "match_fields"),
+    (L, ("match_fields",), "ip_src", "match_fields"),
+    (L, ("rows",), [], "rows"),
+    (L, ("rows", 1, "priority"), 20, "rows[1] (id=crossed)"),
+    (L, ROW0 + ("priority",), DELETE, "rows[0] (id=count)"),
+    (L, ROW0 + ("state",), "NOPE", "rows[0] (id=count)"),
+    (L, ROW0 + ("next",), "NOPE", "rows[0] (id=count)"),
+    (L, ROW0 + ("cond",), {"C9": 1}, "rows[0] (id=count)"),
+    (L, ROW0 + ("cond",), {"C0": 2}, "rows[0] (id=count)"),
+    (L, ROW0 + ("cond",), [1], "rows[0] (id=count)"),
+    (L, ROW0 + ("match",), {"ip_src": 1}, "rows[0] (id=count)"),
+    (L, ROW0 + ("action",), "fwd:9", "rows[0] (id=count)"),
+    (L, ROW0 + ("action",), "teleport", "rows[0] (id=count)"),
+    (L, ROW0 + ("update",), ["FOO R0"], "rows[0] (id=count).update[0]"),
+    (L, ROW0 + ("update",), "ADDI R0 R0 1", "rows[0] (id=count)"),
+    (L, ("rows", 3, "state"), "DEFAULT", "rows"),
+    (L, ("context_fallback",), {}, "context_fallback"),
+    (L, ("context_fallback",), [7], "context_fallback[0]"),
+    (L, ("context_fallback",), [{"priority": 1, "state": "NOPE"}], "context_fallback[0]"),
+    (
+        L,
+        ("context_fallback",),
+        [{"priority": 1, "state": "LONG"}, {"priority": 1, "state": "LONG"}],
+        "context_fallback[1]",
+    ),
+    (
+        L,
+        ("context_fallback",),
+        [{"priority": 1, "state": "LONG", "match": {"nope": 1}}],
+        "context_fallback[0]",
+    ),
+    (
+        L,
+        ("context_fallback",),
+        [{"priority": 1, "state": "LONG", "registers": [0] * 5}],
+        "context_fallback[0]",
+    ),
+    (C, ("classifier_tree",), [], "classifier_tree"),
+    (C, ("classifier_tree", "gate"), "C9", "classifier_tree.gate"),
+    (C, ("classifier_tree", "in_state"), "NOPE", "classifier_tree.in_state"),
+    (C, ("classifier_tree", "base_priority"), -1, "classifier_tree.base_priority"),
+    (C, ("classifier_tree", "base_priority"), 20, "classifier_tree"),
+    (C, ("classifier_tree", "tree", "if_true", "class"), "NOPE", "classifier_tree.tree.if_true"),
+    (C, ("classifier_tree", "tree", "if_false", "condition"), "C9", "classifier_tree.tree.if_false"),
+    (C, ("classifier_tree", "tree", "if_false", "if_true"), 3, "classifier_tree.tree.if_false.if_true"),
+    (L, ("table_sizes",), {"xfsm": 0}, "table_sizes.xfsm"),
+    (L, ("table_sizes",), {"xfsm": 3}, "rows"),
+    (L, ("table_sizes",), 5, "table_sizes"),
+    (L, ("management_period",), -1, "management_period"),
+    (L, ("management_period",), "soon", "management_period"),
+    (L, ("bogus",), 1, "unknown top-level key 'bogus'"),
+]
+
+
+@pytest.mark.parametrize(
+    "base, path, value, location",
+    BROKEN,
+    ids=[f"{i:02d}-{case[3]}" for i, case in enumerate(BROKEN)],
+)
+def test_broken_programs_are_rejected_at_their_location(base, path, value, location):
+    assert_rejected_at(patched_doc(base, path, value), location)
