@@ -4,15 +4,19 @@ One engine instance runs one program over one packet stream. Each packet
 goes through the same fixed sequence: flow context lookup, condition
 evaluation, transition-table match on state / condition bits / selected
 header fields, action emission, parallel register update, and context
-write-back under the (possibly different) update key. Housekeeping of the
-context table fires whenever the packet clock crosses a management-period
+write-back under the (possibly different) update key. The transition
+match goes through a per-state table indexed by the condition bits, built
+on the state's first packet, so a packet checks field patterns only on the
+few rows left for its (state, bits) pair. Housekeeping of the context
+table fires whenever the packet clock crosses a management-period
 boundary, before the packet is processed.
 
 Sequential semantics are strict by default: the verdict of packet i sees
 every update of packets before i, including back-to-back packets of the
-same flow. An opt-in hazard window delays update visibility by a fixed
-number of packets to study pipelined-hardware behaviour; it is off for all
-normal runs.
+same flow. An opt-in hazard window of W packets delays update visibility
+to study pipelined-hardware behaviour: the W packets after packet i still
+read the contexts and globals from before i's update, and packet i+W+1 is
+the first to see it. It is off for all normal runs.
 """
 
 from __future__ import annotations
@@ -27,11 +31,8 @@ from .conditions import evaluate_compiled
 from .extractor import KeyScope, PacketRecord
 from .flow_context import FlowContextTable
 from .stats import RunStats
-from .tcam import TernaryTable
 
-STATE_BITS = 16
 COND_BITS = 8
-FIELD_BITS = 32
 
 
 class EngineError(Exception):
@@ -103,15 +104,6 @@ class XfsmRow:
     action: Action
     instructions: tuple[Instruction, ...]
 
-    def match_key(self) -> tuple[int, int]:
-        """(value, mask) of this row in the packed table layout."""
-        value = (self.state[0] << COND_BITS) | self.cond[0]
-        mask = (self.state[1] << COND_BITS) | self.cond[1]
-        for fv, fm in self.fields:
-            value = (value << FIELD_BITS) | fv
-            mask = (mask << FIELD_BITS) | fm
-        return value, mask
-
 
 @dataclass(slots=True)
 class PacketVerdict:
@@ -127,6 +119,24 @@ class PacketVerdict:
     cond_bits: int
     registers: tuple[int, ...]
     global_registers: tuple[int, ...]
+
+
+class _Labels(dict):
+    """State code -> label; codes without a label read as ``state_<code>``."""
+
+    def __missing__(self, code: int) -> str:
+        return f"state_{code}"
+
+
+def _first_match(candidates: tuple, h: Sequence[int]) -> int:
+    """Index of the first row in ``candidates`` whose field patterns all
+    match ``h``; the last candidate has none, so one always does."""
+    for row_idx, patterns in candidates:
+        for slot, value, mask in patterns:
+            if h[slot] & mask != value:
+                break
+        else:
+            return row_idx
 
 
 class Engine:
@@ -145,7 +155,6 @@ class Engine:
         context: FlowContextTable,
         globals_init: Sequence[int],
         management_period: int,
-        xfsm_capacity: int = 128,
         ports: int = 4,
         scratch_slots: Sequence[int] = (),
         hazard_window: int = 0,
@@ -154,7 +163,7 @@ class Engine:
         partitionable: bool = False,
     ):
         self.name = name
-        self._labels = dict(state_labels)
+        self._labels = _Labels(state_labels)
         self._lookup_scope = lookup_scope
         self._update_scope = update_scope
         self._same_scope = lookup_scope == update_scope
@@ -175,22 +184,27 @@ class Engine:
         self.alu = alu_runtime if alu_runtime is not None else AluRuntime()
         self._seq = 0
         self._last_ts: Optional[int] = None
-        width = STATE_BITS + COND_BITS + FIELD_BITS * len(self._match_slots)
-        self.xfsm = TernaryTable(width=width, capacity=max(xfsm_capacity, len(rows)))
-        for idx, row in enumerate(self._rows):
-            value, mask = row.match_key()
-            self.xfsm.insert(value, mask, row.priority, idx)
-        # per-row constants kept out of the per-packet path
-        self._row_plans = [compile_plan(row.instructions) for row in self._rows]
-        self._row_action_str = [format_action(row.action) for row in self._rows]
-        self._row_action_name = [
-            row.action.kind.name.lower() for row in self._rows
-        ]
         if not any(
             r.state[1] == 0 and r.cond[1] == 0 and all(m == 0 for _, m in r.fields)
             for r in self._rows
         ):
             raise EngineError("program has no catch-all transition row")
+        if len({r.priority for r in self._rows}) < len(self._rows):
+            raise EngineError("transition rows need distinct priorities")
+        # row indices in descending priority: the order a TCAM resolves them
+        self._by_priority = sorted(
+            range(len(self._rows)), key=lambda i: self._rows[i].priority, reverse=True
+        )
+        # state -> 256 entries indexed by condition bits, built on the
+        # state's first packet; see _dispatch_for
+        self._dispatch: dict[int, list] = {}
+        # per-row constants kept out of the per-packet path:
+        # (action, action text, next state or None to stay, ALU plan)
+        self._row_consts = [
+            (row.action, format_action(row.action), row.next_state,
+             compile_plan(row.instructions))
+            for row in self._rows
+        ]
         self._stats = RunStats(
             program=name,
             seed=seed,
@@ -199,7 +213,8 @@ class Engine:
             hw_faithful_div=self.alu.hw16_div,
             partitionable=partitionable,
         )
-        self._transition_counts: dict[tuple[str, int], int] = {}
+        # (pre-state code, row index) -> packets
+        self._transition_counts: dict[tuple[int, int], int] = {}
 
     @property
     def stats(self) -> RunStats:
@@ -211,19 +226,67 @@ class Engine:
         s.table_full_drops = self.context.table_full_drops
         s.div_zero = self.alu.div_zero
         s.ewma_time_violations = self.alu.time_violations
-        s.transitions = {
-            f"{label}#{row}": n for (label, row), n in self._transition_counts.items()
-        }
+        s.packets = 0
+        s.actions = {}
+        s.transitions = {}
+        for (state, row_idx), n in self._transition_counts.items():
+            s.packets += n
+            action = self._rows[row_idx].action.kind.name.lower()
+            s.actions[action] = s.actions.get(action, 0) + n
+            key = f"{self._labels[state]}#{row_idx}"
+            s.transitions[key] = s.transitions.get(key, 0) + n
         return s
 
-    def _commit(self, key: int, state: int, r: list[int], g: list[int]) -> None:
-        self.context.write_back(key, state, r)
-        self.g = g
+    def _dispatch_for(self, state: int) -> list:
+        """The 256-entry row dispatch of one state.
+
+        Entry ``bits`` is the index of the row that matches (state, bits)
+        with the highest priority when that row matches every packet.
+        Otherwise it is a tuple of (row index, field patterns) candidates in
+        descending priority, ending with the first candidate that has no
+        field pattern. Field patterns are (slot, value, mask) triples.
+        """
+        live = []
+        for idx in self._by_priority:
+            row = self._rows[idx]
+            (sv, sm), (cv, cm) = row.state, row.cond
+            if state & sm == sv & sm:
+                patterns = tuple(
+                    (slot, fv & fm, fm)
+                    for slot, (fv, fm) in zip(self._match_slots, row.fields)
+                    if fm
+                )
+                live.append((idx, cv & cm, cm, patterns))
+        table: list = []
+        for bits in range(1 << COND_BITS):
+            candidates = []
+            for idx, cv, cm, patterns in live:
+                if bits & cm == cv:
+                    candidates.append((idx, patterns))
+                    if not patterns:
+                        break
+            if candidates[0][1]:
+                table.append(tuple(candidates))
+            else:
+                table.append(candidates[0][0])
+        self._dispatch[state] = table
+        return table
+
+    def match_row(self, state: int, bits: int, h: Sequence[int]) -> int:
+        """Index of the highest-priority row matching the state, the
+        condition bits and the match fields of ``h``."""
+        table = self._dispatch.get(state)
+        if table is None:
+            table = self._dispatch_for(state)
+        entry = table[bits]
+        return entry if entry.__class__ is int else _first_match(entry, h)
 
     def _flush_pending(self, upto_seq: int) -> None:
-        while self._pending and self._pending[0][0] <= upto_seq:
-            _, key, state, r, g = self._pending.popleft()
-            self._commit(key, state, r, g)
+        pending = self._pending
+        while pending and pending[0][0] <= upto_seq:
+            _, key, state, r, g = pending.popleft()
+            self.context.write_back(key, state, r)
+            self.g = g
 
     def flush(self) -> None:
         """Apply all delayed updates (hazard-window mode only)."""
@@ -231,29 +294,32 @@ class Engine:
 
     def process_packet(self, record: PacketRecord) -> PacketVerdict:
         seq = self._seq
-        self._seq += 1
+        self._seq = seq + 1
         ts = record.ts
+        context = self.context
+        hazard = self.hazard_window
 
         # housekeeping runs between packets, when the clock crosses a
         # management-period boundary
-        if self._period:
+        period = self._period
+        if period:
             if self._next_boundary is None:
-                self._next_boundary = (ts // self._period + 1) * self._period
+                self._next_boundary = (ts // period + 1) * period
             while ts >= self._next_boundary:
-                if not self.context.occupancy:
+                if not context.occupancy:
                     # a scan of an empty table changes nothing, so the
                     # boundaries up to ts are skipped arithmetically
-                    self._next_boundary = (ts // self._period + 1) * self._period
+                    self._next_boundary = (ts // period + 1) * period
                     break
-                self.context.housekeep(self._next_boundary)
-                self._next_boundary += self._period
-        if self.hazard_window:
-            self._flush_pending(seq - self.hazard_window)
+                context.housekeep(self._next_boundary)
+                self._next_boundary += period
+        if hazard:
+            self._flush_pending(seq)
 
         h = record.h
         lookup_key = self._lookup_scope.key(h)
-        ctx = self.context.lookup_context(lookup_key)
-        # read before the commit below, which may update ctx in place
+        ctx = context.lookup_context(lookup_key)
+        # read before the write-back below, which may update ctx in place
         state = ctx.state
         r = ctx.r
         g = self.g
@@ -266,16 +332,10 @@ class Engine:
             g_view = g
         bits = evaluate_compiled(self._conds, r, g_view, h) if self._conds else 0
 
-        key = (state << COND_BITS) | bits
-        for slot in self._match_slots:
-            key = (key << FIELD_BITS) | h[slot]
-        row_idx = self.xfsm.lookup(key)
-        if row_idx is None:  # unreachable: catch-all row checked at build
-            raise EngineError("transition table miss despite catch-all row")
-        row = self._rows[row_idx]
-
-        next_state = row.next_state if row.next_state is not None else state
-        plan = self._row_plans[row_idx]
+        row_idx = self.match_row(state, bits, h)
+        action, action_str, next_state, plan = self._row_consts[row_idx]
+        if next_state is None:
+            next_state = state
         if plan:
             r2, g2 = execute_plan(plan, r, g_view, h, self.alu)
         else:
@@ -286,35 +346,31 @@ class Engine:
                 g2[slot] = g[slot]  # the true global is untouched by scratch writes
 
         update_key = lookup_key if self._same_scope else self._update_scope.key(h)
-        if self.hazard_window:
-            self._pending.append(
-                (seq + self.hazard_window, update_key, next_state, r2, list(g2))
-            )
+        if hazard:
+            # the next `hazard` packets still read the old context
+            self._pending.append((seq + hazard + 1, update_key, next_state, r2, list(g2)))
         else:
-            self._commit(update_key, next_state, r2, g2)
+            context.write_back(update_key, next_state, r2)
+            self.g = g2
 
-        stats = self._stats
-        stats.packets += 1
         if record.truncated:
-            stats.truncated_fields += 1
-        action_name = self._row_action_name[row_idx]
-        stats.actions[action_name] = stats.actions.get(action_name, 0) + 1
-        pre_label = self._labels.get(state, f"state_{state}")
-        tkey = (pre_label, row_idx)
+            self._stats.truncated_fields += 1
         counts = self._transition_counts
+        tkey = (state, row_idx)
         counts[tkey] = counts.get(tkey, 0) + 1
 
+        labels = self._labels
         return PacketVerdict(
-            seq=seq,
-            ts=ts,
-            action=row.action,
-            action_str=self._row_action_str[row_idx],
-            pre_state=pre_label,
-            post_state=self._labels.get(next_state, f"state_{next_state}"),
-            row_id=row_idx,
-            cond_bits=bits,
-            registers=tuple(r2),
-            global_registers=tuple(g2),
+            seq,
+            ts,
+            action,
+            action_str,
+            labels[state],
+            labels[next_state],
+            row_idx,
+            bits,
+            tuple(r2),
+            tuple(g2),
         )
 
     def run_trace(self, records: Iterable[PacketRecord]) -> Iterator[PacketVerdict]:

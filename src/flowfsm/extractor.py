@@ -118,11 +118,12 @@ class KeyScope:
         self.parts = tuple(parts)
         self.total_width = total
         self._pad = FLOW_KEY_WIDTH - total
+        self._layout = tuple((slot, width, (1 << width) - 1) for slot, width in parts)
 
     def key(self, h: Sequence[int]) -> int:
         k = 0
-        for slot, width in self.parts:
-            k = (k << width) | (h[slot] & ((1 << width) - 1))
+        for slot, width, mask in self._layout:
+            k = (k << width) | (h[slot] & mask)
         return k << self._pad
 
     def __eq__(self, other: object) -> bool:

@@ -14,6 +14,7 @@ engine keeps exactly one input path.
 from __future__ import annotations
 
 import csv
+import itertools
 import struct
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -53,49 +54,72 @@ class TraceFormatError(Exception):
     """The trace file cannot be interpreted."""
 
 
-def _parse_int(text: str, where: str) -> int:
-    try:
-        return int(text, 0)
-    except ValueError:
-        raise TraceFormatError(f"{where}: {text!r} is not an integer") from None
+def _parse_cells(
+    names: list[str], row: list[str], where: str
+) -> dict[str, object]:
+    """One row cell by cell: empty, missing and extra cells are skipped, and
+    the first bad cell is reported at ``where``."""
+    cells: dict[str, Optional[str]] = dict(zip(names, row))
+    for key in names[len(row) :]:
+        cells[key] = None
+    out: dict[str, object] = {}
+    for key, value in cells.items():
+        if not value:
+            continue
+        if key == "raw":
+            try:
+                out["raw"] = bytes.fromhex(value)
+            except ValueError:
+                raise TraceFormatError(f"{where}: raw column is not hex") from None
+        else:
+            try:
+                out[key] = int(value, 0)
+            except ValueError:
+                raise TraceFormatError(
+                    f"{where} column {key!r}: {value!r} is not an integer"
+                ) from None
+    if "ts" not in out:
+        raise TraceFormatError(f"{where}: missing ts value")
+    return out
 
 
 def read_trace(
     path: Union[str, Path], mode: str = "csv"
 ) -> Iterator[dict[str, object]]:
-    """Stream trace rows as dicts of ints (plus frame bytes in raw mode)."""
+    """Stream trace rows as dicts of ints (plus frame bytes in raw mode).
+
+    Cells are read with ``int(x, 0)``. A row of integers as wide as the
+    header is converted in one step; any other row (empty, missing or
+    extra cells, a bad value, a ``raw`` column) is parsed cell by cell.
+    Rows are numbered from 2, blank lines not counted.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        names = next(reader, None)
+        if names is None:
             raise TraceFormatError(f"{path}: empty trace")
-        if "ts" not in reader.fieldnames:
+        if "ts" not in names:
             raise TraceFormatError(f"{path}: missing required column 'ts'")
-        if mode == "raw" and "raw" not in reader.fieldnames:
+        if mode == "raw" and "raw" not in names:
             raise TraceFormatError(f"{path}: raw mode needs a 'raw' column")
+        # rows with frame bytes always go cell by cell
+        width = -1 if "raw" in names else len(names)
+        bases = (0,) * len(names)
         last_ts: Optional[int] = None
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            out: dict[str, object] = {}
-            for key, value in row.items():
-                if value is None or value == "" or key is None:
-                    continue
-                if key == "raw":
-                    try:
-                        out["raw"] = bytes.fromhex(value)
-                    except ValueError:
-                        raise TraceFormatError(
-                            f"{where}: raw column is not hex"
-                        ) from None
-                else:
-                    out[key] = _parse_int(value, f"{where} column {key!r}")
-            if "ts" not in out:
-                raise TraceFormatError(f"{where}: missing ts value")
+        for lineno, row in enumerate(filter(None, reader), start=2):
+            out = None
+            if len(row) == width:
+                try:
+                    out = dict(zip(names, map(int, row, bases)))
+                except ValueError:
+                    pass
+            if out is None:
+                out = _parse_cells(names, row, f"{path}:{lineno}")
             ts = out["ts"]
-            assert isinstance(ts, int)
             if last_ts is not None and ts < last_ts:
                 raise NonMonotoneTimestampError(
-                    f"{where}: timestamp {ts} after {last_ts}"
+                    f"{path}:{lineno}: timestamp {ts} after {last_ts}"
                 )
             last_ts = ts
             yield out
@@ -113,30 +137,24 @@ def write_trace(
             writer.writerow([row.get(col, 0) for col in columns])
 
 
-def verdict_row(verdict: PacketVerdict) -> list:
-    return [
-        verdict.seq,
-        verdict.ts,
-        verdict.action_str,
-        verdict.pre_state,
-        verdict.post_state,
-        verdict.row_id,
-        f"{verdict.cond_bits:08b}",
-    ]
+_COND_TEXT = tuple(f"{bits:08b}" for bits in range(256))
 
 
 def write_verdicts(
     path: Union[str, Path], verdicts: Iterable[PacketVerdict]
 ) -> int:
     """Write the verdict CSV; returns the packet count."""
-    count = 0
+    counter = itertools.count()
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(VERDICT_COLUMNS)
-        for verdict in verdicts:
-            writer.writerow(verdict_row(verdict))
-            count += 1
-    return count
+        # zip draws from counter only after a verdict, so it ends at the count
+        writer.writerows(
+            (v.seq, v.ts, v.action_str, v.pre_state, v.post_state, v.row_id,
+             _COND_TEXT[v.cond_bits])
+            for v, _ in zip(verdicts, counter)
+        )
+    return next(counter)
 
 
 def write_stats(

@@ -59,6 +59,15 @@ TOP_LEVEL_KEYS = (
 )
 
 
+# keys of the entries of each list section, and of classifier-tree nodes;
+# fields, context_fallback and table_sizes use their dataclass fields
+CONDITION_KEYS = ("name", "op", "lhs", "rhs")
+ROW_KEYS = ("id", "state", "cond", "match", "priority", "next", "action", "update")
+TREE_KEYS = ("gate", "in_state", "base_priority", "tree")
+TREE_NODE_KEYS = ("condition", "if_true", "if_false")
+TREE_LEAF_KEYS = ("class", "action")
+
+
 class ProgramError(Exception):
     pass
 
@@ -269,6 +278,19 @@ def _expect(
     return kind()
 
 
+def _keys(cls: type) -> tuple[str, ...]:
+    """The field names of a dataclass, which are also its document keys."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _known_keys(
+    item: Mapping, keys: Sequence[str], where: str, problems: list[str]
+) -> None:
+    """Report each key of ``item`` outside ``keys``, so that typos fail."""
+    for key in sorted(set(item) - set(keys), key=str):
+        problems.append(f"{where}: unknown key {key!r}")
+
+
 def _entries(doc: Mapping, key: str, problems: list[str], required: bool = False):
     """Yield (index, location, entry) for each mapping in the list ``doc[key]``;
     other items are reported at ``key[i]``."""
@@ -308,29 +330,31 @@ def _action(text: object, where: str, ports: int, problems: list[str]) -> Action
 def _parse_pattern(
     value: object, width: int, where: str, problems: list[str]
 ) -> tuple[int, int]:
-    """value/mask pattern: int (exact), "*" (any) or "VALUE/MASK"."""
+    """value/mask pattern: int (exact), "*" (any) or "VALUE/MASK"; value and
+    mask must fit in the field's ``width`` bits."""
     full = (1 << width) - 1
+    text = value.strip() if isinstance(value, str) else None
+    if text == "*":
+        return 0, 0
+    sub: list[str] = []
     if isinstance(value, int) and not isinstance(value, bool):
-        return value & full, full
-    if isinstance(value, str):
-        text = value.strip()
-        if text == "*":
-            return 0, 0
-        if "/" in text:
-            left, right = text.split("/", 1)
-            sub: list[str] = []
-            v = _to_int(left.strip(), where, sub)
-            m = _to_int(right.strip(), where, sub)
-            if sub:
-                problems.extend(sub)
-                return 0, 0
-            return v & m & full, m & full
-        sub = []
-        v = _to_int(text, where, sub)
-        if not sub:
-            return v & full, full
-    problems.append(f"{where}: bad match pattern {value!r}")
-    return 0, 0
+        v, m = value, full
+    elif text is not None and "/" in text:
+        left, right = text.split("/", 1)
+        v = _to_int(left.strip(), where, sub)
+        m = _to_int(right.strip(), where, sub)
+    elif text is not None:
+        v, m = _to_int(text, where, sub), full
+        if sub:
+            sub = [f"{where}: bad match pattern {value!r}"]
+    else:
+        sub = [f"{where}: bad match pattern {value!r}"]
+    if sub:
+        problems.extend(sub)
+        return 0, 0
+    if not (0 <= v <= full and 0 <= m <= full):
+        problems.append(f"{where}: pattern {value!r} does not fit in {width} bits")
+    return v & m, m
 
 
 def _format_pattern(pattern: tuple[int, int], width: int) -> object:
@@ -413,6 +437,7 @@ def _build(doc: dict, source: str) -> ProgramConfig:
     seen_names: set[str] = set()
     seen_slots: set[int] = set()
     for _, where, item in _entries(doc, "fields", problems):
+        _known_keys(item, _keys(FieldDef), where, problems)
         fname = item.get("name")
         if not isinstance(fname, str) or not fname:
             problems.append(f"{where}: missing name")
@@ -450,6 +475,10 @@ def _build(doc: dict, source: str) -> ProgramConfig:
         fields.append(FieldDef(fname, slot, width, src, offset, mask))
 
     field_map = {f.name: f for f in fields}
+
+    def widths(names: Sequence[str]) -> dict[str, int]:
+        """Match pattern width of each field (32 for unknown ones)."""
+        return {n: field_map[n].width if n in field_map else 32 for n in names}
 
     def scope_of(key: str) -> tuple[str, ...]:
         names = _expect(doc.get(key), list, key, problems, required=True)
@@ -531,6 +560,7 @@ def _build(doc: dict, source: str) -> ProgramConfig:
     cond_list: list[tuple[str, conditions.ConditionSpec]] = []
     cond_names: dict[str, int] = {}
     for i, where, item in _entries(doc, "conditions", problems):
+        _known_keys(item, CONDITION_KEYS, where, problems)
         if i == conditions.NUM_CONDITIONS:
             problems.append(
                 f"conditions: at most {conditions.NUM_CONDITIONS} conditions fit "
@@ -568,12 +598,13 @@ def _build(doc: dict, source: str) -> ProgramConfig:
     # --- rows -------------------------------------------------------------
     rows: list[RowDef] = []
     priorities: set[int] = set()
-    row_widths = dict.fromkeys(match_fields, 32)  # the XFSM matches 32-bit words
+    row_widths = widths(match_fields)
     for i, where, item in _entries(doc, "rows", problems, required=True):
         rid = item.get("id")
         if rid is not None:
             rid = str(rid)
             where = f"rows[{i}] (id={rid})"
+        _known_keys(item, ROW_KEYS, where, problems)
         state = item.get("state", "*")
         if state in ("*", None):
             state = None
@@ -636,10 +667,9 @@ def _build(doc: dict, source: str) -> ProgramConfig:
     # --- context fallback --------------------------------------------------
     fallback: list[FallbackDef] = []
     fb_priorities: set[int] = set()
-    scope_widths = {
-        n: field_map[n].width if n in field_map else 32 for n in lookup_scope
-    }
+    scope_widths = widths(lookup_scope)
     for _, where, item in _entries(doc, "context_fallback", problems):
+        _known_keys(item, _keys(FallbackDef), where, problems)
         st = str(item.get("state", ""))
         if st not in states:
             problems.append(f"{where}: unknown state {st!r}")
@@ -669,14 +699,15 @@ def _build(doc: dict, source: str) -> ProgramConfig:
 
     # --- sizes and period --------------------------------------------------
     raw_sizes = _expect(doc.get("table_sizes", {}), dict, "table_sizes", problems)
+    _known_keys(raw_sizes, _keys(TableSizes), "table_sizes", problems)
     size_kwargs = {}
-    for f in dataclasses.fields(TableSizes):
-        if f.name in raw_sizes:
-            v = _to_int(raw_sizes[f.name], f"table_sizes.{f.name}", problems)
+    for key in _keys(TableSizes):
+        if key in raw_sizes:
+            v = _to_int(raw_sizes[key], f"table_sizes.{key}", problems)
             if v < 1:
-                problems.append(f"table_sizes.{f.name}: must be positive")
+                problems.append(f"table_sizes.{key}: must be positive")
                 v = 1
-            size_kwargs[f.name] = v
+            size_kwargs[key] = v
     sizes = TableSizes(**size_kwargs)
     total_rows = len(rows) + len(tree_rows)
     if total_rows > sizes.xfsm:
@@ -738,11 +769,13 @@ def _parse_tree(
             problems.append(f"{where}: expected a mapping")
             return None
         if "class" in node:
+            _known_keys(node, TREE_LEAF_KEYS, where, problems)
             st = str(node.get("class", ""))
             if st not in states:
                 problems.append(f"{where}: unknown state {st!r}")
             action = _action(node.get("action", "none"), where, ports, problems)
             return TreeLeaf(st, action)
+        _known_keys(node, TREE_NODE_KEYS, where, problems)
         cname = str(node.get("condition", ""))
         if cname not in cond_names:
             problems.append(f"{where}: unknown condition {cname!r}")
@@ -755,6 +788,7 @@ def _parse_tree(
     if not isinstance(raw, dict):
         problems.append("classifier_tree: expected a mapping")
         return None
+    _known_keys(raw, TREE_KEYS, "classifier_tree", problems)
     gate = str(raw.get("gate", ""))
     if gate not in cond_names:
         problems.append(f"classifier_tree.gate: unknown condition {gate!r}")
@@ -858,7 +892,6 @@ def build_engine(
         context=context,
         globals_init=config.globals_init,
         management_period=config.management_period,
-        xfsm_capacity=sizes.xfsm,
         ports=config.ports,
         scratch_slots=[slot for _, slot in config.flow_scratch],
         hazard_window=hazard_window,
@@ -886,13 +919,14 @@ def make_binder(config: ProgramConfig, mode: str = "csv") -> engine_mod.Binder:
     if mode not in ("csv", "raw"):
         raise ValueError(f"unknown ingestion mode {mode!r}")
     column_binds: list[tuple[int, str, int]] = []  # slot, column, mask
-    meta_binds: list[tuple[int, str, int]] = []  # slot, source, mask
+    # slot, source as an index into (ts, in_port, pkt_len), mask
+    meta_binds: list[tuple[int, int, int]] = []
     sam_binds: list[tuple[int, FieldSpec]] = []
     for f in config.fields:
         full = (1 << f.width) - 1
         mask = f.mask if f.mask is not None else full
         if f.source in META_SOURCES:
-            meta_binds.append((f.slot, f.source, mask & full))
+            meta_binds.append((f.slot, META_SOURCES.index(f.source), mask & full))
         elif mode == "csv":
             if f.source is None:
                 raise BindError(
@@ -904,44 +938,43 @@ def make_binder(config: ProgramConfig, mode: str = "csv") -> engine_mod.Binder:
                 raise BindError(f"field {f.name!r} has no raw offset for raw mode")
             sam_binds.append((f.slot, FieldSpec(f.offset, f.width, mask & full)))
 
-    def bind(row: Mapping[str, object], seq: int) -> PacketRecord:
+    slots = extractor.NUM_HEADER_SLOTS
+
+    def bind_csv(row: Mapping[str, object], seq: int) -> PacketRecord:
         ts = int(row["ts"])  # presence validated at ingestion
         in_port = int(row.get("in_port", 0))
-        truncated = False
-        if mode == "raw":
-            raw = row.get("raw")
-            if not isinstance(raw, (bytes, bytearray)):
-                raise BindError(f"trace row {seq}: raw mode needs frame bytes")
-            length = len(raw)
-            h = [0] * extractor.NUM_HEADER_SLOTS
-            for slot, spec in sam_binds:
-                value, cut = extractor.extract_field(raw, spec)
-                h[slot] = value
-                truncated = truncated or cut
-        else:
-            raw = None
-            length = int(row.get("pkt_len", 0))
-            h = [0] * extractor.NUM_HEADER_SLOTS
+        length = int(row.get("pkt_len", 0))
+        h = [0] * slots
+        try:
             for slot, column, mask in column_binds:
-                try:
-                    h[slot] = int(row[column]) & mask
-                except KeyError:
-                    raise BindError(
-                        f"trace row {seq}: missing column {column!r}"
-                    ) from None
-        meta = {"ts": ts, "in_port": in_port, "pkt_len": int(row.get("pkt_len", length))}
+                h[slot] = int(row[column]) & mask
+        except KeyError:
+            raise BindError(f"trace row {seq}: missing column {column!r}") from None
+        if meta_binds:
+            meta = (ts, in_port, length)
+            for slot, source, mask in meta_binds:
+                h[slot] = meta[source] & mask
+        return PacketRecord(h, ts, in_port, length)
+
+    def bind_raw(row: Mapping[str, object], seq: int) -> PacketRecord:
+        ts = int(row["ts"])  # presence validated at ingestion
+        in_port = int(row.get("in_port", 0))
+        raw = row.get("raw")
+        if not isinstance(raw, (bytes, bytearray)):
+            raise BindError(f"trace row {seq}: raw mode needs frame bytes")
+        length = int(row.get("pkt_len", len(raw)))
+        truncated = False
+        h = [0] * slots
+        for slot, spec in sam_binds:
+            value, cut = extractor.extract_field(raw, spec)
+            h[slot] = value
+            truncated = truncated or cut
+        meta = (ts, in_port, length)
         for slot, source, mask in meta_binds:
             h[slot] = meta[source] & mask
-        return PacketRecord(
-            h=h,
-            ts=ts,
-            in_port=in_port,
-            length=meta["pkt_len"],
-            raw=bytes(raw) if raw is not None else None,
-            truncated=truncated,
-        )
+        return PacketRecord(h, ts, in_port, length, bytes(raw), truncated)
 
-    return bind
+    return bind_csv if mode == "csv" else bind_raw
 
 
 # ---------------------------------------------------------------------------
@@ -955,6 +988,13 @@ def _tree_doc(node: Union[TreeNode, TreeLeaf]) -> dict:
         "condition": node.condition,
         "if_true": _tree_doc(node.if_true),
         "if_false": _tree_doc(node.if_false),
+    }
+
+
+def _match_doc(config: ProgramConfig, match: tuple) -> dict:
+    return {
+        name: _format_pattern(pat, config.field_by_name(name).width)
+        for name, pat in match
     }
 
 
@@ -990,7 +1030,7 @@ def serialize(config: ProgramConfig) -> str:
                 "id": row.row_id,
                 "state": "*" if row.state is None else row.state,
                 "cond": dict(row.cond),
-                "match": {name: _format_pattern(pat, 32) for name, pat in row.match},
+                "match": _match_doc(config, row.match),
                 "priority": row.priority,
                 "next": STAY if row.next_state is None else row.next_state,
                 "action": format_action(row.action),
@@ -1002,10 +1042,7 @@ def serialize(config: ProgramConfig) -> str:
             {
                 "priority": fb.priority,
                 "state": fb.state,
-                "match": {
-                    name: _format_pattern(pat, config.field_by_name(name).width)
-                    for name, pat in fb.match
-                },
+                "match": _match_doc(config, fb.match),
                 "registers": list(fb.registers),
             }
             for fb in config.context_fallback

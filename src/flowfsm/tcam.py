@@ -3,9 +3,9 @@
 A :class:`TernaryTable` stores fixed-width entries, each a value/mask pair
 with an explicit priority and an opaque payload. Lookup returns the payload
 of the highest-priority entry whose masked bits equal the key, mimicking a
-content-addressable match stage. Two places in the pipeline are backed by
-this structure: the wildcard fallback of the flow context store and the
-state-transition table.
+content-addressable match stage. It backs the wildcard fallback of the
+flow context store; the state-transition table is compiled by the engine
+into per-state dispatch tables instead.
 
 The backing implementation is a priority-sorted rule list; matching cost is
 linear in the entry count, which is fine at the configured capacities

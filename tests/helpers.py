@@ -7,13 +7,16 @@ as oracles; they must not call into the package's table or ALU code.
 from __future__ import annotations
 
 import copy
+import csv
 import dataclasses
 import struct
 
 import yaml
 
 from flowfsm import programs
+from flowfsm.engine import NonMonotoneTimestampError
 from flowfsm.extractor import PacketRecord
+from flowfsm.harness.traceio import TraceFormatError
 
 
 def scan_lookup(entries, key):
@@ -24,6 +27,46 @@ def scan_lookup(entries, key):
             if best is None or priority > best[0]:
                 best = (priority, payload)
     return best[1] if best else None
+
+
+def reference_read_trace(path, mode="csv"):
+    """Trace reader oracle: one ``csv.DictReader`` row at a time, every cell
+    parsed on its own. Empty, missing and extra cells are skipped; rows are
+    numbered from 2 without counting blank lines."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise TraceFormatError(f"{path}: empty trace")
+        if "ts" not in reader.fieldnames:
+            raise TraceFormatError(f"{path}: missing required column 'ts'")
+        if mode == "raw" and "raw" not in reader.fieldnames:
+            raise TraceFormatError(f"{path}: raw mode needs a 'raw' column")
+        last_ts = None
+        for lineno, row in enumerate(reader, start=2):
+            where = f"{path}:{lineno}"
+            out = {}
+            for key, value in row.items():
+                if value is None or value == "" or key is None:
+                    continue
+                if key == "raw":
+                    try:
+                        out["raw"] = bytes.fromhex(value)
+                    except ValueError:
+                        raise TraceFormatError(f"{where}: raw column is not hex") from None
+                else:
+                    try:
+                        out[key] = int(value, 0)
+                    except ValueError:
+                        raise TraceFormatError(
+                            f"{where} column {key!r}: {value!r} is not an integer"
+                        ) from None
+            if "ts" not in out:
+                raise TraceFormatError(f"{where}: missing ts value")
+            ts = out["ts"]
+            if last_ts is not None and ts < last_ts:
+                raise NonMonotoneTimestampError(f"{where}: timestamp {ts} after {last_ts}")
+            last_ts = ts
+            yield out
 
 
 class RefContextModel:
@@ -219,6 +262,13 @@ context_fallback:
      registers: [1, 2, 3, 4]}
   - {priority: 1, state: SEEN, match: {ip_src: "0x0a000000/0xff000000"}}
 """
+
+def program_config(name):
+    """A bundled program, or the synthetic one below for "synthetic"."""
+    if name == "synthetic":
+        return programs.loads(SYNTHETIC_PROGRAM)
+    return programs.bundled_program(name)
+
 
 # One document per loader gap: (base program, path, value, location of the
 # expected problem).

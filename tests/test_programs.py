@@ -8,7 +8,13 @@ from flowfsm.engine import Action, ActionKind
 from flowfsm.extractor import KeyScope
 from flowfsm.programs import ProgramValidationError
 
-from helpers import DELETE, GAP_CASES, SYNTHETIC_PROGRAM, bundled_doc, patched_doc
+from helpers import (
+    DELETE,
+    GAP_CASES,
+    SYNTHETIC_PROGRAM,
+    patched_doc,
+    program_config,
+)
 
 
 def problems_of(doc):
@@ -24,10 +30,7 @@ def assert_rejected_at(doc, location):
 
 @pytest.mark.parametrize("name", programs.BUNDLED + ("synthetic",))
 def test_serialize_round_trip(name):
-    if name == "synthetic":
-        config = programs.loads(SYNTHETIC_PROGRAM)
-    else:
-        config = programs.bundled_program(name)
+    config = program_config(name)
     text = programs.serialize(config)
     assert programs.loads(text) == config
     assert programs.serialize(programs.loads(text)) == text
@@ -111,7 +114,7 @@ def test_fallback_registers_are_stored_as_given():
     assert config.context_fallback[0].registers == (0xFFFFFFFF, 0x10, 0, 0)
 
 
-L, C = "long_flow", "c45_classifier"
+L, C, M, B = "long_flow", "c45_classifier", "mac_learning", "load_balance"
 FIELD0 = ("fields", 0)
 ROW0 = ("rows", 0)
 BROKEN = [
@@ -189,6 +192,47 @@ BROKEN = [
     (L, ("management_period",), -1, "management_period"),
     (L, ("management_period",), "soon", "management_period"),
     (L, ("bogus",), 1, "unknown top-level key 'bogus'"),
+    # unknown keys inside sections
+    (L, FIELD0 + ("sorce",), "ip_src", "fields[0]: unknown key 'sorce'"),
+    (L, ("conditions", 0, "rsh"), "G0", "conditions[0]: unknown key 'rsh'"),
+    (L, ROW0 + ("updates",), ["ADDI R0 R0 9"], "rows[0] (id=count): unknown key 'updates'"),
+    (
+        L,
+        ("context_fallback",),
+        [{"priority": 1, "state": "LONG", "register": [1]}],
+        "context_fallback[0]: unknown key 'register'",
+    ),
+    (L, ("table_sizes",), {"xfms": 1}, "table_sizes: unknown key 'xfms'"),
+    (C, ("classifier_tree", "gates"), "C0", "classifier_tree: unknown key 'gates'"),
+    (
+        C,
+        ("classifier_tree", "tree", "if_true", "actoin"),
+        "drop",
+        "classifier_tree.tree.if_true: unknown key 'actoin'",
+    ),
+    (
+        C,
+        ("classifier_tree", "tree", "if_false", "cond"),
+        "C1",
+        "classifier_tree.tree.if_false: unknown key 'cond'",
+    ),
+    # match patterns wider than their field (mac_learning's in_port has 8
+    # bits, load_balance's sport 16)
+    (M, ROW0 + ("match",), {"in_port": 0x107}, "rows[0] (id=p1_unknown).match.in_port"),
+    (M, ROW0 + ("match",), {"in_port": "0x1/0x1ff"}, "rows[0] (id=p1_unknown).match.in_port"),
+    (M, ROW0 + ("match",), {"in_port": -1}, "rows[0] (id=p1_unknown).match.in_port"),
+    (
+        B,
+        ("context_fallback",),
+        [{"priority": 1, "state": "PATH1", "match": {"sport": 0x10000}}],
+        "context_fallback[0].match.sport",
+    ),
+    (
+        B,
+        ("context_fallback",),
+        [{"priority": 1, "state": "PATH1", "match": {"sport": "0x0/0x1ffff"}}],
+        "context_fallback[0].match.sport",
+    ),
 ]
 
 
