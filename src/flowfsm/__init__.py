@@ -28,7 +28,6 @@ from .programs import (
     serialize,
 )
 from .stats import RunStats
-from .tcam import TernaryEntry, TernaryTable
 
 __version__ = "0.1.0"
 
@@ -51,8 +50,6 @@ __all__ = [
     "PacketVerdict",
     "ProgramConfig",
     "RunStats",
-    "TernaryEntry",
-    "TernaryTable",
     "XfsmRow",
     "build_engine",
     "bundled_program",

@@ -155,7 +155,6 @@ class Engine:
         context: FlowContextTable,
         globals_init: Sequence[int],
         management_period: int,
-        ports: int = 4,
         scratch_slots: Sequence[int] = (),
         hazard_window: int = 0,
         alu_runtime: Optional[AluRuntime] = None,
@@ -174,7 +173,6 @@ class Engine:
         self.g = list(globals_init)
         self._period = management_period
         self._next_boundary: Optional[int] = None
-        self.ports = ports
         # donated global slots backing extra per-flow scratch registers:
         # scratch i is stored as flow register 4+i but addressed through
         # global selector scratch_slots[i]
@@ -184,13 +182,6 @@ class Engine:
         self.alu = alu_runtime if alu_runtime is not None else AluRuntime()
         self._seq = 0
         self._last_ts: Optional[int] = None
-        if not any(
-            r.state[1] == 0 and r.cond[1] == 0 and all(m == 0 for _, m in r.fields)
-            for r in self._rows
-        ):
-            raise EngineError("program has no catch-all transition row")
-        if len({r.priority for r in self._rows}) < len(self._rows):
-            raise EngineError("transition rows need distinct priorities")
         # row indices in descending priority: the order a TCAM resolves them
         self._by_priority = sorted(
             range(len(self._rows)), key=lambda i: self._rows[i].priority, reverse=True

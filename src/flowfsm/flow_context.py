@@ -5,12 +5,13 @@ d-left hash table: d independent subtables, each hashed with its own
 seed, with insertion going to the least-loaded candidate bucket (leftmost
 subtable on ties). Only the per-bucket load counts are kept, plus each
 context's home bucket so that its eviction releases the right count; a
-key whose candidate buckets are all full is dropped and counted. A small
-ternary table handles wildcard fallbacks, mainly to seed
-protocol-specific default states. A lookup miss is not an error: the
-default context (state 0, all registers zero) is synthesized on the fly,
-and an entry is only allocated when a non-default context is written
-back, so idle traffic costs no table space.
+key whose candidate buckets are all full is dropped and counted. A
+lookup miss is not an error: it scans the wildcard fallbacks (value/mask
+rules over the key, mainly to seed protocol-specific default states) in
+descending priority and takes the first match, else synthesizes the
+default context (state 0, all registers zero). Neither allocates: an
+entry is only allocated when a non-default context is written back, so
+idle traffic costs no table space.
 
 Housekeeping reclaims stale entries with a two-step activity flag: a
 periodic scan demotes ACTIVE entries to INACTIVE and deletes entries that
@@ -25,11 +26,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .tcam import TernaryTable
-
 DEFAULT_STATE = 0
 NUM_FLOW_REGISTERS = 4
-KEY_WIDTH = 128
 
 
 class Activity(enum.IntEnum):
@@ -49,16 +47,8 @@ class FlowContext:
     home: int = -1
 
 
-@dataclass(frozen=True)
-class FallbackEntry:
-    """Wildcard context: state plus optional initial register values."""
-
-    state: int
-    registers: tuple[int, ...] = (0,) * NUM_FLOW_REGISTERS
-
-
 class FlowContextTable:
-    """d-left hash store of flow contexts with ternary fallback.
+    """d-left hash store of flow contexts with wildcard fallbacks.
 
     One engine instance owns one table; there is no internal locking.
     Hash seeds are fixed per instance and exposed for reproducibility.
@@ -71,7 +61,6 @@ class FlowContextTable:
         buckets: int = 1024,
         bucket_depth: int = 1,
         seed: int = 0,
-        fallback_capacity: int = 32,
         num_registers: int = NUM_FLOW_REGISTERS,
     ):
         if subtables < 1 or buckets < 1 or bucket_depth < 1:
@@ -89,7 +78,8 @@ class FlowContextTable:
         self._contexts: dict[int, FlowContext] = {}
         # entries per bucket, indexed like FlowContext.home
         self._load = [0] * (subtables * buckets)
-        self.fallback = TernaryTable(width=KEY_WIDTH, capacity=fallback_capacity)
+        # (value & mask, mask, priority, state, registers), descending priority
+        self._fallbacks: list[tuple[int, int, int, int, tuple[int, ...]]] = []
         self.high_water = 0
         self.evictions = 0
         self.table_full_drops = 0
@@ -110,29 +100,35 @@ class FlowContextTable:
         priority: int,
         state: int,
         registers: Optional[Sequence[int]] = None,
-    ) -> int:
-        """Install a wildcard context rule matched on lookup misses."""
+    ) -> None:
+        """Install a wildcard context rule matched on lookup misses.
+
+        Priorities are unique and the rule count bounded; the program
+        loader checks both.
+        """
         regs = tuple(registers) if registers is not None else ()
         if len(regs) > self.num_registers:
             raise ValueError(f"fallback allows {self.num_registers} register values")
         regs += (0,) * (self.num_registers - len(regs))
-        return self.fallback.insert(value, mask, priority, FallbackEntry(state, regs))
+        self._fallbacks.append((value & mask, mask, priority, state, regs))
+        self._fallbacks.sort(key=lambda rule: rule[2], reverse=True)
 
     def lookup_context(self, key: int) -> FlowContext:
         """Context for a flow key; never fails.
 
-        Exact hits are touched ACTIVE. Misses fall through to the wildcard
-        table and finally to the default context; neither allocates. The
-        returned object is owned by the table on exact hits: callers must
-        treat it as read-only and publish changes via write_back.
+        Exact hits are touched ACTIVE. Misses fall through to the
+        highest-priority matching fallback and finally to the default
+        context; neither allocates. The returned object is owned by the
+        table on exact hits: callers must treat it as read-only and publish
+        changes via write_back.
         """
         ctx = self._contexts.get(key)
         if ctx is not None:
             ctx.activity = Activity.ACTIVE
             return ctx
-        entry = self.fallback.lookup(key)
-        if entry is not None:
-            return FlowContext(entry.state, list(entry.registers))
+        for value, mask, _, state, registers in self._fallbacks:
+            if key & mask == value:
+                return FlowContext(state, list(registers))
         return FlowContext(r=[0] * self.num_registers)
 
     def write_back(self, key: int, state: int, registers: Sequence[int]) -> bool:

@@ -861,7 +861,6 @@ def build_engine(
         buckets=sizes.context_buckets,
         bucket_depth=sizes.bucket_depth,
         seed=seed,
-        fallback_capacity=sizes.context_fallback,
         num_registers=4 + len(config.flow_scratch),
     )
     lookup_scope = _compiled_scope(config, config.lookup_scope)
@@ -892,7 +891,6 @@ def build_engine(
         context=context,
         globals_init=config.globals_init,
         management_period=config.management_period,
-        ports=config.ports,
         scratch_slots=[slot for _, slot in config.flow_scratch],
         hazard_window=hazard_window,
         alu_runtime=alu.AluRuntime(hw16_div=hw16_div),
@@ -914,25 +912,29 @@ def make_binder(config: ProgramConfig, mode: str = "csv") -> engine_mod.Binder:
 
     csv mode reads pre-parsed columns; raw mode runs the offset/mask
     extractor over the frame bytes. Metadata sources (ts, in_port,
-    pkt_len) work in both modes.
+    pkt_len) work in both modes. A column or metadata value that is
+    negative or wider than its field raises :class:`BindError`; the
+    field's mask applies to values in range.
     """
     if mode not in ("csv", "raw"):
         raise ValueError(f"unknown ingestion mode {mode!r}")
-    column_binds: list[tuple[int, str, int]] = []  # slot, column, mask
-    # slot, source as an index into (ts, in_port, pkt_len), mask
-    meta_binds: list[tuple[int, int, int]] = []
+    column_binds: list[tuple[int, str, int, int]] = []  # slot, column, width, mask
+    # slot, source as an index into (ts, in_port, pkt_len), width, mask
+    meta_binds: list[tuple[int, int, int, int]] = []
     sam_binds: list[tuple[int, FieldSpec]] = []
     for f in config.fields:
         full = (1 << f.width) - 1
         mask = f.mask if f.mask is not None else full
         if f.source in META_SOURCES:
-            meta_binds.append((f.slot, META_SOURCES.index(f.source), mask & full))
+            meta_binds.append(
+                (f.slot, META_SOURCES.index(f.source), f.width, mask & full)
+            )
         elif mode == "csv":
             if f.source is None:
                 raise BindError(
                     f"field {f.name!r} has no column binding for csv mode"
                 )
-            column_binds.append((f.slot, f.source, mask & full))
+            column_binds.append((f.slot, f.source, f.width, mask & full))
         else:
             if f.offset is None:
                 raise BindError(f"field {f.name!r} has no raw offset for raw mode")
@@ -940,20 +942,34 @@ def make_binder(config: ProgramConfig, mode: str = "csv") -> engine_mod.Binder:
 
     slots = extractor.NUM_HEADER_SLOTS
 
+    def out_of_range(seq: int, column: str, value: int, width: int) -> BindError:
+        return BindError(
+            f"trace row {seq}: column {column!r} value {value} does not fit "
+            f"in {width} bits"
+        )
+
+    def bind_meta(h: list[int], meta: tuple[int, int, int], seq: int) -> None:
+        for slot, source, width, mask in meta_binds:
+            value = meta[source]
+            if value >> width:  # negative, or wider than the field
+                raise out_of_range(seq, META_SOURCES[source], value, width)
+            h[slot] = value & mask
+
     def bind_csv(row: Mapping[str, object], seq: int) -> PacketRecord:
         ts = int(row["ts"])  # presence validated at ingestion
         in_port = int(row.get("in_port", 0))
         length = int(row.get("pkt_len", 0))
         h = [0] * slots
         try:
-            for slot, column, mask in column_binds:
-                h[slot] = int(row[column]) & mask
+            for slot, column, width, mask in column_binds:
+                value = int(row[column])
+                if value >> width:  # negative, or wider than the field
+                    raise out_of_range(seq, column, value, width)
+                h[slot] = value & mask
         except KeyError:
             raise BindError(f"trace row {seq}: missing column {column!r}") from None
         if meta_binds:
-            meta = (ts, in_port, length)
-            for slot, source, mask in meta_binds:
-                h[slot] = meta[source] & mask
+            bind_meta(h, (ts, in_port, length), seq)
         return PacketRecord(h, ts, in_port, length)
 
     def bind_raw(row: Mapping[str, object], seq: int) -> PacketRecord:
@@ -969,9 +985,7 @@ def make_binder(config: ProgramConfig, mode: str = "csv") -> engine_mod.Binder:
             value, cut = extractor.extract_field(raw, spec)
             h[slot] = value
             truncated = truncated or cut
-        meta = (ts, in_port, length)
-        for slot, source, mask in meta_binds:
-            h[slot] = meta[source] & mask
+        bind_meta(h, (ts, in_port, length), seq)
         return PacketRecord(h, ts, in_port, length, bytes(raw), truncated)
 
     return bind_csv if mode == "csv" else bind_raw

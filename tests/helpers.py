@@ -211,7 +211,10 @@ def window_bound_brute(times, burst, q, max_pairs=40000):
 
 
 def bundled_doc(name):
-    """Parsed YAML document of a bundled program, for tests to mutate."""
+    """Parsed YAML document of a bundled program, or of the synthetic one
+    below for "synthetic", for tests to mutate."""
+    if name == "synthetic":
+        return yaml.safe_load(SYNTHETIC_PROGRAM)
     return yaml.safe_load(programs.bundled_path(name).read_text())
 
 

@@ -20,3 +20,13 @@ def test_validate_rejects_loader_gaps(case, tmp_path, capsys):
     program.write_text(yaml.safe_dump(patched_doc(base, path, value)))
     assert cli.main(["validate", "--program", str(program)]) == cli.EXIT_VALIDATION
     assert f"{program}: {location}" in capsys.readouterr().err
+
+
+def test_run_rejects_a_trace_value_wider_than_its_field(tmp_path, capsys):
+    trace = tmp_path / "mac.csv"
+    trace.write_text("ts,in_port,eth_src,eth_dst\n0,1,0xa,0xb\n1,300,0xb,0xa\n")
+    program = programs.bundled_path("mac_learning")
+    argv = ["run", "--program", str(program), "--trace", str(trace)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION == 4
+    err = capsys.readouterr().err
+    assert "trace row 1: column 'in_port' value 300 does not fit in 8 bits" in err

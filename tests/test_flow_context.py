@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from flowfsm.flow_context import Activity, FlowContext, FlowContextTable
 
 from helpers import RefContextModel
@@ -151,14 +154,36 @@ def test_occupancy_never_exceeds_capacity():
     assert table.high_water <= table.capacity
 
 
+def flipped(rng, key, mask, inside):
+    """``key`` with one bit flipped inside (or outside) ``mask``."""
+    bits = [i for i in range(128) if (mask >> i & 1) == inside]
+    return key ^ (1 << rng.choice(bits)) if bits else key
+
+
 def test_model_equivalence_random_operations():
     rng = random.Random(17)
     table = FlowContextTable(subtables=4, buckets=64, bucket_depth=4, seed=5)
     ref = RefContextModel()
-    fallback = (0x01 << 120, 0xFF << 120, 1, 4, [1, 2, 3, 4])
-    table.add_fallback(*fallback[:4], registers=fallback[4])
-    ref.add_fallback(*fallback[:4], regs=fallback[4])
+    # overlapping fallbacks (nested top-byte masks, low bits, both), with
+    # unique priorities installed in shuffled order; values carry bits
+    # outside their masks
+    masks = [0xFF << 120, 0xF0 << 120, 0xFFFF, (0xF0 << 120) | 0xFF00, 0xC0 << 120]
+    fallbacks = []
+    for mask, priority in zip(masks, rng.sample(range(50), len(masks))):
+        value = rng.getrandbits(128)
+        if rng.random() < 0.5 and fallbacks:
+            value = fallbacks[-1][0]  # same value under another mask
+        regs = [rng.getrandbits(32) for _ in range(rng.randrange(5))]
+        fallbacks.append((value, mask, priority, rng.randrange(1, 5), regs))
+    rng.shuffle(fallbacks)
+    for value, mask, priority, state, regs in fallbacks:
+        table.add_fallback(value, mask, priority, state, registers=regs)
+        ref.add_fallback(value, mask, priority, state, regs=regs)
     keys = [rng.getrandbits(128) for _ in range(300)]
+    for value, mask, *_ in fallbacks:
+        keys.append(value)
+        keys += [flipped(rng, value, mask, inside=False) for _ in range(20)]
+        keys += [flipped(rng, value, mask, inside=True) for _ in range(20)]
     for _ in range(3000):
         op = rng.random()
         key = rng.choice(keys)
@@ -174,6 +199,25 @@ def test_model_equivalence_random_operations():
             assert table.housekeep() == ref.housekeep()
     assert table.table_full_drops == 0
     assert table.occupancy == len(ref.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fallback_lookup_matches_reference_property(data):
+    width = data.draw(st.integers(min_value=1, max_value=10))
+    shift = data.draw(st.sampled_from([0, 64, 128 - width]))
+    word = st.integers(min_value=0, max_value=(1 << width) - 1)
+    priorities = data.draw(st.lists(st.integers(0, 100), max_size=12, unique=True))
+    table, ref = small_table(), RefContextModel()
+    for priority in priorities:
+        value, mask = data.draw(word) << shift, data.draw(word) << shift
+        state = data.draw(st.integers(min_value=1, max_value=7))
+        regs = data.draw(st.lists(st.integers(0, 2**32 - 1), max_size=4))
+        table.add_fallback(value, mask, priority, state, registers=regs)
+        ref.add_fallback(value, mask, priority, state, regs=regs)
+    key = data.draw(word) << shift
+    ctx = table.lookup_context(key)
+    assert (ctx.state, tuple(ctx.r)) == ref.lookup(key)
 
 
 def test_seeds_are_reproducible():

@@ -6,7 +6,7 @@ import yaml
 from flowfsm import programs
 from flowfsm.engine import Action, ActionKind
 from flowfsm.extractor import KeyScope
-from flowfsm.programs import ProgramValidationError
+from flowfsm.programs import BindError, ProgramValidationError
 
 from helpers import (
     DELETE,
@@ -115,6 +115,7 @@ def test_fallback_registers_are_stored_as_given():
 
 
 L, C, M, B = "long_flow", "c45_classifier", "mac_learning", "load_balance"
+S = "synthetic"  # the only document with fallbacks: two of them
 FIELD0 = ("fields", 0)
 ROW0 = ("rows", 0)
 BROKEN = [
@@ -233,6 +234,9 @@ BROKEN = [
         [{"priority": 1, "state": "PATH1", "match": {"sport": "0x0/0x1ffff"}}],
         "context_fallback[0].match.sport",
     ),
+    # the fallback capacity
+    (L, ("table_sizes",), {"context_fallback": 0}, "table_sizes.context_fallback"),
+    (S, ("table_sizes",), {"context_fallback": 1}, "context_fallback"),
 ]
 
 
@@ -243,3 +247,30 @@ BROKEN = [
 )
 def test_broken_programs_are_rejected_at_their_location(base, path, value, location):
     assert_rejected_at(patched_doc(base, path, value), location)
+
+
+MAC_ROW = {"ts": 0, "in_port": 255, "eth_src": 0xFFFFFFFF, "eth_dst": 0}
+
+
+def test_binder_accepts_values_up_to_the_field_width():
+    bind = programs.make_binder(programs.bundled_program("mac_learning"))
+    assert bind(MAC_ROW, 0).h[:2] == [0xFFFFFFFF, 0]
+    assert bind(MAC_ROW, 0).h[7] == 255
+
+
+@pytest.mark.parametrize(
+    "column, value, width", [("eth_src", -1, 32), ("eth_dst", 1 << 32, 32), ("in_port", 300, 8)]
+)
+def test_binder_rejects_column_values_outside_the_field(column, value, width):
+    bind = programs.make_binder(programs.bundled_program("mac_learning"))
+    message = f"trace row 3: column {column!r} value {value} does not fit in {width} bits"
+    with pytest.raises(BindError, match=message):
+        bind({**MAC_ROW, column: value}, 3)
+
+
+def test_binder_rejects_a_timestamp_wider_than_its_field():
+    bind = programs.make_binder(programs.bundled_program("c45_classifier"))
+    row = {"ts": 2**33 + 5, "ip_src": 1, "ip_dst": 2, "pkt_len": 60}
+    with pytest.raises(BindError, match="trace row 7: column 'ts' value 8589934597"):
+        bind(row, 7)
+    assert bind({**row, "ts": 2**32 - 1}, 7).h[6] == 2**32 - 1

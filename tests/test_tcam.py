@@ -1,135 +1,153 @@
+"""Ternary (value/mask, priority) matching of the context fallback.
+
+A flow-context lookup miss scans the wildcard fallbacks of
+``FlowContextTable`` in descending priority; the program loader is the one
+place their count, priorities and pattern widths are checked.
+"""
+
 import random
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowfsm.tcam import (
-    DuplicatePriorityError,
-    TableFullError,
-    TernaryTable,
-    UnknownHandleError,
-    WidthMismatchError,
-)
+from flowfsm import programs
+from flowfsm.flow_context import FlowContextTable
+from flowfsm.programs import ProgramValidationError
 
-from helpers import scan_lookup
+from helpers import patched_doc, scan_lookup
+
+ALL_ONES = (1 << 128) - 1
+
+
+def table_of(fallbacks):
+    """Context table holding ``(value, mask, priority, state)`` fallbacks."""
+    table = FlowContextTable(subtables=4, buckets=8, bucket_depth=1, seed=1)
+    for value, mask, priority, state in fallbacks:
+        table.add_fallback(value, mask, priority, state)
+    return table
+
+
+def fallback_state(table, key):
+    """State a miss on ``key`` yields, or None for the default context."""
+    return table.lookup_context(key).state or None
+
+
+def load_long_flow(fallbacks, **sizes):
+    doc = patched_doc("long_flow", ("context_fallback",), fallbacks)
+    if sizes:
+        doc["table_sizes"] = sizes
+    return programs.loads(yaml.safe_dump(doc), source="doc")
+
+
+def rejection_of(fallbacks, **sizes):
+    with pytest.raises(ProgramValidationError) as info:
+        load_long_flow(fallbacks, **sizes)
+    return [p.removeprefix("doc: ") for p in info.value.problems]
 
 
 def test_universal_wildcard_matches_everything():
-    table = TernaryTable(width=16, capacity=8)
-    table.insert(0, 0, 0, "any")
-    for key in (0, 1, 0xFFFF, 0x1234):
-        assert table.lookup(key) == "any"
+    table = table_of([(0, 0, 0, 3)])
+    for key in (0, 1, ALL_ONES, 0x1234):
+        assert fallback_state(table, key) == 3
 
 
 def test_empty_table_misses():
-    table = TernaryTable(width=16, capacity=8)
-    assert table.lookup(0x1234) is None
+    assert fallback_state(table_of([]), 0x1234) is None
 
 
 def test_exact_entry_matches_only_its_key():
-    table = TernaryTable(width=16, capacity=8)
-    table.insert(0xBEEF, 0xFFFF, 1, "hit")
-    assert table.lookup(0xBEEF) == "hit"
-    assert table.lookup(0xBEEE) is None
+    table = table_of([(0xBEEF, ALL_ONES, 1, 2)])
+    assert fallback_state(table, 0xBEEF) == 2
+    assert fallback_state(table, 0xBEEE) is None
+    assert fallback_state(table, 0xBEEF | 1 << 127) is None
 
 
 def test_capacity_bound():
-    table = TernaryTable(width=8, capacity=2)
-    table.insert(1, 0xFF, 1, "a")
-    table.insert(2, 0xFF, 2, "b")
-    with pytest.raises(TableFullError):
-        table.insert(3, 0xFF, 3, "c")
+    rules = [{"priority": p, "state": "LONG", "match": {"ip_dst": p}} for p in (1, 2, 3)]
+    assert len(load_long_flow(rules[:2], context_fallback=2).context_fallback) == 2
+    problems = rejection_of(rules, context_fallback=2)
+    assert any(p.startswith("context_fallback: 3 entries exceed") for p in problems), problems
 
 
 def test_duplicate_priority_rejected():
-    table = TernaryTable(width=8, capacity=4)
-    table.insert(1, 0xFF, 1, "a")
-    with pytest.raises(DuplicatePriorityError):
-        table.insert(2, 0xFF, 1, "b")
+    rules = [
+        {"priority": 1, "state": "LONG", "match": {"ip_dst": 1}},
+        {"priority": 1, "state": "LONG", "match": {"ip_dst": 2}},
+    ]
+    problems = rejection_of(rules)
+    assert any(p.startswith("context_fallback[1]") for p in problems), problems
 
 
 def test_width_mismatch_rejected():
-    table = TernaryTable(width=8, capacity=4)
-    with pytest.raises(WidthMismatchError):
-        table.insert(0x100, 0xFF, 1, "a")
-    with pytest.raises(WidthMismatchError):
-        table.lookup(0x100)
+    # ip_dst is a 32-bit field: neither a value nor a mask may be wider
+    for match in (0x1_0000_0000, "0x0/0x1ffffffff"):
+        rules = [{"priority": 1, "state": "LONG", "match": {"ip_dst": match}}]
+        problems = rejection_of(rules)
+        assert any(p.startswith("context_fallback[0].match.ip_dst") for p in problems), problems
 
 
 def test_identical_patterns_resolved_by_priority():
-    table = TernaryTable(width=8, capacity=4)
-    table.insert(0x10, 0xF0, 1, "low")
-    table.insert(0x10, 0xF0, 9, "high")
-    assert table.lookup(0x15) == "high"
+    rules = [(0x10, 0xF0, 1, 1), (0x10, 0xF0, 9, 2)]
+    for order in (rules, rules[::-1]):
+        assert fallback_state(table_of(order), 0x15) == 2
     # matches the scan oracle too
-    entries = [(e.value, e.mask, e.priority, e.payload) for e in table.entries()]
-    assert scan_lookup(entries, 0x15) == "high"
+    assert scan_lookup(rules, 0x15) == 2
 
 
 def test_value_normalized_to_mask():
-    table = TernaryTable(width=8, capacity=4)
-    table.insert(0xFF, 0xF0, 1, "x")
-    for entry in table.entries():
-        assert entry.value & ~entry.mask == 0
+    # value bits outside the mask take no part in the match
+    table = table_of([(0xFF, 0xF0, 1, 2)])
+    assert fallback_state(table, 0xF0) == 2
+    assert fallback_state(table, 0xF7) == 2
+    assert fallback_state(table, 0xE0) is None
 
 
-def test_remove_roundtrip():
-    table = TernaryTable(width=8, capacity=4)
-    handle = table.insert(0x42, 0xFF, 1, "x")
-    assert table.lookup(0x42) == "x"
-    table.remove(handle)
-    assert table.lookup(0x42) is None
-    with pytest.raises(UnknownHandleError):
-        table.remove(handle)
-
-
-def test_remove_uncovers_lower_priority():
-    table = TernaryTable(width=8, capacity=4)
-    table.insert(0x40, 0xC0, 1, "low")
-    high = table.insert(0x42, 0xFF, 5, "high")
-    assert table.lookup(0x42) == "high"
-    table.remove(high)
-    assert table.lookup(0x42) == "low"
+def random_rules(rng, count, width):
+    """``count`` rules on the low ``width`` key bits with unique priorities.
+    Masks are sparse (about one bit in eight), so rules overlap and random
+    keys hit them; values carry bits outside their masks."""
+    priorities = rng.sample(range(1000), count)
+    rules = []
+    for i, priority in enumerate(priorities):
+        mask = rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)
+        rules.append((rng.getrandbits(width), mask, priority, i + 1))
+    return rules
 
 
 def test_repeated_lookup_deterministic():
     rng = random.Random(1)
-    table = TernaryTable(width=32, capacity=64)
-    for i in range(64):
-        mask = rng.getrandbits(32)
-        table.insert(rng.getrandbits(32) & mask, mask, i, i)
+    table = table_of(random_rules(rng, 32, 32))
     keys = [rng.getrandbits(32) for _ in range(200)]
-    first = [table.lookup(k) for k in keys]
-    assert [table.lookup(k) for k in keys] == first
+    first = [fallback_state(table, k) for k in keys]
+    assert [fallback_state(table, k) for k in keys] == first
+    assert any(first)
 
 
 def test_random_tables_match_scan_oracle():
     rng = random.Random(7)
-    table = TernaryTable(width=32, capacity=64)
-    entries = []
-    for i in range(64):
-        mask = rng.getrandbits(32)
-        value = rng.getrandbits(32) & mask
-        table.insert(value, mask, i, i)
-        entries.append((value, mask, i, i))
+    rules = random_rules(rng, 32, 32)
+    table = table_of(rules)
+    hits = 0
     for _ in range(2000):
         key = rng.getrandbits(32)
-        assert table.lookup(key) == scan_lookup(entries, key)
+        expected = scan_lookup(rules, key)
+        assert fallback_state(table, key) == expected
+        hits += expected is not None
+    assert hits > 0
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_lookup_matches_oracle_property(data):
     width = data.draw(st.integers(min_value=4, max_value=24))
-    n = data.draw(st.integers(min_value=0, max_value=12))
-    table = TernaryTable(width=width, capacity=16)
-    entries = []
-    limit = (1 << width) - 1
-    for i in range(n):
-        mask = data.draw(st.integers(min_value=0, max_value=limit))
-        value = data.draw(st.integers(min_value=0, max_value=limit)) & mask
-        table.insert(value, mask, i, i)
-        entries.append((value, mask, i, i))
-    key = data.draw(st.integers(min_value=0, max_value=limit))
-    assert table.lookup(key) == scan_lookup(entries, key)
+    shift = data.draw(st.sampled_from([0, 64, 128 - width]))
+    word = st.integers(min_value=0, max_value=(1 << width) - 1)
+    priorities = data.draw(st.lists(st.integers(0, 100), max_size=12, unique=True))
+    rules = [
+        (data.draw(word) << shift, data.draw(word) << shift, p, i + 1)
+        for i, p in enumerate(priorities)
+    ]
+    key = data.draw(word) << shift
+    assert fallback_state(table_of(rules), key) == scan_lookup(rules, key)
