@@ -9,14 +9,8 @@ files; see the bundled ones under ``flowfsm/data``.
 
 from .alu import AluRuntime, Instruction, Opcode, decode, encode, execute_tuple
 from .conditions import CmpOp, ConditionSpec, Operand, evaluate
-from .engine import (
-    Action,
-    ActionKind,
-    Engine,
-    PacketVerdict,
-    XfsmRow,
-)
-from .extractor import FieldSpec, KeyScope, PacketRecord, extract, flow_key
+from .engine import Action, ActionKind, Engine, XfsmRow
+from .extractor import FieldSpec, KeyScope, PacketRecord, extract
 from .flow_context import Activity, FlowContext, FlowContextTable
 from .programs import (
     ProgramConfig,
@@ -47,7 +41,6 @@ __all__ = [
     "Opcode",
     "Operand",
     "PacketRecord",
-    "PacketVerdict",
     "ProgramConfig",
     "RunStats",
     "XfsmRow",
@@ -58,7 +51,6 @@ __all__ = [
     "evaluate",
     "execute_tuple",
     "extract",
-    "flow_key",
     "load",
     "loads",
     "make_binder",

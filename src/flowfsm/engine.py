@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .alu import AluRuntime, Instruction, compile_plan, execute_plan
 from .conditions import evaluate_compiled
@@ -33,6 +33,20 @@ from .flow_context import FlowContextTable
 from .stats import RunStats
 
 COND_BITS = 8
+
+# one verdict row per packet, as process_packet returns it
+VERDICT_COLUMNS = (
+    "seq",
+    "ts",
+    "action",
+    "pre_state",
+    "post_state",
+    "row_id",
+    "cond_bits",
+)
+
+# condition bits as 8 binary digits, condition 0 rightmost
+_COND_TEXT = tuple(f"{bits:0{COND_BITS}b}" for bits in range(1 << COND_BITS))
 
 
 class EngineError(Exception):
@@ -105,22 +119,6 @@ class XfsmRow:
     instructions: tuple[Instruction, ...]
 
 
-@dataclass(slots=True)
-class PacketVerdict:
-    """Observability record emitted for every processed packet."""
-
-    seq: int
-    ts: int
-    action: Action
-    action_str: str
-    pre_state: str
-    post_state: str
-    row_id: int
-    cond_bits: int
-    registers: tuple[int, ...]
-    global_registers: tuple[int, ...]
-
-
 class _Labels(dict):
     """State code -> label; codes without a label read as ``state_<code>``."""
 
@@ -190,10 +188,9 @@ class Engine:
         # state's first packet; see _dispatch_for
         self._dispatch: dict[int, list] = {}
         # per-row constants kept out of the per-packet path:
-        # (action, action text, next state or None to stay, ALU plan)
+        # (action text, next state or None to stay, ALU plan)
         self._row_consts = [
-            (row.action, format_action(row.action), row.next_state,
-             compile_plan(row.instructions))
+            (format_action(row.action), row.next_state, compile_plan(row.instructions))
             for row in self._rows
         ]
         self._stats = RunStats(
@@ -283,7 +280,9 @@ class Engine:
         """Apply all delayed updates (hazard-window mode only)."""
         self._flush_pending(1 << 62)
 
-    def process_packet(self, record: PacketRecord) -> PacketVerdict:
+    def process_packet(self, record: PacketRecord) -> tuple:
+        """Run one packet through the stage; returns its verdict row, the
+        values of :data:`VERDICT_COLUMNS` in order."""
         seq = self._seq
         self._seq = seq + 1
         ts = record.ts
@@ -324,7 +323,7 @@ class Engine:
         bits = evaluate_compiled(self._conds, r, g_view, h) if self._conds else 0
 
         row_idx = self.match_row(state, bits, h)
-        action, action_str, next_state, plan = self._row_consts[row_idx]
+        action_str, next_state, plan = self._row_consts[row_idx]
         if next_state is None:
             next_state = state
         if plan:
@@ -351,20 +350,12 @@ class Engine:
         counts[tkey] = counts.get(tkey, 0) + 1
 
         labels = self._labels
-        return PacketVerdict(
-            seq,
-            ts,
-            action,
-            action_str,
-            labels[state],
-            labels[next_state],
-            row_idx,
-            bits,
-            tuple(r2),
-            tuple(g2),
+        return (
+            seq, ts, action_str, labels[state], labels[next_state], row_idx,
+            _COND_TEXT[bits],
         )
 
-    def run_trace(self, records: Iterable[PacketRecord]) -> Iterator[PacketVerdict]:
+    def run_trace(self, records: Iterable[PacketRecord]) -> Iterator[tuple]:
         """Process a packet stream, enforcing the time-order contract."""
         for record in records:
             if self._last_ts is not None and record.ts < self._last_ts:
@@ -375,7 +366,3 @@ class Engine:
             yield self.process_packet(record)
         if self.hazard_window:
             self.flush()
-
-
-Binder = Callable[[Mapping[str, object], int], PacketRecord]
-

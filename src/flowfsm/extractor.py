@@ -40,7 +40,7 @@ class FieldSpec:
 
 @dataclass(slots=True)
 class PacketRecord:
-    """One packet's operand slots plus metadata.
+    """What the engine reads of one packet.
 
     ``h`` holds the eight 32-bit header-field values. ``truncated`` is set
     when a field spec reached past the end of the frame (the field reads
@@ -49,9 +49,6 @@ class PacketRecord:
 
     h: list[int]
     ts: int
-    in_port: int = 0
-    length: int = 0
-    raw: Optional[bytes] = None
     truncated: bool = False
 
 
@@ -69,11 +66,7 @@ def extract_field(raw: bytes, spec: FieldSpec) -> tuple[int, bool]:
 
 
 def extract(
-    raw: bytes,
-    specs: Sequence[Optional[FieldSpec]],
-    *,
-    ts: int = 0,
-    in_port: int = 0,
+    raw: bytes, specs: Sequence[Optional[FieldSpec]], *, ts: int = 0
 ) -> PacketRecord:
     """Build a PacketRecord from a raw frame.
 
@@ -90,9 +83,7 @@ def extract(
         value, cut = extract_field(raw, spec)
         h[slot] = value
         truncated = truncated or cut
-    return PacketRecord(
-        h=h, ts=ts, in_port=in_port, length=len(raw), raw=raw, truncated=truncated
-    )
+    return PacketRecord(h, ts, truncated)
 
 
 class KeyScope:
@@ -132,7 +123,3 @@ class KeyScope:
     def __repr__(self) -> str:
         return f"KeyScope({list(self.parts)!r})"
 
-
-def flow_key(record: PacketRecord, scope: KeyScope) -> int:
-    """128-bit flow key of a record under the given scope."""
-    return scope.key(record.h)

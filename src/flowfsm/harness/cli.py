@@ -5,7 +5,6 @@ Verbs:
     validate            load a program and report its shape
     gen-trace           write a synthetic trace
     calibrate-portscan  table the decayed SYN counter for given rates
-    oracle              run a reference implementation standalone
     convert-pcap        import a classic pcap as a raw-mode trace
 
 Exit codes: 0 success, 3 parse failure (program or trace syntax),
@@ -22,7 +21,7 @@ from typing import Optional, Sequence
 
 from .. import programs
 from ..engine import NonMonotoneTimestampError
-from . import gen, oracles, traceio
+from . import gen, traceio
 
 EXIT_OK = 0
 EXIT_PARSE = 3
@@ -75,20 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--program", required=True)
     cal.add_argument("--rates", default="5,40", help="comma-separated SYN/s rates")
     cal.add_argument("--duration", type=int, default=30, help="seconds simulated")
-
-    orc = sub.add_parser("oracle", help="run a reference implementation")
-    orc.add_argument(
-        "--kind", required=True, choices=("token-bucket", "tree", "stats", "ewma")
-    )
-    orc.add_argument("--b", type=int, help="token-bucket burst")
-    orc.add_argument("--q", type=int, help="token-bucket tick cost")
-    orc.add_argument("--trace", help="trace CSV supplying arrival times")
-    orc.add_argument("--program", help="program supplying tree data")
-    orc.add_argument("--mean", type=int)
-    orc.add_argument("--var", type=int)
-    orc.add_argument("--bytes", type=int, dest="total_bytes")
-    orc.add_argument("--values", help="comma-separated samples")
-    orc.add_argument("--events", help="comma-separated t:x pairs")
 
     pcp = sub.add_parser("convert-pcap", help="capture import (classic pcap)")
     pcp.add_argument("--pcap", required=True)
@@ -179,36 +164,6 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    if args.kind == "token-bucket":
-        if args.b is None or args.q is None or not args.trace:
-            raise ValueError("token-bucket oracle needs --b, --q and --trace")
-        arrivals = [int(row["ts"]) for row in traceio.read_trace(args.trace)]
-        for verdict in oracles.token_bucket_verdicts(args.b, args.q, arrivals):
-            print(verdict)
-    elif args.kind == "tree":
-        if not args.program or None in (args.mean, args.var, args.total_bytes):
-            raise ValueError("tree oracle needs --program, --mean, --var, --bytes")
-        config = programs.load(args.program)
-        print(oracles.classify(config, args.mean, args.var, args.total_bytes))
-    elif args.kind == "stats":
-        if not args.values:
-            raise ValueError("stats oracle needs --values")
-        values = [int(v, 0) for v in args.values.split(",") if v.strip()]
-        count, mean, var = oracles.running_var(values)
-        print(f"count={count} mean={mean} var={var} exact={oracles.true_mean(values)}")
-    else:
-        if not args.events:
-            raise ValueError("ewma oracle needs --events t:x,t:x,...")
-        events = []
-        for pair in args.events.split(","):
-            t, x = pair.split(":")
-            events.append((int(t, 0), int(x, 0)))
-        last, acc = oracles.ewma_accumulator(events)
-        print(f"last_ts={last} acc={acc}")
-    return EXIT_OK
-
-
 def _cmd_convert_pcap(args) -> int:
     count = traceio.pcap_to_csv(args.pcap, args.out)
     print(f"{args.out}: {count} packets")
@@ -220,7 +175,6 @@ _COMMANDS = {
     "validate": _cmd_validate,
     "gen-trace": _cmd_gen_trace,
     "calibrate-portscan": _cmd_calibrate,
-    "oracle": _cmd_oracle,
     "convert-pcap": _cmd_convert_pcap,
 }
 

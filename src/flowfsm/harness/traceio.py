@@ -19,7 +19,7 @@ import struct
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from ..engine import NonMonotoneTimestampError, PacketVerdict
+from ..engine import VERDICT_COLUMNS, NonMonotoneTimestampError
 from ..stats import RunStats
 
 TRACE_COLUMNS = (
@@ -38,16 +38,6 @@ TRACE_COLUMNS = (
 )
 
 RAW_COLUMNS = ("ts", "in_port", "raw")
-
-VERDICT_COLUMNS = (
-    "seq",
-    "ts",
-    "action",
-    "pre_state",
-    "post_state",
-    "row_id",
-    "cond_bits",
-)
 
 
 class TraceFormatError(Exception):
@@ -137,23 +127,15 @@ def write_trace(
             writer.writerow([row.get(col, 0) for col in columns])
 
 
-_COND_TEXT = tuple(f"{bits:08b}" for bits in range(256))
-
-
-def write_verdicts(
-    path: Union[str, Path], verdicts: Iterable[PacketVerdict]
-) -> int:
-    """Write the verdict CSV; returns the packet count."""
+def write_verdicts(path: Union[str, Path], verdicts: Iterable[tuple]) -> int:
+    """Write the verdict rows of ``Engine.process_packet`` as CSV; returns
+    the packet count."""
     counter = itertools.count()
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(VERDICT_COLUMNS)
         # zip draws from counter only after a verdict, so it ends at the count
-        writer.writerows(
-            (v.seq, v.ts, v.action_str, v.pre_state, v.post_state, v.row_id,
-             _COND_TEXT[v.cond_bits])
-            for v, _ in zip(verdicts, counter)
-        )
+        writer.writerows(v for v, _ in zip(verdicts, counter))
     return next(counter)
 
 

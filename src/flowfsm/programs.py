@@ -15,11 +15,11 @@ import dataclasses
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import yaml
 
-from . import alu, conditions, engine as engine_mod, extractor
+from . import alu, conditions, extractor
 from .engine import Action, ActionKind, Engine, XfsmRow, format_action, parse_action
 from .extractor import FieldSpec, KeyScope, PacketRecord
 from .flow_context import FlowContextTable
@@ -181,6 +181,10 @@ class ClassifierTree:
             )
             for j, (path, leaf) in enumerate(paths)
         )
+
+
+# the flow-context store allocates one load counter per bucket up front
+MAX_CONTEXT_BUCKETS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -709,6 +713,12 @@ def _build(doc: dict, source: str) -> ProgramConfig:
                 v = 1
             size_kwargs[key] = v
     sizes = TableSizes(**size_kwargs)
+    buckets = sizes.context_subtables * sizes.context_buckets
+    if buckets > MAX_CONTEXT_BUCKETS:
+        problems.append(
+            f"table_sizes: context_subtables * context_buckets = {buckets} "
+            f"exceeds the cap of {MAX_CONTEXT_BUCKETS} buckets"
+        )
     total_rows = len(rows) + len(tree_rows)
     if total_rows > sizes.xfsm:
         problems.append(
@@ -907,86 +917,63 @@ class BindError(ProgramError):
     """The trace rows do not carry what the program needs."""
 
 
-def make_binder(config: ProgramConfig, mode: str = "csv") -> engine_mod.Binder:
+def make_binder(
+    config: ProgramConfig, mode: str = "csv"
+) -> Callable[[Mapping[str, object], int], PacketRecord]:
     """Build the trace-row to packet-record binding for one program.
 
-    csv mode reads pre-parsed columns; raw mode runs the offset/mask
-    extractor over the frame bytes. Metadata sources (ts, in_port,
-    pkt_len) work in both modes. A column or metadata value that is
-    negative or wider than its field raises :class:`BindError`; the
-    field's mask applies to values in range.
+    csv mode reads every field from the trace column its ``source`` names,
+    metadata sources (ts, in_port, pkt_len) included. Raw mode runs the
+    offset/mask extractor over the frame bytes and reads the metadata
+    sources from their columns, pkt_len defaulting to the frame length. A
+    missing column, or a value that is negative or wider than its field,
+    raises :class:`BindError`; the field's mask applies to values in range.
     """
     if mode not in ("csv", "raw"):
         raise ValueError(f"unknown ingestion mode {mode!r}")
+    slots = extractor.NUM_HEADER_SLOTS
     column_binds: list[tuple[int, str, int, int]] = []  # slot, column, width, mask
-    # slot, source as an index into (ts, in_port, pkt_len), width, mask
-    meta_binds: list[tuple[int, int, int, int]] = []
-    sam_binds: list[tuple[int, FieldSpec]] = []
+    specs: list[Optional[FieldSpec]] = [None] * slots  # raw-mode extraction
     for f in config.fields:
         full = (1 << f.width) - 1
-        mask = f.mask if f.mask is not None else full
-        if f.source in META_SOURCES:
-            meta_binds.append(
-                (f.slot, META_SOURCES.index(f.source), f.width, mask & full)
-            )
-        elif mode == "csv":
+        mask = (f.mask if f.mask is not None else full) & full
+        if mode == "csv" or f.source in META_SOURCES:
             if f.source is None:
                 raise BindError(
                     f"field {f.name!r} has no column binding for csv mode"
                 )
-            column_binds.append((f.slot, f.source, f.width, mask & full))
+            column_binds.append((f.slot, f.source, f.width, mask))
+        elif f.offset is None:
+            raise BindError(f"field {f.name!r} has no raw offset for raw mode")
         else:
-            if f.offset is None:
-                raise BindError(f"field {f.name!r} has no raw offset for raw mode")
-            sam_binds.append((f.slot, FieldSpec(f.offset, f.width, mask & full)))
+            specs[f.slot] = FieldSpec(f.offset, f.width, mask)
 
-    slots = extractor.NUM_HEADER_SLOTS
-
-    def out_of_range(seq: int, column: str, value: int, width: int) -> BindError:
-        return BindError(
-            f"trace row {seq}: column {column!r} value {value} does not fit "
-            f"in {width} bits"
-        )
-
-    def bind_meta(h: list[int], meta: tuple[int, int, int], seq: int) -> None:
-        for slot, source, width, mask in meta_binds:
-            value = meta[source]
-            if value >> width:  # negative, or wider than the field
-                raise out_of_range(seq, META_SOURCES[source], value, width)
-            h[slot] = value & mask
-
-    def bind_csv(row: Mapping[str, object], seq: int) -> PacketRecord:
-        ts = int(row["ts"])  # presence validated at ingestion
-        in_port = int(row.get("in_port", 0))
-        length = int(row.get("pkt_len", 0))
-        h = [0] * slots
+    def bind_columns(row: Mapping[str, object], h: list[int], seq: int) -> None:
         try:
             for slot, column, width, mask in column_binds:
                 value = int(row[column])
                 if value >> width:  # negative, or wider than the field
-                    raise out_of_range(seq, column, value, width)
+                    raise BindError(
+                        f"trace row {seq}: column {column!r} value {value} "
+                        f"does not fit in {width} bits"
+                    )
                 h[slot] = value & mask
         except KeyError:
             raise BindError(f"trace row {seq}: missing column {column!r}") from None
-        if meta_binds:
-            bind_meta(h, (ts, in_port, length), seq)
-        return PacketRecord(h, ts, in_port, length)
+
+    def bind_csv(row: Mapping[str, object], seq: int) -> PacketRecord:
+        h = [0] * slots
+        bind_columns(row, h, seq)
+        return PacketRecord(h, int(row["ts"]))  # ts presence checked at ingestion
 
     def bind_raw(row: Mapping[str, object], seq: int) -> PacketRecord:
-        ts = int(row["ts"])  # presence validated at ingestion
-        in_port = int(row.get("in_port", 0))
         raw = row.get("raw")
         if not isinstance(raw, (bytes, bytearray)):
             raise BindError(f"trace row {seq}: raw mode needs frame bytes")
-        length = int(row.get("pkt_len", len(raw)))
-        truncated = False
-        h = [0] * slots
-        for slot, spec in sam_binds:
-            value, cut = extractor.extract_field(raw, spec)
-            h[slot] = value
-            truncated = truncated or cut
-        bind_meta(h, (ts, in_port, length), seq)
-        return PacketRecord(h, ts, in_port, length, bytes(raw), truncated)
+        record = extractor.extract(raw, specs, ts=int(row["ts"]))
+        if column_binds:
+            bind_columns({"pkt_len": len(raw), **row}, record.h, seq)
+        return record
 
     return bind_csv if mode == "csv" else bind_raw
 

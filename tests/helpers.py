@@ -15,7 +15,6 @@ import yaml
 
 from flowfsm import programs
 from flowfsm.engine import NonMonotoneTimestampError
-from flowfsm.extractor import PacketRecord
 from flowfsm.harness.traceio import TraceFormatError
 
 
@@ -155,13 +154,6 @@ def build_frame(
         "!HHIIBBHHH", sport, dport, 0, 0, 0x50, tcp_flags, 8192, 0, 0
     )
     return eth + ip + tcp + payload
-
-
-def record(h=None, ts=0, in_port=0, length=0):
-    full = [0] * 8
-    for slot, value in (h or {}).items():
-        full[slot] = value
-    return PacketRecord(h=full, ts=ts, in_port=in_port, length=length)
 
 
 def token_bucket_config(burst, q):

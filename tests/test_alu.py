@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowfsm.alu import (
@@ -146,6 +146,29 @@ def test_ewma_time_running_backwards_counts_violation():
     rt = AluRuntime()
     assert exec_ewma(100, 8, 90, 1, rt) == (90, 9)  # treated as zero elapsed
     assert rt.time_violations == 1
+
+
+# time steps: small ones, backwards included, and gaps that clear the history
+EWMA_STEPS = st.one_of(st.integers(-40, 40), st.integers(32, 1 << 20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(EWMA_STEPS, st.integers(0, WORD)), max_size=60))
+@example([(5, 1 << 31), (31, 1), (-3, 2), (0, WORD), (32, 3)])
+def test_ewma_replay_equals_the_accumulator_oracle(moves):
+    from flowfsm.harness.oracles import ewma_accumulator
+
+    events, t = [], 0
+    for step, x in moves:
+        t = min(max(t + step, 0), WORD)
+        events.append((t, x))
+    rt = AluRuntime()
+    last = acc = 0
+    for n, (t, x) in enumerate(events, start=1):
+        last, acc = exec_ewma(last, acc, t, x, rt)
+        assert (last, acc) == ewma_accumulator(events[:n])
+    times = [0] + [t for t, _ in events]
+    assert rt.time_violations == sum(b < a for a, b in zip(times, times[1:]))
 
 
 # --- tuples -------------------------------------------------------------------

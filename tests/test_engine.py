@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from flowfsm import engine as engine_mod
 from flowfsm import programs
+from flowfsm.engine import VERDICT_COLUMNS
 from flowfsm.extractor import KeyScope
 
 from helpers import program_config, scan_lookup
@@ -15,7 +17,9 @@ def bundled_engine(name):
 
 
 def run_rows(engine, bind, rows):
-    return list(engine.run_trace(bind(row, i) for i, row in enumerate(rows)))
+    """The verdict rows of a replay, each as a column -> value dict."""
+    verdicts = engine.run_trace(bind(row, i) for i, row in enumerate(rows))
+    return [dict(zip(VERDICT_COLUMNS, v)) for v in verdicts]
 
 
 def test_pre_state_is_the_state_before_the_update():
@@ -24,9 +28,9 @@ def test_pre_state_is_the_state_before_the_update():
     verdicts = run_rows(engine, bind, rows)
     # with G0 = 3 the fifth packet of a flow is the first marked one
     crossed = verdicts[4]
-    assert (crossed.pre_state, crossed.post_state) == ("DEFAULT", "LONG")
-    assert crossed.action_str == "dscp:10:fwd:1"
-    assert (verdicts[5].pre_state, verdicts[5].post_state) == ("LONG", "LONG")
+    assert (crossed["pre_state"], crossed["post_state"]) == ("DEFAULT", "LONG")
+    assert crossed["action"] == "dscp:10:fwd:1"
+    assert (verdicts[5]["pre_state"], verdicts[5]["post_state"]) == ("LONG", "LONG")
     # rows 0, 1, 2 are count, crossed, long
     assert engine.stats.transitions == {"DEFAULT#0": 4, "DEFAULT#1": 1, "LONG#2": 1}
 
@@ -47,9 +51,9 @@ def test_long_time_gap_costs_a_bounded_number_of_scans():
         {"ts": 30_000_000, "eth_src": 9, "eth_dst": 7, "in_port": 2},
     ]
     learned, reply = run_rows(engine, bind, rows)
-    assert learned.action_str == "flood"
+    assert learned["action"] == "flood"
     # station 7 aged out during the gap, so the reply cannot be forwarded
-    assert (reply.action_str, reply.pre_state) == ("flood", "DEFAULT")
+    assert (reply["action"], reply["pre_state"]) == ("flood", "DEFAULT")
     # one scan demotes the entry, the next evicts it; the rest are skipped
     assert calls == [300, 600]
     assert engine.context.evictions == 1
@@ -107,12 +111,21 @@ def test_dispatch_equals_a_linear_scan(name):
 
 
 @pytest.mark.parametrize("window", [0, 1, 2, 3])
-def test_hazard_window_delays_update_visibility(window):
+def test_hazard_window_delays_update_visibility(window, monkeypatch):
     config = programs.bundled_program("long_flow")
     engine = programs.build_engine(config, hazard_window=window)
     bind = programs.make_binder(config)
+    # the R0 each packet read: every long_flow row runs an ALU plan
+    seen = []
+    execute_plan = engine_mod.execute_plan
+
+    def recorded(plan, r, g, h, rt):
+        seen.append(r[0])
+        return execute_plan(plan, r, g, h, rt)
+
+    monkeypatch.setattr(engine_mod, "execute_plan", recorded)
     rows = [{"ts": t, "ip_src": 1, "ip_dst": 2} for t in range(12)]
-    seen = [v.registers[0] - 1 for v in run_rows(engine, bind, rows)]
+    assert len(run_rows(engine, bind, rows)) == len(seen)
     # every packet adds one to the R0 it read: packet k reads the result of
     # packet k - window - 1, the latest update visible to it
     expected = []

@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from flowfsm import programs
-from flowfsm.engine import Action, ActionKind
+from flowfsm.engine import VERDICT_COLUMNS, Action, ActionKind
 from flowfsm.extractor import KeyScope
 from flowfsm.programs import BindError, ProgramValidationError
 
@@ -12,6 +12,7 @@ from helpers import (
     DELETE,
     GAP_CASES,
     SYNTHETIC_PROGRAM,
+    build_frame,
     patched_doc,
     program_config,
 )
@@ -93,8 +94,9 @@ def test_fallback_on_the_second_scope_field_steers_packets():
     config = programs.loads(yaml.safe_dump(doc))
     engine, bind = programs.build_engine(config), programs.make_binder(config)
     rows = [{"ts": 0, "ip_src": 1, "ip_dst": 7}, {"ts": 1, "ip_src": 1, "ip_dst": 8}]
-    verdicts = list(engine.run_trace(bind(row, i) for i, row in enumerate(rows)))
-    assert [v.pre_state for v in verdicts] == ["LONG", "DEFAULT"]
+    verdicts = engine.run_trace(bind(row, i) for i, row in enumerate(rows))
+    pre_state = VERDICT_COLUMNS.index("pre_state")
+    assert [v[pre_state] for v in verdicts] == ["LONG", "DEFAULT"]
 
 
 @pytest.mark.parametrize("case", sorted(GAP_CASES))
@@ -237,6 +239,13 @@ BROKEN = [
     # the fallback capacity
     (L, ("table_sizes",), {"context_fallback": 0}, "table_sizes.context_fallback"),
     (S, ("table_sizes",), {"context_fallback": 1}, "context_fallback"),
+    # the flow-context geometry cap: 2^22 buckets over all subtables
+    (
+        L,
+        ("table_sizes",),
+        {"context_subtables": 4, "context_buckets": 1 << 21},
+        "table_sizes: context_subtables * context_buckets = 8388608 exceeds",
+    ),
 ]
 
 
@@ -274,3 +283,40 @@ def test_binder_rejects_a_timestamp_wider_than_its_field():
     with pytest.raises(BindError, match="trace row 7: column 'ts' value 8589934597"):
         bind(row, 7)
     assert bind({**row, "ts": 2**32 - 1}, 7).h[6] == 2**32 - 1
+
+
+def test_binder_rejects_a_row_without_a_bound_metadata_column():
+    bind = programs.make_binder(programs.bundled_program("c45_classifier"))
+    row = {"ts": 5, "ip_src": 1, "ip_dst": 2, "pkt_len": 60}
+    assert bind(row, 4).h[5] == 60
+    del row["pkt_len"]
+    with pytest.raises(BindError, match="trace row 4: missing column 'pkt_len'"):
+        bind(row, 4)
+
+
+def test_context_geometry_at_the_cap_loads():
+    sizes = {"context_subtables": 4, "context_buckets": 1 << 20}
+    config = programs.loads(yaml.safe_dump(patched_doc(L, ("table_sizes",), sizes)))
+    assert config.table_sizes.context_buckets == 1 << 20
+
+
+def test_raw_binder_extracts_the_frame_and_reads_metadata_columns():
+    fields = [
+        {"name": "ip_src", "slot": 0, "width": 32, "offset": 26 * 8},
+        {"name": "ip_dst", "slot": 1, "width": 32, "offset": 30 * 8},
+        {"name": "len", "slot": 2, "width": 16, "source": "pkt_len"},
+        {"name": "port", "slot": 3, "width": 8, "source": "in_port"},
+    ]
+    config = programs.loads(yaml.safe_dump(patched_doc(L, ("fields",), fields)))
+    bind = programs.make_binder(config, "raw")
+    frame = build_frame(ip_src=0x0A000001, ip_dst=0xC0A80101)
+    row = {"ts": 3, "in_port": 2, "raw": frame}
+    record = bind(row, 0)
+    assert record.h[:4] == [0x0A000001, 0xC0A80101, len(frame), 2]
+    assert (record.ts, record.truncated) == (3, False)
+    # a pkt_len column overrides the frame length
+    assert bind({**row, "pkt_len": 1500}, 0).h[2] == 1500
+    short = bind({**row, "raw": frame[:30]}, 1)
+    assert (short.h[:3], short.truncated) == ([0x0A000001, 0, 30], True)
+    with pytest.raises(BindError, match="trace row 5: missing column 'in_port'"):
+        bind({"ts": 3, "raw": frame}, 5)
