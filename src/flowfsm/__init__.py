@@ -10,7 +10,7 @@ files; see the bundled ones under ``flowfsm/data``.
 from .alu import AluRuntime, Instruction, Opcode, decode, encode, execute_tuple
 from .conditions import CmpOp, ConditionSpec, Operand, evaluate
 from .engine import Action, ActionKind, Engine, XfsmRow
-from .extractor import FieldSpec, KeyScope, PacketRecord, extract
+from .extractor import KeyScope, PacketRecord
 from .flow_context import Activity, FlowContext, FlowContextTable
 from .programs import (
     ProgramConfig,
@@ -33,7 +33,6 @@ __all__ = [
     "CmpOp",
     "ConditionSpec",
     "Engine",
-    "FieldSpec",
     "FlowContext",
     "FlowContextTable",
     "Instruction",
@@ -50,7 +49,6 @@ __all__ = [
     "encode",
     "evaluate",
     "execute_tuple",
-    "extract",
     "load",
     "loads",
     "make_binder",

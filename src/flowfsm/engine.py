@@ -157,7 +157,6 @@ class Engine:
         hazard_window: int = 0,
         alu_runtime: Optional[AluRuntime] = None,
         seed: int = 0,
-        partitionable: bool = False,
     ):
         self.name = name
         self._labels = _Labels(state_labels)
@@ -199,7 +198,6 @@ class Engine:
             hash_seeds=context.seeds,
             hazard_window=hazard_window,
             hw_faithful_div=self.alu.hw16_div,
-            partitionable=partitionable,
         )
         # (pre-state code, row index) -> packets
         self._transition_counts: dict[tuple[int, int], int] = {}
@@ -343,8 +341,6 @@ class Engine:
             context.write_back(update_key, next_state, r2)
             self.g = g2
 
-        if record.truncated:
-            self._stats.truncated_fields += 1
         counts = self._transition_counts
         tkey = (state, row_idx)
         counts[tkey] = counts.get(tkey, 0) + 1

@@ -190,6 +190,3 @@ class FlowContextTable:
     def occupancy(self) -> int:
         """Number of stored contexts."""
         return len(self._contexts)
-
-    def __len__(self) -> int:
-        return len(self._contexts)

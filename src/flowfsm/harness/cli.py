@@ -5,7 +5,6 @@ Verbs:
     validate            load a program and report its shape
     gen-trace           write a synthetic trace
     calibrate-portscan  table the decayed SYN counter for given rates
-    convert-pcap        import a classic pcap as a raw-mode trace
 
 Exit codes: 0 success, 3 parse failure (program or trace syntax),
 4 validation failure (program semantics, missing columns, bad time
@@ -44,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--hazard-window", type=int, default=0)
     run.add_argument("--hw-faithful-div", action="store_true")
-    run.add_argument("--mode", choices=("csv", "raw"), default="csv")
     run.add_argument(
         "--timing",
         action="store_true",
@@ -54,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="load and check a program")
     val.add_argument("--program", required=True)
-    val.add_argument("--mode", choices=("csv", "raw"), default="csv")
 
     gtr = sub.add_parser("gen-trace", help="write a synthetic trace")
     gtr.add_argument("--kind", required=True, choices=sorted(gen.KINDS))
@@ -75,23 +72,19 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--rates", default="5,40", help="comma-separated SYN/s rates")
     cal.add_argument("--duration", type=int, default=30, help="seconds simulated")
 
-    pcp = sub.add_parser("convert-pcap", help="capture import (classic pcap)")
-    pcp.add_argument("--pcap", required=True)
-    pcp.add_argument("--out", required=True)
-
     return parser
 
 
 def _cmd_run(args) -> int:
     config = programs.load(args.program)
-    binder = programs.make_binder(config, args.mode)
+    binder = programs.make_binder(config)
     engine = programs.build_engine(
         config,
         seed=args.seed,
         hazard_window=args.hazard_window,
         hw16_div=args.hw_faithful_div,
     )
-    rows = traceio.read_trace(args.trace, mode=args.mode)
+    rows = traceio.read_trace(args.trace)
     records = (binder(row, i) for i, row in enumerate(rows))
     verdicts = engine.run_trace(records)
     started = time.perf_counter()
@@ -114,7 +107,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = programs.load(args.program)
-    programs.make_binder(config, args.mode)  # checks mode bindings exist
     rows = programs.compile_rows(config)
     print(f"program:       {config.name}")
     print(f"states:        {', '.join(f'{k}={v}' for k, v in config.states.items())}")
@@ -164,18 +156,11 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_convert_pcap(args) -> int:
-    count = traceio.pcap_to_csv(args.pcap, args.out)
-    print(f"{args.out}: {count} packets")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "validate": _cmd_validate,
     "gen-trace": _cmd_gen_trace,
     "calibrate-portscan": _cmd_calibrate,
-    "convert-pcap": _cmd_convert_pcap,
 }
 
 

@@ -21,7 +21,7 @@ import yaml
 
 from . import alu, conditions, extractor
 from .engine import Action, ActionKind, Engine, XfsmRow, format_action, parse_action
-from .extractor import FieldSpec, KeyScope, PacketRecord
+from .extractor import KeyScope, PacketRecord
 from .flow_context import FlowContextTable
 
 TIMESTAMP_UNITS = {
@@ -30,8 +30,6 @@ TIMESTAMP_UNITS = {
     "microseconds": 1_000_000,
     "ticks": 1_000,
 }
-
-META_SOURCES = ("ts", "in_port", "pkt_len")
 
 STAY = "_stay"
 
@@ -42,7 +40,6 @@ TOP_LEVEL_KEYS = (
     "description",
     "timestamp_unit",
     "ports",
-    "max_parse_depth",
     "fields",
     "lookup_scope",
     "update_scope",
@@ -88,20 +85,14 @@ class ProgramValidationError(ProgramError):
 
 @dataclass(frozen=True)
 class FieldDef:
-    """One operand slot binding.
-
-    ``source`` names a trace column or one of the metadata sources (ts,
-    in_port, pkt_len); ``offset``/``mask`` give the raw-frame extraction
-    rule. A field may carry both so a program runs in either ingestion
-    mode.
-    """
+    """One operand slot binding: slot ``slot`` holds the ``width``-bit
+    value of the trace column ``source`` (metadata such as ``ts`` and
+    ``in_port`` included)."""
 
     name: str
     slot: int
     width: int
-    source: Optional[str] = None
-    offset: Optional[int] = None
-    mask: Optional[int] = None
+    source: str
 
 
 @dataclass(frozen=True)
@@ -185,6 +176,10 @@ class ClassifierTree:
 
 # the flow-context store allocates one load counter per bucket up front
 MAX_CONTEXT_BUCKETS = 1 << 22
+# placing a new flow hashes its key once per subtable; d-left balance
+# barely improves past a few choices, while each one costs every insert a
+# hash
+MAX_CONTEXT_SUBTABLES = 8
 
 
 @dataclass(frozen=True)
@@ -213,7 +208,6 @@ class ProgramConfig:
     classifier_tree: Optional[ClassifierTree] = None
     table_sizes: TableSizes = dc_field(default_factory=TableSizes)
     management_period: int = 0  # 0 is replaced by one second of ticks
-    max_parse_depth: int = 256  # bytes, raw mode
     # extra per-flow scratch registers, each addressed through a donated
     # (otherwise unused) global selector slot: (alias name, G slot index)
     flow_scratch: tuple[tuple[str, int], ...] = ()
@@ -434,8 +428,6 @@ def _build(doc: dict, source: str) -> ProgramConfig:
         problems.append(f"ports: {ports} outside 1..63")
         ports = 4
 
-    max_depth = _to_int(doc.get("max_parse_depth", 256), "max_parse_depth", problems)
-
     # --- fields ---------------------------------------------------------
     fields: list[FieldDef] = []
     seen_names: set[str] = set()
@@ -460,23 +452,9 @@ def _build(doc: dict, source: str) -> ProgramConfig:
             problems.append(f"{where}: width {width} outside 1..32")
             width = 32
         src = item.get("source")
-        if src is not None and not isinstance(src, str):
-            problems.append(f"{where}: source must be a string")
-            src = None
-        offset = item.get("offset")
-        if offset is not None:
-            offset = _to_int(offset, f"{where}.offset", problems)
-            if offset + width > max_depth * 8:
-                problems.append(
-                    f"{where}: offset+width reaches past max_parse_depth "
-                    f"({max_depth} bytes)"
-                )
-        mask = item.get("mask")
-        if mask is not None:
-            mask = _u32(mask, f"{where}.mask", problems)
-        if src is None and offset is None:
-            problems.append(f"{where}: needs a source column or a raw offset")
-        fields.append(FieldDef(fname, slot, width, src, offset, mask))
+        if not isinstance(src, str) or not src:
+            problems.append(f"{where}: source must name a trace column")
+        fields.append(FieldDef(fname, slot, width, src))
 
     field_map = {f.name: f for f in fields}
 
@@ -713,6 +691,11 @@ def _build(doc: dict, source: str) -> ProgramConfig:
                 v = 1
             size_kwargs[key] = v
     sizes = TableSizes(**size_kwargs)
+    if sizes.context_subtables > MAX_CONTEXT_SUBTABLES:
+        problems.append(
+            f"table_sizes.context_subtables: {sizes.context_subtables} exceeds "
+            f"the cap of {MAX_CONTEXT_SUBTABLES}"
+        )
     buckets = sizes.context_subtables * sizes.context_buckets
     if buckets > MAX_CONTEXT_BUCKETS:
         problems.append(
@@ -762,7 +745,6 @@ def _build(doc: dict, source: str) -> ProgramConfig:
         classifier_tree=tree,
         table_sizes=sizes,
         management_period=period,
-        max_parse_depth=max_depth,
         flow_scratch=tuple(scratch),
     )
 
@@ -905,7 +887,6 @@ def build_engine(
         hazard_window=hazard_window,
         alu_runtime=alu.AluRuntime(hw16_div=hw16_div),
         seed=seed,
-        partitionable=config.partitionable,
     )
 
 
@@ -918,64 +899,33 @@ class BindError(ProgramError):
 
 
 def make_binder(
-    config: ProgramConfig, mode: str = "csv"
-) -> Callable[[Mapping[str, object], int], PacketRecord]:
+    config: ProgramConfig,
+) -> Callable[[Mapping[str, int], int], PacketRecord]:
     """Build the trace-row to packet-record binding for one program.
 
-    csv mode reads every field from the trace column its ``source`` names,
-    metadata sources (ts, in_port, pkt_len) included. Raw mode runs the
-    offset/mask extractor over the frame bytes and reads the metadata
-    sources from their columns, pkt_len defaulting to the frame length. A
-    missing column, or a value that is negative or wider than its field,
-    raises :class:`BindError`; the field's mask applies to values in range.
+    Every field reads the trace column its ``source`` names, metadata
+    such as ``ts`` and ``in_port`` included. A missing column, or a value
+    that is negative or wider than its field, raises :class:`BindError`.
     """
-    if mode not in ("csv", "raw"):
-        raise ValueError(f"unknown ingestion mode {mode!r}")
     slots = extractor.NUM_HEADER_SLOTS
-    column_binds: list[tuple[int, str, int, int]] = []  # slot, column, width, mask
-    specs: list[Optional[FieldSpec]] = [None] * slots  # raw-mode extraction
-    for f in config.fields:
-        full = (1 << f.width) - 1
-        mask = (f.mask if f.mask is not None else full) & full
-        if mode == "csv" or f.source in META_SOURCES:
-            if f.source is None:
-                raise BindError(
-                    f"field {f.name!r} has no column binding for csv mode"
-                )
-            column_binds.append((f.slot, f.source, f.width, mask))
-        elif f.offset is None:
-            raise BindError(f"field {f.name!r} has no raw offset for raw mode")
-        else:
-            specs[f.slot] = FieldSpec(f.offset, f.width, mask)
+    column_binds = [(f.slot, f.source, f.width) for f in config.fields]
 
-    def bind_columns(row: Mapping[str, object], h: list[int], seq: int) -> None:
+    def bind(row: Mapping[str, int], seq: int) -> PacketRecord:
+        h = [0] * slots
         try:
-            for slot, column, width, mask in column_binds:
+            for slot, column, width in column_binds:
                 value = int(row[column])
                 if value >> width:  # negative, or wider than the field
                     raise BindError(
                         f"trace row {seq}: column {column!r} value {value} "
                         f"does not fit in {width} bits"
                     )
-                h[slot] = value & mask
+                h[slot] = value
         except KeyError:
             raise BindError(f"trace row {seq}: missing column {column!r}") from None
-
-    def bind_csv(row: Mapping[str, object], seq: int) -> PacketRecord:
-        h = [0] * slots
-        bind_columns(row, h, seq)
         return PacketRecord(h, int(row["ts"]))  # ts presence checked at ingestion
 
-    def bind_raw(row: Mapping[str, object], seq: int) -> PacketRecord:
-        raw = row.get("raw")
-        if not isinstance(raw, (bytes, bytearray)):
-            raise BindError(f"trace row {seq}: raw mode needs frame bytes")
-        record = extractor.extract(raw, specs, ts=int(row["ts"]))
-        if column_binds:
-            bind_columns({"pkt_len": len(raw), **row}, record.h, seq)
-        return record
-
-    return bind_csv if mode == "csv" else bind_raw
+    return bind
 
 
 # ---------------------------------------------------------------------------
@@ -1006,11 +956,7 @@ def serialize(config: ProgramConfig) -> str:
         "name": config.name,
         "timestamp_unit": config.timestamp_unit,
         "ports": config.ports,
-        "max_parse_depth": config.max_parse_depth,
-        "fields": [
-            {k: v for k, v in dataclasses.asdict(f).items() if v is not None}
-            for f in config.fields
-        ],
+        "fields": [dataclasses.asdict(f) for f in config.fields],
         "lookup_scope": list(config.lookup_scope),
         "update_scope": list(config.update_scope),
         "states": dict(config.states),

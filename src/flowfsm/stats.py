@@ -28,11 +28,9 @@ class RunStats:
     table_full_drops: int = 0
     div_zero: int = 0
     ewma_time_violations: int = 0
-    truncated_fields: int = 0
     hash_seeds: tuple[int, ...] = ()
     hazard_window: int = 0
     hw_faithful_div: bool = False
-    partitionable: bool = False
     throughput_pps: Optional[float] = None
 
     def to_dict(self, include_timing: bool = False) -> dict:
@@ -52,12 +50,10 @@ class RunStats:
             "errors": {
                 "div_zero": self.div_zero,
                 "ewma_time_violations": self.ewma_time_violations,
-                "truncated_fields": self.truncated_fields,
             },
             "flags": {
                 "hazard_window": self.hazard_window,
                 "hw_faithful_div": self.hw_faithful_div,
-                "partitionable": self.partitionable,
             },
         }
         if include_timing and self.throughput_pps is not None:

@@ -1,4 +1,4 @@
-"""Shared test utilities: reference models, frame builder, config helpers.
+"""Shared test utilities: reference models and config helpers.
 
 The reference models here are deliberately simple re-implementations used
 as oracles; they must not call into the package's table or ALU code.
@@ -9,7 +9,6 @@ from __future__ import annotations
 import copy
 import csv
 import dataclasses
-import struct
 
 import yaml
 
@@ -28,7 +27,7 @@ def scan_lookup(entries, key):
     return best[1] if best else None
 
 
-def reference_read_trace(path, mode="csv"):
+def reference_read_trace(path):
     """Trace reader oracle: one ``csv.DictReader`` row at a time, every cell
     parsed on its own. Empty, missing and extra cells are skipped; rows are
     numbered from 2 without counting blank lines."""
@@ -38,8 +37,6 @@ def reference_read_trace(path, mode="csv"):
             raise TraceFormatError(f"{path}: empty trace")
         if "ts" not in reader.fieldnames:
             raise TraceFormatError(f"{path}: missing required column 'ts'")
-        if mode == "raw" and "raw" not in reader.fieldnames:
-            raise TraceFormatError(f"{path}: raw mode needs a 'raw' column")
         last_ts = None
         for lineno, row in enumerate(reader, start=2):
             where = f"{path}:{lineno}"
@@ -47,18 +44,12 @@ def reference_read_trace(path, mode="csv"):
             for key, value in row.items():
                 if value is None or value == "" or key is None:
                     continue
-                if key == "raw":
-                    try:
-                        out["raw"] = bytes.fromhex(value)
-                    except ValueError:
-                        raise TraceFormatError(f"{where}: raw column is not hex") from None
-                else:
-                    try:
-                        out[key] = int(value, 0)
-                    except ValueError:
-                        raise TraceFormatError(
-                            f"{where} column {key!r}: {value!r} is not an integer"
-                        ) from None
+                try:
+                    out[key] = int(value, 0)
+                except ValueError:
+                    raise TraceFormatError(
+                        f"{where} column {key!r}: {value!r} is not an integer"
+                    ) from None
             if "ts" not in out:
                 raise TraceFormatError(f"{where}: missing ts value")
             ts = out["ts"]
@@ -120,40 +111,6 @@ class RefContextModel:
             e[2] = False
         self.evictions += len(evicted)
         return len(evicted)
-
-
-def build_frame(
-    *,
-    eth_src=b"\x02\x00\x00\x00\x00\x01",
-    eth_dst=b"\x02\x00\x00\x00\x00\x02",
-    ip_src=0x0A000001,
-    ip_dst=0x0A000002,
-    proto=6,
-    sport=1234,
-    dport=80,
-    tcp_flags=0x10,
-    payload=b"",
-):
-    """Hand-assembled Ethernet + IPv4 + TCP frame (no options, no checksum)."""
-    eth = eth_dst + eth_src + struct.pack("!H", 0x0800)
-    total_len = 20 + 20 + len(payload)
-    ip = struct.pack(
-        "!BBHHHBBH4s4s",
-        0x45,
-        0,
-        total_len,
-        0,
-        0,
-        64,
-        proto,
-        0,
-        ip_src.to_bytes(4, "big"),
-        ip_dst.to_bytes(4, "big"),
-    )
-    tcp = struct.pack(
-        "!HHIIBBHHH", sport, dport, 0, 0, 0x50, tcp_flags, 8192, 0, 0
-    )
-    return eth + ip + tcp + payload
 
 
 def token_bucket_config(burst, q):
@@ -238,7 +195,7 @@ timestamp_unit: ticks
 ports: 8
 fields:
   - {name: ip_src, slot: 0, width: 32, source: ip_src}
-  - {name: ip_proto, slot: 1, width: 8, source: ip_proto, offset: 184, mask: 0xff}
+  - {name: ip_proto, slot: 1, width: 8, source: ip_proto}
   - {name: tcp_flags, slot: 2, width: 8, source: tcp_flags}
 lookup_scope: [ip_src, ip_proto]
 states: {DEFAULT: 0, MONITOR: 1, SEEN: 2}

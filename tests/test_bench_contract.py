@@ -87,3 +87,19 @@ def test_wrapped_names_are_called_during_a_run(monkeypatch):
     assert calls["housekeep"] > 0
     assert calls["evaluate_compiled"] == packets
     assert calls["execute_plan"] > 0
+
+
+def test_three_row_replay_in_the_benchmark_call_shapes(tmp_path):
+    """The calls ``perfbench/replay.py`` makes, with the arguments it passes:
+    a signature change fails here rather than in the benchmark."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text("ts,ip_src,ip_dst\n0,1,2\n1,1,2\n2,3,4\n")
+    config = programs.bundled_program("long_flow")
+    bind = programs.make_binder(config)
+    engine = programs.build_engine(config, seed=5)
+    rows = traceio.read_trace(trace)
+    records = (bind(row, i) for i, row in enumerate(rows))
+    count = traceio.write_verdicts(tmp_path / "verdicts.csv", engine.run_trace(records))
+    traceio.write_stats(tmp_path / "stats.json", engine.stats)
+    assert count == engine.stats.packets == 3
+    assert (tmp_path / "verdicts.csv").read_text().count("\n") == 4

@@ -12,7 +12,6 @@ from helpers import (
     DELETE,
     GAP_CASES,
     SYNTHETIC_PROGRAM,
-    build_frame,
     patched_doc,
     program_config,
 )
@@ -246,6 +245,18 @@ BROKEN = [
         {"context_subtables": 4, "context_buckets": 1 << 21},
         "table_sizes: context_subtables * context_buckets = 8388608 exceeds",
     ),
+    # the subtable cap: a new flow hashes once per subtable
+    (
+        L,
+        ("table_sizes",),
+        {"context_subtables": 65536, "context_buckets": 1},
+        "table_sizes.context_subtables: 65536 exceeds the cap of 8",
+    ),
+    # the raw-frame keys are gone, and every field names its trace column
+    (L, ("max_parse_depth",), 256, "unknown top-level key 'max_parse_depth'"),
+    (L, FIELD0 + ("offset",), 208, "fields[0]: unknown key 'offset'"),
+    (L, FIELD0 + ("mask",), 0xFF, "fields[0]: unknown key 'mask'"),
+    (S, FIELD0 + ("source",), DELETE, "fields[0]: source must name a trace column"),
 ]
 
 
@@ -298,25 +309,7 @@ def test_context_geometry_at_the_cap_loads():
     sizes = {"context_subtables": 4, "context_buckets": 1 << 20}
     config = programs.loads(yaml.safe_dump(patched_doc(L, ("table_sizes",), sizes)))
     assert config.table_sizes.context_buckets == 1 << 20
+    sizes = {"context_subtables": programs.MAX_CONTEXT_SUBTABLES}
+    config = programs.loads(yaml.safe_dump(patched_doc(L, ("table_sizes",), sizes)))
+    assert config.table_sizes.context_subtables == 8
 
-
-def test_raw_binder_extracts_the_frame_and_reads_metadata_columns():
-    fields = [
-        {"name": "ip_src", "slot": 0, "width": 32, "offset": 26 * 8},
-        {"name": "ip_dst", "slot": 1, "width": 32, "offset": 30 * 8},
-        {"name": "len", "slot": 2, "width": 16, "source": "pkt_len"},
-        {"name": "port", "slot": 3, "width": 8, "source": "in_port"},
-    ]
-    config = programs.loads(yaml.safe_dump(patched_doc(L, ("fields",), fields)))
-    bind = programs.make_binder(config, "raw")
-    frame = build_frame(ip_src=0x0A000001, ip_dst=0xC0A80101)
-    row = {"ts": 3, "in_port": 2, "raw": frame}
-    record = bind(row, 0)
-    assert record.h[:4] == [0x0A000001, 0xC0A80101, len(frame), 2]
-    assert (record.ts, record.truncated) == (3, False)
-    # a pkt_len column overrides the frame length
-    assert bind({**row, "pkt_len": 1500}, 0).h[2] == 1500
-    short = bind({**row, "raw": frame[:30]}, 1)
-    assert (short.h[:3], short.truncated) == ([0x0A000001, 0, 30], True)
-    with pytest.raises(BindError, match="trace row 5: missing column 'in_port'"):
-        bind({"ts": 3, "raw": frame}, 5)

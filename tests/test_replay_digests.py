@@ -50,27 +50,27 @@ ts,in_port,eth_src,eth_dst
 DIGESTS = {
     "long_flow": (
         "9798f793165f31826e33a1a8de21f5c8f90448a1b5635d024e8b83eced9e5e03",
-        "ee82895e62ab83178b247fbb2485bfd3ca4e21b8bfd86365ed33f0956b566af5",
+        "8009378d020dc8662af32517f32d577009eaa64d82d363bdfe11bccd7c150e65",
     ),
     "load_balance": (
         "4937fba4c9be8f257eb544056aa16a18a5839bbc20ca0fb6ac75d6c8e56b7121",
-        "eb4248c34b6bc0d430d3eb40a5e87ce0c65e485e8a0e54127118236f6750d3c1",
+        "e3b3bd7efaf0e85899ae6cfc3732a6ebec054cafff2ee0e93c3fcbd73daa7987",
     ),
     "port_scan": (
         "450a14742d13ee5dca0f8bd770ead3c9e266dec5fbd651aa881f344d9c617316",
-        "87d8322712b5a16f00681f1d373160a8855a2d9e7a51ffffbf48ea90a89496b3",
+        "55e662187b55523447dfd2c97ba6574159c2f60347a7a328300762f1771b84dd",
     ),
     "c45_classifier": (
         "1f3eb215a65460e640f5e11d7e0f4d72f7501785bd442043718ecc794d984674",
-        "07b51b175b14fe1da347429bf149954300bad6ffded6e9b9b7d1726313104e73",
+        "f086f02d0962da456802bb6e9b60c45c7ab811a3f6d1535a706f024b96fd86d0",
     ),
     "token_bucket": (
         "62f4cd215d9419e2c1baa946e44f2e7a4ee8aea842085b376891017142855e4e",
-        "69177dfb7e3b2c731ae98338cc10771a103983bb4626df360efa1902f592535f",
+        "bc91783a72521b3c07b246836223ca468f75f9cae57c54c1ac25bc2b8ba6da8a",
     ),
     "mac_learning": (
         "9691ee6f5c9566ac2beba27805d8318d7c89300c82be7b208a88489e70260150",
-        "923a594454d235ecedbe1dc40aca809ad6a4a981986581b86db28954922e2c05",
+        "01be0305793e613a5cff31c35a56c431de6ba67222b793336d1514a14dcc8c31",
     ),
 }
 

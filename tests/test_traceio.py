@@ -12,11 +12,11 @@ from helpers import reference_read_trace
 COLUMNS = ("in_port", "pkt_len", "ip_src", "sport", "tcp_flags", "raw")
 
 
-def outcome(reader, path, mode):
+def outcome(reader, path):
     """(rows read, error type, error message) of one pass of ``reader``."""
     rows = []
     try:
-        for row in reader(path, mode):
+        for row in reader(path):
             rows.append(row)
     except (TraceFormatError, NonMonotoneTimestampError) as exc:
         return rows, type(exc), str(exc)
@@ -38,11 +38,8 @@ cell = st.one_of(valid, valid, valid, valid, st.just(""), odd)
 
 @st.composite
 def traces(draw):
-    """(text, mode): a header with ts, then full, short, long and blank rows."""
-    mode = draw(st.sampled_from(["csv", "raw"]))
+    """A header with ts, then full, short, long and blank rows."""
     header = ["ts"] + draw(st.lists(st.sampled_from(COLUMNS), max_size=4))
-    if mode == "raw" and draw(st.integers(0, 4)):
-        header.append("raw")
     draw(st.randoms()).shuffle(header)
     lines = [",".join(header)]
     ts = 0
@@ -56,10 +53,8 @@ def traces(draw):
         cells = [draw(cell) for _ in range(width[kind])]
         if "ts" in header[: len(cells)] and draw(st.integers(0, 4)):
             cells[header.index("ts")] = draw(spellings(max(ts, 0)))
-        if "raw" in header[: len(cells)] and draw(st.integers(0, 4)):
-            cells[header.index("raw")] = draw(st.binary(max_size=6)).hex()
         lines.append(",".join(cells))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), mode
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
 @settings(
@@ -67,17 +62,16 @@ def traces(draw):
 )
 @given(trace=traces())
 def test_reader_equals_reference(tmp_path, trace):
-    text, mode = trace
     path = tmp_path / "trace.csv"
-    path.write_text(text)
-    assert outcome(read_trace, path, mode) == outcome(reference_read_trace, path, mode)
+    path.write_text(trace)
+    assert outcome(read_trace, path) == outcome(reference_read_trace, path)
 
 
-def read_error(tmp_path, text, mode="csv"):
+def read_error(tmp_path, text):
     path = tmp_path / "trace.csv"
     path.write_text(text)
-    expected = outcome(reference_read_trace, path, mode)
-    got = outcome(read_trace, path, mode)
+    expected = outcome(reference_read_trace, path)
+    got = outcome(read_trace, path)
     assert got == expected
     return path, got[1], got[2]
 
@@ -116,24 +110,14 @@ def test_bad_integer_names_row_and_column(tmp_path):
     )
 
 
-def test_raw_mode_with_bad_hex(tmp_path):
-    path, kind, message = read_error(tmp_path, "ts,in_port,raw\n1,1,00ff\n2,1,0g\n", "raw")
-    assert (kind, message) == (TraceFormatError, f"{path}:3: raw column is not hex")
-
-
-def test_raw_mode_needs_a_raw_column(tmp_path):
-    path, kind, message = read_error(tmp_path, "ts,in_port\n1,1\n", "raw")
-    assert (kind, message) == (TraceFormatError, f"{path}: raw mode needs a 'raw' column")
-
-
-def test_rows_are_ints_and_frame_bytes(tmp_path):
+def test_rows_are_ints_and_a_raw_column_is_ordinary(tmp_path):
     path = tmp_path / "trace.csv"
-    path.write_text("ts,in_port,raw\n0x10,2,00ff\n17,,\n18,3,7\n")
-    with pytest.raises(TraceFormatError):
-        list(read_trace(path, "raw"))
     path.write_text("ts,in_port,raw\n0x10,2,00ff\n17,,\n18\n19,1,,9\n")
-    assert list(read_trace(path, "raw")) == [
-        {"ts": 16, "in_port": 2, "raw": b"\x00\xff"},
+    with pytest.raises(TraceFormatError, match=":2 column 'raw': '00ff' is not an integer"):
+        list(read_trace(path))
+    path.write_text("ts,in_port,raw\n0x10,2,0xff\n17,,\n18\n19,1,,9\n")
+    assert list(read_trace(path)) == [
+        {"ts": 16, "in_port": 2, "raw": 255},
         {"ts": 17},
         {"ts": 18},
         {"ts": 19, "in_port": 1},
