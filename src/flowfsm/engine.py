@@ -11,6 +11,18 @@ few rows left for its (state, bits) pair. Housekeeping of the context
 table fires whenever the packet clock crosses a management-period
 boundary, before the packet is processed.
 
+The engine compiles its program once, when it is built, into one
+generated function installed as its ``process_packet``. The step packs the
+flow keys with constant shifts and masks, evaluates the comparators as one
+bit-vector expression, and runs each row's ALU tuple as straight-line code
+that reads every operand before it writes any, so the tuple still commits
+in parallel. Scratch aliases, the management period, the hazard window and
+whether the key scopes agree are settled at build time; the statistics
+instructions and division call :mod:`flowfsm.alu`. The source holds only
+integers and fixed names: labels, action text and the program name reach
+it as values. :func:`conditions.evaluate_compiled` and
+:func:`alu.execute_plan` stay as the reference interpreters.
+
 Sequential semantics are strict by default: the verdict of packet i sees
 every update of packets before i, including back-to-back packets of the
 same flow. An opt-in hazard window of W packets delays update visibility
@@ -22,13 +34,13 @@ the first to see it. It is off for all normal runs.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .alu import AluRuntime, Instruction, compile_plan, execute_plan
-from .conditions import evaluate_compiled
-from .extractor import KeyScope, PacketRecord
+from .alu import AluRuntime, Instruction, Opcode, _udiv, exec_avg, exec_ewma, exec_var
+from .extractor import FLOW_KEY_WIDTH, KeyScope, PacketRecord
 from .flow_context import FlowContextTable
 from .stats import RunStats
 
@@ -47,6 +59,31 @@ VERDICT_COLUMNS = (
 
 # condition bits as 8 binary digits, condition 0 rightmost
 _COND_TEXT = tuple(f"{bits:0{COND_BITS}b}" for bits in range(1 << COND_BITS))
+
+# comparator operators, indexed by conditions.CmpOp
+_CMP_OPS = (">", ">=", "==", "<=", "<")
+
+# the result of each one-line instruction over its first input {a} and its
+# second input or immediate {b}, as alu.exec_basic computes it; the
+# compiler folds the shift amounts, which are always immediates
+_ONE_LINE = {
+    Opcode.NOT: "~{a} & 0xFFFFFFFF",
+    Opcode.XOR: "{a} ^ {b}",
+    Opcode.AND: "{a} & {b}",
+    Opcode.OR: "{a} | {b}",
+    Opcode.ADD: "({a} + {b}) & 0xFFFFFFFF",
+    Opcode.SUB: "({a} - {b}) & 0xFFFFFFFF",
+    Opcode.MUL: "({a} * {b}) & 0xFFFFFFFF",
+    Opcode.DIV: "udiv({a}, {b}, rt)",
+    Opcode.ADDI: "({a} + {b}) & 0xFFFFFFFF",
+    Opcode.SUBI: "({a} - {b}) & 0xFFFFFFFF",
+    Opcode.MULI: "({a} * {b}) & 0xFFFFFFFF",
+    Opcode.DIVI: "udiv({a}, {b}, rt)",
+    Opcode.LSL: "({a} << ({b} % 32)) & 0xFFFFFFFF",
+    Opcode.LSR: "{a} >> ({b} % 32)",
+    Opcode.ROR: "(({a} >> ({b} % 32)) | ({a} << (32 - {b} % 32))) & 0xFFFFFFFF",
+}
+_STATS = {Opcode.AVG: "exec_avg", Opcode.VAR: "exec_var", Opcode.EWMA: "exec_ewma"}
 
 
 class EngineError(Exception):
@@ -177,7 +214,6 @@ class Engine:
         self.hazard_window = hazard_window
         self._pending: deque[tuple[int, int, int, list[int], list[int]]] = deque()
         self.alu = alu_runtime if alu_runtime is not None else AluRuntime()
-        self._seq = 0
         self._last_ts: Optional[int] = None
         # row indices in descending priority: the order a TCAM resolves them
         self._by_priority = sorted(
@@ -186,12 +222,18 @@ class Engine:
         # state -> 256 entries indexed by condition bits, built on the
         # state's first packet; see _dispatch_for
         self._dispatch: dict[int, list] = {}
-        # per-row constants kept out of the per-packet path:
-        # (action text, next state or None to stay, ALU plan)
-        self._row_consts = [
-            (format_action(row.action), row.next_state, compile_plan(row.instructions))
-            for row in self._rows
-        ]
+        # per-row constants kept out of the per-packet path: (action text,
+        # next state or None to stay, index of the row's ALU tuple in
+        # `plans`); rows with equal tuples share their generated code
+        plans: list[tuple[Instruction, ...]] = [()]
+        self._row_consts = []
+        for row in self._rows:
+            plan = tuple(i for i in row.instructions if i.opcode != Opcode.NOP)
+            if plan not in plans:
+                plans.append(plan)
+            self._row_consts.append(
+                (format_action(row.action), row.next_state, plans.index(plan))
+            )
         self._stats = RunStats(
             program=name,
             seed=seed,
@@ -201,6 +243,7 @@ class Engine:
         )
         # (pre-state code, row index) -> packets
         self._transition_counts: dict[tuple[int, int], int] = {}
+        self.process_packet = self._generate_step(plans)
 
     @property
     def stats(self) -> RunStats:
@@ -267,12 +310,31 @@ class Engine:
         entry = table[bits]
         return entry if entry.__class__ is int else _first_match(entry, h)
 
+    def _housekeep_until(self, ts: int) -> int:
+        """Run the housekeeping scans due by ``ts``; returns the next
+        management-period boundary. The first packet only starts the clock."""
+        period = self._period
+        boundary = self._next_boundary
+        if boundary is None:
+            boundary = (ts // period + 1) * period
+        context = self.context
+        while ts >= boundary:
+            if not context.occupancy:
+                # a scan of an empty table changes nothing, so the
+                # boundaries up to ts are skipped arithmetically
+                boundary = (ts // period + 1) * period
+                break
+            context.housekeep(boundary)
+            boundary += period
+        self._next_boundary = boundary
+        return boundary
+
     def _flush_pending(self, upto_seq: int) -> None:
         pending = self._pending
         while pending and pending[0][0] <= upto_seq:
             _, key, state, r, g = pending.popleft()
             self.context.write_back(key, state, r)
-            self.g = g
+            self.g[:] = g
 
     def flush(self) -> None:
         """Apply all delayed updates (hazard-window mode only)."""
@@ -280,85 +342,159 @@ class Engine:
 
     def process_packet(self, record: PacketRecord) -> tuple:
         """Run one packet through the stage; returns its verdict row, the
-        values of :data:`VERDICT_COLUMNS` in order."""
-        seq = self._seq
-        self._seq = seq + 1
-        ts = record.ts
-        context = self.context
-        hazard = self.hazard_window
+        values of :data:`VERDICT_COLUMNS` in order. Every engine shadows
+        this with the step :meth:`_generate_step` compiles for its program."""
+        raise NotImplementedError("engines run their generated step")
 
-        # housekeeping runs between packets, when the clock crosses a
-        # management-period boundary
-        period = self._period
-        if period:
-            if self._next_boundary is None:
-                self._next_boundary = (ts // period + 1) * period
-            while ts >= self._next_boundary:
-                if not context.occupancy:
-                    # a scan of an empty table changes nothing, so the
-                    # boundaries up to ts are skipped arithmetically
-                    self._next_boundary = (ts // period + 1) * period
-                    break
-                context.housekeep(self._next_boundary)
-                self._next_boundary += period
-        if hazard:
-            self._flush_pending(seq)
+    def _generate_step(
+        self, plans: Sequence[tuple[Instruction, ...]]
+    ) -> Callable[[PacketRecord], tuple]:
+        """Compile the program into its per-packet step.
 
-        h = record.h
-        lookup_key = self._lookup_scope.key(h)
-        ctx = context.lookup_context(lookup_key)
-        # read before the write-back below, which may update ctx in place
-        state = ctx.state
-        r = ctx.r
-        g = self.g
+        ``plans`` are the distinct ALU tuples, the empty one first; the
+        step branches on a row's index into them. It reads the lookup,
+        write-back and housekeeping methods off ``self.context`` on each
+        call, so a wrapper installed on the table after the build sees them.
+        """
         scratch = self._scratch
-        if scratch:
-            g_view = list(g)
-            for i, slot in enumerate(scratch):
-                g_view[slot] = r[4 + i]
-        else:
-            g_view = g
-        bits = evaluate_compiled(self._conds, r, g_view, h) if self._conds else 0
+        hazard = self.hazard_window
+        flow_regs = [f"r{i:d}" for i in range(self.context.num_registers)]
+        slots: set[int] = set()
 
-        row_idx = self.match_row(state, bits, h)
-        action_str, next_state, plan = self._row_consts[row_idx]
-        if next_state is None:
-            next_state = state
-        if plan:
-            r2, g2 = execute_plan(plan, r, g_view, h, self.alu)
-        else:
-            r2, g2 = list(r), g_view
-        if scratch:
-            for i, slot in enumerate(scratch):
-                r2[4 + i] = g2[slot]
-                g2[slot] = g[slot]  # the true global is untouched by scratch writes
+        def operand(bank: int, index: int) -> str:
+            if bank == 0:
+                return f"r{index:d}"
+            if bank == 1:
+                if index in scratch:
+                    return f"r{4 + scratch.index(index):d}"
+                return f"g[{index:d}]"
+            slots.add(index)
+            return f"h{index:d}"
 
-        update_key = lookup_key if self._same_scope else self._update_scope.key(h)
+        def selector(sel: int) -> str:
+            return operand(*divmod(sel, 4)) if sel < 8 else operand(2, sel - 8)
+
+        def key(scope: KeyScope) -> str:
+            terms, shift = [], FLOW_KEY_WIDTH
+            for slot, width in scope.parts:
+                shift -= width
+                terms.append(f"({operand(2, slot)} & {(1 << width) - 1:#x}) << {shift:d}")
+            return " | ".join(terms)
+
+        def update(plan: tuple[Instruction, ...]) -> list[str]:
+            """Lines that run one ALU tuple: every result lands in a
+            temporary before the new registers are assembled from them."""
+            lines, regs, globs = [], list(flow_regs), {}
+            for n, ins in enumerate(plan):
+                if ins.opcode in _STATS:
+                    args = ", ".join(selector(s) for s in ins.sel)
+                    outs = [f"t{n:d}_{k:d}" for k in range(len(ins.destinations()))]
+                    lines.append(f"{', '.join(outs)} = {_STATS[ins.opcode]}({args}, rt)")
+                else:
+                    if ins.imm is not None:
+                        b = f"{ins.imm:d}"
+                    else:
+                        b = selector(ins.sel[2]) if len(ins.sel) > 2 else ""
+                    expr = _ONE_LINE[ins.opcode].format(a=selector(ins.sel[1]), b=b)
+                    outs = [f"t{n:d}"]
+                    lines.append(f"{outs[0]} = {expr}")
+                for dest, value in zip(ins.destinations(), outs):
+                    bank, index = divmod(dest, 4)
+                    if bank == 1 and index in scratch:
+                        bank, index = 0, 4 + scratch.index(index)
+                    if bank == 0:
+                        regs[index] = value
+                    else:
+                        globs[index] = value
+            if hazard:
+                gn = (globs.get(k, f"g[{k:d}]") for k in range(len(self.g)))
+                lines.append(f"rn = [{', '.join(regs)}]")
+                lines.append(f"gn = [{', '.join(gn)}]")
+            else:
+                lines.append(f"rn = [{', '.join(regs)}]" if regs != flow_regs else "rn = r")
+                lines.extend(f"g[{k:d}] = {v}" for k, v in globs.items())
+            return lines
+
+        body = ["ts = record.ts", "pseq = seq", "seq = pseq + 1"]
+        if self._period:
+            body += ["if ts >= boundary:", "    boundary = housekeep_until(ts)"]
         if hazard:
-            # the next `hazard` packets still read the old context
-            self._pending.append((seq + hazard + 1, update_key, next_state, r2, list(g2)))
-        else:
-            context.write_back(update_key, next_state, r2)
-            self.g = g2
-
-        counts = self._transition_counts
-        tkey = (state, row_idx)
-        counts[tkey] = counts.get(tkey, 0) + 1
-
-        labels = self._labels
-        return (
-            seq, ts, action_str, labels[state], labels[next_state], row_idx,
-            _COND_TEXT[bits],
+            body.append("flush_pending(pseq)")
+        lookup_key = key(self._lookup_scope)
+        update_key = key(self._update_scope)
+        bits = " | ".join(
+            f"({operand(lb, li)} {_CMP_OPS[op]} {operand(rb, ri)}) << {i:d}"
+            for i, (op, lb, li, rb, ri) in enumerate(self._conds)
         )
+        blocks = [update(plan) for plan in plans]
+        body += ["h = record.h"] + [f"h{s:d} = h[{s:d}]" for s in sorted(slots)]
+        body += [
+            f"key = {lookup_key}",
+            "ctx = context.lookup_context(key)",
+            "state = ctx.state",
+            "r = ctx.r",
+            f"{', '.join(flow_regs)}, = r",
+            f"bits = {bits or '0'}",
+            "row_idx = match_row(state, bits, h)",
+            "action, nxt, plan = row_consts[row_idx]",
+            "if nxt is None:",
+            "    nxt = state",
+        ]
+        for i, lines in enumerate(blocks):
+            body.append(f"{'elif' if i else 'if'} plan == {i:d}:")
+            body += ["    " + line for line in lines]
+        ukey = "key" if self._same_scope else update_key
+        if hazard:
+            body.append(f"pending.append((pseq + {hazard + 1:d}, {ukey}, nxt, rn, gn))")
+        else:
+            body.append(f"context.write_back({ukey}, nxt, rn)")
+        body += [
+            "tkey = (state, row_idx)",
+            "counts[tkey] = counts.get(tkey, 0) + 1",
+            "return (pseq, ts, action, labels[state], labels[nxt], row_idx,"
+            " cond_text[bits])",
+        ]
+        source = "\n".join(
+            [
+                "def make(boundary):",
+                "    seq = 0",
+                "    def process_packet(record):",
+                "        nonlocal seq, boundary",
+                *("        " + line for line in body),
+                "    return process_packet",
+                "",
+            ]
+        )
+        namespace = {
+            "context": self.context,
+            "g": self.g,
+            "rt": self.alu,
+            "labels": self._labels,
+            "counts": self._transition_counts,
+            "row_consts": self._row_consts,
+            "cond_text": _COND_TEXT,
+            "match_row": self.match_row,
+            "housekeep_until": self._housekeep_until,
+            "flush_pending": self._flush_pending,
+            "pending": self._pending,
+            "udiv": _udiv,
+            "exec_avg": exec_avg,
+            "exec_var": exec_var,
+            "exec_ewma": exec_ewma,
+        }
+        exec(compile(source, "<flowfsm step>", "exec"), namespace)
+        self.step_source = source  # for inspection and tests
+        return namespace["make"](-math.inf)
 
     def run_trace(self, records: Iterable[PacketRecord]) -> Iterator[tuple]:
         """Process a packet stream, enforcing the time-order contract."""
+        step = self.process_packet
         for record in records:
             if self._last_ts is not None and record.ts < self._last_ts:
                 raise NonMonotoneTimestampError(
                     f"timestamp {record.ts} after {self._last_ts}"
                 )
             self._last_ts = record.ts
-            yield self.process_packet(record)
+            yield step(record)
         if self.hazard_window:
             self.flush()

@@ -33,6 +33,9 @@ TIMESTAMP_UNITS = {
 
 STAY = "_stay"
 
+# libyaml's parser where PyYAML was built with it; same documents, ~9x faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 FIELD_MASK = 0xFFFFFFFF
 
 TOP_LEVEL_KEYS = (
@@ -394,7 +397,7 @@ def _match(
 def loads(text: str, source: str = "<string>") -> ProgramConfig:
     """Parse and validate a program document from a string."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ProgramParseError(f"{source}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -914,7 +917,7 @@ def make_binder(
         h = [0] * slots
         try:
             for slot, column, width in column_binds:
-                value = int(row[column])
+                value = row[column]
                 if value >> width:  # negative, or wider than the field
                     raise BindError(
                         f"trace row {seq}: column {column!r} value {value} "
@@ -923,7 +926,7 @@ def make_binder(
                 h[slot] = value
         except KeyError:
             raise BindError(f"trace row {seq}: missing column {column!r}") from None
-        return PacketRecord(h, int(row["ts"]))  # ts presence checked at ingestion
+        return PacketRecord(h, row["ts"])  # ts presence checked at ingestion
 
     return bind
 

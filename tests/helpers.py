@@ -1,7 +1,9 @@
 """Shared test utilities: reference models and config helpers.
 
 The reference models here are deliberately simple re-implementations used
-as oracles; they must not call into the package's table or ALU code.
+as oracles; they must not call into the package's table or ALU code. The
+one exception is ``ReferenceStep``: it checks the engine's generated step
+against the package's own interpreters, which are tested on their own.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import dataclasses
 import yaml
 
 from flowfsm import programs
-from flowfsm.engine import NonMonotoneTimestampError
+from flowfsm.alu import compile_plan, execute_plan
+from flowfsm.conditions import evaluate_compiled
+from flowfsm.engine import COND_BITS, NonMonotoneTimestampError, format_action
 from flowfsm.harness.traceio import TraceFormatError
 
 
@@ -57,6 +61,78 @@ def reference_read_trace(path):
                 raise NonMonotoneTimestampError(f"{where}: timestamp {ts} after {last_ts}")
             last_ts = ts
             yield out
+
+
+class ReferenceStep:
+    """The per-packet step of an engine, interpreted: the oracle for the
+    step the engine generates from its program.
+
+    It runs on the engine's own context table, globals, ALU counters and
+    transition counts, with ``evaluate_compiled`` for the conditions,
+    ``Engine.match_row`` for the transition and ``execute_plan`` for the
+    register update, and it keeps its own packet and housekeeping clocks.
+    """
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.seq = 0
+        self.next_boundary = None
+        self.rows = [
+            (format_action(row.action), row.next_state, compile_plan(row.instructions))
+            for row in engine._rows
+        ]
+
+    def process_packet(self, record):
+        engine = self.engine
+        context = engine.context
+        seq = self.seq
+        self.seq = seq + 1
+        ts = record.ts
+        period = engine._period
+        if period:
+            if self.next_boundary is None:
+                self.next_boundary = (ts // period + 1) * period
+            while ts >= self.next_boundary:
+                if not context.occupancy:
+                    self.next_boundary = (ts // period + 1) * period
+                    break
+                context.housekeep(self.next_boundary)
+                self.next_boundary += period
+        hazard = engine.hazard_window
+        if hazard:
+            engine._flush_pending(seq)
+
+        h = record.h
+        lookup_key = engine._lookup_scope.key(h)
+        ctx = context.lookup_context(lookup_key)
+        state, r, g = ctx.state, list(ctx.r), engine.g
+        # scratch i is flow register 4+i, addressed as global scratch[i]
+        g_view = list(g)
+        for i, slot in enumerate(engine._scratch):
+            g_view[slot] = r[4 + i]
+        bits = evaluate_compiled(engine._conds, r, g_view, h)
+        row_idx = engine.match_row(state, bits, h)
+        action, next_state, plan = self.rows[row_idx]
+        if next_state is None:
+            next_state = state
+        r2, g2 = execute_plan(plan, r, g_view, h, engine.alu)
+        for i, slot in enumerate(engine._scratch):
+            r2[4 + i] = g2[slot]
+            g2[slot] = g[slot]
+
+        update_key = engine._update_scope.key(h)
+        if hazard:
+            engine._pending.append((seq + hazard + 1, update_key, next_state, r2, g2))
+        else:
+            context.write_back(update_key, next_state, r2)
+            g[:] = g2
+        counts = engine._transition_counts
+        counts[state, row_idx] = counts.get((state, row_idx), 0) + 1
+        labels = engine._labels
+        return (
+            seq, ts, action, labels[state], labels[next_state], row_idx,
+            f"{bits:0{COND_BITS}b}",
+        )
 
 
 class RefContextModel:

@@ -4,12 +4,20 @@
 context-table methods and two module globals by name, and reports zero
 for any name it no longer finds. A rename in the package would therefore
 read as a layer that costs nothing; these tests fail instead.
+
+The two module globals, ``evaluate_compiled`` and ``execute_plan`` on
+``flowfsm.engine``, are the exception: the engine runs a step generated
+from the program, which evaluates the conditions and the ALU tuples
+inline, so the benchmark's ``conditions.*`` and ``alu.*`` rows read 0 and
+that time is part of ``engine.self_us``. The interpreters stay in
+``conditions`` and ``alu`` as the reference.
 """
 
 import random
 
 import pytest
 
+from flowfsm import alu, conditions
 from flowfsm import engine as engine_mod
 from flowfsm import programs
 from flowfsm.engine import Engine
@@ -31,8 +39,8 @@ CALLED = [
     (FlowContextTable, "write_back"),
     (FlowContextTable, "housekeep"),
     (FlowContextTable, "get"),
-    (engine_mod, "evaluate_compiled"),
-    (engine_mod, "execute_plan"),
+    (conditions, "evaluate_compiled"),
+    (alu, "execute_plan"),
     (gen, "poisson_flows"),
     (gen, "classifier_grid"),
     (oracles, "running_var"),
@@ -56,9 +64,9 @@ def test_built_engine_has_what_the_benchmark_reads():
 
 
 def test_wrapped_names_are_called_during_a_run(monkeypatch):
-    """Every name the benchmark wraps is reached by a replay, so that its
-    wrapper counts calls: the engine and table methods on the instances,
-    the condition and ALU entry points as module globals."""
+    """Every name the benchmark wraps on the engine and table instances is
+    reached by a replay, so that its wrapper counts calls. The condition
+    and ALU entry points it wraps on the engine module are gone from it."""
     config = programs.bundled_program("c45_classifier")
     engine = programs.build_engine(config, seed=1)
     bind = programs.make_binder(config)
@@ -76,8 +84,6 @@ def test_wrapped_names_are_called_during_a_run(monkeypatch):
     count(engine, "process_packet")
     for name in ("lookup_context", "write_back", "housekeep"):
         count(engine.context, name)
-    count(engine_mod, "evaluate_compiled")
-    count(engine_mod, "execute_plan")
     # six repeats span more than one 60 s management period
     rows = gen.classifier_grid({"repeats": 6}, random.Random(1))
     records = (bind(row, i) for i, row in enumerate(rows))
@@ -85,8 +91,9 @@ def test_wrapped_names_are_called_during_a_run(monkeypatch):
     assert calls["process_packet"] == calls["lookup_context"] == packets > 0
     assert calls["write_back"] == packets
     assert calls["housekeep"] > 0
-    assert calls["evaluate_compiled"] == packets
-    assert calls["execute_plan"] > 0
+    assert not any(
+        hasattr(engine_mod, name) for name in ("evaluate_compiled", "execute_plan")
+    )
 
 
 def test_three_row_replay_in_the_benchmark_call_shapes(tmp_path):

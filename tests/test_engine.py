@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from flowfsm import engine as engine_mod
 from flowfsm import programs
 from flowfsm.engine import VERDICT_COLUMNS
 from flowfsm.extractor import KeyScope
@@ -111,19 +110,20 @@ def test_dispatch_equals_a_linear_scan(name):
 
 
 @pytest.mark.parametrize("window", [0, 1, 2, 3])
-def test_hazard_window_delays_update_visibility(window, monkeypatch):
+def test_hazard_window_delays_update_visibility(window):
     config = programs.bundled_program("long_flow")
     engine = programs.build_engine(config, hazard_window=window)
     bind = programs.make_binder(config)
-    # the R0 each packet read: every long_flow row runs an ALU plan
+    # the R0 of the context each packet looked up
     seen = []
-    execute_plan = engine_mod.execute_plan
+    lookup = engine.context.lookup_context
 
-    def recorded(plan, r, g, h, rt):
-        seen.append(r[0])
-        return execute_plan(plan, r, g, h, rt)
+    def recorded(key):
+        ctx = lookup(key)
+        seen.append(ctx.r[0])
+        return ctx
 
-    monkeypatch.setattr(engine_mod, "execute_plan", recorded)
+    engine.context.lookup_context = recorded
     rows = [{"ts": t, "ip_src": 1, "ip_dst": 2} for t in range(12)]
     assert len(run_rows(engine, bind, rows)) == len(seen)
     # every packet adds one to the R0 it read: packet k reads the result of

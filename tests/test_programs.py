@@ -6,7 +6,7 @@ import yaml
 from flowfsm import programs
 from flowfsm.engine import VERDICT_COLUMNS, Action, ActionKind
 from flowfsm.extractor import KeyScope
-from flowfsm.programs import BindError, ProgramValidationError
+from flowfsm.programs import BindError, ProgramParseError, ProgramValidationError
 
 from helpers import (
     DELETE,
@@ -34,6 +34,31 @@ def test_serialize_round_trip(name):
     text = programs.serialize(config)
     assert programs.loads(text) == config
     assert programs.serialize(programs.loads(text)) == text
+
+
+# the pure-Python parser, and libyaml's where PyYAML has it
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+@pytest.mark.parametrize("name", programs.BUNDLED + ("synthetic",))
+def test_every_yaml_loader_builds_the_same_program(name, monkeypatch):
+    if name == "synthetic":
+        text = SYNTHETIC_PROGRAM
+    else:
+        text = programs.bundled_path(name).read_text()
+    loaded = []
+    for loader in LOADERS:
+        monkeypatch.setattr(programs, "_YAML_LOADER", loader)
+        loaded.append(programs.loads(text))
+    assert all(config == program_config(name) for config in loaded)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_malformed_yaml_is_a_parse_error_naming_the_source(loader, monkeypatch):
+    monkeypatch.setattr(programs, "_YAML_LOADER", loader)
+    for text in ("name: [unclosed", "rows: {a: 1\n  b: 2", "a: b: c"):
+        with pytest.raises(ProgramParseError, match="^broken.yaml: "):
+            programs.loads(text, source="broken.yaml")
 
 
 def test_synthetic_program_covers_the_unbundled_schema():

@@ -1,0 +1,156 @@
+"""The step an engine generates from its program, against the interpreted
+reference step in ``helpers``: same verdict rows, same stored contexts,
+globals, ALU counters and transition counts, packet by packet."""
+
+import random
+
+import pytest
+
+from flowfsm import programs
+from flowfsm.alu import Opcode
+from flowfsm.extractor import PacketRecord
+
+from helpers import ReferenceStep, program_config
+
+# Every opcode, shift amounts of 32 and more, a division by a zero
+# immediate, G destinations, statistics instructions on G and on the
+# scratch register R4, and an update scope that differs from the lookup
+# scope. States S0..S6 have one row each, so a random state picks the
+# tuple; the rows of S7 depend on the condition bits and a match field.
+EVERY_OPCODE = """
+name: every_opcode
+timestamp_unit: ticks
+ports: 4
+fields:
+  - {name: a, slot: 0, width: 32, source: a}
+  - {name: b, slot: 1, width: 32, source: b}
+  - {name: c, slot: 2, width: 32, source: c}
+  - {name: d, slot: 3, width: 16, source: d}
+  - {name: ts, slot: 6, width: 32, source: ts}
+lookup_scope: [a, d]
+update_scope: [b]
+states: {S0: 0, S1: 1, S2: 2, S3: 3, S4: 4, S5: 5, S6: 6, S7: 7}
+globals: {G1: 5, G2: 7}
+flow_scratch: {R4: G0}
+conditions:
+  - {name: C0, op: GT, lhs: R0, rhs: G1}
+  - {name: C1, op: GE, lhs: R4, rhs: a}
+  - {name: C2, op: EQ, lhs: b, rhs: c}
+  - {name: C3, op: LE, lhs: G3, rhs: R1}
+  - {name: C4, op: LT, lhs: R2, rhs: ts}
+  - {name: C5, op: GT, lhs: G2, rhs: R4}
+match_fields: [c]
+management_period: 50
+rows:
+  - {state: S0, priority: 20, next: S1, action: "fwd:1",
+     update: ["NOT R0 a", "XOR R1 R2 G1", "AND R2 R3 b", "OR R3 R0 G2", "ADD G1 R1 c"]}
+  - {state: S1, priority: 19, next: S2, action: drop,
+     update: ["SUB R0 R1 a", "MUL R1 R2 G3", "DIV R2 R3 b", "ADDI R3 R0 7",
+              "SUBI G2 G1 9"]}
+  - {state: S2, priority: 18, next: S3, action: "fwd:2",
+     update: ["MULI R0 a 3", "DIVI R1 R2 0", "LSL R2 R1 33", "LSR R3 R0 40",
+              "ROR G1 R2 35"]}
+  - {state: S3, priority: 17, next: S4, action: flood,
+     update: ["AVG R0 R1 a", "VAR R2 R3 R4 b"]}
+  - {state: S4, priority: 16, next: S5, action: "dscp:10:fwd:3",
+     update: ["EWMA R0 R1 ts b", "DIVI R2 c 5", "ROR R3 d 0", "DIV G3 a R4",
+              "LSL G2 R4 1"]}
+  - {state: S5, priority: 15, next: _stay, action: "fwd:4",
+     update: ["NOP", "ADDI R4 R4 1", "EWMA G1 G2 ts R0"]}
+  - {state: S6, priority: 14, next: S0, action: none, update: ["AVG G1 G3 R4"]}
+  - {state: S7, cond: {C0: 1, C2: 0}, priority: 13, next: S0, action: "fwd:1",
+     update: ["NOP"]}
+  - {state: S7, match: {c: "0x1/0x1"}, priority: 12, next: S6, action: drop}
+  - {priority: 0, next: _stay, action: none}
+"""
+
+NAMES = programs.BUNDLED + ("synthetic", "every_opcode")
+
+# register and header values around the edges of the ALU's arithmetic
+EDGES = (0, 1, 2, 3, 4, 5, 9, 32, 0xFFFF, 0x10000, 0x7FFFFFFF, 0xFFFFFFFF)
+
+
+def config_of(name):
+    if name == "every_opcode":
+        return programs.loads(EVERY_OPCODE)
+    return program_config(name)
+
+
+def word(rng):
+    return rng.choice(EDGES) if rng.random() < 0.4 else rng.getrandbits(32)
+
+
+def observed(engine):
+    """What a packet may change: the stored contexts, the globals, the ALU
+    counters and the transition counts."""
+    contexts = {k: (c.state, list(c.r)) for k, c in engine.context._contexts.items()}
+    return (
+        contexts,
+        list(engine.g),
+        engine.alu.div_zero,
+        engine.alu.time_violations,
+        dict(engine._transition_counts),
+    )
+
+
+def test_every_opcode_program_uses_every_opcode():
+    rows = programs.compile_rows(config_of("every_opcode"))
+    assert {ins.opcode for row in rows for ins in row.instructions} == set(Opcode)
+
+
+@pytest.mark.parametrize("hazard", [0, 2])
+@pytest.mark.parametrize("hw16_div", [False, True])
+@pytest.mark.parametrize("name", NAMES)
+def test_generated_step_equals_the_interpreter(name, hw16_div, hazard):
+    config = config_of(name)
+    rng = random.Random(f"{name}-{hw16_div}-{hazard}")
+    engine, reference = (
+        programs.build_engine(config, seed=3, hazard_window=hazard, hw16_div=hw16_div)
+        for _ in range(2)
+    )
+    interpreted = ReferenceStep(reference)
+    codes = sorted(set(config.states.values()))
+    nregs = engine.context.num_registers
+    scope = engine._lookup_scope
+    flows = [[word(rng) for _ in range(8)] for _ in range(4)]
+    ts = rng.randrange(100)
+    for _ in range(300):
+        h = [word(rng) for _ in range(8)]
+        for slot, _ in scope.parts:
+            h[slot] = rng.choice(flows)[slot]
+        # the same random context for this packet's flow, and the same
+        # random globals, on both engines
+        if rng.random() < 0.5:
+            state = rng.choice(codes)
+            regs = [word(rng) for _ in range(nregs)]
+            for e in (engine, reference):
+                e.context.write_back(scope.key(h), state, regs)
+        if rng.random() < 0.2:
+            g = [word(rng) for _ in range(4)]
+            for e in (engine, reference):
+                e.g[:] = g
+        ts += rng.choice((0, 1, 7, 30, 61, 400))
+        verdict = engine.process_packet(PacketRecord(list(h), ts))
+        assert verdict == interpreted.process_packet(PacketRecord(list(h), ts))
+        assert observed(engine) == observed(reference)
+    engine.flush()
+    reference.flush()
+    assert observed(engine) == observed(reference)
+    assert engine.stats.to_dict() == reference.stats.to_dict()
+    if name == "every_opcode":
+        # the random inputs reach the edge cases the program was written for
+        assert engine.alu.div_zero > 0 and engine.alu.time_violations > 0
+        taken = {row for _, row in engine._transition_counts}
+        assert taken == set(range(len(programs.compile_rows(config))))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_generated_source_holds_no_program_text(name):
+    """Labels, action text and the program name reach the step as values:
+    the source is made of fixed names and integers only."""
+    config = config_of(name)
+    for hazard in (0, 1):
+        source = programs.build_engine(config, hazard_window=hazard).step_source
+        for text in (config.name, *config.states):
+            assert text not in source.replace("process_packet", "")
+        assert '"' not in source and "'" not in source
