@@ -8,7 +8,7 @@ files; see the bundled ones under ``flowfsm/data``.
 """
 
 from .alu import AluRuntime, Instruction, Opcode, decode, encode, execute_tuple
-from .conditions import CmpOp, ConditionSpec, Operand, evaluate
+from .conditions import CmpOp, ConditionSpec, evaluate
 from .engine import Action, ActionKind, Engine, XfsmRow
 from .extractor import KeyScope, PacketRecord
 from .flow_context import Activity, FlowContext, FlowContextTable
@@ -38,7 +38,6 @@ __all__ = [
     "Instruction",
     "KeyScope",
     "Opcode",
-    "Operand",
     "PacketRecord",
     "ProgramConfig",
     "RunStats",

@@ -24,7 +24,9 @@ Instruction encoding (32 bits, declared normative for this artifact):
     bits 15..0   immediate    (immediate forms only; exclusive with C/D)
 
 Selector encoding: R0..R3 = 0..3, G0..G3 = 4..7, H0..H7 = 8..15. Output
-and in/out selectors must address R or G; header slots are read-only.
+and in/out selectors must address R or G; header slots are read-only. The
+comparison block (:mod:`flowfsm.conditions`) names its operands with the
+same selectors.
 """
 
 from __future__ import annotations
@@ -119,6 +121,17 @@ def parse_selector(token: str) -> int:
         if idx < limit:
             return base + idx
     raise ValueError(f"unknown register selector {token!r}")
+
+
+def read_selector(
+    sel: int, r: Sequence[int], g: Sequence[int], h: Sequence[int]
+) -> int:
+    """Value of the register or header slot that selector ``sel`` names."""
+    if sel < SEL_G_BASE:
+        return r[sel - SEL_R_BASE]
+    if sel < SEL_H_BASE:
+        return g[sel - SEL_G_BASE]
+    return h[sel - SEL_H_BASE]
 
 
 @dataclass(frozen=True)
@@ -338,61 +351,7 @@ def exec_ewma(
     return in1 & WORD, (decayed + in2) & WORD
 
 
-Plan = tuple[tuple[int, tuple[int, ...], Optional[int]], ...]
-
-
-def compile_plan(instrs: Sequence[Instruction]) -> Plan:
-    """Strip a tuple down to (opcode int, selectors, imm) for execution."""
-    return tuple((int(ins.opcode), ins.sel, ins.imm) for ins in instrs)
-
-
-def execute_plan(
-    plan: Plan,
-    r: Sequence[int],
-    g: Sequence[int],
-    h: Sequence[int],
-    rt: AluRuntime = _DEFAULT_RT,
-) -> tuple[list[int], list[int]]:
-    """Run a compiled tuple against a snapshot; returns (r', g').
-
-    Every instruction reads the same pre-tuple snapshot and all writes
-    commit together, so the result is independent of instruction order
-    (tuples never write one destination twice).
-    """
-    writes: list[tuple[int, int]] = []
-    for op, sel, imm in plan:
-        if op == 0x00:  # NOP
-            continue
-        if op >= 0x30:  # statistics family, all operands are selectors
-            vals = [
-                r[s] if s < 4 else (g[s - 4] if s < 8 else h[s - 8]) for s in sel
-            ]
-            if op == 0x30:
-                out = exec_avg(vals[0], vals[1], vals[2], rt)
-            elif op == 0x31:
-                out = exec_var(vals[0], vals[1], vals[2], vals[3], rt)
-            else:
-                out = exec_ewma(vals[0], vals[1], vals[2], vals[3], rt)
-            writes.extend(zip(sel, out))
-        else:
-            s = sel[1]
-            in1 = r[s] if s < 4 else (g[s - 4] if s < 8 else h[s - 8])
-            if imm is not None:
-                operand = imm
-            elif len(sel) > 2:
-                s = sel[2]
-                operand = r[s] if s < 4 else (g[s - 4] if s < 8 else h[s - 8])
-            else:
-                operand = 0  # NOT ignores the second input
-            writes.append((sel[0], exec_basic(op, in1, operand, rt)))
-    r2 = list(r)
-    g2 = list(g)
-    for dest, value in writes:
-        if dest < SEL_G_BASE:
-            r2[dest] = value
-        else:
-            g2[dest - SEL_G_BASE] = value
-    return r2, g2
+_STATS_EXEC = {Opcode.AVG: exec_avg, Opcode.VAR: exec_var, Opcode.EWMA: exec_ewma}
 
 
 def execute_tuple(
@@ -402,5 +361,31 @@ def execute_tuple(
     h: Sequence[int],
     rt: AluRuntime = _DEFAULT_RT,
 ) -> tuple[list[int], list[int]]:
-    """Run a validated instruction tuple (see :func:`execute_plan`)."""
-    return execute_plan(compile_plan(instrs), r, g, h, rt)
+    """Run a validated tuple against a snapshot; returns (r', g').
+
+    Every instruction reads the same pre-tuple snapshot and all writes
+    commit together, so the result is independent of instruction order
+    (tuples never write one destination twice).
+    """
+    writes: list[tuple[int, int]] = []
+    for ins in instrs:
+        op, sel = ins.opcode, ins.sel
+        if op == Opcode.NOP:
+            continue
+        vals = [read_selector(s, r, g, h) for s in sel]
+        if op in _STATS_EXEC:  # every operand is a selector
+            writes.extend(zip(sel, _STATS_EXEC[op](*vals, rt)))
+        else:
+            if ins.imm is not None:
+                operand = ins.imm
+            else:
+                operand = vals[2] if len(sel) > 2 else 0  # NOT has no second input
+            writes.append((sel[0], exec_basic(op, vals[1], operand, rt)))
+    r2 = list(r)
+    g2 = list(g)
+    for dest, value in writes:
+        if dest < SEL_G_BASE:
+            r2[dest] = value
+        else:
+            g2[dest - SEL_G_BASE] = value
+    return r2, g2

@@ -1,26 +1,25 @@
 """Programmable comparison block.
 
 Up to eight comparators each evaluate one arithmetic comparison between
-two operands drawn from the per-flow registers (R0..R3), the global
-registers (G0..G3) and the header slots (H0..H7). The outcomes pack into
-an 8-bit vector, bit i for comparator i; unconfigured slots read as 0.
-All comparisons are unsigned 32-bit: programs that need signed deltas must
+two operands of the register file the update unit reads: the per-flow
+registers (R0..R3), the global registers (G0..G3) and the header slots
+(H0..H7), named by the update unit's 4-bit selectors
+(:func:`flowfsm.alu.parse_selector`). The outcomes pack into an 8-bit
+vector, bit i for comparator i; unconfigured slots read as 0. All
+comparisons are unsigned 32-bit: programs that need signed deltas must
 encode them.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
+
+from .alu import read_selector
 
 NUM_CONDITIONS = 8
-
-BANK_FLOW = 0
-BANK_GLOBAL = 1
-BANK_HEADER = 2
-
-_BANK_PREFIX = {"R": (BANK_FLOW, 4), "G": (BANK_GLOBAL, 4), "H": (BANK_HEADER, 8)}
 
 
 class CmpOp(enum.IntEnum):
@@ -31,73 +30,17 @@ class CmpOp(enum.IntEnum):
     LT = 4
 
 
-class Operand(NamedTuple):
-    bank: int
-    index: int
-
-
-def parse_operand(token: str) -> Operand:
-    """Parse R0..R3 / G0..G3 / H0..H7 into an operand selector."""
-    token = token.strip().upper()
-    if len(token) >= 2 and token[0] in _BANK_PREFIX and token[1:].isdigit():
-        bank, limit = _BANK_PREFIX[token[0]]
-        idx = int(token[1:])
-        if idx < limit:
-            return Operand(bank, idx)
-    raise ValueError(f"unknown operand {token!r}")
-
-
-def format_operand(op: Operand) -> str:
-    return "RGH"[op.bank] + str(op.index)
+# comparison of each CmpOp, indexed by its value
+_COMPARE = (operator.gt, operator.ge, operator.eq, operator.le, operator.lt)
 
 
 @dataclass(frozen=True)
 class ConditionSpec:
-    """One configured comparator: lhs <op> rhs."""
+    """One configured comparator: lhs <op> rhs, operands as selectors."""
 
     op: CmpOp
-    lhs: Operand
-    rhs: Operand
-
-
-def compile_specs(
-    specs: Sequence[ConditionSpec],
-) -> tuple[tuple[int, int, int, int, int], ...]:
-    """Flatten specs for the per-packet evaluation loop."""
-    if len(specs) > NUM_CONDITIONS:
-        raise ValueError(f"at most {NUM_CONDITIONS} conditions")
-    return tuple(
-        (int(s.op), s.lhs.bank, s.lhs.index, s.rhs.bank, s.rhs.index) for s in specs
-    )
-
-
-def evaluate_compiled(
-    compiled: Sequence[tuple[int, int, int, int, int]],
-    r: Sequence[int],
-    g: Sequence[int],
-    h: Sequence[int],
-) -> int:
-    """Condition bit vector (bit i = comparator i) for one packet."""
-    banks = (r, g, h)
-    bits = 0
-    bit = 1
-    for op, lb, li, rb, ri in compiled:
-        a = banks[lb][li]
-        b = banks[rb][ri]
-        if op == 0:
-            ok = a > b
-        elif op == 1:
-            ok = a >= b
-        elif op == 2:
-            ok = a == b
-        elif op == 3:
-            ok = a <= b
-        else:
-            ok = a < b
-        if ok:
-            bits |= bit
-        bit <<= 1
-    return bits
+    lhs: int
+    rhs: int
 
 
 def evaluate(
@@ -106,8 +49,14 @@ def evaluate(
     g: Sequence[int],
     h: Sequence[int],
 ) -> int:
-    """Evaluate uncompiled specs (convenience for tests and tools)."""
-    return evaluate_compiled(compile_specs(specs), r, g, h)
+    """Condition bit vector (bit i = comparator i) for one packet."""
+    bits = 0
+    for i, spec in enumerate(specs):
+        a = read_selector(spec.lhs, r, g, h)
+        b = read_selector(spec.rhs, r, g, h)
+        if _COMPARE[spec.op](a, b):
+            bits |= 1 << i
+    return bits
 
 
 def unpack_bits(bits: int) -> tuple[bool, ...]:

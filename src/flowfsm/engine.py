@@ -20,8 +20,9 @@ in parallel. Scratch aliases, the management period, the hazard window and
 whether the key scopes agree are settled at build time; the statistics
 instructions and division call :mod:`flowfsm.alu`. The source holds only
 integers and fixed names: labels, action text and the program name reach
-it as values. :func:`conditions.evaluate_compiled` and
-:func:`alu.execute_plan` stay as the reference interpreters.
+it as values. :func:`conditions.evaluate` and :func:`alu.execute_tuple`
+interpret the same primitives from their descriptions and serve as the
+reference for the generated step.
 
 Sequential semantics are strict by default: the verdict of packet i sees
 every update of packets before i, including back-to-back packets of the
@@ -39,12 +40,21 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .alu import AluRuntime, Instruction, Opcode, _udiv, exec_avg, exec_ewma, exec_var
+from .alu import (
+    SEL_G_BASE,
+    SEL_H_BASE,
+    AluRuntime,
+    Instruction,
+    Opcode,
+    _udiv,
+    exec_avg,
+    exec_ewma,
+    exec_var,
+)
+from .conditions import NUM_CONDITIONS, ConditionSpec
 from .extractor import FLOW_KEY_WIDTH, KeyScope, PacketRecord
 from .flow_context import FlowContextTable
 from .stats import RunStats
-
-COND_BITS = 8
 
 # one verdict row per packet, as process_packet returns it
 VERDICT_COLUMNS = (
@@ -58,7 +68,9 @@ VERDICT_COLUMNS = (
 )
 
 # condition bits as 8 binary digits, condition 0 rightmost
-_COND_TEXT = tuple(f"{bits:0{COND_BITS}b}" for bits in range(1 << COND_BITS))
+_COND_TEXT = tuple(
+    f"{bits:0{NUM_CONDITIONS}b}" for bits in range(1 << NUM_CONDITIONS)
+)
 
 # comparator operators, indexed by conditions.CmpOp
 _CMP_OPS = (">", ">=", "==", "<=", "<")
@@ -184,7 +196,7 @@ class Engine:
         state_labels: Mapping[int, str],
         lookup_scope: KeyScope,
         update_scope: KeyScope,
-        compiled_conditions: Sequence[tuple[int, int, int, int, int]],
+        conditions: Sequence[ConditionSpec],
         rows: Sequence[XfsmRow],
         match_slots: Sequence[int],
         context: FlowContextTable,
@@ -200,7 +212,7 @@ class Engine:
         self._lookup_scope = lookup_scope
         self._update_scope = update_scope
         self._same_scope = lookup_scope == update_scope
-        self._conds = tuple(compiled_conditions)
+        self._conds = tuple(conditions)
         self._rows = list(rows)
         self._match_slots = tuple(match_slots)
         self.context = context
@@ -287,7 +299,7 @@ class Engine:
                 )
                 live.append((idx, cv & cm, cm, patterns))
         table: list = []
-        for bits in range(1 << COND_BITS):
+        for bits in range(1 << NUM_CONDITIONS):
             candidates = []
             for idx, cv, cm, patterns in live:
                 if bits & cm == cv:
@@ -361,24 +373,23 @@ class Engine:
         flow_regs = [f"r{i:d}" for i in range(self.context.num_registers)]
         slots: set[int] = set()
 
-        def operand(bank: int, index: int) -> str:
-            if bank == 0:
-                return f"r{index:d}"
-            if bank == 1:
+        def selector(sel: int) -> str:
+            if sel < SEL_G_BASE:
+                return f"r{sel:d}"
+            if sel < SEL_H_BASE:
+                index = sel - SEL_G_BASE
                 if index in scratch:
                     return f"r{4 + scratch.index(index):d}"
                 return f"g[{index:d}]"
-            slots.add(index)
-            return f"h{index:d}"
-
-        def selector(sel: int) -> str:
-            return operand(*divmod(sel, 4)) if sel < 8 else operand(2, sel - 8)
+            slots.add(sel - SEL_H_BASE)
+            return f"h{sel - SEL_H_BASE:d}"
 
         def key(scope: KeyScope) -> str:
             terms, shift = [], FLOW_KEY_WIDTH
             for slot, width in scope.parts:
                 shift -= width
-                terms.append(f"({operand(2, slot)} & {(1 << width) - 1:#x}) << {shift:d}")
+                mask = (1 << width) - 1
+                terms.append(f"({selector(SEL_H_BASE + slot)} & {mask:#x}) << {shift:d}")
             return " | ".join(terms)
 
         def update(plan: tuple[Instruction, ...]) -> list[str]:
@@ -423,8 +434,8 @@ class Engine:
         lookup_key = key(self._lookup_scope)
         update_key = key(self._update_scope)
         bits = " | ".join(
-            f"({operand(lb, li)} {_CMP_OPS[op]} {operand(rb, ri)}) << {i:d}"
-            for i, (op, lb, li, rb, ri) in enumerate(self._conds)
+            f"({selector(c.lhs)} {_CMP_OPS[c.op]} {selector(c.rhs)}) << {i:d}"
+            for i, c in enumerate(self._conds)
         )
         blocks = [update(plan) for plan in plans]
         body += ["h = record.h"] + [f"h{s:d} = h[{s:d}]" for s in sorted(slots)]

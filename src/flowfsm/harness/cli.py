@@ -18,7 +18,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .. import programs
+from .. import alu, programs
 from ..engine import NonMonotoneTimestampError
 from . import gen, traceio
 
@@ -131,7 +131,7 @@ def _cmd_gen_trace(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     config = programs.load(args.program)
-    threshold = config.globals_init[0]
+    threshold, _, sample, _ = config.globals_init
     rates = [int(r) for r in args.rates.split(",") if r.strip()]
     print(f"program {config.name}: threshold G0={threshold}, decay 1/2 per tick")
     for rate in rates:
@@ -146,9 +146,8 @@ def _cmd_calibrate(args) -> int:
                 peak = max(peak, acc)
                 if acc >= threshold and trip is None:
                     trip = (syn, t)
-                decayed = acc >> (t - last) if t - last < 32 else 0
-                acc = decayed + 1
-                last = t
+                # the program's "EWMA R2 R0 ts G2"
+                last, acc = alu.exec_ewma(last, acc, t, sample)
         if trip:
             print(f"rate={rate}/s: trips at SYN #{trip[0]} (t={trip[1]}s)")
         else:

@@ -109,9 +109,10 @@ def true_mean(values: Sequence[int]) -> Fraction:
 def classify(config, mean: int, var: int, total_bytes: int) -> str:
     """Walk a program's decision-tree data over measured flow features.
 
-    Conditions are re-evaluated from their specs: flow-register operands
-    map onto the features (R1 mean, R2 variance, R3 total bytes), global
-    operands onto the configured thresholds.
+    Conditions are re-evaluated from their specs, whose operands are
+    selectors (R0..R3 = 0..3, G0..G3 = 4..7, H0..H7 = 8..15): flow
+    registers map onto the features (R1 mean, R2 variance, R3 total bytes),
+    global registers onto the configured thresholds.
     """
     tree = config.classifier_tree
     if tree is None:
@@ -119,13 +120,13 @@ def classify(config, mean: int, var: int, total_bytes: int) -> str:
     features = {1: mean, 2: var, 3: total_bytes}
     specs = dict(config.conditions)
 
-    def operand_value(op) -> int:
-        if op.bank == 0:  # flow register
-            if op.index not in features:
-                raise ValueError(f"R{op.index} is not a classifier feature")
-            return features[op.index]
-        if op.bank == 1:  # global register
-            return config.globals_init[op.index]
+    def operand_value(sel: int) -> int:
+        if sel < 4:  # flow register
+            if sel not in features:
+                raise ValueError(f"R{sel} is not a classifier feature")
+            return features[sel]
+        if sel < 8:  # global register
+            return config.globals_init[sel - 4]
         raise ValueError("header operands have no value at decision time")
 
     def test(name: str) -> bool:

@@ -40,36 +40,23 @@ class TraceFormatError(Exception):
     """The trace file cannot be interpreted."""
 
 
-def _parse_cells(
-    names: list[str], row: list[str], where: str
-) -> dict[str, int]:
-    """One row cell by cell: empty, missing and extra cells are skipped, and
-    the first bad cell is reported at ``where``."""
-    cells: dict[str, Optional[str]] = dict(zip(names, row))
-    for key in names[len(row) :]:
-        cells[key] = None
-    out: dict[str, int] = {}
-    for key, value in cells.items():
-        if not value:
-            continue
+def _first_bad_cell(names: list[str], row: list[str]) -> str:
+    for key, value in zip(names, row):
         try:
-            out[key] = int(value, 0)
+            int(value, 0)
         except ValueError:
-            raise TraceFormatError(
-                f"{where} column {key!r}: {value!r} is not an integer"
-            ) from None
-    if "ts" not in out:
-        raise TraceFormatError(f"{where}: missing ts value")
-    return out
+            return f"column {key!r}: {value!r} is not an integer"
+    raise AssertionError("every cell of the row is an integer")
 
 
 def read_trace(path: Union[str, Path]) -> Iterator[dict[str, int]]:
     """Stream trace rows as dicts of ints.
 
-    Cells are read with ``int(x, 0)``. A row of integers as wide as the
-    header is converted in one step; any other row (empty, missing or
-    extra cells, a bad value) is parsed cell by cell. Rows are numbered
-    from 2, blank lines not counted.
+    Every row has one cell per header column, and every cell is an
+    integer read with ``int(x, 0)``. A row with fewer or more cells, or a
+    cell that is empty or not an integer, raises :class:`TraceFormatError`
+    naming the row, and the column for a cell. Rows are numbered from 2,
+    blank lines not counted.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -83,14 +70,16 @@ def read_trace(path: Union[str, Path]) -> Iterator[dict[str, int]]:
         bases = (0,) * len(names)
         last_ts: Optional[int] = None
         for lineno, row in enumerate(filter(None, reader), start=2):
-            out = None
-            if len(row) == width:
-                try:
-                    out = dict(zip(names, map(int, row, bases)))
-                except ValueError:
-                    pass
-            if out is None:
-                out = _parse_cells(names, row, f"{path}:{lineno}")
+            if len(row) != width:
+                raise TraceFormatError(
+                    f"{path}:{lineno}: {len(row)} cells, header has {width}"
+                )
+            try:
+                out = dict(zip(names, map(int, row, bases)))
+            except ValueError:
+                raise TraceFormatError(
+                    f"{path}:{lineno} {_first_bad_cell(names, row)}"
+                ) from None
             ts = out["ts"]
             if last_ts is not None and ts < last_ts:
                 raise NonMonotoneTimestampError(

@@ -561,8 +561,8 @@ def _build(doc: dict, source: str) -> ProgramConfig:
             problems.append(f"{where}: unknown comparison {op_txt!r}")
             op = conditions.CmpOp.EQ
         try:
-            lhs = conditions.parse_operand(resolve_token(str(item.get("lhs", ""))))
-            rhs = conditions.parse_operand(resolve_token(str(item.get("rhs", ""))))
+            lhs = alu.parse_selector(resolve_token(str(item.get("lhs", ""))))
+            rhs = alu.parse_selector(resolve_token(str(item.get("rhs", ""))))
         except ValueError as exc:
             problems.append(f"{where}: {exc}")
             continue
@@ -878,9 +878,7 @@ def build_engine(
         state_labels={code: label for label, code in config.states.items()},
         lookup_scope=lookup_scope,
         update_scope=_compiled_scope(config, config.update_scope),
-        compiled_conditions=conditions.compile_specs(
-            [spec for _, spec in config.conditions]
-        ),
+        conditions=[spec for _, spec in config.conditions],
         rows=compile_rows(config),
         match_slots=[config.field_by_name(n).slot for n in config.match_fields],
         context=context,
@@ -969,8 +967,8 @@ def serialize(config: ProgramConfig) -> str:
             {
                 "name": name,
                 "op": spec.op.name,
-                "lhs": conditions.format_operand(spec.lhs),
-                "rhs": conditions.format_operand(spec.rhs),
+                "lhs": alu.selector_name(spec.lhs),
+                "rhs": alu.selector_name(spec.rhs),
             }
             for name, spec in config.conditions
         ],

@@ -15,9 +15,9 @@ import dataclasses
 import yaml
 
 from flowfsm import programs
-from flowfsm.alu import compile_plan, execute_plan
-from flowfsm.conditions import evaluate_compiled
-from flowfsm.engine import COND_BITS, NonMonotoneTimestampError, format_action
+from flowfsm.alu import execute_tuple
+from flowfsm.conditions import NUM_CONDITIONS, evaluate
+from flowfsm.engine import NonMonotoneTimestampError, format_action
 from flowfsm.harness.traceio import TraceFormatError
 
 
@@ -32,35 +32,35 @@ def scan_lookup(entries, key):
 
 
 def reference_read_trace(path):
-    """Trace reader oracle: one ``csv.DictReader`` row at a time, every cell
-    parsed on its own. Empty, missing and extra cells are skipped; rows are
-    numbered from 2 without counting blank lines."""
+    """Trace reader oracle: one ``csv.reader`` row at a time, every cell
+    parsed on its own. A row must have one cell per header column and
+    every cell must be an integer; rows are numbered from 2 without
+    counting blank lines."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise TraceFormatError(f"{path}: empty trace")
-        if "ts" not in reader.fieldnames:
-            raise TraceFormatError(f"{path}: missing required column 'ts'")
-        last_ts = None
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            out = {}
-            for key, value in row.items():
-                if value is None or value == "" or key is None:
-                    continue
-                try:
-                    out[key] = int(value, 0)
-                except ValueError:
-                    raise TraceFormatError(
-                        f"{where} column {key!r}: {value!r} is not an integer"
-                    ) from None
-            if "ts" not in out:
-                raise TraceFormatError(f"{where}: missing ts value")
-            ts = out["ts"]
-            if last_ts is not None and ts < last_ts:
-                raise NonMonotoneTimestampError(f"{where}: timestamp {ts} after {last_ts}")
-            last_ts = ts
-            yield out
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise TraceFormatError(f"{path}: empty trace")
+    header = rows[0]
+    if "ts" not in header:
+        raise TraceFormatError(f"{path}: missing required column 'ts'")
+    last_ts = None
+    for lineno, cells in enumerate([row for row in rows[1:] if row], start=2):
+        where = f"{path}:{lineno}"
+        if len(cells) != len(header):
+            raise TraceFormatError(f"{where}: {len(cells)} cells, header has {len(header)}")
+        out = {}
+        for key, value in zip(header, cells):
+            try:
+                out[key] = int(value, 0)
+            except ValueError:
+                raise TraceFormatError(
+                    f"{where} column {key!r}: {value!r} is not an integer"
+                ) from None
+        ts = out["ts"]
+        if last_ts is not None and ts < last_ts:
+            raise NonMonotoneTimestampError(f"{where}: timestamp {ts} after {last_ts}")
+        last_ts = ts
+        yield out
 
 
 class ReferenceStep:
@@ -68,9 +68,10 @@ class ReferenceStep:
     step the engine generates from its program.
 
     It runs on the engine's own context table, globals, ALU counters and
-    transition counts, with ``evaluate_compiled`` for the conditions,
-    ``Engine.match_row`` for the transition and ``execute_plan`` for the
-    register update, and it keeps its own packet and housekeeping clocks.
+    transition counts, with ``conditions.evaluate`` for the conditions,
+    ``Engine.match_row`` for the transition and ``alu.execute_tuple`` for
+    the register update, and it keeps its own packet and housekeeping
+    clocks.
     """
 
     def __init__(self, engine):
@@ -78,7 +79,7 @@ class ReferenceStep:
         self.seq = 0
         self.next_boundary = None
         self.rows = [
-            (format_action(row.action), row.next_state, compile_plan(row.instructions))
+            (format_action(row.action), row.next_state, row.instructions)
             for row in engine._rows
         ]
 
@@ -110,12 +111,12 @@ class ReferenceStep:
         g_view = list(g)
         for i, slot in enumerate(engine._scratch):
             g_view[slot] = r[4 + i]
-        bits = evaluate_compiled(engine._conds, r, g_view, h)
+        bits = evaluate(engine._conds, r, g_view, h)
         row_idx = engine.match_row(state, bits, h)
-        action, next_state, plan = self.rows[row_idx]
+        action, next_state, instructions = self.rows[row_idx]
         if next_state is None:
             next_state = state
-        r2, g2 = execute_plan(plan, r, g_view, h, engine.alu)
+        r2, g2 = execute_tuple(instructions, r, g_view, h, engine.alu)
         for i, slot in enumerate(engine._scratch):
             r2[4 + i] = g2[slot]
             g2[slot] = g[slot]
@@ -131,7 +132,7 @@ class ReferenceStep:
         labels = engine._labels
         return (
             seq, ts, action, labels[state], labels[next_state], row_idx,
-            f"{bits:0{COND_BITS}b}",
+            f"{bits:0{NUM_CONDITIONS}b}",
         )
 
 

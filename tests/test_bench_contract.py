@@ -5,19 +5,19 @@ context-table methods and two module globals by name, and reports zero
 for any name it no longer finds. A rename in the package would therefore
 read as a layer that costs nothing; these tests fail instead.
 
-The two module globals, ``evaluate_compiled`` and ``execute_plan`` on
-``flowfsm.engine``, are the exception: the engine runs a step generated
-from the program, which evaluates the conditions and the ALU tuples
-inline, so the benchmark's ``conditions.*`` and ``alu.*`` rows read 0 and
-that time is part of ``engine.self_us``. The interpreters stay in
-``conditions`` and ``alu`` as the reference.
+The two ``flowfsm.engine`` module globals it wraps for its
+``conditions.*`` and ``alu.*`` rows are the exception: the engine runs a
+step generated from the program, which evaluates the conditions and the
+ALU tuples inline, and the package no longer defines either name. Those
+rows therefore read 0, and that time is part of ``engine.self_us``;
+``test_wrapped_names_are_called_during_a_run`` asserts that the engine
+module has neither name, so the zeros stay declared.
 """
 
 import random
 
 import pytest
 
-from flowfsm import alu, conditions
 from flowfsm import engine as engine_mod
 from flowfsm import programs
 from flowfsm.engine import Engine
@@ -39,8 +39,6 @@ CALLED = [
     (FlowContextTable, "write_back"),
     (FlowContextTable, "housekeep"),
     (FlowContextTable, "get"),
-    (conditions, "evaluate_compiled"),
-    (alu, "execute_plan"),
     (gen, "poisson_flows"),
     (gen, "classifier_grid"),
     (oracles, "running_var"),

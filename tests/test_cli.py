@@ -42,6 +42,24 @@ def test_run_rejects_a_trace_without_a_bound_metadata_column(tmp_path, capsys):
     assert "trace row 0: missing column 'in_port'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ("1,2,0xb", ":3: 3 cells, header has 4"),
+        ("1,2,0xb,0xa,7", ":3: 5 cells, header has 4"),
+        ("1,,0xb,0xa", ":3 column 'in_port': '' is not an integer"),
+    ],
+    ids=["short", "long", "empty"],
+)
+def test_run_rejects_a_ragged_row_or_an_empty_cell(row, error, tmp_path, capsys):
+    trace = tmp_path / "mac.csv"
+    trace.write_text(f"ts,in_port,eth_src,eth_dst\n0,1,0xa,0xb\n{row}\n")
+    program = programs.bundled_path("mac_learning")
+    argv = ["run", "--program", str(program), "--trace", str(trace)]
+    assert cli.main(argv) == cli.EXIT_PARSE == 3
+    assert f"parse error: {trace}{error}" in capsys.readouterr().err
+
+
 def test_calibrate_portscan_tables_the_bundled_threshold(capsys):
     program = programs.bundled_path("port_scan")
     assert cli.main(["calibrate-portscan", "--program", str(program)]) == cli.EXIT_OK

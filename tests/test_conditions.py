@@ -2,21 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowfsm.conditions import (
-    CmpOp,
-    ConditionSpec,
-    Operand,
-    compile_specs,
-    evaluate,
-    evaluate_compiled,
-    format_operand,
-    parse_operand,
-    unpack_bits,
-)
+from flowfsm.alu import parse_selector, selector_name
+from flowfsm.conditions import CmpOp, ConditionSpec, evaluate, unpack_bits
 
 
 def spec(op, lhs, rhs):
-    return ConditionSpec(op, parse_operand(lhs), parse_operand(rhs))
+    return ConditionSpec(op, parse_selector(lhs), parse_selector(rhs))
 
 
 R = [0, 0, 0, 0]
@@ -58,19 +49,15 @@ def test_slot_order_is_bit_order():
     assert bits == 0b10
 
 
-def test_too_many_conditions_rejected():
-    with pytest.raises(ValueError):
-        compile_specs([spec(CmpOp.EQ, "R0", "R0")] * 9)
-
-
 def test_operand_parsing():
-    assert parse_operand("R3") == Operand(0, 3)
-    assert parse_operand("g2") == Operand(1, 2)
-    assert parse_operand("H7") == Operand(2, 7)
-    assert format_operand(Operand(2, 6)) == "H6"
+    # comparator operands use the update unit's selector encoding
+    assert parse_selector("R3") == 3
+    assert parse_selector("g2") == 6
+    assert parse_selector("H7") == 15
+    assert selector_name(14) == "H6"
     for bad in ("R4", "G9", "H8", "X0", "R", ""):
         with pytest.raises(ValueError):
-            parse_operand(bad)
+            parse_selector(bad)
 
 
 @settings(max_examples=300, deadline=None)
@@ -90,7 +77,7 @@ def test_comparison_trichotomy(a, b):
 
 
 def test_evaluation_pure():
-    specs = compile_specs([spec(CmpOp.GT, "H0", "G0")])
+    specs = [spec(CmpOp.GT, "H0", "G0")]
     h = [7] + [0] * 7
     g = [3, 0, 0, 0]
-    assert evaluate_compiled(specs, R, g, h) == evaluate_compiled(specs, R, g, h)
+    assert evaluate(specs, R, g, h) == evaluate(specs, R, g, h) == 0b1

@@ -6,8 +6,9 @@ JSON must equal the recorded values. Speed work must leave them as they
 are; a change that is meant to alter a program's output updates that
 program's digests and says why.
 
-token_bucket's digests pin the start-time wrap of ``SUB R0 ts G2`` on a
-trace that starts below (B-2)*Q ticks; fixing that changes them.
+token_bucket's trace starts below (B-2)*Q ticks, where its full-bucket
+anchor ``SUB R0 ts G2`` wraps; its digests pin the program's wrap guard,
+which forwards the 203 of 400 packets the counter oracle forwards.
 """
 
 import hashlib
@@ -65,8 +66,8 @@ DIGESTS = {
         "f086f02d0962da456802bb6e9b60c45c7ab811a3f6d1535a706f024b96fd86d0",
     ),
     "token_bucket": (
-        "62f4cd215d9419e2c1baa946e44f2e7a4ee8aea842085b376891017142855e4e",
-        "bc91783a72521b3c07b246836223ca468f75f9cae57c54c1ac25bc2b8ba6da8a",
+        "907b87c5ec9d2dd106a5f09ecf081e4c1f7d7e213092810f15825f4e4961e701",
+        "bd7723d474dc56cdbb385c513cefb87038b57da404c27b37f5c8fc67dcf07003",
     ),
     "mac_learning": (
         "9691ee6f5c9566ac2beba27805d8318d7c89300c82be7b208a88489e70260150",

@@ -1,4 +1,7 @@
-"""Trace reader: equal to the cell-by-cell reference, rows and errors alike."""
+"""Trace reader: equal to the cell-by-cell reference, rows and errors alike.
+
+A row has one integer cell per header column; a short or long row, or an
+empty or non-integer cell, is an error that names the row."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -89,7 +92,10 @@ def test_missing_ts_column(tmp_path):
 def test_missing_ts_value(tmp_path):
     path, kind, message = read_error(tmp_path, "ts,ip_src\n1,2\n\n,3\n")
     # the blank line is not counted: the row without ts is row 3
-    assert (kind, message) == (TraceFormatError, f"{path}:3: missing ts value")
+    assert (kind, message) == (
+        TraceFormatError,
+        f"{path}:3 column 'ts': '' is not an integer",
+    )
 
 
 def test_non_monotone_timestamp(tmp_path):
@@ -112,13 +118,19 @@ def test_bad_integer_names_row_and_column(tmp_path):
 
 def test_rows_are_ints_and_a_raw_column_is_ordinary(tmp_path):
     path = tmp_path / "trace.csv"
-    path.write_text("ts,in_port,raw\n0x10,2,00ff\n17,,\n18\n19,1,,9\n")
-    with pytest.raises(TraceFormatError, match=":2 column 'raw': '00ff' is not an integer"):
-        list(read_trace(path))
-    path.write_text("ts,in_port,raw\n0x10,2,0xff\n17,,\n18\n19,1,,9\n")
+    path.write_text("ts,in_port,raw\n0x10,2,0xff\n17,0,0\n")
     assert list(read_trace(path)) == [
         {"ts": 16, "in_port": 2, "raw": 255},
-        {"ts": 17},
-        {"ts": 18},
-        {"ts": 19, "in_port": 1},
+        {"ts": 17, "in_port": 0, "raw": 0},
     ]
+    # each bad row follows a good one, so it is row 3
+    for row, error in [
+        ("18,2,00ff", " column 'raw': '00ff' is not an integer"),
+        ("17,,", " column 'in_port': '' is not an integer"),
+        ("18", ": 1 cells, header has 3"),
+        ("19,1,0,9", ": 4 cells, header has 3"),
+    ]:
+        path.write_text(f"ts,in_port,raw\n0x10,2,0xff\n{row}\n")
+        with pytest.raises(TraceFormatError) as exc:
+            list(read_trace(path))
+        assert str(exc.value) == f"{path}:3{error}"
