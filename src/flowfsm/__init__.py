@@ -9,7 +9,7 @@ files; see the bundled ones under ``flowfsm/data``.
 
 from .alu import AluRuntime, Instruction, Opcode, decode, encode, execute_tuple
 from .conditions import CmpOp, ConditionSpec, evaluate
-from .engine import Action, ActionKind, Engine, XfsmRow
+from .engine import Action, ActionKind, Engine
 from .extractor import KeyScope, PacketRecord
 from .flow_context import Activity, FlowContext, FlowContextTable
 from .programs import (
@@ -41,7 +41,6 @@ __all__ = [
     "PacketRecord",
     "ProgramConfig",
     "RunStats",
-    "XfsmRow",
     "build_engine",
     "bundled_program",
     "decode",

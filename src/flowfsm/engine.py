@@ -11,18 +11,25 @@ few rows left for its (state, bits) pair. Housekeeping of the context
 table fires whenever the packet clock crosses a management-period
 boundary, before the packet is processed.
 
-The engine compiles its program once, when it is built, into one
-generated function installed as its ``process_packet``. The step packs the
-flow keys with constant shifts and masks, evaluates the comparators as one
+An engine is built from a validated :class:`~flowfsm.programs.ProgramConfig`
+in one compile stage, the only one between the program and the packets.
+It builds the flow context table with the program's fallbacks packed by
+the lookup scope, and the lookup and update key scopes. It resolves each
+transition row once into its match side (state code or any, condition
+value and mask, and (slot, value, mask) field patterns) and its constants
+(action text, next state, ALU tuple). From these it generates one
+function, installed as its ``process_packet``. The step packs the flow
+keys with constant shifts and masks, evaluates the comparators as one
 bit-vector expression, and runs each row's ALU tuple as straight-line code
 that reads every operand before it writes any, so the tuple still commits
 in parallel. Scratch aliases, the management period, the hazard window and
 whether the key scopes agree are settled at build time; the statistics
 instructions and division call :mod:`flowfsm.alu`. The source holds only
 integers and fixed names: labels, action text and the program name reach
-it as values. :func:`conditions.evaluate` and :func:`alu.execute_tuple`
-interpret the same primitives from their descriptions and serve as the
-reference for the generated step.
+it as values. The engine copies what it reads of the program, so engines
+built from one config share no state. :func:`conditions.evaluate` and
+:func:`alu.execute_tuple` interpret the same primitives from their
+descriptions and serve as the reference for the generated step.
 
 Sequential semantics are strict by default: the verdict of packet i sees
 every update of packets before i, including back-to-back packets of the
@@ -38,7 +45,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .alu import (
     SEL_G_BASE,
@@ -51,10 +58,13 @@ from .alu import (
     exec_ewma,
     exec_var,
 )
-from .conditions import NUM_CONDITIONS, ConditionSpec
-from .extractor import FLOW_KEY_WIDTH, KeyScope, PacketRecord
+from .conditions import NUM_CONDITIONS
+from .extractor import FLOW_KEY_WIDTH, NUM_HEADER_SLOTS, KeyScope, PacketRecord
 from .flow_context import FlowContextTable
 from .stats import RunStats
+
+if TYPE_CHECKING:  # programs imports this module
+    from .programs import ProgramConfig
 
 # one verdict row per packet, as process_packet returns it
 VERDICT_COLUMNS = (
@@ -150,31 +160,6 @@ def parse_action(text: str) -> Action:
     raise ValueError(f"unknown action {text!r}")
 
 
-@dataclass(frozen=True)
-class XfsmRow:
-    """One compiled transition.
-
-    The match side is a ternary pattern over the current state label, the
-    condition bit vector and the configured match fields. ``next_state``
-    of None means "stay in the current state" (used by catch-all rows).
-    """
-
-    state: tuple[int, int]  # (value, mask) over 16 bits
-    cond: tuple[int, int]  # (value, mask) over 8 bits
-    fields: tuple[tuple[int, int], ...]  # per match field, 32 bits each
-    priority: int
-    next_state: Optional[int]
-    action: Action
-    instructions: tuple[Instruction, ...]
-
-
-class _Labels(dict):
-    """State code -> label; codes without a label read as ``state_<code>``."""
-
-    def __missing__(self, code: int) -> str:
-        return f"state_{code}"
-
-
 def _first_match(candidates: tuple, h: Sequence[int]) -> int:
     """Index of the first row in ``candidates`` whose field patterns all
     match ``h``; the last candidate has none, so one always does."""
@@ -187,71 +172,100 @@ def _first_match(candidates: tuple, h: Sequence[int]) -> int:
 
 
 class Engine:
-    """One programmed packet-processing stage."""
+    """One programmed packet-processing stage, compiled from a validated
+    program."""
 
     def __init__(
         self,
+        config: ProgramConfig,
         *,
-        name: str,
-        state_labels: Mapping[int, str],
-        lookup_scope: KeyScope,
-        update_scope: KeyScope,
-        conditions: Sequence[ConditionSpec],
-        rows: Sequence[XfsmRow],
-        match_slots: Sequence[int],
-        context: FlowContextTable,
-        globals_init: Sequence[int],
-        management_period: int,
-        scratch_slots: Sequence[int] = (),
-        hazard_window: int = 0,
-        alu_runtime: Optional[AluRuntime] = None,
         seed: int = 0,
+        hazard_window: int = 0,
+        hw16_div: bool = False,
     ):
-        self.name = name
-        self._labels = _Labels(state_labels)
-        self._lookup_scope = lookup_scope
-        self._update_scope = update_scope
-        self._same_scope = lookup_scope == update_scope
-        self._conds = tuple(conditions)
-        self._rows = list(rows)
-        self._match_slots = tuple(match_slots)
-        self.context = context
-        self.g = list(globals_init)
-        self._period = management_period
+        self.name = config.name
+        states = config.states
+        self._labels = {code: label for label, code in states.items()}
+        fields = {f.name: f for f in config.fields}
+
+        def scope(names: Sequence[str]) -> KeyScope:
+            return KeyScope([(fields[n].slot, fields[n].width) for n in names])
+
+        self._lookup_scope = scope(config.lookup_scope)
+        self._update_scope = scope(config.update_scope)
+        self._same_scope = self._lookup_scope == self._update_scope
+        sizes = config.table_sizes
+        self.context = FlowContextTable(
+            subtables=sizes.context_subtables,
+            buckets=sizes.context_buckets,
+            bucket_depth=sizes.bucket_depth,
+            seed=seed,
+            num_registers=4 + len(config.flow_scratch),
+        )
+        for fb in config.context_fallback:
+            # the pattern as header slot values, packed by the lookup scope
+            value = [0] * NUM_HEADER_SLOTS
+            mask = [0] * NUM_HEADER_SLOTS
+            for name, (v, m) in fb.match:
+                slot = fields[name].slot
+                value[slot], mask[slot] = v, m
+            self.context.add_fallback(
+                self._lookup_scope.key(value),
+                self._lookup_scope.key(mask),
+                fb.priority,
+                states[fb.state],
+                fb.registers,
+            )
+        self._conds = tuple(spec for _, spec in config.conditions)
+        self.g = list(config.globals_init)
+        self._period = config.management_period
         self._next_boundary: Optional[int] = None
         # donated global slots backing extra per-flow scratch registers:
         # scratch i is stored as flow register 4+i but addressed through
-        # global selector scratch_slots[i]
-        self._scratch = tuple(scratch_slots)
+        # global selector scratch[i]
+        self._scratch = tuple(slot for _, slot in config.flow_scratch)
         self.hazard_window = hazard_window
         self._pending: deque[tuple[int, int, int, list[int], list[int]]] = deque()
-        self.alu = alu_runtime if alu_runtime is not None else AluRuntime()
+        self.alu = AluRuntime(hw16_div=hw16_div)
         self._last_ts: Optional[int] = None
-        # row indices in descending priority: the order a TCAM resolves them
-        self._by_priority = sorted(
-            range(len(self._rows)), key=lambda i: self._rows[i].priority, reverse=True
-        )
-        # state -> 256 entries indexed by condition bits, built on the
-        # state's first packet; see _dispatch_for
-        self._dispatch: dict[int, list] = {}
-        # per-row constants kept out of the per-packet path: (action text,
-        # next state or None to stay, index of the row's ALU tuple in
-        # `plans`); rows with equal tuples share their generated code
+        # each row resolved once. The match side goes to _by_priority as
+        # (priority, row index, state code or None for any, condition
+        # value, condition mask, (slot, value, mask) field patterns), in
+        # descending priority: the order a TCAM resolves them. The rest
+        # goes to _row_consts as (action text, next state or None to stay,
+        # index of the row's ALU tuple in `plans`), kept out of the
+        # per-packet path; rows with equal tuples share their generated code
+        cond_pos = {name: i for i, (name, _) in enumerate(config.conditions)}
         plans: list[tuple[Instruction, ...]] = [()]
+        matches = []
         self._row_consts = []
-        for row in self._rows:
+        self._row_actions = []
+        for idx, row in enumerate(config.transition_rows()):
+            cval = cmask = 0
+            for cname, bit in row.cond:
+                cmask |= 1 << cond_pos[cname]
+                cval |= bit << cond_pos[cname]
+            patterns = tuple(
+                (fields[name].slot, v & m, m) for name, (v, m) in row.match if m
+            )
+            state = None if row.state is None else states[row.state]
+            matches.append((row.priority, idx, state, cval, cmask, patterns))
             plan = tuple(i for i in row.instructions if i.opcode != Opcode.NOP)
             if plan not in plans:
                 plans.append(plan)
-            self._row_consts.append(
-                (format_action(row.action), row.next_state, plans.index(plan))
-            )
+            nxt = None if row.next_state is None else states[row.next_state]
+            self._row_consts.append((format_action(row.action), nxt, plans.index(plan)))
+            self._row_actions.append(row.action.kind.name.lower())
+        self._by_priority = sorted(matches, key=lambda m: m[0], reverse=True)
+        # state -> 256 entries indexed by condition bits, built on the
+        # state's first packet; see _dispatch_for
+        self._dispatch: dict[int, list] = {}
         self._stats = RunStats(
-            program=name,
+            program=self.name,
             seed=seed,
-            hash_seeds=context.seeds,
+            hash_seeds=self.context.seeds,
             hazard_window=hazard_window,
-            hw_faithful_div=self.alu.hw16_div,
+            hw_faithful_div=hw16_div,
         )
         # (pre-state code, row index) -> packets
         self._transition_counts: dict[tuple[int, int], int] = {}
@@ -272,7 +286,7 @@ class Engine:
         s.transitions = {}
         for (state, row_idx), n in self._transition_counts.items():
             s.packets += n
-            action = self._rows[row_idx].action.kind.name.lower()
+            action = self._row_actions[row_idx]
             s.actions[action] = s.actions.get(action, 0) + n
             key = f"{self._labels[state]}#{row_idx}"
             s.transitions[key] = s.transitions.get(key, 0) + n
@@ -287,17 +301,11 @@ class Engine:
         descending priority, ending with the first candidate that has no
         field pattern. Field patterns are (slot, value, mask) triples.
         """
-        live = []
-        for idx in self._by_priority:
-            row = self._rows[idx]
-            (sv, sm), (cv, cm) = row.state, row.cond
-            if state & sm == sv & sm:
-                patterns = tuple(
-                    (slot, fv & fm, fm)
-                    for slot, (fv, fm) in zip(self._match_slots, row.fields)
-                    if fm
-                )
-                live.append((idx, cv & cm, cm, patterns))
+        live = [
+            (idx, cv, cm, patterns)
+            for _, idx, st, cv, cm, patterns in self._by_priority
+            if st is None or st == state
+        ]
         table: list = []
         for bits in range(1 << NUM_CONDITIONS):
             candidates = []

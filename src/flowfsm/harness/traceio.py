@@ -52,8 +52,8 @@ def _first_bad_cell(names: list[str], row: list[str]) -> str:
 def read_trace(path: Union[str, Path]) -> Iterator[dict[str, int]]:
     """Stream trace rows as dicts of ints.
 
-    Every row has one cell per header column, and every cell is an
-    integer read with ``int(x, 0)``. A row with fewer or more cells, or a
+    The header names each column once. Every row has one cell per header
+    column, and every cell is an integer read with ``int(x, 0)``. A row with fewer or more cells, or a
     cell that is empty or not an integer, raises :class:`TraceFormatError`
     naming the row, and the column for a cell. Rows are numbered from 2,
     blank lines not counted.
@@ -64,6 +64,11 @@ def read_trace(path: Union[str, Path]) -> Iterator[dict[str, int]]:
         names = next(reader, None)
         if names is None:
             raise TraceFormatError(f"{path}: empty trace")
+        seen: set[str] = set()
+        for name in names:
+            if name in seen:
+                raise TraceFormatError(f"{path}: column {name!r} appears twice")
+            seen.add(name)
         if "ts" not in names:
             raise TraceFormatError(f"{path}: missing required column 'ts'")
         width = len(names)

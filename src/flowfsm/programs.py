@@ -20,9 +20,8 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import yaml
 
 from . import alu, conditions, extractor
-from .engine import Action, ActionKind, Engine, XfsmRow, format_action, parse_action
-from .extractor import KeyScope, PacketRecord
-from .flow_context import FlowContextTable
+from .engine import Action, ActionKind, Engine, format_action, parse_action
+from .extractor import PacketRecord
 
 TIMESTAMP_UNITS = {
     "seconds": 1,
@@ -214,6 +213,12 @@ class ProgramConfig:
     # extra per-flow scratch registers, each addressed through a donated
     # (otherwise unused) global selector slot: (alias name, G slot index)
     flow_scratch: tuple[tuple[str, int], ...] = ()
+
+    def transition_rows(self) -> tuple[RowDef, ...]:
+        """Explicit rows, then tree-expanded decision rows; the position is
+        the verdict's row id."""
+        tree = self.classifier_tree
+        return self.rows + (tree.rows() if tree is not None else ())
 
     def field_by_name(self, name: str) -> FieldDef:
         for f in self.fields:
@@ -800,95 +805,11 @@ def _parse_tree(
 
 
 # ---------------------------------------------------------------------------
-# compilation to engine structures
+# compilation
 
-
-def _compiled_scope(config: ProgramConfig, names: Sequence[str]) -> KeyScope:
-    return KeyScope(
-        [(config.field_by_name(n).slot, config.field_by_name(n).width) for n in names]
-    )
-
-
-def _compile_row(
-    config: ProgramConfig, cond_idx: Mapping[str, int], row: RowDef
-) -> XfsmRow:
-    if row.state is None:
-        state_pat = (0, 0)
-    else:
-        state_pat = (config.states[row.state], (1 << 16) - 1)
-    cval = cmask = 0
-    for cname, bit in row.cond:
-        pos = cond_idx[cname]
-        cmask |= 1 << pos
-        cval |= bit << pos
-    by_name = dict(row.match)
-    return XfsmRow(
-        state=state_pat,
-        cond=(cval, cmask),
-        fields=tuple(by_name.get(n, (0, 0)) for n in config.match_fields),
-        priority=row.priority,
-        next_state=None if row.next_state is None else config.states[row.next_state],
-        action=row.action,
-        instructions=row.instructions,
-    )
-
-
-def compile_rows(config: ProgramConfig) -> list[XfsmRow]:
-    """Explicit rows, then tree-expanded decision rows; the list position is
-    the verdict's row id."""
-    cond_idx = {name: i for i, (name, _) in enumerate(config.conditions)}
-    tree = config.classifier_tree
-    tree_rows = tree.rows() if tree is not None else ()
-    return [_compile_row(config, cond_idx, row) for row in (*config.rows, *tree_rows)]
-
-
-def build_engine(
-    config: ProgramConfig,
-    *,
-    seed: int = 0,
-    hazard_window: int = 0,
-    hw16_div: bool = False,
-) -> Engine:
-    """Instantiate a runnable engine from a validated program."""
-    sizes = config.table_sizes
-    context = FlowContextTable(
-        subtables=sizes.context_subtables,
-        buckets=sizes.context_buckets,
-        bucket_depth=sizes.bucket_depth,
-        seed=seed,
-        num_registers=4 + len(config.flow_scratch),
-    )
-    lookup_scope = _compiled_scope(config, config.lookup_scope)
-    for fb in config.context_fallback:
-        # the pattern as header slot values, packed by the lookup scope
-        value = [0] * extractor.NUM_HEADER_SLOTS
-        mask = [0] * extractor.NUM_HEADER_SLOTS
-        for name, (v, m) in fb.match:
-            slot = config.field_by_name(name).slot
-            value[slot], mask[slot] = v, m
-        context.add_fallback(
-            lookup_scope.key(value),
-            lookup_scope.key(mask),
-            fb.priority,
-            config.states[fb.state],
-            fb.registers,
-        )
-    return Engine(
-        name=config.name,
-        state_labels={code: label for label, code in config.states.items()},
-        lookup_scope=lookup_scope,
-        update_scope=_compiled_scope(config, config.update_scope),
-        conditions=[spec for _, spec in config.conditions],
-        rows=compile_rows(config),
-        match_slots=[config.field_by_name(n).slot for n in config.match_fields],
-        context=context,
-        globals_init=config.globals_init,
-        management_period=config.management_period,
-        scratch_slots=[slot for _, slot in config.flow_scratch],
-        hazard_window=hazard_window,
-        alu_runtime=alu.AluRuntime(hw16_div=hw16_div),
-        seed=seed,
-    )
+# the engine compiles a validated program once, when it is built
+build_engine = Engine
+compile_rows = ProgramConfig.transition_rows
 
 
 # ---------------------------------------------------------------------------

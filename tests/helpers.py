@@ -33,14 +33,17 @@ def scan_lookup(entries, key):
 
 def reference_read_trace(path):
     """Trace reader oracle: one ``csv.reader`` row at a time, every cell
-    parsed on its own. A row must have one cell per header column and
-    every cell must be an integer; rows are numbered from 2 without
-    counting blank lines."""
+    parsed on its own. The header must name each column once, a row must
+    have one cell per header column and every cell must be an integer;
+    rows are numbered from 2 without counting blank lines."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise TraceFormatError(f"{path}: empty trace")
     header = rows[0]
+    for i, name in enumerate(header):
+        if header.index(name) != i:
+            raise TraceFormatError(f"{path}: column {name!r} appears twice")
     if "ts" not in header:
         raise TraceFormatError(f"{path}: missing required column 'ts'")
     last_ts = None
@@ -70,17 +73,24 @@ class ReferenceStep:
     It runs on the engine's own context table, globals, ALU counters and
     transition counts, with ``conditions.evaluate`` for the conditions,
     ``Engine.match_row`` for the transition and ``alu.execute_tuple`` for
-    the register update, and it keeps its own packet and housekeeping
-    clocks.
+    the register update. It reads the rows' actions, next states and
+    tuples, and the state labels, from ``config``, the program the engine
+    was built from, and it keeps its own packet and housekeeping clocks.
     """
 
-    def __init__(self, engine):
+    def __init__(self, engine, config):
         self.engine = engine
         self.seq = 0
         self.next_boundary = None
+        states = config.states
+        self.labels = {code: label for label, code in states.items()}
         self.rows = [
-            (format_action(row.action), row.next_state, row.instructions)
-            for row in engine._rows
+            (
+                format_action(row.action),
+                None if row.next_state is None else states[row.next_state],
+                row.instructions,
+            )
+            for row in programs.compile_rows(config)
         ]
 
     def process_packet(self, record):
@@ -129,7 +139,7 @@ class ReferenceStep:
             g[:] = g2
         counts = engine._transition_counts
         counts[state, row_idx] = counts.get((state, row_idx), 0) + 1
-        labels = engine._labels
+        labels = self.labels
         return (
             seq, ts, action, labels[state], labels[next_state], row_idx,
             f"{bits:0{NUM_CONDITIONS}b}",

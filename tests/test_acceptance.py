@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowfsm import alu, programs
-from flowfsm.harness import gen, oracles
+from flowfsm.harness import gen, oracles, traceio
 
 from helpers import token_bucket_config, window_bound_holds
+from test_replay_digests import MAC_TRACE, TRACES, replay
 
 
 def assert_policer_equals_oracle(burst, q, arrivals):
@@ -80,6 +81,74 @@ def test_c3_classifier_equivalence():
         assert label == oracles.classify(config, mean, var, total), src
     tree_rows = range(len(config.rows), len(programs.compile_rows(config)))
     assert {row_id for _, row_id, _ in decided.values()} == set(tree_rows)
+
+
+def test_c8_long_flow_marking():
+    """In every flow of 100 seeded interleavings, packets 1-4 are counted
+    and forwarded unmarked, packet 5 is the first marked one and moves the
+    flow to LONG, and every later packet stays LONG and marked."""
+    config = programs.bundled_program("long_flow")
+    row_ids = [row.row_id for row in programs.compile_rows(config)]
+    expected = [("fwd:1", "DEFAULT", "DEFAULT", "count")] * 4 + [
+        ("dscp:10:fwd:1", "DEFAULT", "LONG", "crossed")
+    ]
+    for seed in range(100):
+        rng = random.Random(seed)
+        # flows that share an ip_src or an ip_dst are still distinct flows
+        keys = rng.sample([(s, d) for s in (1, 2, 3) for d in (7, 8)], rng.randint(2, 6))
+        lengths = {key: rng.randint(5, 9) for key in keys}
+        # a random merge of the flows, each keeping its own packet order
+        order = [key for key in keys for _ in range(lengths[key])]
+        rng.shuffle(order)
+        ts, rows = 0, []
+        for src, dst in order:
+            ts += rng.randrange(0, 20_000)  # the whole trace inside one second
+            rows.append({"ts": ts, "ip_src": src, "ip_dst": dst})
+        engine = programs.build_engine(config, seed=seed)
+        bind = programs.make_binder(config)
+        verdicts = engine.run_trace(bind(row, i) for i, row in enumerate(rows))
+        per_flow = {key: [] for key in keys}
+        for row, (_, _, action, pre, post, row_idx, _) in zip(rows, verdicts):
+            per_flow[row["ip_src"], row["ip_dst"]].append(
+                (action, pre, post, row_ids[row_idx])
+            )
+        for key, got in per_flow.items():
+            later = [("dscp:10:fwd:1", "LONG", "LONG", "long")] * (lengths[key] - 5)
+            assert got == expected + later, (seed, key)
+
+
+def golden_rows(name, tmp_path):
+    """The trace rows of the program's golden replay."""
+    if TRACES[name] is None:
+        path = tmp_path / "mac.csv"
+        path.write_text(MAC_TRACE)
+        return list(traceio.read_trace(path))
+    kind, params, seed = TRACES[name]
+    return gen.KINDS[kind](params, random.Random(seed))
+
+
+@pytest.mark.parametrize("name", programs.BUNDLED)
+def test_c9_replay_determinism(name, tmp_path):
+    """Two seeded runs of ``flowfsm run`` write byte-identical verdict and
+    stats files, and two engines built from one config object and stepped
+    packet by packet in turn give the verdicts of one engine run alone:
+    no state is shared through the config."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    assert replay(name, first, run_seed=7) == replay(name, second, run_seed=7)
+
+    config = programs.bundled_program(name)
+    bind = programs.make_binder(config)
+    records = [bind(row, i) for i, row in enumerate(golden_rows(name, tmp_path))]
+    alone = programs.build_engine(config, seed=7)
+    expected = list(alone.run_trace(records))
+    a, b = (programs.build_engine(config, seed=7) for _ in range(2))
+    # zip takes one verdict from a, then one from b, packet by packet
+    for va, vb, want in zip(a.run_trace(records), b.run_trace(records), expected):
+        assert va == vb == want
+    assert a.stats.to_dict() == b.stats.to_dict() == alone.stats.to_dict()
+    assert a.stats.packets == len(records) > 0
 
 
 @settings(max_examples=200, deadline=None)

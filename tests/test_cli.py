@@ -60,6 +60,17 @@ def test_run_rejects_a_ragged_row_or_an_empty_cell(row, error, tmp_path, capsys)
     assert f"parse error: {trace}{error}" in capsys.readouterr().err
 
 
+def test_run_rejects_a_trace_that_names_a_column_twice(tmp_path, capsys):
+    trace = tmp_path / "mac.csv"
+    trace.write_text("ts,in_port,eth_src,eth_dst,in_port\n0,1,0xa,0xb,2\n")
+    program = programs.bundled_path("mac_learning")
+    argv = ["run", "--program", str(program), "--trace", str(trace)]
+    assert cli.main(argv) == cli.EXIT_PARSE
+    assert f"parse error: {trace}: column 'in_port' appears twice" in (
+        capsys.readouterr().err
+    )
+
+
 def test_calibrate_portscan_tables_the_bundled_threshold(capsys):
     program = programs.bundled_path("port_scan")
     assert cli.main(["calibrate-portscan", "--program", str(program)]) == cli.EXIT_OK

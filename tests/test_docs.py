@@ -1,8 +1,12 @@
-"""docs/SCHEMA.md lists every key ``flowfsm run --stats`` writes."""
+"""docs/SCHEMA.md lists every key ``flowfsm run --stats`` writes, every
+top-level program key the loader accepts, and every table size with its
+default, each in the order the code has it."""
 
+import dataclasses
 import re
 from pathlib import Path
 
+from flowfsm import programs
 from flowfsm.stats import RunStats
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "SCHEMA.md"
@@ -18,14 +22,28 @@ def dotted_keys(doc, prefix=""):
             yield prefix + key
 
 
-def documented_stats_keys():
-    """First-column keys of the table in the "Stats document" section."""
-    section = SCHEMA.read_text().split("\n## Stats document\n", 1)[1]
-    section = section.split("\n## ", 1)[0]
-    return re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE)
+def section(title):
+    """The text of one "## " section of the schema document."""
+    return SCHEMA.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def table_keys(title):
+    """First-column keys of the table in one section."""
+    return re.findall(r"^\| `([^`]+)` \|", section(title), re.MULTILINE)
 
 
 def test_every_stats_key_is_documented_in_order():
     keys = list(dotted_keys(RunStats(throughput_pps=1.0).to_dict(True)))
     assert "context_table.evictions" in keys and "throughput_pps" in keys
-    assert documented_stats_keys() == keys
+    assert table_keys("Stats document") == keys
+
+
+def test_every_top_level_key_is_documented_in_order():
+    assert table_keys("Top-level keys") == list(programs.TOP_LEVEL_KEYS)
+
+
+def test_every_table_size_is_documented_with_its_default():
+    block = section("`table_sizes`").split("```yaml\n", 1)[1].split("```", 1)[0]
+    documented = re.findall(r"^  (\w+): (\d+)", block, re.MULTILINE)
+    defaults = dataclasses.asdict(programs.TableSizes())
+    assert [(key, int(value)) for key, value in documented] == list(defaults.items())

@@ -58,14 +58,25 @@ def test_long_time_gap_costs_a_bounded_number_of_scans():
     assert engine.context.evictions == 1
 
 
-def packed_rows(rows):
+def packed_rows(config, rows):
     """The rows as (value, mask, priority, row index) over the packed key:
-    16-bit state, 8 condition bits, then one 32-bit word per match field."""
+    16-bit state, 8 condition bits (condition i at bit i), then one 32-bit
+    word per match field."""
+    cond_pos = {name: i for i, (name, _) in enumerate(config.conditions)}
     entries = []
     for idx, row in enumerate(rows):
-        value = row.state[0] << 8 | row.cond[0]
-        mask = row.state[1] << 8 | row.cond[1]
-        for fv, fm in row.fields:
+        if row.state is None:
+            value = mask = 0
+        else:
+            value, mask = config.states[row.state], 0xFFFF
+        cval = cmask = 0
+        for name, bit in row.cond:
+            cval |= bit << cond_pos[name]
+            cmask |= 1 << cond_pos[name]
+        value, mask = value << 8 | cval, mask << 8 | cmask
+        match = dict(row.match)
+        for name in config.match_fields:
+            fv, fm = match.get(name, (0, 0))
             value, mask = value << 32 | fv, mask << 32 | fm
         entries.append((value, mask, row.priority, idx))
     return entries
@@ -75,11 +86,11 @@ def field_vectors(config, rows, rng):
     """Header vectors whose match fields take each row's pattern value, its
     neighbours under the mask, and random values of the field's width."""
     per_field = []
-    for n, name in enumerate(config.match_fields):
+    for name in config.match_fields:
         full = (1 << config.field_by_name(name).width) - 1
         values = {rng.randrange(full + 1) for _ in range(3)}
         for row in rows:
-            fv, fm = row.fields[n]
+            fv, fm = dict(row.match).get(name, (0, 0))
             values |= {fv, fv ^ (full & ~fm), (fv ^ 1) & full}
         per_field.append(sorted(values))
     slots = [config.field_by_name(name).slot for name in config.match_fields]
@@ -95,7 +106,7 @@ def test_dispatch_equals_a_linear_scan(name):
     config = program_config(name)
     engine = programs.build_engine(config)
     rows = programs.compile_rows(config)
-    entries = packed_rows(rows)
+    entries = packed_rows(config, rows)
     vectors = list(field_vectors(config, rows, random.Random(name)))
     slots = [config.field_by_name(n).slot for n in config.match_fields]
     for state in config.states.values():

@@ -75,18 +75,18 @@ def test_synthetic_program_covers_the_unbundled_schema():
 def test_classifier_tree_expands_after_the_explicit_rows():
     config = programs.bundled_program("c45_classifier")
     rows = programs.compile_rows(config)
+    assert rows[: len(config.rows)] == config.rows
     tree_rows = rows[len(config.rows) :]
-    web, p2p = config.states["WEB"], config.states["P2P"]
     # leftmost (all-true) path first; C0 is the gate, C1..C3 the tree
     assert [(r.priority, r.next_state, r.cond) for r in tree_rows] == [
-        (40, web, (0b0011, 0b0011)),
-        (41, p2p, (0b1101, 0b1111)),
-        (42, web, (0b0101, 0b1111)),
-        (43, p2p, (0b0001, 0b0111)),
+        (40, "WEB", (("C0", 1), ("C1", 1))),
+        (41, "P2P", (("C0", 1), ("C1", 0), ("C2", 1), ("C3", 1))),
+        (42, "WEB", (("C0", 1), ("C1", 0), ("C2", 1), ("C3", 0))),
+        (43, "P2P", (("C0", 1), ("C1", 0), ("C2", 0))),
     ]
-    assert all(r.state == (config.states["MEASURE"], 0xFFFF) for r in tree_rows)
+    assert all(r.state == "MEASURE" for r in tree_rows)
     assert tree_rows[0].action == Action(ActionKind.SET_DSCP, port=1, dscp=10)
-    assert all(r.instructions == () and r.fields == () for r in tree_rows)
+    assert all(r.instructions == () and r.match == () for r in tree_rows)
 
 
 def test_fallback_key_follows_the_lookup_scope_layout():

@@ -80,7 +80,9 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def replay(name, tmp_path):
+def replay(name, tmp_path, run_seed=0):
+    """(verdict CSV, stats JSON) SHA-256 of ``flowfsm run --seed run_seed``
+    on the program's trace."""
     trace = tmp_path / "trace.csv"
     if TRACES[name] is None:
         trace.write_text(MAC_TRACE)
@@ -92,7 +94,8 @@ def replay(name, tmp_path):
         assert cli.main(argv) == cli.EXIT_OK
     out, stats = tmp_path / "verdicts.csv", tmp_path / "stats.json"
     argv = ["run", "--program", str(programs.bundled_path(name)),
-            "--trace", str(trace), "--out", str(out), "--stats", str(stats)]
+            "--trace", str(trace), "--out", str(out), "--stats", str(stats),
+            "--seed", str(run_seed)]
     assert cli.main(argv) == cli.EXIT_OK
     return sha256(out), sha256(stats)
 

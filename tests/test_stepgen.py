@@ -108,7 +108,7 @@ def test_generated_step_equals_the_interpreter(name, hw16_div, hazard):
         programs.build_engine(config, seed=3, hazard_window=hazard, hw16_div=hw16_div)
         for _ in range(2)
     )
-    interpreted = ReferenceStep(reference)
+    interpreted = ReferenceStep(reference, config)
     codes = sorted(set(config.states.values()))
     nregs = engine.context.num_registers
     scope = engine._lookup_scope

@@ -1,7 +1,9 @@
 """Trace reader: equal to the cell-by-cell reference, rows and errors alike.
 
-A row has one integer cell per header column; a short or long row, or an
-empty or non-integer cell, is an error that names the row."""
+The header names each column once, and a row has one integer cell per
+header column; a repeated column is an error that names it, and a short
+or long row, or an empty or non-integer cell, is an error that names the
+row."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -87,6 +89,14 @@ def test_empty_file(tmp_path):
 def test_missing_ts_column(tmp_path):
     path, kind, message = read_error(tmp_path, "in_port,ip_src\n1,2\n")
     assert (kind, message) == (TraceFormatError, f"{path}: missing required column 'ts'")
+
+
+def test_duplicate_column_names_the_column(tmp_path):
+    # the second ip_src cell used to replace the first without a word
+    path, kind, message = read_error(tmp_path, "ts,ip_src,ip_src\n1,2,3\n")
+    assert (kind, message) == (TraceFormatError, f"{path}: column 'ip_src' appears twice")
+    path, kind, message = read_error(tmp_path, "ip_src,ts,sport,ts,sport\n")
+    assert (kind, message) == (TraceFormatError, f"{path}: column 'ts' appears twice")
 
 
 def test_missing_ts_value(tmp_path):
