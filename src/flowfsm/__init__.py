@@ -11,7 +11,7 @@ from .alu import AluRuntime, Instruction, Opcode, decode, encode, execute_tuple
 from .conditions import CmpOp, ConditionSpec, evaluate
 from .engine import Action, ActionKind, Engine
 from .extractor import KeyScope, PacketRecord
-from .flow_context import Activity, FlowContext, FlowContextTable
+from .flow_context import FlowContext, FlowContextTable
 from .programs import (
     ProgramConfig,
     build_engine,
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Action",
     "ActionKind",
-    "Activity",
     "AluRuntime",
     "CmpOp",
     "ConditionSpec",

@@ -7,9 +7,10 @@ header fields, action emission, parallel register update, and context
 write-back under the (possibly different) update key. The transition
 match goes through a per-state table indexed by the condition bits, built
 on the state's first packet, so a packet checks field patterns only on the
-few rows left for its (state, bits) pair. Housekeeping of the context
-table fires whenever the packet clock crosses a management-period
-boundary, before the packet is processed.
+few rows left for its (state, bits) pair. When the packet clock crosses a
+management-period boundary, the step tells the context table the new
+period before it processes the packet; the table ages its contexts from
+that alone, so no packet scans the table.
 
 An engine is built from a validated :class:`~flowfsm.programs.ProgramConfig`
 in one compile stage, the only one between the program and the packets.
@@ -219,7 +220,6 @@ class Engine:
         self._conds = tuple(spec for _, spec in config.conditions)
         self.g = list(config.globals_init)
         self._period = config.management_period
-        self._next_boundary: Optional[int] = None
         # donated global slots backing extra per-flow scratch registers:
         # scratch i is stored as flow register 4+i but addressed through
         # global selector scratch[i]
@@ -330,25 +330,6 @@ class Engine:
         entry = table[bits]
         return entry if entry.__class__ is int else _first_match(entry, h)
 
-    def _housekeep_until(self, ts: int) -> int:
-        """Run the housekeeping scans due by ``ts``; returns the next
-        management-period boundary. The first packet only starts the clock."""
-        period = self._period
-        boundary = self._next_boundary
-        if boundary is None:
-            boundary = (ts // period + 1) * period
-        context = self.context
-        while ts >= boundary:
-            if not context.occupancy:
-                # a scan of an empty table changes nothing, so the
-                # boundaries up to ts are skipped arithmetically
-                boundary = (ts // period + 1) * period
-                break
-            context.housekeep(boundary)
-            boundary += period
-        self._next_boundary = boundary
-        return boundary
-
     def _flush_pending(self, upto_seq: int) -> None:
         pending = self._pending
         while pending and pending[0][0] <= upto_seq:
@@ -373,8 +354,9 @@ class Engine:
 
         ``plans`` are the distinct ALU tuples, the empty one first; the
         step branches on a row's index into them. It reads the lookup,
-        write-back and housekeeping methods off ``self.context`` on each
-        call, so a wrapper installed on the table after the build sees them.
+        write-back and period methods off ``self.context`` on each call, so
+        a wrapper installed on the table after the build sees them. The
+        first packet starts the table's first period.
         """
         scratch = self._scratch
         hazard = self.hazard_window
@@ -436,7 +418,12 @@ class Engine:
 
         body = ["ts = record.ts", "pseq = seq", "seq = pseq + 1"]
         if self._period:
-            body += ["if ts >= boundary:", "    boundary = housekeep_until(ts)"]
+            body += [
+                "if ts >= boundary:",
+                f"    epoch = ts // {self._period:d}",
+                "    context.advance(epoch)",
+                f"    boundary = (epoch + 1) * {self._period:d}",
+            ]
         if hazard:
             body.append("flush_pending(pseq)")
         lookup_key = key(self._lookup_scope)
@@ -493,7 +480,6 @@ class Engine:
             "row_consts": self._row_consts,
             "cond_text": _COND_TEXT,
             "match_row": self.match_row,
-            "housekeep_until": self._housekeep_until,
             "flush_pending": self._flush_pending,
             "pending": self._pending,
             "udiv": _udiv,

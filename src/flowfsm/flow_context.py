@@ -3,25 +3,25 @@
 Exact-match contexts live in one key -> context dict, placed as in a
 d-left hash table: d independent subtables, each hashed with its own
 seed, with insertion going to the least-loaded candidate bucket (leftmost
-subtable on ties). Only the per-bucket load counts are kept, plus each
-context's home bucket so that its eviction releases the right count; a
-key whose candidate buckets are all full is dropped and counted. A
-lookup miss is not an error: it scans the wildcard fallbacks (value/mask
-rules over the key, mainly to seed protocol-specific default states) in
+subtable on ties). The store keeps the keys of each bucket in use; a key
+whose candidate buckets are all full is dropped and counted. A lookup
+miss is not an error: it scans the wildcard fallbacks (value/mask rules
+over the key, mainly to seed protocol-specific default states) in
 descending priority and takes the first match, else synthesizes the
 default context (state 0, all registers zero). Neither allocates: an
 entry is only allocated when a non-default context is written back, so
 idle traffic costs no table space.
 
-Housekeeping reclaims stale entries with a two-step activity flag: a
-periodic scan demotes ACTIVE entries to INACTIVE and deletes entries that
-stayed INACTIVE a full cycle (i.e. were not touched by any lookup or
-write-back in between). A scan visits only the stored entries.
+Contexts age without a scan. Each one is stamped with the management
+period of its last lookup hit or write-back and stays live through the
+next period. An expired context reads as absent, and an insert reclaims
+the expired members of its candidate buckets before comparing loads.
+Live counts for the current and previous periods give occupancy, the
+high-water mark and evictions (inserts no longer live) in O(1).
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -30,21 +30,13 @@ DEFAULT_STATE = 0
 NUM_FLOW_REGISTERS = 4
 
 
-class Activity(enum.IntEnum):
-    INACTIVE = 0
-    ACTIVE = 1
-
-
 @dataclass(slots=True)
 class FlowContext:
     """State label plus the four per-flow registers."""
 
     state: int = DEFAULT_STATE
     r: list[int] = field(default_factory=lambda: [0] * NUM_FLOW_REGISTERS)
-    activity: Activity = Activity.ACTIVE
-    # flat index (subtable * buckets + bucket) of the bucket holding a
-    # stored context; -1 for synthesized ones
-    home: int = -1
+    epoch: int = 0  # period of the last lookup hit or write-back
 
 
 class FlowContextTable:
@@ -76,12 +68,17 @@ class FlowContextTable:
         )
         self._seed_bytes = [s.to_bytes(8, "little") for s in self.seeds]
         self._contexts: dict[int, FlowContext] = {}
-        # entries per bucket, indexed like FlowContext.home
-        self._load = [0] * (subtables * buckets)
+        # subtable * buckets + bucket -> keys stored there, expired or not;
+        # tuples, which the cyclic GC does not track
+        self._members: dict[int, tuple[int, ...]] = {}
         # (value & mask, mask, priority, state, registers), descending priority
         self._fallbacks: list[tuple[int, int, int, int, tuple[int, ...]]] = []
+        # the current period, and the live contexts stamped before and in it
+        self.epoch = 0
+        self._live_prev = 0
+        self._live_now = 0
+        self._inserts = 0
         self.high_water = 0
-        self.evictions = 0
         self.table_full_drops = 0
 
     def _positions(self, key: int) -> tuple[int, ...]:
@@ -113,18 +110,35 @@ class FlowContextTable:
         self._fallbacks.append((value & mask, mask, priority, state, regs))
         self._fallbacks.sort(key=lambda rule: rule[2], reverse=True)
 
+    def advance(self, epoch: int) -> None:
+        """Start management period ``epoch``: a later one, or any while the
+        table is empty. The current period again changes nothing."""
+        if epoch != self.epoch:
+            self._live_prev = self._live_now if epoch == self.epoch + 1 else 0
+            self._live_now = 0
+            self.epoch = epoch
+
+    def _touch(self, ctx: FlowContext) -> bool:
+        """Stamp a stored context with the current period; False if it
+        has expired."""
+        if ctx.epoch != self.epoch - 1:
+            return False
+        ctx.epoch = self.epoch
+        self._live_prev -= 1
+        self._live_now += 1
+        return True
+
     def lookup_context(self, key: int) -> FlowContext:
         """Context for a flow key; never fails.
 
-        Exact hits are touched ACTIVE. Misses fall through to the
-        highest-priority matching fallback and finally to the default
-        context; neither allocates. The returned object is owned by the
-        table on exact hits: callers must treat it as read-only and publish
-        changes via write_back.
+        Exact hits are stamped with the current period. Misses, expired
+        contexts included, fall through to the highest-priority matching
+        fallback and finally to the default context; neither allocates.
+        The returned object is owned by the table on exact hits: callers
+        must treat it as read-only and publish changes via write_back.
         """
         ctx = self._contexts.get(key)
-        if ctx is not None:
-            ctx.activity = Activity.ACTIVE
+        if ctx is not None and (ctx.epoch == self.epoch or self._touch(ctx)):
             return ctx
         for value, mask, _, state, registers in self._fallbacks:
             if key & mask == value:
@@ -134,59 +148,57 @@ class FlowContextTable:
     def write_back(self, key: int, state: int, registers: Sequence[int]) -> bool:
         """Store a context under a key.
 
-        Existing entries are updated in place. A default-valued context
-        (state 0, all registers zero) is not allocated for an absent key,
-        so flows that never leave the default state occupy nothing. When
-        all candidate buckets are full the context is dropped and counted;
-        processing continues.
+        Live entries are updated in place. A default-valued context
+        (state 0, all registers zero) is not allocated for an absent or
+        expired key, so flows that never leave the default state occupy
+        nothing. When all candidate buckets are full the context is
+        dropped and counted; processing continues.
         """
-        ctx = self._contexts.get(key)
-        if ctx is not None:
+        epoch = self.epoch
+        contexts = self._contexts
+        ctx = contexts.get(key)
+        if ctx is not None and (ctx.epoch == epoch or self._touch(ctx)):
             ctx.state = state
-            ctx.r[:] = registers
-            ctx.activity = Activity.ACTIVE
+            if registers is not ctx.r:
+                ctx.r[:] = registers
             return True
         if state == DEFAULT_STATE and not any(registers):
             return True
-        load = self._load
+        members = self._members
         home = -1
         best_load = self.bucket_depth
         for sub, bucket in enumerate(self._positions(key)):
-            candidate = sub * self.buckets + bucket
-            if load[candidate] < best_load:
-                best_load = load[candidate]
-                home = candidate
+            index = sub * self.buckets + bucket
+            keys = members.get(index, ())
+            live = tuple(k for k in keys if contexts[k].epoch >= epoch - 1)
+            if len(live) < len(keys):
+                for stale in set(keys).difference(live):
+                    del contexts[stale]
+                members[index] = live
+            if len(live) < best_load:
+                best_load = len(live)
+                home = index
         if home < 0:
             self.table_full_drops += 1
             return False
-        load[home] += 1
-        self._contexts[key] = FlowContext(state, list(registers), home=home)
-        if len(self._contexts) > self.high_water:
-            self.high_water = len(self._contexts)
+        members[home] = members.get(home, ()) + (key,)
+        contexts[key] = FlowContext(state, list(registers), epoch)
+        self._inserts += 1
+        self._live_now += 1
+        self.high_water = max(self.high_water, self.occupancy)
         return True
 
-    def housekeep(self, now: int = 0) -> int:
-        """One management scan: demote ACTIVE, reclaim INACTIVE.
-
-        Returns the number of entries evicted. ``now`` is informational
-        (the scan is flag-driven, not timestamp-driven).
-        """
-        stale = []
-        for key, ctx in self._contexts.items():
-            if ctx.activity == Activity.ACTIVE:
-                ctx.activity = Activity.INACTIVE
-            else:
-                stale.append(key)
-        for key in stale:
-            self._load[self._contexts.pop(key).home] -= 1
-        self.evictions += len(stale)
-        return len(stale)
-
     def get(self, key: int) -> Optional[FlowContext]:
-        """Exact-match peek without touching the activity flag."""
-        return self._contexts.get(key)
+        """Exact-match peek at a live context, without stamping it."""
+        ctx = self._contexts.get(key)
+        return ctx if ctx is not None and ctx.epoch >= self.epoch - 1 else None
 
     @property
     def occupancy(self) -> int:
-        """Number of stored contexts."""
-        return len(self._contexts)
+        """Number of live contexts."""
+        return self._live_prev + self._live_now
+
+    @property
+    def evictions(self) -> int:
+        """Stored contexts that have expired."""
+        return self._inserts - self.occupancy

@@ -176,7 +176,8 @@ class ClassifierTree:
         )
 
 
-# the flow-context store allocates one load counter per bucket up front
+# the flow-context store keeps a key list for every bucket that has held
+# a flow
 MAX_CONTEXT_BUCKETS = 1 << 22
 # placing a new flow hashes its key once per subtable; d-left balance
 # barely improves past a few choices, while each one costs every insert a

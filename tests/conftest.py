@@ -7,7 +7,7 @@ _CRITERIA = {
     "test_c3_classifier_equivalence": "3. classifier states and window registers equal tree/stats oracles",
     "test_c4_alu_correctness": "4. ALU: encode/decode, ewma replay, avg bounds, tuple permutation",
     "test_c5_context_fallback_oracle_equivalence": "5. context fallback equals linear-scan oracle",
-    "test_c6_flow_context_model_equivalence": "6. flow-context store equals reference map incl. housekeeping",
+    "test_c6_flow_context_model_equivalence": "6. flow-context store equals two-scan reference model incl. placement",
     "test_c7_mac_learning_golden": "7. learning-switch golden verdict files",
     "test_c8_long_flow_marking": "8. long-flow mark at packet 5 across 100 interleavings",
     "test_c9_replay_determinism": "9. byte-identical verdicts and stats on repeated seeded runs",

@@ -1,9 +1,11 @@
 """Shared test utilities: reference models and config helpers.
 
 The reference models here are deliberately simple re-implementations used
-as oracles; they must not call into the package's table or ALU code. The
-one exception is ``ReferenceStep``: it checks the engine's generated step
-against the package's own interpreters, which are tested on their own.
+as oracles; they must not call into the package's table or ALU code.
+``RefContextModel`` takes only the hash that places keys in buckets from
+the table. ``ReferenceStep`` is the exception: it checks the engine's
+generated step against the package's own interpreters, which are tested on
+their own.
 """
 
 from __future__ import annotations
@@ -75,13 +77,14 @@ class ReferenceStep:
     ``Engine.match_row`` for the transition and ``alu.execute_tuple`` for
     the register update. It reads the rows' actions, next states and
     tuples, and the state labels, from ``config``, the program the engine
-    was built from, and it keeps its own packet and housekeeping clocks.
+    was built from. It keeps its own packet clock and period clock, and
+    tells the table each new management period.
     """
 
     def __init__(self, engine, config):
         self.engine = engine
         self.seq = 0
-        self.next_boundary = None
+        self.epoch = None
         states = config.states
         self.labels = {code: label for label, code in states.items()}
         self.rows = [
@@ -100,15 +103,9 @@ class ReferenceStep:
         self.seq = seq + 1
         ts = record.ts
         period = engine._period
-        if period:
-            if self.next_boundary is None:
-                self.next_boundary = (ts // period + 1) * period
-            while ts >= self.next_boundary:
-                if not context.occupancy:
-                    self.next_boundary = (ts // period + 1) * period
-                    break
-                context.housekeep(self.next_boundary)
-                self.next_boundary += period
+        if period and ts // period != self.epoch:
+            self.epoch = ts // period
+            context.advance(self.epoch)
         hazard = engine.hazard_window
         if hazard:
             engine._flush_pending(seq)
@@ -150,15 +147,30 @@ class RefContextModel:
     """Plain-dict reference for the flow context store.
 
     Mirrors the contract: default synthesis, wildcard fallback, write-back
-    elision of default contexts, in-place updates, ACTIVE/INACTIVE
-    housekeeping with eviction on the second idle scan.
+    elision of default contexts, in-place updates, d-left placement (the
+    least-loaded candidate bucket with room, leftmost on ties, else a
+    counted drop) and housekeeping scans that clear the touched flag of
+    every entry and evict the entries no lookup or write-back touched
+    since the previous scan. Only the candidate buckets come from the
+    package: ``positions`` is the table's hash.
     """
 
-    def __init__(self, num_registers=4):
+    def __init__(self, positions, depth, num_registers=4):
+        self.positions = positions
+        self.depth = depth
         self.num_registers = num_registers
-        self.entries = {}  # key -> [state, regs list, active flag]
+        # key -> [state, regs list, touched flag, (subtable, bucket)]
+        self.entries = {}
+        self.loads = {}  # (subtable, bucket) -> entries
         self.fallbacks = []  # (value, mask, priority, state, regs)
         self.evictions = 0
+        self.high_water = 0
+        self.table_full_drops = 0
+
+    @classmethod
+    def of(cls, table):
+        """A model with the geometry and the hash of ``table``."""
+        return cls(table._positions, table.bucket_depth, table.num_registers)
 
     def add_fallback(self, value, mask, priority, state, regs=None):
         regs = list(regs or [])
@@ -182,22 +194,35 @@ class RefContextModel:
     def write_back(self, key, state, regs):
         entry = self.entries.get(key)
         if entry is not None:
-            entry[0] = state
-            entry[1] = list(regs)
-            entry[2] = True
-            return
+            entry[:3] = state, list(regs), True
+            return True
         if state == 0 and not any(regs):
-            return
-        self.entries[key] = [state, list(regs), True]
+            return True
+        homes = list(enumerate(self.positions(key)))
+        loads = [self.loads.get(home, 0) for home in homes]
+        room = [i for i in range(len(homes)) if loads[i] < self.depth]
+        if not room:
+            self.table_full_drops += 1
+            return False
+        # min keeps the first of equal loads: the leftmost subtable
+        home = homes[min(room, key=loads.__getitem__)]
+        self.loads[home] = self.loads.get(home, 0) + 1
+        self.entries[key] = [state, list(regs), True, home]
+        self.high_water = max(self.high_water, len(self.entries))
+        return True
 
     def housekeep(self):
         evicted = [k for k, e in self.entries.items() if not e[2]]
         for k in evicted:
-            del self.entries[k]
+            self.loads[self.entries.pop(k)[3]] -= 1
         for e in self.entries.values():
             e[2] = False
         self.evictions += len(evicted)
         return len(evicted)
+
+    @property
+    def occupancy(self):
+        return len(self.entries)
 
 
 def token_bucket_config(burst, q):

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowfsm import alu, programs
+from flowfsm.flow_context import FlowContextTable
 from flowfsm.harness import gen, oracles, traceio
 
-from helpers import token_bucket_config, window_bound_holds
+from helpers import RefContextModel, token_bucket_config, window_bound_holds
 from test_replay_digests import MAC_TRACE, TRACES, replay
 
 
@@ -56,8 +57,8 @@ def test_c3_classifier_equivalence():
     """Every flow of the classifier grid ends its window in the class the
     tree oracle gives for its running statistics, with the window's
     registers equal to the statistics oracle, and every leaf is reached.
-    Twelve repeats span about 156 s, so the scans at 60 s and 120 s evict
-    decided flows while later ones are measured."""
+    Twelve repeats span about 156 s, more than two 60 s management
+    periods, so decided flows age out while later ones are measured."""
     config = programs.bundled_program("c45_classifier")
     rows = gen.classifier_grid({"repeats": 12}, random.Random(1))
     sizes = {}
@@ -81,6 +82,69 @@ def test_c3_classifier_equivalence():
         assert label == oracles.classify(config, mean, var, total), src
     tree_rows = range(len(config.rows), len(programs.compile_rows(config)))
     assert {row_id for _, row_id, _ in decided.values()} == set(tree_rows)
+
+
+def flipped(rng, key, mask, inside):
+    """``key`` with one bit flipped inside (or outside) ``mask``."""
+    bits = [i for i in range(128) if (mask >> i & 1) == inside]
+    return key ^ (1 << rng.choice(bits)) if bits else key
+
+
+def test_c6_flow_context_model_equivalence():
+    """Random lookups, write-backs and period changes give the store and
+    the two-scan reference model the same contexts, write-back results,
+    occupancy, evictions, high-water mark and table-full drops after every
+    operation. The table is small enough that inserts are dropped and
+    expired contexts are reclaimed by inserts."""
+    rng = random.Random(17)
+    table = FlowContextTable(subtables=2, buckets=4, bucket_depth=2, seed=5)
+    ref = RefContextModel.of(table)
+    # overlapping fallbacks (nested top-byte masks, low bits, both), with
+    # unique priorities installed in shuffled order; values carry bits
+    # outside their masks
+    masks = [0xFF << 120, 0xF0 << 120, 0xFFFF, (0xF0 << 120) | 0xFF00, 0xC0 << 120]
+    fallbacks = []
+    for mask, priority in zip(masks, rng.sample(range(50), len(masks))):
+        value = rng.getrandbits(128)
+        if rng.random() < 0.5 and fallbacks:
+            value = fallbacks[-1][0]  # same value under another mask
+        regs = [rng.getrandbits(32) for _ in range(rng.randrange(5))]
+        fallbacks.append((value, mask, priority, rng.randrange(1, 5), regs))
+    rng.shuffle(fallbacks)
+    for value, mask, priority, state, regs in fallbacks:
+        table.add_fallback(value, mask, priority, state, registers=regs)
+        ref.add_fallback(value, mask, priority, state, regs=regs)
+    keys = [rng.getrandbits(128) for _ in range(24)]
+    for value, mask, *_ in fallbacks:
+        keys.append(value)
+        keys += [flipped(rng, value, mask, inside=False) for _ in range(4)]
+        keys += [flipped(rng, value, mask, inside=True) for _ in range(4)]
+    epoch = rng.randrange(-3, 3)
+    table.advance(epoch)
+    reclaims = 0
+    for _ in range(4000):
+        op = rng.random()
+        key = rng.choice(keys)
+        if op < 0.45:
+            ctx = table.lookup_context(key)
+            assert (ctx.state, tuple(ctx.r)) == ref.lookup(key)
+        elif op < 0.9:
+            state = rng.randrange(0, 3)
+            regs = [rng.randrange(0, 4) for _ in range(4)]
+            stored, was_stored = len(table._contexts), key in ref.entries
+            assert table.write_back(key, state, regs) == ref.write_back(key, state, regs)
+            inserted = not was_stored and key in ref.entries
+            reclaims += stored + inserted - len(table._contexts)
+        else:
+            gap = rng.choice((0, 1, 1, 2, 5))
+            epoch += gap
+            table.advance(epoch)
+            for _ in range(gap):
+                ref.housekeep()
+        assert (table.occupancy, table.evictions, table.high_water,
+                table.table_full_drops) == (ref.occupancy, ref.evictions,
+                                            ref.high_water, ref.table_full_drops)
+    assert table.table_full_drops > 0 and reclaims > 0
 
 
 def test_c8_long_flow_marking():

@@ -9,9 +9,13 @@ The two ``flowfsm.engine`` module globals it wraps for its
 ``conditions.*`` and ``alu.*`` rows are the exception: the engine runs a
 step generated from the program, which evaluates the conditions and the
 ALU tuples inline, and the package no longer defines either name. Those
-rows therefore read 0, and that time is part of ``engine.self_us``;
-``test_wrapped_names_are_called_during_a_run`` asserts that the engine
-module has neither name, so the zeros stay declared.
+rows therefore read 0, and that time is part of ``engine.self_us``.
+``FlowContextTable.housekeep``, which its ``flow_context.housekeep_*``
+rows wrap, is the other: the table ages its contexts by period stamps and
+has no scan, so those rows read 0 too, and the work a new period costs
+(one call that resets two counters) is part of ``engine.self_us``.
+``test_wrapped_names_are_called_during_a_run`` asserts that none of these
+names exists, so the zeros stay declared.
 """
 
 import random
@@ -37,7 +41,6 @@ CALLED = [
     (Engine, "process_packet"),
     (FlowContextTable, "lookup_context"),
     (FlowContextTable, "write_back"),
-    (FlowContextTable, "housekeep"),
     (FlowContextTable, "get"),
     (gen, "poisson_flows"),
     (gen, "classifier_grid"),
@@ -64,7 +67,8 @@ def test_built_engine_has_what_the_benchmark_reads():
 def test_wrapped_names_are_called_during_a_run(monkeypatch):
     """Every name the benchmark wraps on the engine and table instances is
     reached by a replay, so that its wrapper counts calls. The condition
-    and ALU entry points it wraps on the engine module are gone from it."""
+    and ALU entry points it wraps on the engine module are gone from it,
+    and so is the table's housekeeping scan."""
     config = programs.bundled_program("c45_classifier")
     engine = programs.build_engine(config, seed=1)
     bind = programs.make_binder(config)
@@ -80,7 +84,7 @@ def test_wrapped_names_are_called_during_a_run(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(engine, "process_packet")
-    for name in ("lookup_context", "write_back", "housekeep"):
+    for name in ("lookup_context", "write_back"):
         count(engine.context, name)
     # six repeats span more than one 60 s management period
     rows = gen.classifier_grid({"repeats": 6}, random.Random(1))
@@ -88,10 +92,10 @@ def test_wrapped_names_are_called_during_a_run(monkeypatch):
     packets = sum(1 for _ in engine.run_trace(records))
     assert calls["process_packet"] == calls["lookup_context"] == packets > 0
     assert calls["write_back"] == packets
-    assert calls["housekeep"] > 0
     assert not any(
         hasattr(engine_mod, name) for name in ("evaluate_compiled", "execute_plan")
     )
+    assert not hasattr(FlowContextTable, "housekeep")
 
 
 def test_three_row_replay_in_the_benchmark_call_shapes(tmp_path):

@@ -1,11 +1,13 @@
 """docs/SCHEMA.md lists every key ``flowfsm run --stats`` writes, every
 top-level program key the loader accepts, and every table size with its
-default, each in the order the code has it."""
+default, each in the order the code has it; and every name the package
+exports exists."""
 
 import dataclasses
 import re
 from pathlib import Path
 
+import flowfsm
 from flowfsm import programs
 from flowfsm.stats import RunStats
 
@@ -47,3 +49,8 @@ def test_every_table_size_is_documented_with_its_default():
     documented = re.findall(r"^  (\w+): (\d+)", block, re.MULTILINE)
     defaults = dataclasses.asdict(programs.TableSizes())
     assert [(key, int(value)) for key, value in documented] == list(defaults.items())
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in flowfsm.__all__ if not hasattr(flowfsm, name)]
+    assert not missing

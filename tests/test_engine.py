@@ -6,8 +6,10 @@ import pytest
 from flowfsm import programs
 from flowfsm.engine import VERDICT_COLUMNS
 from flowfsm.extractor import KeyScope
+from flowfsm.harness import gen
 
 from helpers import program_config, scan_lookup
+from test_acceptance import golden_rows
 
 
 def bundled_engine(name):
@@ -34,28 +36,72 @@ def test_pre_state_is_the_state_before_the_update():
     assert engine.stats.transitions == {"DEFAULT#0": 4, "DEFAULT#1": 1, "LONG#2": 1}
 
 
-def test_long_time_gap_costs_a_bounded_number_of_scans():
+class NoScan(dict):
+    """A context dict that fails as soon as anything iterates its entries."""
+
+    def __iter__(self):
+        raise AssertionError("a packet iterated the stored contexts")
+
+    keys = values = items = __iter__
+
+
+def test_no_packet_iterates_the_stored_contexts():
     engine, bind = bundled_engine("mac_learning")
-    scan = engine.context.housekeep
-    calls = []
-
-    def counted(now=0):
-        calls.append(now)
-        assert len(calls) <= 3, "housekeeping scans grow with the time gap"
-        return scan(now)
-
-    engine.context.housekeep = counted
+    engine.context._contexts = NoScan()
+    gap = 30_000_000  # 100,000 management periods of 300 s
+    stations = [
+        {"ts": gap, "eth_src": 1000 + i, "eth_dst": 5, "in_port": 2} for i in range(2000)
+    ]
     rows = [
         {"ts": 0, "eth_src": 7, "eth_dst": 9, "in_port": 1},
-        {"ts": 30_000_000, "eth_src": 9, "eth_dst": 7, "in_port": 2},
+        *stations,
+        # the next period starts with two thousand contexts stored
+        {"ts": gap + 300, "eth_src": 9, "eth_dst": 7, "in_port": 2},
     ]
-    learned, reply = run_rows(engine, bind, rows)
+    verdicts = run_rows(engine, bind, rows)
+    learned, reply = verdicts[0], verdicts[-1]
     assert learned["action"] == "flood"
     # station 7 aged out during the gap, so the reply cannot be forwarded
     assert (reply["action"], reply["pre_state"]) == ("flood", "DEFAULT")
-    # one scan demotes the entry, the next evicts it; the rest are skipped
-    assert calls == [300, 600]
-    assert engine.context.evictions == 1
+    stats = engine.stats
+    assert stats.evictions == 1
+    assert stats.occupancy + stats.table_full_drops == len(stations) + 1
+
+
+@pytest.mark.parametrize("name", ["mac_learning", "c45_classifier"])
+def test_verdicts_do_not_depend_on_the_period_phase(name, tmp_path):
+    """A trace shifted by whole management periods gives the same verdicts
+    and stats, evictions included. The ``ts`` column differs, and so may
+    the cond bits of packets at ts = 0: c45_classifier's ``GT ts R4``
+    reads a fresh context's R4 = 0 as not expired there."""
+    if name == "mac_learning":
+        rows = golden_rows(name, tmp_path)
+    else:
+        # twelve repeats span about 156 s, so flows age out of the table
+        rows = gen.classifier_grid({"repeats": 12}, random.Random(1))
+    shift = 5 * programs.bundled_program(name).management_period
+    later = [{**row, "ts": row["ts"] + shift} for row in rows]
+    runs = []
+    for trace in (rows, later):
+        engine, bind = bundled_engine(name)
+        verdicts = run_rows(engine, bind, trace)
+        for row, verdict in zip(rows, verdicts):
+            del verdict["ts"]
+            if row["ts"] == 0:
+                del verdict["cond_bits"]
+        runs.append((verdicts, engine.stats.to_dict()))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["context_table"]["evictions"] > 0
+
+
+def test_the_first_packet_starts_the_first_period():
+    """The first packet starts the period clock: a context stored at
+    ts = -1 is in period -1 and has expired by ts = P + 1, in period 1."""
+    engine, bind = bundled_engine("long_flow")
+    period = engine._period
+    rows = [{"ts": ts, "ip_src": 1, "ip_dst": 2} for ts in (-1, period + 1)]
+    run_rows(engine, bind, rows)
+    assert (engine.stats.evictions, engine.stats.occupancy) == (1, 1)
 
 
 def packed_rows(config, rows):

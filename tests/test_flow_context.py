@@ -1,9 +1,7 @@
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowfsm.flow_context import Activity, FlowContext, FlowContextTable
+from flowfsm.flow_context import FlowContextTable
 
 from helpers import RefContextModel
 
@@ -92,12 +90,12 @@ def test_table_full_on_adversarial_keys():
     assert table.table_full_drops == 1
     # the store keeps serving the already-present keys
     assert table.lookup_context(colliders[0]).state == 1
-    # evicting the four idle colliders frees their buckets for the fifth
-    assert table.housekeep() == 0
-    assert table.housekeep() == 4
+    # after two idle periods the four colliders have expired, and the
+    # fifth key's insert reclaims their buckets
+    table.advance(2)
     assert table.write_back(colliders[4], 1, [0, 0, 0, 0])
-    assert table.occupancy == 1
-    assert table.table_full_drops == 1
+    assert (table.occupancy, table.evictions, table.table_full_drops) == (1, 4, 1)
+    assert colliders[0] not in table._contexts
 
 
 def test_bookkeeping_bounded_by_capacity_over_many_keys():
@@ -105,8 +103,7 @@ def test_bookkeeping_bounded_by_capacity_over_many_keys():
     for key in range(20_000):
         table.write_back(key, 1, [0, 0, 0, 0])
         if key % 500 == 499:
-            table.housekeep()
-            table.housekeep()
+            table.advance(table.epoch + 2)
     sizes = {
         name: len(value)
         for name, value in vars(table).items()
@@ -118,31 +115,34 @@ def test_bookkeeping_bounded_by_capacity_over_many_keys():
 def test_housekeep_touched_entry_stays():
     table = small_table()
     table.write_back(1, 1, [0, 0, 0, 0])
-    table.lookup_context(1)
-    assert table.housekeep() == 0
-    assert table.get(1).activity == Activity.INACTIVE
-    table.lookup_context(1)  # touch revives
-    assert table.get(1).activity == Activity.ACTIVE
-    assert table.housekeep() == 0
-    assert table.occupancy == 1
+    table.advance(1)
+    assert table.get(1).epoch == 0  # a peek does not stamp
+    table.lookup_context(1)  # a hit in the next period keeps it alive
+    assert table.get(1).epoch == 1
+    table.advance(2)
+    assert table.occupancy == 1 and table.evictions == 0
 
 
 def test_housekeep_idle_entry_evicted_on_second_scan():
     table = small_table()
     table.write_back(1, 1, [0, 0, 0, 0])
-    assert table.housekeep() == 0  # ACTIVE -> INACTIVE
-    assert table.housekeep() == 1  # INACTIVE -> gone
-    assert table.occupancy == 0
+    table.advance(1)
+    assert (table.occupancy, table.evictions) == (1, 0)
+    table.advance(2)
+    assert (table.occupancy, table.evictions) == (0, 1)
+    assert table.get(1) is None
     assert table.lookup_context(1).state == 0
-    assert table.evictions == 1
+    # a default write-back to the expired key allocates nothing
+    assert table.write_back(1, 0, [0, 0, 0, 0])
+    assert (table.occupancy, table.high_water) == (0, 1)
 
 
 def test_periodic_sender_never_evicted():
     table = small_table()
     table.write_back(1, 1, [0, 0, 0, 0])
-    for _ in range(10):
+    for epoch in range(1, 11):
         table.lookup_context(1)
-        table.housekeep()
+        table.advance(epoch)
     assert table.occupancy == 1
 
 
@@ -154,53 +154,6 @@ def test_occupancy_never_exceeds_capacity():
     assert table.high_water <= table.capacity
 
 
-def flipped(rng, key, mask, inside):
-    """``key`` with one bit flipped inside (or outside) ``mask``."""
-    bits = [i for i in range(128) if (mask >> i & 1) == inside]
-    return key ^ (1 << rng.choice(bits)) if bits else key
-
-
-def test_model_equivalence_random_operations():
-    rng = random.Random(17)
-    table = FlowContextTable(subtables=4, buckets=64, bucket_depth=4, seed=5)
-    ref = RefContextModel()
-    # overlapping fallbacks (nested top-byte masks, low bits, both), with
-    # unique priorities installed in shuffled order; values carry bits
-    # outside their masks
-    masks = [0xFF << 120, 0xF0 << 120, 0xFFFF, (0xF0 << 120) | 0xFF00, 0xC0 << 120]
-    fallbacks = []
-    for mask, priority in zip(masks, rng.sample(range(50), len(masks))):
-        value = rng.getrandbits(128)
-        if rng.random() < 0.5 and fallbacks:
-            value = fallbacks[-1][0]  # same value under another mask
-        regs = [rng.getrandbits(32) for _ in range(rng.randrange(5))]
-        fallbacks.append((value, mask, priority, rng.randrange(1, 5), regs))
-    rng.shuffle(fallbacks)
-    for value, mask, priority, state, regs in fallbacks:
-        table.add_fallback(value, mask, priority, state, registers=regs)
-        ref.add_fallback(value, mask, priority, state, regs=regs)
-    keys = [rng.getrandbits(128) for _ in range(300)]
-    for value, mask, *_ in fallbacks:
-        keys.append(value)
-        keys += [flipped(rng, value, mask, inside=False) for _ in range(20)]
-        keys += [flipped(rng, value, mask, inside=True) for _ in range(20)]
-    for _ in range(3000):
-        op = rng.random()
-        key = rng.choice(keys)
-        if op < 0.55:
-            ctx = table.lookup_context(key)
-            assert (ctx.state, tuple(ctx.r)) == ref.lookup(key)
-        elif op < 0.9:
-            state = rng.randrange(0, 3)
-            regs = [rng.randrange(0, 4) for _ in range(4)]
-            table.write_back(key, state, regs)
-            ref.write_back(key, state, regs)
-        else:
-            assert table.housekeep() == ref.housekeep()
-    assert table.table_full_drops == 0
-    assert table.occupancy == len(ref.entries)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_fallback_lookup_matches_reference_property(data):
@@ -208,7 +161,8 @@ def test_fallback_lookup_matches_reference_property(data):
     shift = data.draw(st.sampled_from([0, 64, 128 - width]))
     word = st.integers(min_value=0, max_value=(1 << width) - 1)
     priorities = data.draw(st.lists(st.integers(0, 100), max_size=12, unique=True))
-    table, ref = small_table(), RefContextModel()
+    table = small_table()
+    ref = RefContextModel.of(table)
     for priority in priorities:
         value, mask = data.draw(word) << shift, data.draw(word) << shift
         state = data.draw(st.integers(min_value=1, max_value=7))
