@@ -19,15 +19,21 @@ the lookup scope, and the lookup and update key scopes. It resolves each
 transition row once into its match side (state code or any, condition
 value and mask, and (slot, value, mask) field patterns) and its constants
 (action text, next state, ALU tuple). From these it generates one
-function, installed as its ``process_packet``. The step packs the flow
-keys with constant shifts and masks, evaluates the comparators as one
-bit-vector expression, and runs each row's ALU tuple as straight-line code
-that reads every operand before it writes any, so the tuple still commits
-in parallel. Scratch aliases, the management period, the hazard window and
-whether the key scopes agree are settled at build time; the statistics
-instructions and division call :mod:`flowfsm.alu`. The source holds only
-integers and fixed names: labels, action text and the program name reach
-it as values. The engine copies what it reads of the program, so engines
+function, installed as its ``process_packet``. The step checks that
+``ts`` does not run backwards, in the branch that already compares it with
+the next period boundary. It packs the flow keys with constant shifts and
+masks, evaluates the comparators as one bit-vector expression, reads the
+row from the state's dispatch table, and runs each row's ALU tuple as
+straight-line code that reads every operand before it writes any, so the
+tuple still commits in parallel. When the lookup and update scopes agree
+and no hazard window is set, a lookup hit is the stored context itself,
+and the step updates it in place; only a miss goes through
+``write_back``, which may insert. Scratch aliases, the management period,
+the hazard window and whether the key scopes agree are settled at build
+time; the statistics instructions and division call :mod:`flowfsm.alu`.
+:meth:`Engine.run_trace` maps the step over the records. The source holds
+only integers and fixed names: labels, action text and the program name
+reach it as values. The engine copies what it reads of the program, so engines
 built from one config share no state. :func:`conditions.evaluate` and
 :func:`alu.execute_tuple` interpret the same primitives from their
 descriptions and serve as the reference for the generated step.
@@ -43,10 +49,11 @@ the first to see it. It is off for all normal runs.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .alu import (
     SEL_G_BASE,
@@ -172,6 +179,18 @@ def _first_match(candidates: tuple, h: Sequence[int]) -> int:
             return row_idx
 
 
+class _PerState(dict):
+    """state -> a list built by ``build(state)`` on the state's first use."""
+
+    def __init__(self, build: Callable[[int], list]):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, state: int) -> list:
+        value = self[state] = self._build(state)
+        return value
+
+
 class Engine:
     """One programmed packet-processing stage, compiled from a validated
     program."""
@@ -227,7 +246,6 @@ class Engine:
         self.hazard_window = hazard_window
         self._pending: deque[tuple[int, int, int, list[int], list[int]]] = deque()
         self.alu = AluRuntime(hw16_div=hw16_div)
-        self._last_ts: Optional[int] = None
         # each row resolved once. The match side goes to _by_priority as
         # (priority, row index, state code or None for any, condition
         # value, condition mask, (slot, value, mask) field patterns), in
@@ -259,7 +277,7 @@ class Engine:
         self._by_priority = sorted(matches, key=lambda m: m[0], reverse=True)
         # state -> 256 entries indexed by condition bits, built on the
         # state's first packet; see _dispatch_for
-        self._dispatch: dict[int, list] = {}
+        self._dispatch = _PerState(self._dispatch_for)
         self._stats = RunStats(
             program=self.name,
             seed=seed,
@@ -267,8 +285,9 @@ class Engine:
             hazard_window=hazard_window,
             hw_faithful_div=hw16_div,
         )
-        # (pre-state code, row index) -> packets
-        self._transition_counts: dict[tuple[int, int], int] = {}
+        # pre-state code -> packets per row index
+        nrows = len(self._row_consts)
+        self._transition_counts = _PerState(lambda state: [0] * nrows)
         self.process_packet = self._generate_step(plans)
 
     @property
@@ -284,12 +303,13 @@ class Engine:
         s.packets = 0
         s.actions = {}
         s.transitions = {}
-        for (state, row_idx), n in self._transition_counts.items():
-            s.packets += n
-            action = self._row_actions[row_idx]
-            s.actions[action] = s.actions.get(action, 0) + n
-            key = f"{self._labels[state]}#{row_idx}"
-            s.transitions[key] = s.transitions.get(key, 0) + n
+        for state, counts in self._transition_counts.items():
+            for row_idx, n in enumerate(counts):
+                if n:
+                    s.packets += n
+                    action = self._row_actions[row_idx]
+                    s.actions[action] = s.actions.get(action, 0) + n
+                    s.transitions[f"{self._labels[state]}#{row_idx}"] = n
         return s
 
     def _dispatch_for(self, state: int) -> list:
@@ -318,16 +338,12 @@ class Engine:
                 table.append(tuple(candidates))
             else:
                 table.append(candidates[0][0])
-        self._dispatch[state] = table
         return table
 
     def match_row(self, state: int, bits: int, h: Sequence[int]) -> int:
         """Index of the highest-priority row matching the state, the
         condition bits and the match fields of ``h``."""
-        table = self._dispatch.get(state)
-        if table is None:
-            table = self._dispatch_for(state)
-        entry = table[bits]
+        entry = self._dispatch[state][bits]
         return entry if entry.__class__ is int else _first_match(entry, h)
 
     def _flush_pending(self, upto_seq: int) -> None:
@@ -356,7 +372,8 @@ class Engine:
         step branches on a row's index into them. It reads the lookup,
         write-back and period methods off ``self.context`` on each call, so
         a wrapper installed on the table after the build sees them. The
-        first packet starts the table's first period.
+        first packet starts the table's first period. The time-order error
+        and its message reach the step as values.
         """
         scratch = self._scratch
         hazard = self.hazard_window
@@ -416,14 +433,25 @@ class Engine:
                 lines.extend(f"g[{k:d}] = {v}" for k, v in globs.items())
             return lines
 
-        body = ["ts = record.ts", "pseq = seq", "seq = pseq + 1"]
+        body = ["ts = record.ts"]
         if self._period:
+            # the period branch leaves boundary above every ts seen, so
+            # only a packet that does not take it can be out of order
             body += [
                 "if ts >= boundary:",
                 f"    epoch = ts // {self._period:d}",
                 "    context.advance(epoch)",
                 f"    boundary = (epoch + 1) * {self._period:d}",
+                "elif ts < last:",
             ]
+        else:
+            body.append("if ts < last:")
+        body += [
+            "    raise order_error(order_text.format(ts, last))",
+            "last = ts",
+            "pseq = seq",
+            "seq = pseq + 1",
+        ]
         if hazard:
             body.append("flush_pending(pseq)")
         lookup_key = key(self._lookup_scope)
@@ -441,7 +469,11 @@ class Engine:
             "r = ctx.r",
             f"{', '.join(flow_regs)}, = r",
             f"bits = {bits or '0'}",
-            "row_idx = match_row(state, bits, h)",
+            "row_idx = dispatch[state][bits]",
+        ]
+        if any(m[5] for m in self._by_priority):
+            body += ["if row_idx.__class__ is tuple:", "    row_idx = first_match(row_idx, h)"]
+        body += [
             "action, nxt, plan = row_consts[row_idx]",
             "if nxt is None:",
             "    nxt = state",
@@ -449,23 +481,31 @@ class Engine:
         for i, lines in enumerate(blocks):
             body.append(f"{'elif' if i else 'if'} plan == {i:d}:")
             body += ["    " + line for line in lines]
-        ukey = "key" if self._same_scope else update_key
         if hazard:
+            ukey = "key" if self._same_scope else update_key
             body.append(f"pending.append((pseq + {hazard + 1:d}, {ukey}, nxt, rn, gn))")
+        elif self._same_scope:
+            # a hit is the stored context itself: update it where it is
+            body += [
+                "if ctx.epoch is None:",
+                "    context.write_back(key, nxt, rn)",
+                "else:",
+                "    ctx.state = nxt",
+                "    ctx.r = rn",
+            ]
         else:
-            body.append(f"context.write_back({ukey}, nxt, rn)")
+            body.append(f"context.write_back({update_key}, nxt, rn)")
         body += [
-            "tkey = (state, row_idx)",
-            "counts[tkey] = counts.get(tkey, 0) + 1",
+            "counts[state][row_idx] += 1",
             "return (pseq, ts, action, labels[state], labels[nxt], row_idx,"
             " cond_text[bits])",
         ]
         source = "\n".join(
             [
-                "def make(boundary):",
+                "def make(boundary, last):",
                 "    seq = 0",
                 "    def process_packet(record):",
-                "        nonlocal seq, boundary",
+                "        nonlocal seq, boundary, last",
                 *("        " + line for line in body),
                 "    return process_packet",
                 "",
@@ -479,7 +519,10 @@ class Engine:
             "counts": self._transition_counts,
             "row_consts": self._row_consts,
             "cond_text": _COND_TEXT,
-            "match_row": self.match_row,
+            "dispatch": self._dispatch,
+            "first_match": _first_match,
+            "order_error": NonMonotoneTimestampError,
+            "order_text": "timestamp {} after {}",
             "flush_pending": self._flush_pending,
             "pending": self._pending,
             "udiv": _udiv,
@@ -489,17 +532,14 @@ class Engine:
         }
         exec(compile(source, "<flowfsm step>", "exec"), namespace)
         self.step_source = source  # for inspection and tests
-        return namespace["make"](-math.inf)
+        return namespace["make"](-math.inf, -math.inf)
 
     def run_trace(self, records: Iterable[PacketRecord]) -> Iterator[tuple]:
-        """Process a packet stream, enforcing the time-order contract."""
-        step = self.process_packet
-        for record in records:
-            if self._last_ts is not None and record.ts < self._last_ts:
-                raise NonMonotoneTimestampError(
-                    f"timestamp {record.ts} after {self._last_ts}"
-                )
-            self._last_ts = record.ts
-            yield step(record)
+        """The verdict of each record, lazily; the step enforces time order.
+        In hazard mode the updates still delayed are applied once the
+        records run out."""
+        verdicts = map(self.process_packet, records)
         if self.hazard_window:
-            self.flush()
+            # flush returns None, the sentinel, so it adds no verdict
+            return itertools.chain(verdicts, iter(self.flush, None))
+        return verdicts

@@ -36,7 +36,9 @@ class FlowContext:
 
     state: int = DEFAULT_STATE
     r: list[int] = field(default_factory=lambda: [0] * NUM_FLOW_REGISTERS)
-    epoch: int = 0  # period of the last lookup hit or write-back
+    # period of the last lookup hit or write-back; None for a fallback or
+    # default context, which is not stored
+    epoch: Optional[int] = None
 
 
 class FlowContextTable:
@@ -134,8 +136,9 @@ class FlowContextTable:
         Exact hits are stamped with the current period. Misses, expired
         contexts included, fall through to the highest-priority matching
         fallback and finally to the default context; neither allocates.
-        The returned object is owned by the table on exact hits: callers
-        must treat it as read-only and publish changes via write_back.
+        The returned object is owned by the table on exact hits, which
+        are the contexts whose ``epoch`` is not None: a caller may update
+        one in place, and must publish any other change via write_back.
         """
         ctx = self._contexts.get(key)
         if ctx is not None and (ctx.epoch == self.epoch or self._touch(ctx)):

@@ -8,14 +8,25 @@ that is checked while reading so a bad file is rejected with the
 offending row number.
 
 Verdicts are written one CSV row per packet; stats are a JSON document.
+
+Both directions work in batches, so that the per-row cost is mostly
+C-level passes: the reader parses :data:`READ_CHUNK` rows at a time and
+the writer formats :data:`WRITE_BATCH` verdicts at a time. The files are
+the same as with one row at a time, errors and their row numbers
+included. A batch adds one long interval to the per-packet latency of
+the packet it is parsed or written for, so a batch is kept small enough
+for that packet to stay a rare outlier.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import json
+import math
+from operator import le
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from ..engine import VERDICT_COLUMNS, NonMonotoneTimestampError
 from ..stats import RunStats
@@ -40,6 +51,16 @@ class TraceFormatError(Exception):
     """The trace file cannot be interpreted."""
 
 
+# rows parsed per batch
+READ_CHUNK = 256
+# verdict rows formatted per batch
+WRITE_BATCH = 1024
+# one verdict row as csv.writer writes it when no cell needs quoting; ts
+# comes from the packet record, so it is written with str() as csv.writer
+# would, whatever its type
+_VERDICT_LINE = "%d,%s,%s,%s,%s,%d,%s\r\n"
+
+
 def _first_bad_cell(names: list[str], row: list[str]) -> str:
     for key, value in zip(names, row):
         try:
@@ -49,19 +70,56 @@ def _first_bad_cell(names: list[str], row: list[str]) -> str:
     raise AssertionError("every cell of the row is an integer")
 
 
+def _row_builder(names: list[str]) -> Callable[[list[int]], list[dict[str, int]]]:
+    """The function that turns a batch's cell values, row after row, into
+    one dict per row. The column names are the arguments of the generated
+    ``make``, so its source holds only fixed names and integers."""
+    width = len(names)
+    params = ", ".join(f"n{i:d}" for i in range(width))
+    values = ", ".join(f"v{i:d}" for i in range(width))
+    items = ", ".join(f"n{i:d}: v{i:d}" for i in range(width))
+    source = "\n".join(
+        [
+            f"def make({params}):",
+            "    def build(cells):",
+            "        it = iter(cells)",
+            f"        return [{{{items}}} for {values}, in zip({', '.join(['it'] * width)})]",
+            "    return build",
+            "",
+        ]
+    )
+    namespace: dict = {}
+    exec(compile(source, "<trace rows>", "exec"), namespace)
+    return namespace["make"](*names)
+
+
 def read_trace(path: Union[str, Path]) -> Iterator[dict[str, int]]:
     """Stream trace rows as dicts of ints.
 
     The header names each column once. Every row has one cell per header
-    column, and every cell is an integer read with ``int(x, 0)``. A row with fewer or more cells, or a
-    cell that is empty or not an integer, raises :class:`TraceFormatError`
-    naming the row, and the column for a cell. Rows are numbered from 2,
-    blank lines not counted.
+    column, and every cell is an integer read with ``int(x, 0)``. A row
+    with fewer or more cells, or a cell that is empty or not an integer,
+    raises :class:`TraceFormatError` naming the row, and the column for a
+    cell. Timestamps must not decrease: a row whose ``ts`` is below the
+    previous row's raises :class:`NonMonotoneTimestampError`. Rows are
+    numbered from 2, blank lines not counted; the rows before a bad one
+    are yielded first.
+
+    Rows are read :data:`READ_CHUNK` at a time, and one generated
+    comprehension builds a chunk's dicts. While the lines of a chunk are
+    plain (see :func:`_plain_cells`), they are split and decoded without
+    ``csv.reader``. From the first chunk that is not plain on,
+    ``csv.reader`` reads the rest of the trace: a batch's widths, cell
+    values and time order are checked in C-level passes, and a batch that
+    fails a check goes through again row by row, which finds the first
+    bad row and raises its error.
     """
-    path = Path(path)
+    return itertools.chain.from_iterable(_read_batches(Path(path)))
+
+
+def _read_batches(path: Path) -> Iterator[Iterable[dict[str, int]]]:
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        names = next(reader, None)
+        names = next(csv.reader(fh), None)
         if names is None:
             raise TraceFormatError(f"{path}: empty trace")
         seen: set[str] = set()
@@ -72,26 +130,99 @@ def read_trace(path: Union[str, Path]) -> Iterator[dict[str, int]]:
         if "ts" not in names:
             raise TraceFormatError(f"{path}: missing required column 'ts'")
         width = len(names)
-        bases = (0,) * len(names)
-        last_ts: Optional[int] = None
-        for lineno, row in enumerate(filter(None, reader), start=2):
-            if len(row) != width:
-                raise TraceFormatError(
-                    f"{path}:{lineno}: {len(row)} cells, header has {width}"
-                )
-            try:
-                out = dict(zip(names, map(int, row, bases)))
-            except ValueError:
-                raise TraceFormatError(
-                    f"{path}:{lineno} {_first_bad_cell(names, row)}"
-                ) from None
-            ts = out["ts"]
-            if last_ts is not None and ts < last_ts:
-                raise NonMonotoneTimestampError(
-                    f"{path}:{lineno}: timestamp {ts} after {last_ts}"
-                )
-            last_ts = ts
-            yield out
+        at_ts = names.index("ts")
+        build = _row_builder(names)
+        lineno = 2  # of the next row
+        last_ts: float = -math.inf
+        while lines := list(itertools.islice(fh, READ_CHUNK)):
+            cells = _plain_cells(lines, width)
+            if cells is None:
+                break
+            stamps = cells[at_ts::width]
+            if not all(map(le, itertools.chain((last_ts,), stamps), stamps)):
+                break
+            last_ts = stamps[-1]
+            lineno += len(lines)
+            yield build(cells)
+        else:
+            return
+        rows = filter(None, csv.reader(itertools.chain(lines, fh)))
+        while batch := list(itertools.islice(rows, READ_CHUNK)):
+            if set(map(len, batch)) == {width}:
+                try:
+                    cells = list(
+                        map(int, itertools.chain.from_iterable(batch), itertools.repeat(0))
+                    )
+                except ValueError:
+                    pass
+                else:
+                    stamps = cells[at_ts::width]
+                    if all(map(le, itertools.chain((last_ts,), stamps), stamps)):
+                        last_ts = stamps[-1]
+                        lineno += len(batch)
+                        yield build(cells)
+                        continue
+            # yields the rows before the bad one, then raises its error
+            yield _read_rows(path, names, batch, lineno, last_ts)
+            raise AssertionError("a batch that fails a check holds a bad row")
+
+
+# every JSON value but an integer holds one of these: strings, arrays,
+# objects, fractions and exponents, true, false, null, NaN and Infinity
+_NOT_JSON_INT = '"[{.eEnNI'
+
+
+def _plain_cells(lines: list[str], width: int) -> Optional[list[int]]:
+    """The cells of ``lines`` as ints, row by row, if the lines are plain;
+    None if not.
+
+    Lines are plain when each ends in one newline, has ``width - 1``
+    commas and no double quote, and each of its cells is a JSON integer.
+    ``csv.reader`` splits such a line at its commas only. JSON integers
+    are a subset of what ``int(x, 0)`` reads, with the same values, and
+    decoding the cells as one JSON array costs no Python call per cell.
+    No character that a JSON value other than an integer needs gets
+    through, so an array that decodes to one element per cell holds one
+    integer per cell. A blank line, an empty cell or a ``0x`` cell fails
+    to decode.
+    """
+    text = "".join(lines)
+    if (
+        text.count("\n") != len(lines)
+        or set(map(str.count, lines, itertools.repeat(","))) != {width - 1}
+        or any(map(text.__contains__, _NOT_JSON_INT))
+    ):
+        return None
+    # a "\r" can only end a line here: a lone one would have ended it
+    body = text.replace("\r\n", ",").replace("\n", ",")
+    try:
+        cells = json.loads(f"[{body[:-1]}]")
+    except ValueError:
+        return None
+    # one blank line of a one-column trace decodes as an empty array
+    return cells if len(cells) == len(lines) * width else None
+
+
+def _read_rows(
+    path: Path, names: list[str], batch: list[list[str]], lineno: int, last_ts: float
+) -> Iterator[dict[str, int]]:
+    """The rows of ``batch`` up to its first bad one, whose error it raises."""
+    width = len(names)
+    bases = (0,) * width
+    for lineno, row in enumerate(batch, start=lineno):
+        if len(row) != width:
+            raise TraceFormatError(f"{path}:{lineno}: {len(row)} cells, header has {width}")
+        try:
+            out = dict(zip(names, map(int, row, bases)))
+        except ValueError:
+            raise TraceFormatError(
+                f"{path}:{lineno} {_first_bad_cell(names, row)}"
+            ) from None
+        ts = out["ts"]
+        if ts < last_ts:
+            raise NonMonotoneTimestampError(f"{path}:{lineno}: timestamp {ts} after {last_ts}")
+        last_ts = ts
+        yield out
 
 
 def write_trace(
@@ -108,14 +239,35 @@ def write_trace(
 
 def write_verdicts(path: Union[str, Path], verdicts: Iterable[tuple]) -> int:
     """Write the verdict rows of ``Engine.process_packet`` as CSV; returns
-    the packet count."""
-    counter = itertools.count()
+    the packet count.
+
+    The bytes are those ``csv.writer`` writes. Rows are formatted
+    :data:`WRITE_BATCH` at a time with one format string. A batch whose
+    text has more commas or line breaks than the format puts there, or any
+    double quote, holds a cell that ``csv.writer`` quotes (a state label
+    with a comma, say), and ``csv.writer`` writes that batch instead.
+    """
+    verdicts = iter(verdicts)
+    line = _VERDICT_LINE.__mod__
+    commas = len(VERDICT_COLUMNS) - 1
+    count = 0
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(VERDICT_COLUMNS)
-        # zip draws from counter only after a verdict, so it ends at the count
-        writer.writerows(v for v, _ in zip(verdicts, counter))
-    return next(counter)
+        while batch := list(itertools.islice(verdicts, WRITE_BATCH)):
+            n = len(batch)
+            text = "".join(map(line, batch))
+            if (
+                text.count(",") == commas * n
+                and text.count("\n") == n
+                and text.count("\r") == n
+                and '"' not in text
+            ):
+                fh.write(text)
+            else:
+                writer.writerows(batch)
+            count += n
+    return count
 
 
 def write_stats(

@@ -183,6 +183,9 @@ MAX_CONTEXT_BUCKETS = 1 << 22
 # barely improves past a few choices, while each one costs every insert a
 # hash
 MAX_CONTEXT_SUBTABLES = 8
+# an insert reclaims by scanning the keys of its candidate buckets, so it
+# costs up to subtables * depth key checks; hardware buckets hold a few cells
+MAX_BUCKET_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -704,6 +707,11 @@ def _build(doc: dict, source: str) -> ProgramConfig:
         problems.append(
             f"table_sizes.context_subtables: {sizes.context_subtables} exceeds "
             f"the cap of {MAX_CONTEXT_SUBTABLES}"
+        )
+    if sizes.bucket_depth > MAX_BUCKET_DEPTH:
+        problems.append(
+            f"table_sizes.bucket_depth: {sizes.bucket_depth} exceeds "
+            f"the cap of {MAX_BUCKET_DEPTH}"
         )
     buckets = sizes.context_subtables * sizes.context_buckets
     if buckets > MAX_CONTEXT_BUCKETS:

@@ -134,8 +134,7 @@ class ReferenceStep:
         else:
             context.write_back(update_key, next_state, r2)
             g[:] = g2
-        counts = engine._transition_counts
-        counts[state, row_idx] = counts.get((state, row_idx), 0) + 1
+        engine._transition_counts[state][row_idx] += 1
         labels = self.labels
         return (
             seq, ts, action, labels[state], labels[next_state], row_idx,

@@ -16,6 +16,12 @@ has no scan, so those rows read 0 too, and the work a new period costs
 (one call that resets two counters) is part of ``engine.self_us``.
 ``test_wrapped_names_are_called_during_a_run`` asserts that none of these
 names exists, so the zeros stay declared.
+
+``FlowContextTable.write_back`` is still wrapped and reached, but when a
+program's lookup and update scopes agree, the step updates a context it
+found in place, so the ``flow_context.write_back_*`` rows count the
+packets whose lookup missed: the ones that may insert a context. For a
+program whose scopes differ (mac_learning) they count every packet.
 """
 
 import random
@@ -64,33 +70,55 @@ def test_built_engine_has_what_the_benchmark_reads():
     assert all(isinstance(row.priority, int) for row in programs.compile_rows(config))
 
 
-def test_wrapped_names_are_called_during_a_run(monkeypatch):
-    """Every name the benchmark wraps on the engine and table instances is
-    reached by a replay, so that its wrapper counts calls. The condition
-    and ALU entry points it wraps on the engine module are gone from it,
-    and so is the table's housekeeping scan."""
-    config = programs.bundled_program("c45_classifier")
+def counted_replay(monkeypatch, program, rows):
+    """(packets, calls per wrapped name, lookup misses) of one replay with
+    the names the benchmark wraps on the engine and table counted."""
+    config = programs.bundled_program(program)
     engine = programs.build_engine(config, seed=1)
     bind = programs.make_binder(config)
     calls = {}
+    misses = 0
 
     def count(owner, name):
         fn = getattr(owner, name)
 
         def counted(*args):
+            nonlocal misses
             calls[name] = calls.get(name, 0) + 1
-            return fn(*args)
+            result = fn(*args)
+            if name == "lookup_context":
+                misses += engine.context.get(args[0]) is not result
+            return result
 
         monkeypatch.setattr(owner, name, counted)
 
     count(engine, "process_packet")
     for name in ("lookup_context", "write_back"):
         count(engine.context, name)
-    # six repeats span more than one 60 s management period
-    rows = gen.classifier_grid({"repeats": 6}, random.Random(1))
     records = (bind(row, i) for i, row in enumerate(rows))
     packets = sum(1 for _ in engine.run_trace(records))
+    return packets, calls, misses
+
+
+def test_wrapped_names_are_called_during_a_run(monkeypatch):
+    """Every name the benchmark wraps on the engine and table instances is
+    reached by a replay, so that its wrapper counts calls. A program whose
+    key scopes agree calls ``write_back`` on lookup misses only; one whose
+    scopes differ calls it on every packet. The condition and ALU entry
+    points the benchmark wraps on the engine module are gone from it, and
+    so is the table's housekeeping scan."""
+    # six repeats span more than one 60 s management period
+    rows = gen.classifier_grid({"repeats": 6}, random.Random(1))
+    packets, calls, misses = counted_replay(monkeypatch, "c45_classifier", rows)
     assert calls["process_packet"] == calls["lookup_context"] == packets > 0
+    assert calls["write_back"] == misses
+    assert 0 < misses < packets
+    rows = [
+        {"ts": ts, "in_port": 1 + ts % 3, "eth_src": 10 + ts % 3, "eth_dst": 10 + (ts + 1) % 3}
+        for ts in range(40)
+    ]
+    packets, calls, _ = counted_replay(monkeypatch, "mac_learning", rows)
+    assert calls["process_packet"] == calls["lookup_context"] == packets == 40
     assert calls["write_back"] == packets
     assert not any(
         hasattr(engine_mod, name) for name in ("evaluate_compiled", "execute_plan")

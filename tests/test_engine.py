@@ -4,8 +4,8 @@ import random
 import pytest
 
 from flowfsm import programs
-from flowfsm.engine import VERDICT_COLUMNS
-from flowfsm.extractor import KeyScope
+from flowfsm.engine import VERDICT_COLUMNS, NonMonotoneTimestampError
+from flowfsm.extractor import KeyScope, PacketRecord
 from flowfsm.harness import gen
 
 from helpers import program_config, scan_lookup
@@ -193,3 +193,22 @@ def test_hazard_window_delays_update_visibility(window):
     # run_trace applies the updates still in flight when the trace ends
     flow = KeyScope([(0, 32), (1, 32)]).key([1, 2, 0, 0, 0, 0, 0, 0])
     assert engine.context.get(flow).r[0] == expected[-1] + 1
+
+
+@pytest.mark.parametrize("name", ["long_flow", "mac_learning"])
+@pytest.mark.parametrize("hazard", [0, 2])
+def test_step_rejects_a_timestamp_that_runs_backwards(name, hazard):
+    """The step checks time order itself, inside a management period and
+    across its boundary, for records that no trace reader checked."""
+    config = programs.bundled_program(name)
+    for times, bad in [((5, 6, 6, 5), "timestamp 5 after 6"),
+                       ((1, 10**7, 10**7 - 1), "timestamp 9999999 after 10000000")]:
+        engine = programs.build_engine(config, hazard_window=hazard)
+        records = [PacketRecord([1, 2, 0, 0, 0, 0, 0, 1], ts) for ts in times]
+        verdicts = engine.run_trace(records)
+        for _ in times[:-1]:
+            next(verdicts)
+        with pytest.raises(NonMonotoneTimestampError) as exc:
+            next(verdicts)
+        assert str(exc.value) == bad
+        assert engine.stats.packets == len(times) - 1

@@ -282,6 +282,13 @@ BROKEN = [
     (L, FIELD0 + ("offset",), 208, "fields[0]: unknown key 'offset'"),
     (L, FIELD0 + ("mask",), 0xFF, "fields[0]: unknown key 'mask'"),
     (S, FIELD0 + ("source",), DELETE, "fields[0]: source must name a trace column"),
+    # the bucket depth cap: an insert scans the keys of its candidate buckets
+    (
+        L,
+        ("table_sizes",),
+        {"bucket_depth": 100000},
+        "table_sizes.bucket_depth: 100000 exceeds the cap of 8",
+    ),
 ]
 
 
@@ -337,4 +344,7 @@ def test_context_geometry_at_the_cap_loads():
     sizes = {"context_subtables": programs.MAX_CONTEXT_SUBTABLES}
     config = programs.loads(yaml.safe_dump(patched_doc(L, ("table_sizes",), sizes)))
     assert config.table_sizes.context_subtables == 8
+    sizes = {"bucket_depth": programs.MAX_BUCKET_DEPTH}
+    config = programs.loads(yaml.safe_dump(patched_doc(L, ("table_sizes",), sizes)))
+    assert config.table_sizes.bucket_depth == 8
 

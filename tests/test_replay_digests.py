@@ -6,6 +6,10 @@ JSON must equal the recorded values. Speed work must leave them as they
 are; a change that is meant to alter a program's output updates that
 program's digests and says why.
 
+One more long_flow replay runs a trace of 4,993 packets, longer than many
+batches of the trace reader and several of the verdict writer, so that
+the seams between batches stay under the same gate.
+
 token_bucket's trace starts below (B-2)*Q ticks, where its full-bucket
 anchor ``SUB R0 ts G2`` wraps; its digests pin the program's wrap guard,
 which forwards the 203 of 400 packets the counter oracle forwards.
@@ -32,6 +36,9 @@ TRACES = {
     "token_bucket": ("bucket_stress", {"count": 400}, 5),
     "mac_learning": None,
 }
+
+# 4,993 packets: 19 full reader batches and 4 full verdict-writer batches
+SEAMS_TRACE = ("poisson_flows", {"flows": 25, "rate_pps": 100, "duration_s": 2}, 6)
 
 # stations 0xa, 0xb and 0xc learn ports 1..3; 0xa ages out over the gap
 MAC_TRACE = """\
@@ -75,19 +82,27 @@ DIGESTS = {
     ),
 }
 
+# long_flow on SEAMS_TRACE, recorded before the reader and the writer
+# worked in batches
+SEAMS_DIGESTS = (
+    "2b9ca545d4c900d67bcd445700b4bb69cc38a0ce392523d47855118d1b675204",
+    "d6bb3519c4f3ad4f31a5d8573026a070dddba146378830b45a088988e99c9b23",
+)
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def replay(name, tmp_path, run_seed=0):
+def replay(name, tmp_path, run_seed=0, spec=None):
     """(verdict CSV, stats JSON) SHA-256 of ``flowfsm run --seed run_seed``
-    on the program's trace."""
+    on the program's trace, or on the generator trace ``spec`` names."""
     trace = tmp_path / "trace.csv"
-    if TRACES[name] is None:
+    spec = spec or TRACES[name]
+    if spec is None:
         trace.write_text(MAC_TRACE)
     else:
-        kind, params, seed = TRACES[name]
+        kind, params, seed = spec
         argv = ["gen-trace", "--kind", kind, "--out", str(trace), "--seed", str(seed)]
         for key, value in params.items():
             argv += ["--param", f"{key}={value}"]
@@ -103,3 +118,7 @@ def replay(name, tmp_path, run_seed=0):
 @pytest.mark.parametrize("name", programs.BUNDLED)
 def test_replay_digests(name, tmp_path):
     assert replay(name, tmp_path) == DIGESTS[name]
+
+
+def test_replay_digests_across_batch_seams(tmp_path):
+    assert replay("long_flow", tmp_path, spec=SEAMS_TRACE) == SEAMS_DIGESTS
