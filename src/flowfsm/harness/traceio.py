@@ -10,12 +10,12 @@ offending row number.
 Verdicts are written one CSV row per packet; stats are a JSON document.
 
 Both directions work in batches, so that the per-row cost is mostly
-C-level passes: the reader parses :data:`READ_CHUNK` rows at a time and
-the writer formats :data:`WRITE_BATCH` verdicts at a time. The files are
-the same as with one row at a time, errors and their row numbers
-included. A batch adds one long interval to the per-packet latency of
-the packet it is parsed or written for, so a batch is kept small enough
-for that packet to stay a rare outlier.
+C-level passes: the reader parses plain lines :data:`READ_CHUNK` at a
+time and the writer formats :data:`WRITE_BATCH` verdicts at a time. The
+files are the same as with one row at a time, errors and their row
+numbers included. A batch adds one long interval to the per-packet
+latency of the packet it is parsed or written for, so a batch is kept
+small enough for that packet to stay a rare outlier.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import json
 import math
 from operator import le
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from ..engine import VERDICT_COLUMNS, NonMonotoneTimestampError
 from ..stats import RunStats
@@ -70,29 +70,6 @@ def _first_bad_cell(names: list[str], row: list[str]) -> str:
     raise AssertionError("every cell of the row is an integer")
 
 
-def _row_builder(names: list[str]) -> Callable[[list[int]], list[dict[str, int]]]:
-    """The function that turns a batch's cell values, row after row, into
-    one dict per row. The column names are the arguments of the generated
-    ``make``, so its source holds only fixed names and integers."""
-    width = len(names)
-    params = ", ".join(f"n{i:d}" for i in range(width))
-    values = ", ".join(f"v{i:d}" for i in range(width))
-    items = ", ".join(f"n{i:d}: v{i:d}" for i in range(width))
-    source = "\n".join(
-        [
-            f"def make({params}):",
-            "    def build(cells):",
-            "        it = iter(cells)",
-            f"        return [{{{items}}} for {values}, in zip({', '.join(['it'] * width)})]",
-            "    return build",
-            "",
-        ]
-    )
-    namespace: dict = {}
-    exec(compile(source, "<trace rows>", "exec"), namespace)
-    return namespace["make"](*names)
-
-
 def read_trace(path: Union[str, Path]) -> Iterator[dict[str, int]]:
     """Stream trace rows as dicts of ints.
 
@@ -105,14 +82,12 @@ def read_trace(path: Union[str, Path]) -> Iterator[dict[str, int]]:
     numbered from 2, blank lines not counted; the rows before a bad one
     are yielded first.
 
-    Rows are read :data:`READ_CHUNK` at a time, and one generated
-    comprehension builds a chunk's dicts. While the lines of a chunk are
-    plain (see :func:`_plain_cells`), they are split and decoded without
-    ``csv.reader``. From the first chunk that is not plain on,
-    ``csv.reader`` reads the rest of the trace: a batch's widths, cell
-    values and time order are checked in C-level passes, and a batch that
-    fails a check goes through again row by row, which finds the first
-    bad row and raises its error.
+    Rows are read :data:`READ_CHUNK` lines at a time. While the lines of
+    a chunk are plain (see :func:`_plain_cells`) and in time order, they
+    are split and decoded without ``csv.reader``, and the chunk's dicts
+    are built in C-level passes. From the first chunk that is not,
+    ``csv.reader`` reads the rest of the trace one row at a time, which
+    finds the first bad row, if any, and raises its error.
     """
     return itertools.chain.from_iterable(_read_batches(Path(path)))
 
@@ -131,7 +106,6 @@ def _read_batches(path: Path) -> Iterator[Iterable[dict[str, int]]]:
             raise TraceFormatError(f"{path}: missing required column 'ts'")
         width = len(names)
         at_ts = names.index("ts")
-        build = _row_builder(names)
         lineno = 2  # of the next row
         last_ts: float = -math.inf
         while lines := list(itertools.islice(fh, READ_CHUNK)):
@@ -143,28 +117,14 @@ def _read_batches(path: Path) -> Iterator[Iterable[dict[str, int]]]:
                 break
             last_ts = stamps[-1]
             lineno += len(lines)
-            yield build(cells)
+            rows = zip(*[iter(cells)] * width)
+            yield list(map(dict, map(zip, itertools.repeat(names), rows)))
         else:
             return
-        rows = filter(None, csv.reader(itertools.chain(lines, fh)))
-        while batch := list(itertools.islice(rows, READ_CHUNK)):
-            if set(map(len, batch)) == {width}:
-                try:
-                    cells = list(
-                        map(int, itertools.chain.from_iterable(batch), itertools.repeat(0))
-                    )
-                except ValueError:
-                    pass
-                else:
-                    stamps = cells[at_ts::width]
-                    if all(map(le, itertools.chain((last_ts,), stamps), stamps)):
-                        last_ts = stamps[-1]
-                        lineno += len(batch)
-                        yield build(cells)
-                        continue
-            # yields the rows before the bad one, then raises its error
-            yield _read_rows(path, names, batch, lineno, last_ts)
-            raise AssertionError("a batch that fails a check holds a bad row")
+        # row by row from here on, up to the first bad row if there is one
+        yield _read_rows(
+            path, names, filter(None, csv.reader(itertools.chain(lines, fh))), lineno, last_ts
+        )
 
 
 # every JSON value but an integer holds one of these: strings, arrays,
@@ -204,12 +164,13 @@ def _plain_cells(lines: list[str], width: int) -> Optional[list[int]]:
 
 
 def _read_rows(
-    path: Path, names: list[str], batch: list[list[str]], lineno: int, last_ts: float
+    path: Path, names: list[str], rows: Iterable[list[str]], lineno: int, last_ts: float
 ) -> Iterator[dict[str, int]]:
-    """The rows of ``batch`` up to its first bad one, whose error it raises."""
+    """``rows`` as dicts, one at a time, up to the first bad one, whose
+    error it raises."""
     width = len(names)
     bases = (0,) * width
-    for lineno, row in enumerate(batch, start=lineno):
+    for lineno, row in enumerate(rows, start=lineno):
         if len(row) != width:
             raise TraceFormatError(f"{path}:{lineno}: {len(row)} cells, header has {width}")
         try:
