@@ -10,11 +10,9 @@ files; see the bundled ones under ``flowfsm/data``.
 from .alu import AluRuntime, Instruction, Opcode, decode, encode, execute_tuple
 from .conditions import CmpOp, ConditionSpec, evaluate
 from .engine import Action, ActionKind, Engine
-from .extractor import KeyScope, PacketRecord
 from .flow_context import FlowContext, FlowContextTable
 from .programs import (
     ProgramConfig,
-    build_engine,
     bundled_program,
     load,
     loads,
@@ -35,12 +33,9 @@ __all__ = [
     "FlowContext",
     "FlowContextTable",
     "Instruction",
-    "KeyScope",
     "Opcode",
-    "PacketRecord",
     "ProgramConfig",
     "RunStats",
-    "build_engine",
     "bundled_program",
     "decode",
     "encode",

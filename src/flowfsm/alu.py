@@ -41,6 +41,8 @@ SEL_R_BASE = 0
 SEL_G_BASE = 4
 SEL_H_BASE = 8
 NUM_SELECTORS = 16
+# the header slots H0..H7 a packet's fields are bound to
+NUM_HEADER_SLOTS = NUM_SELECTORS - SEL_H_BASE
 
 
 class Opcode(enum.IntEnum):
@@ -114,7 +116,11 @@ def selector_name(sel: int) -> str:
 
 def parse_selector(token: str) -> int:
     token = token.strip().upper()
-    bases = {"R": (SEL_R_BASE, 4), "G": (SEL_G_BASE, 4), "H": (SEL_H_BASE, 8)}
+    bases = {
+        "R": (SEL_R_BASE, 4),
+        "G": (SEL_G_BASE, 4),
+        "H": (SEL_H_BASE, NUM_HEADER_SLOTS),
+    }
     if len(token) >= 2 and token[0] in bases and token[1:].isdigit():
         base, limit = bases[token[0]]
         idx = int(token[1:])

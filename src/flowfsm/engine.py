@@ -12,10 +12,17 @@ management-period boundary, the step tells the context table the new
 period before it processes the packet; the table ages its contexts from
 that alone, so no packet scans the table.
 
+A packet reaches the step as the pair ``(h, ts)``: ``h``, the values of
+the eight 32-bit header slots H0..H7 that the program's fields bind from
+trace columns, and the timestamp ``ts``. A flow key is 128 bits wide: the
+fields of a key scope concatenate in scope order, the first in the most
+significant bits, each masked to its width, zero-padded on the right.
+
 An engine is built from a validated :class:`~flowfsm.programs.ProgramConfig`
 in one compile stage, the only one between the program and the packets.
-It builds the flow context table with the program's fallbacks packed by
-the lookup scope, and the lookup and update key scopes. It resolves each
+It computes the key layout of the lookup and update scopes once, as
+(slot, mask, shift) triples, and builds the flow context table with the
+program's fallbacks packed by the lookup layout. It resolves each
 transition row once into its match side (state code or any, condition
 value and mask, and (slot, value, mask) field patterns) and its constants
 (action text, next state, ALU tuple). From these it generates one
@@ -56,6 +63,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .alu import (
+    NUM_HEADER_SLOTS,
     SEL_G_BASE,
     SEL_H_BASE,
     AluRuntime,
@@ -67,12 +75,15 @@ from .alu import (
     exec_var,
 )
 from .conditions import NUM_CONDITIONS
-from .extractor import FLOW_KEY_WIDTH, NUM_HEADER_SLOTS, KeyScope, PacketRecord
 from .flow_context import FlowContextTable
 from .stats import RunStats
 
 if TYPE_CHECKING:  # programs imports this module
     from .programs import ProgramConfig
+
+FLOW_KEY_WIDTH = 128
+# a scope's flow key: the OR of (h[slot] & mask) << shift over its fields
+KeyLayout = tuple[tuple[int, int, int], ...]
 
 # one verdict row per packet, as process_packet returns it
 VERDICT_COLUMNS = (
@@ -168,6 +179,23 @@ def parse_action(text: str) -> Action:
     raise ValueError(f"unknown action {text!r}")
 
 
+def key_layout(parts: Iterable[tuple[int, int]]) -> KeyLayout:
+    """The layout of a scope given as (slot, width) pairs in scope order."""
+    layout, shift = [], FLOW_KEY_WIDTH
+    for slot, width in parts:
+        shift -= width
+        layout.append((slot, (1 << width) - 1, shift))
+    return tuple(layout)
+
+
+def pack_key(layout: KeyLayout, h: Sequence[int]) -> int:
+    """The flow key of header slot values ``h`` under ``layout``."""
+    key = 0
+    for slot, mask, shift in layout:
+        key |= (h[slot] & mask) << shift
+    return key
+
+
 def _first_match(candidates: tuple, h: Sequence[int]) -> int:
     """Index of the first row in ``candidates`` whose field patterns all
     match ``h``; the last candidate has none, so one always does."""
@@ -203,17 +231,19 @@ class Engine:
         hazard_window: int = 0,
         hw16_div: bool = False,
     ):
+        if hazard_window < 0:
+            raise ValueError(f"hazard window {hazard_window} is negative")
         self.name = config.name
         states = config.states
         self._labels = {code: label for label, code in states.items()}
         fields = {f.name: f for f in config.fields}
 
-        def scope(names: Sequence[str]) -> KeyScope:
-            return KeyScope([(fields[n].slot, fields[n].width) for n in names])
+        def layout(names: Sequence[str]) -> KeyLayout:
+            return key_layout((fields[n].slot, fields[n].width) for n in names)
 
-        self._lookup_scope = scope(config.lookup_scope)
-        self._update_scope = scope(config.update_scope)
-        self._same_scope = self._lookup_scope == self._update_scope
+        self._lookup_key = layout(config.lookup_scope)
+        self._update_key = layout(config.update_scope)
+        self._same_scope = self._lookup_key == self._update_key
         sizes = config.table_sizes
         self.context = FlowContextTable(
             subtables=sizes.context_subtables,
@@ -223,15 +253,15 @@ class Engine:
             num_registers=4 + len(config.flow_scratch),
         )
         for fb in config.context_fallback:
-            # the pattern as header slot values, packed by the lookup scope
+            # the pattern as header slot values, packed by the lookup layout
             value = [0] * NUM_HEADER_SLOTS
             mask = [0] * NUM_HEADER_SLOTS
             for name, (v, m) in fb.match:
                 slot = fields[name].slot
                 value[slot], mask[slot] = v, m
             self.context.add_fallback(
-                self._lookup_scope.key(value),
-                self._lookup_scope.key(mask),
+                pack_key(self._lookup_key, value),
+                pack_key(self._lookup_key, mask),
                 fb.priority,
                 states[fb.state],
                 fb.registers,
@@ -357,15 +387,16 @@ class Engine:
         """Apply all delayed updates (hazard-window mode only)."""
         self._flush_pending(1 << 62)
 
-    def process_packet(self, record: PacketRecord) -> tuple:
-        """Run one packet through the stage; returns its verdict row, the
-        values of :data:`VERDICT_COLUMNS` in order. Every engine shadows
-        this with the step :meth:`_generate_step` compiles for its program."""
+    def process_packet(self, record: tuple[list[int], int]) -> tuple:
+        """Run one packet, the pair ``(h, ts)``, through the stage; returns
+        its verdict row, the values of :data:`VERDICT_COLUMNS` in order.
+        Every engine shadows this with the step :meth:`_generate_step`
+        compiles for its program."""
         raise NotImplementedError("engines run their generated step")
 
     def _generate_step(
         self, plans: Sequence[tuple[Instruction, ...]]
-    ) -> Callable[[PacketRecord], tuple]:
+    ) -> Callable[[tuple[list[int], int]], tuple]:
         """Compile the program into its per-packet step.
 
         ``plans`` are the distinct ALU tuples, the empty one first; the
@@ -391,13 +422,11 @@ class Engine:
             slots.add(sel - SEL_H_BASE)
             return f"h{sel - SEL_H_BASE:d}"
 
-        def key(scope: KeyScope) -> str:
-            terms, shift = [], FLOW_KEY_WIDTH
-            for slot, width in scope.parts:
-                shift -= width
-                mask = (1 << width) - 1
-                terms.append(f"({selector(SEL_H_BASE + slot)} & {mask:#x}) << {shift:d}")
-            return " | ".join(terms)
+        def key(layout: KeyLayout) -> str:
+            return " | ".join(
+                f"({selector(SEL_H_BASE + slot)} & {mask:#x}) << {shift:d}"
+                for slot, mask, shift in layout
+            )
 
         def update(plan: tuple[Instruction, ...]) -> list[str]:
             """Lines that run one ALU tuple: every result lands in a
@@ -433,20 +462,15 @@ class Engine:
                 lines.extend(f"g[{k:d}] = {v}" for k, v in globs.items())
             return lines
 
-        body = ["ts = record.ts"]
-        if self._period:
-            # the period branch leaves boundary above every ts seen, so
-            # only a packet that does not take it can be out of order
-            body += [
-                "if ts >= boundary:",
-                f"    epoch = ts // {self._period:d}",
-                "    context.advance(epoch)",
-                f"    boundary = (epoch + 1) * {self._period:d}",
-                "elif ts < last:",
-            ]
-        else:
-            body.append("if ts < last:")
-        body += [
+        # the period branch leaves boundary above every ts seen, so only a
+        # packet that does not take it can be out of order
+        body = [
+            "h, ts = record",
+            "if ts >= boundary:",
+            f"    epoch = ts // {self._period:d}",
+            "    context.advance(epoch)",
+            f"    boundary = (epoch + 1) * {self._period:d}",
+            "elif ts < last:",
             "    raise order_error(order_text.format(ts, last))",
             "last = ts",
             "pseq = seq",
@@ -454,14 +478,14 @@ class Engine:
         ]
         if hazard:
             body.append("flush_pending(pseq)")
-        lookup_key = key(self._lookup_scope)
-        update_key = key(self._update_scope)
+        lookup_key = key(self._lookup_key)
+        update_key = key(self._update_key)
         bits = " | ".join(
             f"({selector(c.lhs)} {_CMP_OPS[c.op]} {selector(c.rhs)}) << {i:d}"
             for i, c in enumerate(self._conds)
         )
         blocks = [update(plan) for plan in plans]
-        body += ["h = record.h"] + [f"h{s:d} = h[{s:d}]" for s in sorted(slots)]
+        body += [f"h{s:d} = h[{s:d}]" for s in sorted(slots)]
         body += [
             f"key = {lookup_key}",
             "ctx = context.lookup_context(key)",
@@ -534,10 +558,10 @@ class Engine:
         self.step_source = source  # for inspection and tests
         return namespace["make"](-math.inf, -math.inf)
 
-    def run_trace(self, records: Iterable[PacketRecord]) -> Iterator[tuple]:
-        """The verdict of each record, lazily; the step enforces time order.
-        In hazard mode the updates still delayed are applied once the
-        records run out."""
+    def run_trace(self, records: Iterable[tuple[list[int], int]]) -> Iterator[tuple]:
+        """The verdict of each ``(h, ts)`` record, lazily; the step enforces
+        time order. In hazard mode the updates still delayed are applied
+        once the records run out."""
         verdicts = map(self.process_packet, records)
         if self.hazard_window:
             # flush returns None, the sentinel, so it adds no verdict

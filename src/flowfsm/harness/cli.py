@@ -19,7 +19,7 @@ import time
 from typing import Optional, Sequence
 
 from .. import alu, programs
-from ..engine import NonMonotoneTimestampError
+from ..engine import Engine, NonMonotoneTimestampError
 from . import gen, traceio
 
 EXIT_OK = 0
@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     config = programs.load(args.program)
     binder = programs.make_binder(config)
-    engine = programs.build_engine(
+    engine = Engine(
         config,
         seed=args.seed,
         hazard_window=args.hazard_window,
@@ -107,7 +107,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = programs.load(args.program)
-    rows = programs.compile_rows(config)
+    rows = config.transition_rows()
     print(f"program:       {config.name}")
     print(f"states:        {', '.join(f'{k}={v}' for k, v in config.states.items())}")
     print(f"conditions:    {len(config.conditions)}")

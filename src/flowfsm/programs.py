@@ -19,9 +19,9 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import yaml
 
-from . import alu, conditions, extractor
-from .engine import Action, ActionKind, Engine, format_action, parse_action
-from .extractor import PacketRecord
+from . import alu, conditions
+from .engine import FLOW_KEY_WIDTH, Action, ActionKind, Engine
+from .engine import format_action, parse_action
 
 TIMESTAMP_UNITS = {
     "seconds": 1,
@@ -210,10 +210,11 @@ class ProgramConfig:
     conditions: tuple[tuple[str, conditions.ConditionSpec], ...]
     match_fields: tuple[str, ...]
     rows: tuple[RowDef, ...]
+    # positive: the loader replaces 0 by one second of ticks
+    management_period: int
     context_fallback: tuple[FallbackDef, ...] = ()
     classifier_tree: Optional[ClassifierTree] = None
     table_sizes: TableSizes = dc_field(default_factory=TableSizes)
-    management_period: int = 0  # 0 is replaced by one second of ticks
     # extra per-flow scratch registers, each addressed through a donated
     # (otherwise unused) global selector slot: (alias name, G slot index)
     flow_scratch: tuple[tuple[str, int], ...] = ()
@@ -454,8 +455,9 @@ def _build(doc: dict, source: str) -> ProgramConfig:
             problems.append(f"{where}: duplicate field name {fname!r}")
         seen_names.add(fname)
         slot = _to_int(item.get("slot", -1), f"{where}.slot", problems)
-        if not 0 <= slot < extractor.NUM_HEADER_SLOTS:
-            problems.append(f"{where}: slot {slot} outside 0..7")
+        if not 0 <= slot < alu.NUM_HEADER_SLOTS:
+            last = alu.NUM_HEADER_SLOTS - 1
+            problems.append(f"{where}: slot {slot} outside 0..{last}")
         elif slot in seen_slots:
             problems.append(f"{where}: slot {slot} already bound")
         seen_slots.add(slot)
@@ -482,8 +484,8 @@ def _build(doc: dict, source: str) -> ProgramConfig:
                 problems.append(f"{key}: unknown field {n!r}")
             else:
                 total += field_map[n].width
-        if total > extractor.FLOW_KEY_WIDTH:
-            problems.append(f"{key}: widths sum to {total} > 128 bits")
+        if total > FLOW_KEY_WIDTH:
+            problems.append(f"{key}: widths sum to {total} > {FLOW_KEY_WIDTH} bits")
         return tuple(names)
 
     lookup_scope = scope_of("lookup_scope")
@@ -816,7 +818,9 @@ def _parse_tree(
 # ---------------------------------------------------------------------------
 # compilation
 
-# the engine compiles a validated program once, when it is built
+# the engine compiles a validated program once, when it is built. These two
+# aliases are the names the benchmark under perfbench/ calls; nothing else
+# does, and they go once it calls Engine and transition_rows directly
 build_engine = Engine
 compile_rows = ProgramConfig.transition_rows
 
@@ -831,17 +835,19 @@ class BindError(ProgramError):
 
 def make_binder(
     config: ProgramConfig,
-) -> Callable[[Mapping[str, int], int], PacketRecord]:
-    """Build the trace-row to packet-record binding for one program.
+) -> Callable[[Mapping[str, int], int], tuple[list[int], int]]:
+    """Build the trace-row to packet-record binding for one program: a
+    record is the pair ``(h, ts)`` of the header slot values and the
+    timestamp.
 
     Every field reads the trace column its ``source`` names, metadata
     such as ``ts`` and ``in_port`` included. A missing column, or a value
     that is negative or wider than its field, raises :class:`BindError`.
     """
-    slots = extractor.NUM_HEADER_SLOTS
+    slots = alu.NUM_HEADER_SLOTS
     column_binds = [(f.slot, f.source, f.width) for f in config.fields]
 
-    def bind(row: Mapping[str, int], seq: int) -> PacketRecord:
+    def bind(row: Mapping[str, int], seq: int) -> tuple[list[int], int]:
         h = [0] * slots
         try:
             for slot, column, width in column_binds:
@@ -854,7 +860,7 @@ def make_binder(
                 h[slot] = value
         except KeyError:
             raise BindError(f"trace row {seq}: missing column {column!r}") from None
-        return PacketRecord(h, row["ts"])  # ts presence checked at ingestion
+        return h, row["ts"]  # ts presence checked at ingestion
 
     return bind
 

@@ -3,7 +3,8 @@
 The reference models here are deliberately simple re-implementations used
 as oracles; they must not call into the package's table or ALU code.
 ``RefContextModel`` takes only the hash that places keys in buckets from
-the table. ``ReferenceStep`` is the exception: it checks the engine's
+the table, and ``flow_key`` packs keys from the layout docs/SCHEMA.md
+documents. ``ReferenceStep`` is the exception: it checks the engine's
 generated step against the package's own interpreters, which are tested on
 their own.
 """
@@ -31,6 +32,19 @@ def scan_lookup(entries, key):
             if best is None or priority > best[0]:
                 best = (priority, payload)
     return best[1] if best else None
+
+
+def flow_key(config, scope, h):
+    """The 128-bit flow key of header slot values ``h`` under ``scope``, a
+    list of the config's field names: each field's value, cut to its
+    width, in scope order, the first field in the most significant bits,
+    zero-padded on the right."""
+    key = width = 0
+    for name in scope:
+        field = config.field_by_name(name)
+        key = key << field.width | h[field.slot] % (1 << field.width)
+        width += field.width
+    return key << (128 - width)
 
 
 def reference_read_trace(path):
@@ -75,14 +89,16 @@ class ReferenceStep:
     It runs on the engine's own context table, globals, ALU counters and
     transition counts, with ``conditions.evaluate`` for the conditions,
     ``Engine.match_row`` for the transition and ``alu.execute_tuple`` for
-    the register update. It reads the rows' actions, next states and
-    tuples, and the state labels, from ``config``, the program the engine
-    was built from. It keeps its own packet clock and period clock, and
+    the register update, and packs the flow keys with ``flow_key``. It
+    reads the rows' actions, next states and tuples, the state labels, the
+    key scopes and the management period from ``config``, the program the
+    engine was built from. It keeps its own packet clock and period clock, and
     tells the table each new management period.
     """
 
     def __init__(self, engine, config):
         self.engine = engine
+        self.config = config
         self.seq = 0
         self.epoch = None
         states = config.states
@@ -93,26 +109,24 @@ class ReferenceStep:
                 None if row.next_state is None else states[row.next_state],
                 row.instructions,
             )
-            for row in programs.compile_rows(config)
+            for row in config.transition_rows()
         ]
 
     def process_packet(self, record):
         engine = self.engine
         context = engine.context
+        config = self.config
         seq = self.seq
         self.seq = seq + 1
-        ts = record.ts
-        period = engine._period
-        if period and ts // period != self.epoch:
-            self.epoch = ts // period
+        h, ts = record
+        if ts // config.management_period != self.epoch:
+            self.epoch = ts // config.management_period
             context.advance(self.epoch)
         hazard = engine.hazard_window
         if hazard:
             engine._flush_pending(seq)
 
-        h = record.h
-        lookup_key = engine._lookup_scope.key(h)
-        ctx = context.lookup_context(lookup_key)
+        ctx = context.lookup_context(flow_key(config, config.lookup_scope, h))
         state, r, g = ctx.state, list(ctx.r), engine.g
         # scratch i is flow register 4+i, addressed as global scratch[i]
         g_view = list(g)
@@ -128,7 +142,7 @@ class ReferenceStep:
             r2[4 + i] = g2[slot]
             g2[slot] = g[slot]
 
-        update_key = engine._update_scope.key(h)
+        update_key = flow_key(config, config.update_scope, h)
         if hazard:
             engine._pending.append((seq + hazard + 1, update_key, next_state, r2, g2))
         else:

@@ -12,17 +12,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowfsm import alu, programs
+from flowfsm.engine import Engine
 from flowfsm.flow_context import FlowContextTable
 from flowfsm.harness import gen, oracles, traceio
 
-from helpers import RefContextModel, token_bucket_config, window_bound_holds
+from helpers import (
+    RefContextModel,
+    flow_key,
+    scan_lookup,
+    token_bucket_config,
+    window_bound_holds,
+)
 from test_replay_digests import MAC_TRACE, TRACES, replay
 
 
 def assert_policer_equals_oracle(burst, q, arrivals):
     """Replay one flow's arrivals; returns the forwarded arrival times."""
     config = token_bucket_config(burst, q)
-    engine = programs.build_engine(config, seed=1)
+    engine = Engine(config, seed=1)
     bind = programs.make_binder(config)
     rows = ({"ts": t, "ip_src": gen.STRESS_IP} for t in arrivals)
     actions = [v[2] for v in engine.run_trace(bind(row, i) for i, row in enumerate(rows))]
@@ -53,6 +60,29 @@ def test_c1_token_bucket_bundled_stress_trace():
     assert len(forwarded) == 4865
 
 
+def test_c2_port_scan_behavior():
+    """A 40 SYN/s scanner among three benign sources at 5 SYN/s: the
+    scanner's first 20 SYNs pass and its 21st, where ``calibrate-portscan``
+    puts the trip point, is dropped; every benign SYN passes; and a probe
+    150 s after the scan stopped finds the scanner's context aged out and
+    passes, moving the source from DEFAULT to MONITOR."""
+    config = programs.bundled_program("port_scan")
+    params = {"duration_s": 12, "scanner_rate": 40, "benign_rate": 5,
+              "benign_sources": 3, "probe_gap_s": 150}
+    rows = gen.portscan_mix(params, random.Random(2))
+    engine = Engine(config, seed=1)
+    bind = programs.make_binder(config)
+    verdicts = list(engine.run_trace(bind(row, i) for i, row in enumerate(rows)))
+    scanner = [v for row, v in zip(rows, verdicts) if row["ip_src"] == gen.SCANNER_IP]
+    benign = [v for row, v in zip(rows, verdicts) if row["ip_src"] != gen.SCANNER_IP]
+    assert [v[2] for v in scanner[:21]] == ["fwd:1"] * 20 + ["drop"]
+    assert len(benign) == 12 * 3 * 5
+    assert all(v[2] == "fwd:1" for v in benign)
+    probe = scanner[-1]
+    assert probe[1] == rows[-1]["ts"] == 11 + 150
+    assert (probe[2], probe[3], probe[4]) == ("fwd:1", "DEFAULT", "MONITOR")
+
+
 def test_c3_classifier_equivalence():
     """Every flow of the classifier grid ends its window in the class the
     tree oracle gives for its running statistics, with the window's
@@ -63,13 +93,13 @@ def test_c3_classifier_equivalence():
     rows = gen.classifier_grid({"repeats": 12}, random.Random(1))
     sizes = {}
     decided = {}
-    engine = programs.build_engine(config, seed=1)
+    engine = Engine(config, seed=1)
     bind = programs.make_binder(config)
     records = [bind(row, i) for i, row in enumerate(rows)]
-    for row, record, verdict in zip(rows, records, engine.run_trace(records)):
+    for row, (h, _), verdict in zip(rows, records, engine.run_trace(records)):
         src = row["ip_src"]
         if verdict[3] == "MEASURE" and verdict[4] != "MEASURE":
-            ctx = engine.context.get(engine._lookup_scope.key(record.h))
+            ctx = engine.context.get(flow_key(config, config.lookup_scope, h))
             decided[src] = verdict[4], verdict[5], tuple(ctx.r[:4])
         elif src not in decided:
             sizes.setdefault(src, []).append(row["pkt_len"])
@@ -80,8 +110,30 @@ def test_c3_classifier_equivalence():
         total = sum(sizes[src]) & 0xFFFFFFFF
         assert regs == (count, mean, var, total), src
         assert label == oracles.classify(config, mean, var, total), src
-    tree_rows = range(len(config.rows), len(programs.compile_rows(config)))
+    tree_rows = range(len(config.rows), len(config.transition_rows()))
     assert {row_id for _, row_id, _ in decided.values()} == set(tree_rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_c5_context_fallback_oracle_equivalence(data):
+    """A miss on any key gets the state of the highest-priority fallback
+    that matches it, as a linear scan of the fallbacks finds it, or the
+    default context when none does; the patterns sit at the top, the
+    middle or the bottom of the 128-bit key."""
+    width = data.draw(st.integers(min_value=4, max_value=24))
+    shift = data.draw(st.sampled_from([0, 64, 128 - width]))
+    word = st.integers(min_value=0, max_value=(1 << width) - 1)
+    priorities = data.draw(st.lists(st.integers(0, 100), max_size=12, unique=True))
+    rules = [
+        (data.draw(word) << shift, data.draw(word) << shift, p, i + 1)
+        for i, p in enumerate(priorities)
+    ]
+    table = FlowContextTable(subtables=4, buckets=8, bucket_depth=1, seed=1)
+    for value, mask, priority, state in rules:
+        table.add_fallback(value, mask, priority, state)
+    key = data.draw(word) << shift
+    assert (table.lookup_context(key).state or None) == scan_lookup(rules, key)
 
 
 def flipped(rng, key, mask, inside):
@@ -152,7 +204,7 @@ def test_c8_long_flow_marking():
     and forwarded unmarked, packet 5 is the first marked one and moves the
     flow to LONG, and every later packet stays LONG and marked."""
     config = programs.bundled_program("long_flow")
-    row_ids = [row.row_id for row in programs.compile_rows(config)]
+    row_ids = [row.row_id for row in config.transition_rows()]
     expected = [("fwd:1", "DEFAULT", "DEFAULT", "count")] * 4 + [
         ("dscp:10:fwd:1", "DEFAULT", "LONG", "crossed")
     ]
@@ -168,7 +220,7 @@ def test_c8_long_flow_marking():
         for src, dst in order:
             ts += rng.randrange(0, 20_000)  # the whole trace inside one second
             rows.append({"ts": ts, "ip_src": src, "ip_dst": dst})
-        engine = programs.build_engine(config, seed=seed)
+        engine = Engine(config, seed=seed)
         bind = programs.make_binder(config)
         verdicts = engine.run_trace(bind(row, i) for i, row in enumerate(rows))
         per_flow = {key: [] for key in keys}
@@ -205,9 +257,9 @@ def test_c9_replay_determinism(name, tmp_path):
     config = programs.bundled_program(name)
     bind = programs.make_binder(config)
     records = [bind(row, i) for i, row in enumerate(golden_rows(name, tmp_path))]
-    alone = programs.build_engine(config, seed=7)
+    alone = Engine(config, seed=7)
     expected = list(alone.run_trace(records))
-    a, b = (programs.build_engine(config, seed=7) for _ in range(2))
+    a, b = (Engine(config, seed=7) for _ in range(2))
     # zip takes one verdict from a, then one from b, packet by packet
     for va, vb, want in zip(a.run_trace(records), b.run_trace(records), expected):
         assert va == vb == want

@@ -13,6 +13,19 @@ def test_validate_accepts_bundled_programs(name, capsys):
     assert f"program:       {name}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "name, line",
+    [
+        ("c45_classifier", "rows:          9 (incl. tree expansion)"),
+        ("long_flow", "partitionable: yes"),
+        ("mac_learning", "partitionable: no"),
+    ],
+)
+def test_validate_reports_the_program_shape(name, line, capsys):
+    assert cli.main(["validate", "--program", str(programs.bundled_path(name))]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("case", sorted(GAP_CASES))
 def test_validate_rejects_loader_gaps(case, tmp_path, capsys):
     base, path, value, location = GAP_CASES[case]
@@ -20,6 +33,20 @@ def test_validate_rejects_loader_gaps(case, tmp_path, capsys):
     program.write_text(yaml.safe_dump(patched_doc(base, path, value)))
     assert cli.main(["validate", "--program", str(program)]) == cli.EXIT_VALIDATION
     assert f"{program}: {location}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", [-1, -5])
+def test_run_rejects_a_negative_hazard_window(window, tmp_path, capsys):
+    trace = tmp_path / "mac.csv"
+    trace.write_text("ts,in_port,eth_src,eth_dst\n0,1,0xa,0xb\n")
+    out = tmp_path / "verdicts.csv"
+    program = programs.bundled_path("mac_learning")
+    argv = ["run", "--program", str(program), "--trace", str(trace),
+            "--out", str(out), "--hazard-window", str(window)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"validation error: hazard window {window} is negative" in err
+    assert not out.exists()
 
 
 def test_run_rejects_a_trace_value_wider_than_its_field(tmp_path, capsys):

@@ -2,19 +2,59 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowfsm import programs
-from flowfsm.engine import VERDICT_COLUMNS, NonMonotoneTimestampError
-from flowfsm.extractor import KeyScope, PacketRecord
+from flowfsm.engine import (
+    VERDICT_COLUMNS,
+    Engine,
+    NonMonotoneTimestampError,
+    key_layout,
+    pack_key,
+)
 from flowfsm.harness import gen
 
-from helpers import program_config, scan_lookup
+from helpers import flow_key, program_config, scan_lookup
 from test_acceptance import golden_rows
 
 
 def bundled_engine(name):
     config = programs.bundled_program(name)
-    return programs.build_engine(config), programs.make_binder(config)
+    return Engine(config), programs.make_binder(config)
+
+
+def test_flow_key_single_field_left_aligned():
+    layout = key_layout([(0, 32)])
+    assert pack_key(layout, [0x0A000001] + [0] * 7) == 0x0A000001 << 96
+
+
+def test_flow_key_concatenation_order():
+    layout = key_layout([(0, 16), (1, 8)])
+    assert pack_key(layout, [0x1234, 0x56] + [0] * 6) == 0x123456 << (128 - 24)
+
+
+def test_src_and_dst_scopes_differ():
+    # source and destination station ids in separate slots
+    h = [0x020000AA, 0x020000BB] + [0] * 6
+    assert pack_key(key_layout([(0, 32)]), h) != pack_key(key_layout([(1, 32)]), h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_flow_key_injective_over_field_values(data):
+    widths = data.draw(
+        st.lists(st.integers(min_value=1, max_value=32), min_size=1, max_size=4)
+    )
+    layout = key_layout(list(enumerate(widths)))
+    vals_a = [data.draw(st.integers(0, (1 << w) - 1)) for w in widths]
+    vals_b = [data.draw(st.integers(0, (1 << w) - 1)) for w in widths]
+    key_a = pack_key(layout, vals_a + [0] * (8 - len(vals_a)))
+    key_b = pack_key(layout, vals_b + [0] * (8 - len(vals_b)))
+    if vals_a == vals_b:
+        assert key_a == key_b
+    else:
+        assert key_a != key_b
 
 
 def run_rows(engine, bind, rows):
@@ -150,8 +190,8 @@ def field_vectors(config, rows, rng):
 @pytest.mark.parametrize("name", programs.BUNDLED + ("synthetic",))
 def test_dispatch_equals_a_linear_scan(name):
     config = program_config(name)
-    engine = programs.build_engine(config)
-    rows = programs.compile_rows(config)
+    engine = Engine(config)
+    rows = config.transition_rows()
     entries = packed_rows(config, rows)
     vectors = list(field_vectors(config, rows, random.Random(name)))
     slots = [config.field_by_name(n).slot for n in config.match_fields]
@@ -169,7 +209,7 @@ def test_dispatch_equals_a_linear_scan(name):
 @pytest.mark.parametrize("window", [0, 1, 2, 3])
 def test_hazard_window_delays_update_visibility(window):
     config = programs.bundled_program("long_flow")
-    engine = programs.build_engine(config, hazard_window=window)
+    engine = Engine(config, hazard_window=window)
     bind = programs.make_binder(config)
     # the R0 of the context each packet looked up
     seen = []
@@ -191,7 +231,7 @@ def test_hazard_window_delays_update_visibility(window):
         expected.append(expected[earlier] + 1 if earlier >= 0 else 0)
     assert seen == expected
     # run_trace applies the updates still in flight when the trace ends
-    flow = KeyScope([(0, 32), (1, 32)]).key([1, 2, 0, 0, 0, 0, 0, 0])
+    flow = flow_key(config, config.lookup_scope, [1, 2, 0, 0, 0, 0, 0, 0])
     assert engine.context.get(flow).r[0] == expected[-1] + 1
 
 
@@ -203,8 +243,8 @@ def test_step_rejects_a_timestamp_that_runs_backwards(name, hazard):
     config = programs.bundled_program(name)
     for times, bad in [((5, 6, 6, 5), "timestamp 5 after 6"),
                        ((1, 10**7, 10**7 - 1), "timestamp 9999999 after 10000000")]:
-        engine = programs.build_engine(config, hazard_window=hazard)
-        records = [PacketRecord([1, 2, 0, 0, 0, 0, 0, 1], ts) for ts in times]
+        engine = Engine(config, hazard_window=hazard)
+        records = [([1, 2, 0, 0, 0, 0, 0, 1], ts) for ts in times]
         verdicts = engine.run_trace(records)
         for _ in times[:-1]:
             next(verdicts)

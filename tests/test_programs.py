@@ -4,14 +4,14 @@ import pytest
 import yaml
 
 from flowfsm import programs
-from flowfsm.engine import VERDICT_COLUMNS, Action, ActionKind
-from flowfsm.extractor import KeyScope
+from flowfsm.engine import VERDICT_COLUMNS, Action, ActionKind, Engine
 from flowfsm.programs import BindError, ProgramParseError, ProgramValidationError
 
 from helpers import (
     DELETE,
     GAP_CASES,
     SYNTHETIC_PROGRAM,
+    flow_key,
     patched_doc,
     program_config,
 )
@@ -74,7 +74,7 @@ def test_synthetic_program_covers_the_unbundled_schema():
 
 def test_classifier_tree_expands_after_the_explicit_rows():
     config = programs.bundled_program("c45_classifier")
-    rows = programs.compile_rows(config)
+    rows = config.transition_rows()
     assert rows[: len(config.rows)] == config.rows
     tree_rows = rows[len(config.rows) :]
     # leftmost (all-true) path first; C0 is the gate, C1..C3 the tree
@@ -93,12 +93,11 @@ def test_fallback_key_follows_the_lookup_scope_layout():
     # scope [ip_src/32, ip_proto/8]: the ip_proto fallback sits on the
     # second, narrower field of the key
     config = programs.loads(SYNTHETIC_PROGRAM)
-    context = programs.build_engine(config).context
-    scope = KeyScope([(0, 32), (1, 8)])
+    context = Engine(config).context
 
     def state_of(ip_src, ip_proto):
         h = [ip_src, ip_proto, 0, 0, 0, 0, 0, 0]
-        return context.lookup_context(scope.key(h))
+        return context.lookup_context(flow_key(config, config.lookup_scope, h))
 
     monitor, seen = config.states["MONITOR"], config.states["SEEN"]
     hit = state_of(0x01020304, 0x06)
@@ -116,7 +115,7 @@ def test_fallback_on_the_second_scope_field_steers_packets():
         [{"priority": 1, "state": "LONG", "match": {"ip_dst": 7}}],
     )
     config = programs.loads(yaml.safe_dump(doc))
-    engine, bind = programs.build_engine(config), programs.make_binder(config)
+    engine, bind = Engine(config), programs.make_binder(config)
     rows = [{"ts": 0, "ip_src": 1, "ip_dst": 7}, {"ts": 1, "ip_src": 1, "ip_dst": 8}]
     verdicts = engine.run_trace(bind(row, i) for i, row in enumerate(rows))
     pre_state = VERDICT_COLUMNS.index("pre_state")
@@ -301,13 +300,41 @@ def test_broken_programs_are_rejected_at_their_location(base, path, value, locat
     assert_rejected_at(patched_doc(base, path, value), location)
 
 
+def scope_doc(widths):
+    """long_flow with one field per width on slots 0, 1, ..., all of them
+    in the lookup scope."""
+    names = [f"f{slot}" for slot in range(len(widths))]
+    doc = patched_doc(L, ("lookup_scope",), names)
+    doc["update_scope"] = names
+    doc["fields"] = [
+        {"name": name, "slot": slot, "width": width, "source": name}
+        for slot, (name, width) in enumerate(zip(names, widths))
+    ]
+    return doc
+
+
+def test_empty_scope_rejected():
+    for key in ("lookup_scope", "update_scope"):
+        problems = problems_of(patched_doc(L, (key,), []))
+        assert f"{key}: expected a non-empty list" in problems
+
+
+def test_scope_width_bound():
+    """A flow key holds 128 bits: four 32-bit fields fit, five do not."""
+    config = programs.loads(yaml.safe_dump(scope_doc([32] * 4)))
+    assert len(config.lookup_scope) == 4
+    problems = problems_of(scope_doc([32] * 5))
+    assert "lookup_scope: widths sum to 160 > 128 bits" in problems
+    assert "update_scope: widths sum to 160 > 128 bits" in problems
+
+
 MAC_ROW = {"ts": 0, "in_port": 255, "eth_src": 0xFFFFFFFF, "eth_dst": 0}
 
 
 def test_binder_accepts_values_up_to_the_field_width():
     bind = programs.make_binder(programs.bundled_program("mac_learning"))
-    assert bind(MAC_ROW, 0).h[:2] == [0xFFFFFFFF, 0]
-    assert bind(MAC_ROW, 0).h[7] == 255
+    h, ts = bind(MAC_ROW, 0)
+    assert (h[:2], h[7], ts) == ([0xFFFFFFFF, 0], 255, 0)
 
 
 @pytest.mark.parametrize(
@@ -325,13 +352,13 @@ def test_binder_rejects_a_timestamp_wider_than_its_field():
     row = {"ts": 2**33 + 5, "ip_src": 1, "ip_dst": 2, "pkt_len": 60}
     with pytest.raises(BindError, match="trace row 7: column 'ts' value 8589934597"):
         bind(row, 7)
-    assert bind({**row, "ts": 2**32 - 1}, 7).h[6] == 2**32 - 1
+    assert bind({**row, "ts": 2**32 - 1}, 7)[0][6] == 2**32 - 1
 
 
 def test_binder_rejects_a_row_without_a_bound_metadata_column():
     bind = programs.make_binder(programs.bundled_program("c45_classifier"))
     row = {"ts": 5, "ip_src": 1, "ip_dst": 2, "pkt_len": 60}
-    assert bind(row, 4).h[5] == 60
+    assert bind(row, 4)[0][5] == 60
     del row["pkt_len"]
     with pytest.raises(BindError, match="trace row 4: missing column 'pkt_len'"):
         bind(row, 4)

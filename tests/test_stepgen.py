@@ -8,9 +8,9 @@ import pytest
 
 from flowfsm import programs
 from flowfsm.alu import Opcode
-from flowfsm.extractor import PacketRecord
+from flowfsm.engine import Engine
 
-from helpers import ReferenceStep, program_config
+from helpers import ReferenceStep, flow_key, program_config
 
 # Every opcode, shift amounts of 32 and more, a division by a zero
 # immediate, G destinations, statistics instructions on G and on the
@@ -94,7 +94,7 @@ def observed(engine):
 
 
 def test_every_opcode_program_uses_every_opcode():
-    rows = programs.compile_rows(config_of("every_opcode"))
+    rows = config_of("every_opcode").transition_rows()
     assert {ins.opcode for row in rows for ins in row.instructions} == set(Opcode)
 
 
@@ -105,33 +105,34 @@ def test_generated_step_equals_the_interpreter(name, hw16_div, hazard):
     config = config_of(name)
     rng = random.Random(f"{name}-{hw16_div}-{hazard}")
     engine, reference = (
-        programs.build_engine(config, seed=3, hazard_window=hazard, hw16_div=hw16_div)
+        Engine(config, seed=3, hazard_window=hazard, hw16_div=hw16_div)
         for _ in range(2)
     )
     interpreted = ReferenceStep(reference, config)
     codes = sorted(set(config.states.values()))
     nregs = engine.context.num_registers
-    scope = engine._lookup_scope
+    scope = [config.field_by_name(n).slot for n in config.lookup_scope]
     flows = [[word(rng) for _ in range(8)] for _ in range(4)]
     ts = rng.randrange(100)
     for _ in range(300):
         h = [word(rng) for _ in range(8)]
-        for slot, _ in scope.parts:
+        for slot in scope:
             h[slot] = rng.choice(flows)[slot]
         # the same random context for this packet's flow, and the same
         # random globals, on both engines
         if rng.random() < 0.5:
             state = rng.choice(codes)
             regs = [word(rng) for _ in range(nregs)]
+            key = flow_key(config, config.lookup_scope, h)
             for e in (engine, reference):
-                e.context.write_back(scope.key(h), state, regs)
+                e.context.write_back(key, state, regs)
         if rng.random() < 0.2:
             g = [word(rng) for _ in range(4)]
             for e in (engine, reference):
                 e.g[:] = g
         ts += rng.choice((0, 1, 7, 30, 61, 400))
-        verdict = engine.process_packet(PacketRecord(list(h), ts))
-        assert verdict == interpreted.process_packet(PacketRecord(list(h), ts))
+        verdict = engine.process_packet((list(h), ts))
+        assert verdict == interpreted.process_packet((list(h), ts))
         assert observed(engine) == observed(reference)
     engine.flush()
     reference.flush()
@@ -146,7 +147,7 @@ def test_generated_step_equals_the_interpreter(name, hw16_div, hazard):
             for row, n in enumerate(counts)
             if n
         }
-        assert taken == set(range(len(programs.compile_rows(config))))
+        assert taken == set(range(len(config.transition_rows())))
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -155,7 +156,7 @@ def test_generated_source_holds_no_program_text(name):
     the source is made of fixed names and integers only."""
     config = config_of(name)
     for hazard in (0, 1):
-        source = programs.build_engine(config, hazard_window=hazard).step_source
+        source = Engine(config, hazard_window=hazard).step_source
         for text in (config.name, *config.states):
             assert text not in source.replace("process_packet", "")
         assert '"' not in source and "'" not in source

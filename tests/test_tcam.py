@@ -9,8 +9,6 @@ import random
 
 import pytest
 import yaml
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from flowfsm import programs
 from flowfsm.flow_context import FlowContextTable
@@ -136,18 +134,3 @@ def test_random_tables_match_scan_oracle():
         assert fallback_state(table, key) == expected
         hits += expected is not None
     assert hits > 0
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_lookup_matches_oracle_property(data):
-    width = data.draw(st.integers(min_value=4, max_value=24))
-    shift = data.draw(st.sampled_from([0, 64, 128 - width]))
-    word = st.integers(min_value=0, max_value=(1 << width) - 1)
-    priorities = data.draw(st.lists(st.integers(0, 100), max_size=12, unique=True))
-    rules = [
-        (data.draw(word) << shift, data.draw(word) << shift, p, i + 1)
-        for i, p in enumerate(priorities)
-    ]
-    key = data.draw(word) << shift
-    assert fallback_state(table_of(rules), key) == scan_lookup(rules, key)
