@@ -1,29 +1,37 @@
 """Per-flow context storage.
 
 Exact-match contexts live in one key -> context dict, placed as in a
-d-left hash table: d independent subtables, each hashed with its own
-seed, with insertion going to the least-loaded candidate bucket (leftmost
-subtable on ties). The store keeps the keys of each bucket in use; a key
-whose candidate buckets are all full is dropped and counted. A lookup
-miss is not an error: it scans the wildcard fallbacks (value/mask rules
-over the key, mainly to seed protocol-specific default states) in
-descending priority and takes the first match, else synthesizes the
-default context (state 0, all registers zero). Neither allocates: an
-entry is only allocated when a non-default context is written back, so
-idle traffic costs no table space.
+d-left hash table: d subtables, with insertion going to the least-loaded
+candidate bucket (leftmost subtable on ties). One keyed hash of the key
+gives all d candidate buckets: a blake2b digest of 8·d bytes, keyed with
+every subtable's seed, split into d words. The store keeps the keys of
+each bucket in use, at most ``bucket_depth`` of them, so it never holds
+more than d × buckets × depth contexts; a key whose candidate buckets are
+all full is dropped and counted. A lookup miss is not an error: it scans
+the wildcard fallbacks (value/mask rules over the key, mainly to seed
+protocol-specific default states) in descending priority and takes the
+first match, else the default context (state 0, all registers zero).
+Neither allocates: a miss returns a context built once, and an entry is
+only allocated when a non-default context is written back, so idle
+traffic costs no table space.
 
 Contexts age without a scan. Each one is stamped with the management
 period of its last lookup hit or write-back and stays live through the
-next period. An expired context reads as absent, and an insert reclaims
-the expired members of its candidate buckets before comparing loads.
-Live counts for the current and previous periods give occupancy, the
-high-water mark and evictions (inserts no longer live) in O(1).
+next period. An expired context reads as absent. An insert counts the
+live keys of its candidate buckets, at most d × ``bucket_depth`` checks,
+and rewrites only the bucket it picks, dropping that bucket's expired
+contexts; when the inserted key still has an expired entry in another
+candidate bucket, that entry leaves it too. Live counts for the current
+and previous periods give occupancy, the high-water mark and evictions
+(inserts no longer live) in O(1).
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
+from operator import mod
 from typing import Optional, Sequence
 
 DEFAULT_STATE = 0
@@ -68,13 +76,21 @@ class FlowContextTable:
             (seed ^ (0x9E3779B9 * (i + 1))) & 0xFFFFFFFFFFFFFFFF
             for i in range(subtables)
         )
-        self._seed_bytes = [s.to_bytes(8, "little") for s in self.seeds]
+        # the keyed hash state, copied per key: keying costs a compression
+        self._hasher = hashlib.blake2b(
+            digest_size=8 * subtables,
+            key=b"".join(s.to_bytes(8, "little") for s in self.seeds),
+        )
+        self._words = struct.Struct(f"<{subtables:d}Q").unpack
+        self._moduli = (buckets,) * subtables
         self._contexts: dict[int, FlowContext] = {}
         # subtable * buckets + bucket -> keys stored there, expired or not;
         # tuples, which the cyclic GC does not track
         self._members: dict[int, tuple[int, ...]] = {}
-        # (value & mask, mask, priority, state, registers), descending priority
-        self._fallbacks: list[tuple[int, int, int, int, tuple[int, ...]]] = []
+        # (value & mask, mask, priority, context), descending priority; the
+        # contexts a miss returns are built once and never stored
+        self._fallbacks: list[tuple[int, int, int, FlowContext]] = []
+        self._default = FlowContext(r=[0] * num_registers)
         # the current period, and the live contexts stamped before and in it
         self.epoch = 0
         self._live_prev = 0
@@ -85,12 +101,9 @@ class FlowContextTable:
 
     def _positions(self, key: int) -> tuple[int, ...]:
         """Candidate bucket of ``key`` in each subtable."""
-        kb = key.to_bytes(16, "big")
-        return tuple(
-            int.from_bytes(hashlib.blake2b(kb, digest_size=8, key=sb).digest(), "little")
-            % self.buckets
-            for sb in self._seed_bytes
-        )
+        h = self._hasher.copy()
+        h.update(key.to_bytes(16, "big"))
+        return tuple(map(mod, self._words(h.digest()), self._moduli))
 
     def add_fallback(
         self,
@@ -105,11 +118,11 @@ class FlowContextTable:
         Priorities are unique and the rule count bounded; the program
         loader checks both.
         """
-        regs = tuple(registers) if registers is not None else ()
+        regs = list(registers) if registers is not None else []
         if len(regs) > self.num_registers:
             raise ValueError(f"fallback allows {self.num_registers} register values")
-        regs += (0,) * (self.num_registers - len(regs))
-        self._fallbacks.append((value & mask, mask, priority, state, regs))
+        regs += [0] * (self.num_registers - len(regs))
+        self._fallbacks.append((value & mask, mask, priority, FlowContext(state, regs)))
         self._fallbacks.sort(key=lambda rule: rule[2], reverse=True)
 
     def advance(self, epoch: int) -> None:
@@ -139,14 +152,16 @@ class FlowContextTable:
         The returned object is owned by the table on exact hits, which
         are the contexts whose ``epoch`` is not None: a caller may update
         one in place, and must publish any other change via write_back.
+        A miss returns a context shared by every miss it matches, which
+        callers must not modify.
         """
         ctx = self._contexts.get(key)
         if ctx is not None and (ctx.epoch == self.epoch or self._touch(ctx)):
             return ctx
-        for value, mask, _, state, registers in self._fallbacks:
+        for value, mask, _, fallback in self._fallbacks:
             if key & mask == value:
-                return FlowContext(state, list(registers))
-        return FlowContext(r=[0] * self.num_registers)
+                return fallback
+        return self._default
 
     def write_back(self, key: int, state: int, registers: Sequence[int]) -> bool:
         """Store a context under a key.
@@ -157,9 +172,9 @@ class FlowContextTable:
         nothing. When all candidate buckets are full the context is
         dropped and counted; processing continues.
         """
-        epoch = self.epoch
         contexts = self._contexts
         ctx = contexts.get(key)
+        epoch = self.epoch
         if ctx is not None and (ctx.epoch == epoch or self._touch(ctx)):
             ctx.state = state
             if registers is not ctx.r:
@@ -167,28 +182,53 @@ class FlowContextTable:
             return True
         if state == DEFAULT_STATE and not any(registers):
             return True
+        # ctx is None, or the key's own expired entry, which one of its
+        # candidate buckets still lists
         members = self._members
+        buckets = self.buckets
+        floor = epoch - 1
+        positions = self._positions(key)
         home = -1
-        best_load = self.bucket_depth
-        for sub, bucket in enumerate(self._positions(key)):
-            index = sub * self.buckets + bucket
-            keys = members.get(index, ())
-            live = tuple(k for k in keys if contexts[k].epoch >= epoch - 1)
-            if len(live) < len(keys):
-                for stale in set(keys).difference(live):
-                    del contexts[stale]
-                members[index] = live
-            if len(live) < best_load:
-                best_load = len(live)
-                home = index
+        best = self.bucket_depth
+        index = 0
+        for bucket in positions:
+            live = 0
+            for k in members.get(index + bucket, ()):
+                if contexts[k].epoch >= floor:
+                    live += 1
+            if live < best:
+                best = live
+                home = index + bucket
+                if not live:  # no later bucket can be less loaded
+                    break
+            index += buckets
         if home < 0:
             self.table_full_drops += 1
             return False
-        members[home] = members.get(home, ()) + (key,)
+        keys = members.get(home, ())
+        if best < len(keys):
+            kept = []
+            for k in keys:
+                if contexts[k].epoch >= floor:
+                    kept.append(k)
+                else:
+                    del contexts[k]
+            keys = tuple(kept)
+        if ctx is not None and key in contexts:
+            # its expired entry is in another candidate bucket, where it
+            # would count as a live load once the key is stored again
+            for sub, bucket in enumerate(positions):
+                old = members.get(sub * buckets + bucket, ())
+                if key in old:
+                    members[sub * buckets + bucket] = tuple(k for k in old if k != key)
+                    break
+        members[home] = keys + (key,)
         contexts[key] = FlowContext(state, list(registers), epoch)
         self._inserts += 1
         self._live_now += 1
-        self.high_water = max(self.high_water, self.occupancy)
+        live = self._live_prev + self._live_now
+        if live > self.high_water:
+            self.high_water = live
         return True
 
     def get(self, key: int) -> Optional[FlowContext]:

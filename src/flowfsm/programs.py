@@ -179,12 +179,12 @@ class ClassifierTree:
 # the flow-context store keeps a key list for every bucket that has held
 # a flow
 MAX_CONTEXT_BUCKETS = 1 << 22
-# placing a new flow hashes its key once per subtable; d-left balance
-# barely improves past a few choices, while each one costs every insert a
-# hash
+# one blake2b digest of at most 64 bytes gives a new flow's candidate
+# bucket in every subtable, 8 bytes each; d-left balance barely improves
+# past a few choices
 MAX_CONTEXT_SUBTABLES = 8
-# an insert reclaims by scanning the keys of its candidate buckets, so it
-# costs up to subtables * depth key checks; hardware buckets hold a few cells
+# an insert counts the live keys of its candidate buckets, so it costs up
+# to subtables * depth key checks; hardware buckets hold a few cells
 MAX_BUCKET_DEPTH = 8
 
 
@@ -430,7 +430,7 @@ def _build(doc: dict, source: str) -> ProgramConfig:
         name = "<unnamed>"
 
     unit = doc.get("timestamp_unit", "microseconds")
-    if unit not in TIMESTAMP_UNITS:
+    if not isinstance(unit, str) or unit not in TIMESTAMP_UNITS:
         problems.append(
             f"timestamp_unit: {unit!r} not one of {sorted(TIMESTAMP_UNITS)}"
         )
@@ -477,9 +477,13 @@ def _build(doc: dict, source: str) -> ProgramConfig:
         return {n: field_map[n].width if n in field_map else 32 for n in names}
 
     def scope_of(key: str) -> tuple[str, ...]:
-        names = _expect(doc.get(key), list, key, problems, required=True)
+        names = []
         total = 0
-        for n in names:
+        for i, n in enumerate(_expect(doc.get(key), list, key, problems, required=True)):
+            if not isinstance(n, str):
+                problems.append(f"{key}[{i}]: expected a field name, got {n!r}")
+                continue
+            names.append(n)
             if n not in field_map:
                 problems.append(f"{key}: unknown field {n!r}")
             else:
@@ -833,6 +837,26 @@ class BindError(ProgramError):
     """The trace rows do not carry what the program needs."""
 
 
+# an error message quotes at most this many characters of a trace value
+ECHO_CHARS = 40
+
+
+def echo(text: str, render: Callable[[str], str] = str) -> str:
+    """``text`` for an error message, rendered by ``render``: whole when it
+    has at most ECHO_CHARS characters, else its first ECHO_CHARS and its
+    length."""
+    if len(text) <= ECHO_CHARS:
+        return render(text)
+    return f"{render(text[:ECHO_CHARS])}... ({len(text)} characters)"
+
+
+def _int_text(value: int) -> str:
+    try:
+        return str(value)
+    except ValueError:  # more digits than int-to-str conversion allows
+        return hex(value)
+
+
 def make_binder(
     config: ProgramConfig,
 ) -> Callable[[Mapping[str, int], int], tuple[list[int], int]]:
@@ -854,8 +878,8 @@ def make_binder(
                 value = row[column]
                 if value >> width:  # negative, or wider than the field
                     raise BindError(
-                        f"trace row {seq}: column {column!r} value {value} "
-                        f"does not fit in {width} bits"
+                        f"trace row {seq}: column {column!r} value "
+                        f"{echo(_int_text(value))} does not fit in {width} bits"
                     )
                 h[slot] = value
         except KeyError:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import csv
 import dataclasses
+import sys
 
 import yaml
 
@@ -72,9 +73,15 @@ def reference_read_trace(path):
             try:
                 out[key] = int(value, 0)
             except ValueError:
-                raise TraceFormatError(
-                    f"{where} column {key!r}: {value!r} is not an integer"
-                ) from None
+                shown = repr(value)
+                if len(value) > 40:
+                    shown = f"{value[:40]!r}... ({len(value)} characters)"
+                digits = value.strip().lstrip("+-").replace("_", "")
+                if digits.isdecimal() and len(digits) > sys.get_int_max_str_digits():
+                    reason = f"has more than {sys.get_int_max_str_digits()} digits"
+                else:
+                    reason = "is not an integer"
+                raise TraceFormatError(f"{where} column {key!r}: {shown} {reason}") from None
         ts = out["ts"]
         if last_ts is not None and ts < last_ts:
             raise NonMonotoneTimestampError(f"{where}: timestamp {ts} after {last_ts}")
@@ -378,4 +385,12 @@ GAP_CASES = {
         "fwd:9",
         "classifier_tree.tree.if_true",
     ),
+    # unhashable values where the loader tests membership
+    "scope_entry_mapping": (
+        "long_flow", ("lookup_scope",), [{"a": 1}], "lookup_scope[0]: expected a field name"
+    ),
+    "scope_entry_list": (
+        "long_flow", ("update_scope",), ["ip_src", ["ip_dst"]], "update_scope[1]"
+    ),
+    "timestamp_unit_list": ("long_flow", ("timestamp_unit",), [], "timestamp_unit: []"),
 }

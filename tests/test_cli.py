@@ -59,6 +59,26 @@ def test_run_rejects_a_trace_value_wider_than_its_field(tmp_path, capsys):
     assert "trace row 1: column 'in_port' value 300 does not fit in 8 bits" in err
 
 
+@pytest.mark.parametrize(
+    "cell, code, error",
+    [
+        # past the int-from-str digit limit: the reader rejects it
+        ("9" * 5000, 3, "'" + "9" * 40 + "'... (5000 characters) has more than 4300 digits"),
+        # a hex cell reads at any length; the binder rejects its value
+        ("0x" + "f" * 4000, 4, "value 0x" + "f" * 38 + "... (4002 characters) does not fit"),
+        ("9" * 3000, 4, "value " + "9" * 40 + "... (3000 characters) does not fit"),
+    ],
+    ids=["decimal-5000", "hex-4000", "decimal-3000"],
+)
+def test_run_quotes_a_long_trace_cell_in_part(cell, code, error, tmp_path, capsys):
+    trace = tmp_path / "mac.csv"
+    trace.write_text(f"ts,in_port,eth_src,eth_dst\n0,1,0xa,0xb\n1,1,{cell},0xa\n")
+    program = programs.bundled_path("mac_learning")
+    assert cli.main(["run", "--program", str(program), "--trace", str(trace)]) == code
+    err = capsys.readouterr().err
+    assert error in err and len(err) < 200
+
+
 def test_run_rejects_a_trace_without_a_bound_metadata_column(tmp_path, capsys):
     # mac_learning binds in_port; a trace without that column used to read 0
     trace = tmp_path / "mac.csv"

@@ -1,3 +1,8 @@
+import tracemalloc
+from collections import Counter
+from itertools import combinations
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,17 +104,93 @@ def test_table_full_on_adversarial_keys():
 
 
 def test_bookkeeping_bounded_by_capacity_over_many_keys():
-    table = small_table()
-    for key in range(20_000):
-        table.write_back(key, 1, [0, 0, 0, 0])
-        if key % 500 == 499:
-            table.advance(table.epoch + 2)
-    sizes = {
-        name: len(value)
-        for name, value in vars(table).items()
-        if isinstance(value, (dict, list))
-    }
-    assert max(sizes.values()) <= table.capacity, sizes
+    for table in (small_table(), small_table(bucket_depth=3)):
+        for key in range(20_000):
+            table.write_back(key, 1, [0, 0, 0, 0])
+            if key % 500 == 499:
+                table.advance(table.epoch + 2)
+        sizes = {
+            name: len(value)
+            for name, value in vars(table).items()
+            if isinstance(value, (dict, list))
+        }
+        assert max(sizes.values()) <= table.capacity, sizes
+        # each stored key is listed by one bucket, which lists at most
+        # bucket_depth keys
+        members = table._members.values()
+        assert max(map(len, members)) <= table.bucket_depth
+        assert sorted(k for keys in members for k in keys) == sorted(table._contexts)
+
+
+def flow_key(ip_src, ip_dst):
+    """The key of a [ip_src, ip_dst] scope of two 32-bit fields."""
+    return ip_src << 96 | ip_dst << 64
+
+
+@pytest.mark.parametrize("vary", ["ip_src", "ip_dst"])
+def test_placement_spreads_sequential_addresses(vary):
+    """3,000 keys that differ in the low bits of one address spread over a
+    1,024-bucket subtable as 3,000 balls thrown at random into 1,024 bins
+    do: about 969 bins used and about 9 balls in the fullest. The
+    subtables place a key independently of each other."""
+    table = FlowContextTable(subtables=4, buckets=1024, seed=3)
+    base, other = 0x0A000000, 0xC0A80001
+    keys = [
+        flow_key(base + i, other) if vary == "ip_src" else flow_key(other, base + i)
+        for i in range(3000)
+    ]
+    positions = [table._positions(key) for key in keys]
+    for sub in range(table.subtables):
+        loads = Counter(p[sub] for p in positions)
+        assert len(loads) >= 900 and max(loads.values()) <= 16, (sub, len(loads))
+    for a, b in combinations(range(table.subtables), 2):
+        # two independent subtables agree on about 3 keys in 3,000
+        assert sum(p[a] == p[b] for p in positions) <= 20
+
+
+def test_reinserted_expired_key_leaves_no_phantom_load():
+    """A key re-inserted after it expired can land in another candidate
+    bucket than before; its old bucket must then forget it, or that bucket
+    counts it as a live load and turns away the next key."""
+    table = FlowContextTable(subtables=2, buckets=4, bucket_depth=1, seed=5)
+    pos = {key: table._positions(key) for key in range(2000)}
+    # `blocker` holds the first-subtable bucket of `key`, so that `key`
+    # goes to its second-subtable bucket; `probe` shares both buckets
+    key, blocker, probe = next(
+        (k, b, p)
+        for k in pos
+        for b in pos
+        if b != k and pos[b][0] == pos[k][0]
+        for p in pos
+        if p not in (k, b) and pos[p] == pos[k]
+    )
+    table.write_back(blocker, 1, [0, 0, 0, 0])
+    table.write_back(key, 1, [0, 0, 0, 0])
+    table.advance(2)  # both expire
+    # the first-subtable bucket now holds only an expired key: key goes there
+    assert table.write_back(key, 1, [0, 0, 0, 0])
+    assert [k for keys in table._members.values() for k in keys].count(key) == 1
+    # the second-subtable bucket is free again
+    assert table.write_back(probe, 1, [0, 0, 0, 0])
+    assert (table.occupancy, table.table_full_drops) == (2, 0)
+
+
+def test_stored_context_memory_is_bounded():
+    """A stored context, its key and its share of the bucket lists take at
+    most 450 traced bytes (330-410 on CPython 3.11, with the dicts at
+    different points of their growth), so a table holds at most
+    450 x subtables x buckets x depth bytes of contexts."""
+    table = FlowContextTable(subtables=4, buckets=1 << 14, bucket_depth=4, seed=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(20_000):
+            table.write_back(flow_key(0x0A000000 + i, 0xC0A80001), 1, [1, 2, 3, 4])
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table.occupancy == 20_000
+    assert used / table.occupancy <= 450
 
 
 def test_housekeep_touched_entry_stays():

@@ -269,7 +269,7 @@ BROKEN = [
         {"context_subtables": 4, "context_buckets": 1 << 21},
         "table_sizes: context_subtables * context_buckets = 8388608 exceeds",
     ),
-    # the subtable cap: a new flow hashes once per subtable
+    # the subtable cap: one 64-byte digest gives the buckets of 8 subtables
     (
         L,
         ("table_sizes",),

@@ -160,6 +160,31 @@ def test_bad_integer_names_row_and_column(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "cell, reason",
+    [
+        ("9" * 5000, "has more than 4300 digits"),
+        ("1_" * 4400 + "1", "has more than 4300 digits"),
+        ("x" * 5000, "is not an integer"),
+        ("0x" + "g" * 41, "is not an integer"),
+    ],
+    ids=["digits", "underscores", "word", "hex"],
+)
+@pytest.mark.parametrize("chunk_rows", [1, READ_CHUNK + 5], ids=["row", "chunk"])
+def test_a_long_bad_cell_is_quoted_in_part(tmp_path, cell, reason, chunk_rows):
+    """The message quotes the first 40 characters of a long cell and gives
+    its length, whether the cell ends a plain chunk or not; a decimal
+    integer past Python's int-from-str digit limit is not called a
+    non-integer."""
+    rows = "".join(f"{i},1\n" for i in range(chunk_rows))
+    path, kind, message = read_error(tmp_path, f"ts,ip_src\n{rows}{chunk_rows},{cell}\n")
+    assert kind is TraceFormatError
+    assert message == (
+        f"{path}:{chunk_rows + 2} column 'ip_src': {cell[:40]!r}... "
+        f"({len(cell)} characters) {reason}"
+    )
+
+
 def test_rows_are_ints_and_a_raw_column_is_ordinary(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("ts,in_port,raw\n0x10,2,0xff\n17,0,0\n")
@@ -313,15 +338,39 @@ def test_writer_counts_at_batch_edges(tmp_path, count):
     assert out.read_bytes() == reference_verdict_bytes(tmp_path / "reference.csv", verdicts)
 
 
-@pytest.mark.parametrize("defect, readers", [("none", 1), ("hex", 2), ("short", 2)])
-def test_csv_reader_takes_over_at_the_first_chunk_that_is_not_plain(
-    tmp_path, monkeypatch, defect, readers
+def patched_seam_trace(defects):
+    """seam_trace with each (defect, row) of ``defects`` applied; a
+    ``blank`` defect turns its row into a blank line."""
+    lines = seam_trace("none", -1, "\n").splitlines()
+    for defect, at in defects:
+        lines[at + 1] = seam_trace(defect, at, "\n").splitlines()[at + 1]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "defects, readers",
+    [
+        ((), 1),
+        ((("hex", 2 * READ_CHUNK + 77),), 2),
+        ((("short", 2 * READ_CHUNK + 77),), 2),
+        # a hex cell in the first chunk: the chunks after it are plain again
+        ((("hex", 5),), 2),
+        ((("hex", 5), ("hex", 2 * READ_CHUNK + 77)), 3),
+        ((("hex", 5), ("blank", READ_CHUNK + 9), ("word", 3 * READ_CHUNK + 1)), 4),
+        # a quote may open a cell that spans lines: one reader takes the rest
+        ((("quoted", 5), ("hex", 2 * READ_CHUNK + 77)), 2),
+    ],
+    ids=["none", "hex", "short", "hex-first", "hex-twice", "hex-blank-word", "quoted-hex"],
+)
+def test_csv_reader_reads_only_the_chunks_that_are_not_plain(
+    tmp_path, monkeypatch, defects, readers
 ):
     """Plain chunks are split without ``csv.reader``, which reads only the
-    header; the first chunk that is not plain hands the rest of the trace
-    to a second one."""
+    header. A chunk that is not plain gets a ``csv.reader`` of its own, and
+    the next chunk is tried as plain again; only a chunk with a double
+    quote hands the rest of the trace to its reader."""
     path = tmp_path / "trace.csv"
-    path.write_text(seam_trace(defect, 2 * READ_CHUNK + 77, "\n"))
+    path.write_text(patched_seam_trace(defects))
     made = []
     reader = csv.reader
 
@@ -330,10 +379,14 @@ def test_csv_reader_takes_over_at_the_first_chunk_that_is_not_plain(
         return reader(*args)
 
     monkeypatch.setattr(csv, "reader", counted)
-    assert outcome(read_trace, path)[0][: 2 * READ_CHUNK] == [
-        {"ts": i, "ip_src": 1000 + i % 7, "sport": i % 3} for i in range(2 * READ_CHUNK)
-    ]
+    got = outcome(read_trace, path)
     assert len(made) == readers
+    monkeypatch.setattr(csv, "reader", reader)
+    assert got == outcome(reference_read_trace, path)
+    if not defects:
+        assert got[0] == [
+            {"ts": i, "ip_src": 1000 + i % 7, "sport": i % 3} for i in range(SEAM_ROWS)
+        ]
 
 
 @pytest.mark.parametrize("text", ["ts\n\n", "ts\n\n5\n", "ts\n4\n\n5\n", "ts\r\n\r\n"])
