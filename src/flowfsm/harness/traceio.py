@@ -91,15 +91,12 @@ def read_trace(path: Union[str, Path]) -> Iterator[dict[str, int]]:
     numbered from 2, blank lines not counted; the rows before a bad one
     are yielded first.
 
-    Rows are read :data:`READ_CHUNK` lines at a time. When the lines of
+    Rows are read :data:`READ_CHUNK` lines at a time. While the lines of
     a chunk are plain (see :func:`_plain_cells`) and in time order, they
     are split and decoded without ``csv.reader``, and the chunk's dicts
-    are built in C-level passes. Any other chunk is read one row at a time
-    by ``csv.reader``, which finds the first bad row, if any, and raises
-    its error. Without a double quote, a chunk's lines are whole records,
-    so ``csv.reader`` reads that chunk alone and the next chunk is tried
-    as plain again; from a chunk with a double quote, whose quoted cell
-    may hold a line break, it reads the rest of the trace.
+    are built in C-level passes. From the first chunk that is not,
+    ``csv.reader`` reads the rest of the trace one row at a time, which
+    finds the first bad row, if any, and raises its error.
     """
     return itertools.chain.from_iterable(_read_batches(Path(path)))
 
@@ -118,23 +115,25 @@ def _read_batches(path: Path) -> Iterator[Iterable[dict[str, int]]]:
             raise TraceFormatError(f"{path}: missing required column 'ts'")
         width = len(names)
         at_ts = names.index("ts")
-        # the number of the next row and the timestamp before it
-        at: list = [2, -math.inf]
+        lineno = 2  # of the next row
+        last_ts: float = -math.inf
         while lines := list(itertools.islice(fh, READ_CHUNK)):
             cells = _plain_cells(lines, width)
-            if cells is not None:
-                stamps = cells[at_ts::width]
-                if all(map(le, itertools.chain(at[1:], stamps), stamps)):
-                    at[:] = at[0] + len(lines), stamps[-1]
-                    rows = zip(*[iter(cells)] * width)
-                    yield list(map(dict, map(zip, itertools.repeat(names), rows)))
-                    continue
-            if '"' in "".join(lines):
-                yield _read_rows(
-                    path, names, filter(None, csv.reader(itertools.chain(lines, fh))), at
-                )
-                return
-            yield _read_rows(path, names, filter(None, csv.reader(lines)), at)
+            if cells is None:
+                break
+            stamps = cells[at_ts::width]
+            if not all(map(le, itertools.chain((last_ts,), stamps), stamps)):
+                break
+            last_ts = stamps[-1]
+            lineno += len(lines)
+            rows = zip(*[iter(cells)] * width)
+            yield list(map(dict, map(zip, itertools.repeat(names), rows)))
+        else:
+            return
+        # row by row from here on, up to the first bad row if there is one
+        yield _read_rows(
+            path, names, filter(None, csv.reader(itertools.chain(lines, fh))), lineno, last_ts
+        )
 
 
 # every JSON value but an integer holds one of these: strings, arrays,
@@ -174,17 +173,13 @@ def _plain_cells(lines: list[str], width: int) -> Optional[list[int]]:
 
 
 def _read_rows(
-    path: Path, names: list[str], rows: Iterable[list[str]], at: list
+    path: Path, names: list[str], rows: Iterable[list[str]], lineno: int, last_ts: float
 ) -> Iterator[dict[str, int]]:
     """``rows`` as dicts, one at a time, up to the first bad one, whose
-    error it raises. ``at`` holds the number of the first row and the
-    timestamp before it; once the rows run out, it holds those of the row
-    after them."""
+    error it raises."""
     width = len(names)
     bases = (0,) * width
-    first, last_ts = at
-    lineno = first - 1
-    for lineno, row in enumerate(rows, start=first):
+    for lineno, row in enumerate(rows, start=lineno):
         if len(row) != width:
             raise TraceFormatError(f"{path}:{lineno}: {len(row)} cells, header has {width}")
         try:
@@ -198,7 +193,6 @@ def _read_rows(
             raise NonMonotoneTimestampError(f"{path}:{lineno}: timestamp {ts} after {last_ts}")
         last_ts = ts
         yield out
-    at[:] = lineno + 1, last_ts
 
 
 def write_trace(

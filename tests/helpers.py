@@ -77,8 +77,9 @@ def reference_read_trace(path):
                 if len(value) > 40:
                     shown = f"{value[:40]!r}... ({len(value)} characters)"
                 digits = value.strip().lstrip("+-").replace("_", "")
-                if digits.isdecimal() and len(digits) > sys.get_int_max_str_digits():
-                    reason = f"has more than {sys.get_int_max_str_digits()} digits"
+                limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                if digits.isdecimal() and 0 < limit < len(digits):
+                    reason = f"has more than {limit} digits"
                 else:
                     reason = "is not an integer"
                 raise TraceFormatError(f"{where} column {key!r}: {shown} {reason}") from None
