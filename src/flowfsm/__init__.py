@@ -9,7 +9,7 @@ files; see the bundled ones under ``flowfsm/data``.
 
 from .alu import AluRuntime, Instruction, Opcode, decode, encode, execute_tuple
 from .conditions import CmpOp, ConditionSpec, evaluate
-from .engine import Action, ActionKind, Engine
+from .engine import Engine
 from .flow_context import FlowContext, FlowContextTable
 from .programs import (
     ProgramConfig,
@@ -24,8 +24,6 @@ from .stats import RunStats
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action",
-    "ActionKind",
     "AluRuntime",
     "CmpOp",
     "ConditionSpec",

@@ -58,7 +58,3 @@ def evaluate(
             bits |= 1 << i
     return bits
 
-
-def unpack_bits(bits: int) -> tuple[bool, ...]:
-    """Expand a condition vector into 8 booleans, index 0 first."""
-    return tuple(bool(bits >> i & 1) for i in range(NUM_CONDITIONS))

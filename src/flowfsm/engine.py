@@ -55,11 +55,9 @@ the first to see it. It is off for all normal runs.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .alu import (
@@ -101,6 +99,16 @@ _COND_TEXT = tuple(
     f"{bits:0{NUM_CONDITIONS}b}" for bits in range(1 << NUM_CONDITIONS)
 )
 
+# the first word of an action's canonical text -> the kind the stats count
+# it under; the loader accepts these words and no others
+ACTION_KINDS = {
+    "none": "none",
+    "drop": "drop",
+    "fwd": "forward",
+    "flood": "flood",
+    "dscp": "set_dscp",  # rewrite DSCP, then forward
+}
+
 # comparator operators, indexed by conditions.CmpOp
 _CMP_OPS = (">", ">=", "==", "<=", "<")
 
@@ -133,50 +141,6 @@ class EngineError(Exception):
 
 class NonMonotoneTimestampError(EngineError):
     """Trace timestamps must be non-decreasing."""
-
-
-class ActionKind(enum.IntEnum):
-    NONE = 0
-    DROP = 1
-    FORWARD = 2
-    FLOOD = 3
-    SET_DSCP = 4  # rewrite DSCP, then forward
-
-
-@dataclass(frozen=True)
-class Action:
-    kind: ActionKind
-    port: int = 0
-    dscp: int = 0
-
-
-def format_action(action: Action) -> str:
-    if action.kind == ActionKind.NONE:
-        return "none"
-    if action.kind == ActionKind.DROP:
-        return "drop"
-    if action.kind == ActionKind.FLOOD:
-        return "flood"
-    if action.kind == ActionKind.FORWARD:
-        return f"fwd:{action.port}"
-    return f"dscp:{action.dscp}:fwd:{action.port}"
-
-
-def parse_action(text: str) -> Action:
-    """Parse "none" | "drop" | "flood" | "fwd:P" | "dscp:V:fwd:P"."""
-    text = text.strip().lower()
-    if text == "none":
-        return Action(ActionKind.NONE)
-    if text == "drop":
-        return Action(ActionKind.DROP)
-    if text == "flood":
-        return Action(ActionKind.FLOOD)
-    parts = text.split(":")
-    if len(parts) == 2 and parts[0] == "fwd":
-        return Action(ActionKind.FORWARD, port=int(parts[1], 0))
-    if len(parts) == 4 and parts[0] == "dscp" and parts[2] == "fwd":
-        return Action(ActionKind.SET_DSCP, port=int(parts[3], 0), dscp=int(parts[1], 0))
-    raise ValueError(f"unknown action {text!r}")
 
 
 def key_layout(parts: Iterable[tuple[int, int]]) -> KeyLayout:
@@ -302,8 +266,8 @@ class Engine:
             if plan not in plans:
                 plans.append(plan)
             nxt = None if row.next_state is None else states[row.next_state]
-            self._row_consts.append((format_action(row.action), nxt, plans.index(plan)))
-            self._row_actions.append(row.action.kind.name.lower())
+            self._row_consts.append((row.action, nxt, plans.index(plan)))
+            self._row_actions.append(ACTION_KINDS[row.action.split(":", 1)[0]])
         self._by_priority = sorted(matches, key=lambda m: m[0], reverse=True)
         # state -> 256 entries indexed by condition bits, built on the
         # state's first packet; see _dispatch_for
@@ -369,12 +333,6 @@ class Engine:
             else:
                 table.append(candidates[0][0])
         return table
-
-    def match_row(self, state: int, bits: int, h: Sequence[int]) -> int:
-        """Index of the highest-priority row matching the state, the
-        condition bits and the match fields of ``h``."""
-        entry = self._dispatch[state][bits]
-        return entry if entry.__class__ is int else _first_match(entry, h)
 
     def _flush_pending(self, upto_seq: int) -> None:
         pending = self._pending

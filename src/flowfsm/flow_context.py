@@ -36,6 +36,10 @@ from typing import Optional, Sequence
 
 DEFAULT_STATE = 0
 NUM_FLOW_REGISTERS = 4
+# bytes a stored context takes at most, with its key and its share of the
+# bucket lists, while its four registers hold values below 257 (330-410 by
+# tracemalloc on CPython 3.11)
+CONTEXT_BYTES = 450
 
 
 @dataclass(slots=True)

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 from .. import alu, programs
 from ..engine import Engine, NonMonotoneTimestampError
+from ..flow_context import CONTEXT_BYTES
 from . import gen, traceio
 
 EXIT_OK = 0
@@ -114,6 +115,13 @@ def _cmd_validate(args) -> int:
     print(f"rows:          {len(rows)} (incl. tree expansion)")
     print(f"globals:       {list(config.globals_init)}")
     print(f"partitionable: {'yes' if config.partitionable else 'no'}")
+    sizes = config.table_sizes
+    shape = (sizes.context_subtables, sizes.context_buckets, sizes.bucket_depth)
+    contexts = shape[0] * shape[1] * shape[2]
+    print(
+        f"context store: up to {contexts} contexts ({' x '.join(map(str, shape))}),"
+        f" <= {contexts * CONTEXT_BYTES / 1e6:.1f} MB"
+    )
     return EXIT_OK
 
 

@@ -20,8 +20,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import yaml
 
 from . import alu, conditions
-from .engine import FLOW_KEY_WIDTH, Action, ActionKind, Engine
-from .engine import format_action, parse_action
+from .engine import ACTION_KINDS, FLOW_KEY_WIDTH, Engine
 
 TIMESTAMP_UNITS = {
     "seconds": 1,
@@ -106,7 +105,7 @@ class RowDef:
     match: tuple[tuple[str, tuple[int, int]], ...]  # (field, (value, mask))
     priority: int
     next_state: Optional[str]  # None = stay in current state
-    action: Action
+    action: str  # canonical text, as _action returns it
     instructions: tuple[alu.Instruction, ...]
     row_id: Optional[str] = None
 
@@ -124,7 +123,7 @@ class FallbackDef:
 @dataclass(frozen=True)
 class TreeLeaf:
     state: str
-    action: Action
+    action: str
 
 
 @dataclass(frozen=True)
@@ -324,18 +323,31 @@ def _priority(item: Mapping, where: str, seen: set[int], problems: list[str]) ->
     return priority
 
 
-def _action(text: object, where: str, ports: int, problems: list[str]) -> Action:
-    """Parse an action; forwarding actions must name a port in 1..ports."""
+def _action(text: object, where: str, ports: int, problems: list[str]) -> str:
+    """The canonical text of an action: ``none``, ``drop``, ``flood``,
+    ``fwd:P`` or ``dscp:V:fwd:P``, read regardless of case and surrounding
+    whitespace, with P a port in 1..ports and V a DSCP value in 0..63."""
+    words = str(text).strip().lower().split(":")
+    verb = words[0]
     try:
-        action = parse_action(str(text))
-    except ValueError as exc:
-        problems.append(f"{where}: {exc}")
-        return Action(ActionKind.NONE)
-    if action.kind in (ActionKind.FORWARD, ActionKind.SET_DSCP) and not (
-        1 <= action.port <= ports
-    ):
-        problems.append(f"{where}: port {action.port} outside 1..{ports}")
-    return action
+        if len(words) == 1 and verb in ACTION_KINDS and verb not in ("fwd", "dscp"):
+            return verb
+        if verb == "fwd" and len(words) == 2:
+            dscp, port = None, int(words[1], 0)
+        elif verb == "dscp" and len(words) == 4 and words[2] == "fwd":
+            dscp, port = int(words[1], 0), int(words[3], 0)
+        else:
+            raise ValueError
+    except ValueError:
+        problems.append(f"{where}: unknown action {str(text)!r}")
+        return "none"
+    if not 1 <= port <= ports:
+        problems.append(f"{where}: port {port} outside 1..{ports}")
+    if dscp is None:
+        return f"fwd:{port}"
+    if not 0 <= dscp <= 63:
+        problems.append(f"{where}: DSCP value {dscp} outside 0..63")
+    return f"dscp:{dscp}:fwd:{port}"
 
 
 def _parse_pattern(
@@ -895,7 +907,7 @@ def make_binder(
 
 def _tree_doc(node: Union[TreeNode, TreeLeaf]) -> dict:
     if isinstance(node, TreeLeaf):
-        return {"class": node.state, "action": format_action(node.action)}
+        return {"class": node.state, "action": node.action}
     return {
         "condition": node.condition,
         "if_true": _tree_doc(node.if_true),
@@ -941,7 +953,7 @@ def serialize(config: ProgramConfig) -> str:
                 "match": _match_doc(config, row.match),
                 "priority": row.priority,
                 "next": STAY if row.next_state is None else row.next_state,
-                "action": format_action(row.action),
+                "action": row.action,
                 "update": [alu.format_instruction(i) for i in row.instructions],
             }
             for row in config.rows

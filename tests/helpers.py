@@ -3,10 +3,12 @@
 The reference models here are deliberately simple re-implementations used
 as oracles; they must not call into the package's table or ALU code.
 ``RefContextModel`` takes only the hash that places keys in buckets from
-the table, and ``flow_key`` packs keys from the layout docs/SCHEMA.md
-documents. ``ReferenceStep`` is the exception: it checks the engine's
-generated step against the package's own interpreters, which are tested on
-their own.
+the table, ``flow_key`` packs keys from the layout docs/SCHEMA.md
+documents, and ``packed_rows`` with ``row_key`` pose the transition match
+as one ternary lookup for ``scan_lookup``. ``ReferenceStep`` picks the
+transition with that linear scan, never with the engine's dispatch, and
+checks the rest of the generated step against the package's own
+interpreters of the conditions and the ALU, which are tested on their own.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import yaml
 from flowfsm import programs
 from flowfsm.alu import execute_tuple
 from flowfsm.conditions import NUM_CONDITIONS, evaluate
-from flowfsm.engine import NonMonotoneTimestampError, format_action
+from flowfsm.engine import NonMonotoneTimestampError
 from flowfsm.harness.traceio import TraceFormatError
 
 
@@ -33,6 +35,39 @@ def scan_lookup(entries, key):
             if best is None or priority > best[0]:
                 best = (priority, payload)
     return best[1] if best else None
+
+
+def packed_rows(config):
+    """The program's transition rows as (value, mask, priority, row index)
+    entries over the key ``row_key`` packs: 16-bit state, 8 condition bits
+    (condition i at bit i), then one 32-bit word per match field."""
+    cond_pos = {name: i for i, (name, _) in enumerate(config.conditions)}
+    entries = []
+    for idx, row in enumerate(config.transition_rows()):
+        if row.state is None:
+            value = mask = 0
+        else:
+            value, mask = config.states[row.state], 0xFFFF
+        cval = cmask = 0
+        for name, bit in row.cond:
+            cval |= bit << cond_pos[name]
+            cmask |= 1 << cond_pos[name]
+        value, mask = value << 8 | cval, mask << 8 | cmask
+        match = dict(row.match)
+        for name in config.match_fields:
+            fv, fm = match.get(name, (0, 0))
+            value, mask = value << 32 | fv, mask << 32 | fm
+        entries.append((value, mask, row.priority, idx))
+    return entries
+
+
+def row_key(config, state, bits, h):
+    """The key a packet in ``state`` with condition bits ``bits`` and header
+    slot values ``h`` presents to the ``packed_rows`` entries."""
+    key = state << 8 | bits
+    for name in config.match_fields:
+        key = key << 32 | h[config.field_by_name(name).slot]
+    return key
 
 
 def flow_key(config, scope, h):
@@ -95,13 +130,15 @@ class ReferenceStep:
     step the engine generates from its program.
 
     It runs on the engine's own context table, globals, ALU counters and
-    transition counts, with ``conditions.evaluate`` for the conditions,
-    ``Engine.match_row`` for the transition and ``alu.execute_tuple`` for
-    the register update, and packs the flow keys with ``flow_key``. It
-    reads the rows' actions, next states and tuples, the state labels, the
-    key scopes and the management period from ``config``, the program the
-    engine was built from. It keeps its own packet clock and period clock, and
-    tells the table each new management period.
+    transition counts, with ``conditions.evaluate`` for the conditions and
+    ``alu.execute_tuple`` for the register update. It picks the transition
+    with a linear scan of all rows for the highest-priority match
+    (``scan_lookup`` over ``packed_rows``) and packs the flow keys with
+    ``flow_key``, so neither shares code with the engine. It reads the
+    rows, the state labels, the key scopes and the management period from
+    ``config``, the program the engine was built from. It keeps its own
+    packet clock and period clock, and tells the table each new management
+    period.
     """
 
     def __init__(self, engine, config):
@@ -111,9 +148,10 @@ class ReferenceStep:
         self.epoch = None
         states = config.states
         self.labels = {code: label for label, code in states.items()}
+        self.entries = packed_rows(config)
         self.rows = [
             (
-                format_action(row.action),
+                row.action,
                 None if row.next_state is None else states[row.next_state],
                 row.instructions,
             )
@@ -141,7 +179,7 @@ class ReferenceStep:
         for i, slot in enumerate(engine._scratch):
             g_view[slot] = r[4 + i]
         bits = evaluate(engine._conds, r, g_view, h)
-        row_idx = engine.match_row(state, bits, h)
+        row_idx = scan_lookup(self.entries, row_key(config, state, bits, h))
         action, next_state, instructions = self.rows[row_idx]
         if next_state is None:
             next_state = state
@@ -385,6 +423,25 @@ GAP_CASES = {
         ("classifier_tree", "tree", "if_true", "action"),
         "fwd:9",
         "classifier_tree.tree.if_true",
+    ),
+    # a DSCP value is 6 bits wide, and a port number is an integer
+    "row_dscp_range": (
+        "long_flow",
+        ("rows", 1, "action"),
+        "dscp:999:fwd:1",
+        "rows[1] (id=crossed): DSCP value 999 outside 0..63",
+    ),
+    "tree_leaf_dscp_range": (
+        "c45_classifier",
+        ("classifier_tree", "tree", "if_true", "action"),
+        "dscp:-5:fwd:1",
+        "classifier_tree.tree.if_true: DSCP value -5 outside 0..63",
+    ),
+    "row_port_not_an_integer": (
+        "long_flow",
+        ("rows", 0, "action"),
+        "fwd:1.5",
+        "rows[0] (id=count): unknown action 'fwd:1.5'",
     ),
     # unhashable values where the loader tests membership
     "scope_entry_mapping": (

@@ -1,5 +1,6 @@
-"""Acceptance criteria that compare whole bundled programs with the
-independent oracles of ``flowfsm.harness.oracles``.
+"""Acceptance criteria that compare whole bundled programs, and the
+update unit's primitives, with the independent oracles of
+``flowfsm.harness.oracles``, with reference models or with golden files.
 
 The criteria are numbered as in ``conftest.py``, which prints one summary
 line per criterion.
@@ -8,13 +9,13 @@ line per criterion.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowfsm import alu, programs
 from flowfsm.engine import Engine
 from flowfsm.flow_context import FlowContextTable
-from flowfsm.harness import gen, oracles, traceio
+from flowfsm.harness import cli, gen, oracles, traceio
 
 from helpers import (
     RefContextModel,
@@ -114,6 +115,148 @@ def test_c3_classifier_equivalence():
     assert {row_id for _, row_id, _ in decided.values()} == set(tree_rows)
 
 
+def random_instruction(rng):
+    opcode = rng.choice(list(alu.Opcode))
+    nsel, has_imm, nout = alu._LAYOUT[opcode]
+    sel = tuple(
+        rng.randrange(0, 8) if i < nout else rng.randrange(0, 16)
+        for i in range(nsel)
+    )
+    imm = rng.randrange(0, 1 << 16) if has_imm else None
+    return alu.Instruction(opcode, sel, imm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def encode_decode_property(data):
+    opcode = data.draw(st.sampled_from(list(alu.Opcode)))
+    nsel, has_imm, nout = alu._LAYOUT[opcode]
+    sel = tuple(
+        data.draw(st.integers(0, 7 if i < nout else 15)) for i in range(nsel)
+    )
+    imm = data.draw(st.integers(0, 0xFFFF)) if has_imm else None
+    instruction = alu.Instruction(opcode, sel, imm)
+    assert alu.decode(alu.encode(instruction)) == instruction
+
+
+def encode_decode():
+    """Decoding an encoded instruction gives it back: 5,000 seeded random
+    instructions, then a hypothesis search over every opcode's layout."""
+    rng = random.Random(99)
+    for _ in range(5000):
+        instruction = random_instruction(rng)
+        assert alu.decode(alu.encode(instruction)) == instruction
+    encode_decode_property()
+
+
+# time steps: small ones, backwards included, and gaps that clear the history
+EWMA_STEPS = st.one_of(st.integers(-40, 40), st.integers(32, 1 << 20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(EWMA_STEPS, st.integers(0, 0xFFFFFFFF)), max_size=60))
+@example([(5, 1 << 31), (31, 1), (-3, 2), (0, 0xFFFFFFFF), (32, 3)])
+def ewma_replay(moves):
+    """``exec_ewma`` replayed over a stream equals the accumulator oracle
+    after every event, and counts each step back in time once."""
+    events, t = [], 0
+    for step, x in moves:
+        t = min(max(t + step, 0), 0xFFFFFFFF)
+        events.append((t, x))
+    rt = alu.AluRuntime()
+    last = acc = 0
+    for n, (t, x) in enumerate(events, start=1):
+        last, acc = alu.exec_ewma(last, acc, t, x, rt)
+        assert (last, acc) == oracles.ewma_accumulator(events[:n])
+    times = [0] + [t for t, _ in events]
+    assert rt.time_violations == sum(b < a for a, b in zip(times, times[1:]))
+
+
+def avg_bounds():
+    """``exec_avg`` replayed over a stream equals the running-mean oracle,
+    and stays within one unit per sample of the true mean."""
+    rng = random.Random(11)
+    for _ in range(50):
+        values = [rng.randrange(0, 1 << 16) for _ in range(rng.randrange(1, 400))]
+        count, mean = 0, 0
+        for x in values:
+            count, mean = alu.exec_avg(count, mean, x)
+        assert (count, mean) == oracles.running_mean(values)
+        assert abs(mean - oracles.true_mean(values)) <= len(values)
+
+
+def random_disjoint_tuple(rng):
+    """Up to 5 instructions with pairwise-distinct destinations."""
+    Instruction, Opcode = alu.Instruction, alu.Opcode
+    dests = list(range(8))
+    rng.shuffle(dests)
+    instrs = []
+    while len(instrs) < 5 and dests:
+        kind = rng.randrange(0, 6)
+        if kind == 0 and len(dests) >= 3:
+            d = [dests.pop() for _ in range(3)]
+            instrs.append(
+                Instruction(Opcode.VAR, (*d, rng.randrange(0, 16)))
+            )
+        elif kind == 1 and len(dests) >= 2:
+            d1, d2 = dests.pop(), dests.pop()
+            if rng.random() < 0.5:
+                instrs.append(Instruction(Opcode.AVG, (d1, d2, rng.randrange(16))))
+            else:
+                instrs.append(
+                    Instruction(
+                        Opcode.EWMA,
+                        (d1, d2, rng.randrange(16), rng.randrange(16)),
+                    )
+                )
+        else:
+            op = rng.choice(
+                [Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.XOR,
+                 Opcode.ADDI, Opcode.SUBI, Opcode.LSR, Opcode.ROR, Opcode.NOT]
+            )
+            nsel, has_imm, _ = alu._LAYOUT[op]
+            sel = (dests.pop(),) + tuple(
+                rng.randrange(0, 16) for _ in range(nsel - 1)
+            )
+            imm = rng.randrange(0, 1 << 16) if has_imm else None
+            instrs.append(Instruction(op, sel, imm))
+    return instrs
+
+
+def tuple_permutation():
+    """A tuple whose instructions write distinct registers gives the same
+    registers in any instruction order."""
+    rng = random.Random(5)
+    for _ in range(100):
+        instrs = random_disjoint_tuple(rng)
+        if alu.validate_tuple(instrs):
+            continue  # builder produced an over-long tuple; skip
+        r = [rng.getrandbits(32) for _ in range(4)]
+        g = [rng.getrandbits(32) for _ in range(4)]
+        h = [rng.getrandbits(32) for _ in range(8)]
+        base = alu.execute_tuple(instrs, r, g, h, alu.AluRuntime())
+        for _ in range(5):
+            shuffled = instrs[:]
+            rng.shuffle(shuffled)
+            assert alu.execute_tuple(shuffled, r, g, h, alu.AluRuntime()) == base
+
+
+ALU_CHECKS = {
+    "encode_decode": encode_decode,
+    "ewma_replay": ewma_replay,
+    "avg_bounds": avg_bounds,
+    "tuple_permutation": tuple_permutation,
+}
+
+
+@pytest.mark.parametrize("check", list(ALU_CHECKS))
+def test_c4_alu_correctness(check):
+    """The update unit against its oracles: instruction encoding round
+    trips, the EWMA and AVG statistics replayed over streams, and the
+    parallel commit of a tuple."""
+    ALU_CHECKS[check]()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_c5_context_fallback_oracle_equivalence(data):
@@ -197,6 +340,38 @@ def test_c6_flow_context_model_equivalence():
                 table.table_full_drops) == (ref.occupancy, ref.evictions,
                                             ref.high_water, ref.table_full_drops)
     assert table.table_full_drops > 0 and reclaims > 0
+
+
+# the verdicts of mac_learning on MAC_TRACE, as `flowfsm run --out` writes
+# them (rows end in CRLF)
+MAC_GOLDEN = """\
+seq,ts,action,pre_state,post_state,row_id,cond_bits
+0,0,flood,DEFAULT,PORT1,0,00000000
+1,1,fwd:1,PORT1,PORT2,6,00000000
+2,2,fwd:1,PORT1,PORT3,11,00000000
+3,3,fwd:3,PORT3,PORT1,3,00000000
+4,4,fwd:3,PORT3,PORT2,8,00000000
+5,5,fwd:2,PORT2,PORT1,2,00000000
+6,700,flood,DEFAULT,PORT3,10,00000000
+7,701,fwd:3,PORT3,PORT2,8,00000000
+8,702,fwd:2,PORT2,PORT1,2,00000000
+"""
+
+
+def test_c7_mac_learning_golden(tmp_path):
+    """The learning switch on its golden trace writes the golden verdict
+    file. Station 0xa's first packet, to the unknown 0xb, floods and
+    learns port 1 for 0xa (seq 0). Every packet to a learned station
+    goes out of that station's port, whichever port it came in on
+    (seq 1-5, 7, 8). Station 0xa was last seen at ts 5, in the first
+    300 s period, so by ts 700, two periods later, it has aged out: the
+    packet to it finds DEFAULT and floods (seq 6)."""
+    trace, out = tmp_path / "mac.csv", tmp_path / "verdicts.csv"
+    trace.write_text(MAC_TRACE)
+    argv = ["run", "--program", str(programs.bundled_path("mac_learning")),
+            "--trace", str(trace), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert out.read_bytes() == MAC_GOLDEN.replace("\n", "\r\n").encode()
 
 
 def test_c8_long_flow_marking():

@@ -19,6 +19,8 @@ def test_validate_accepts_bundled_programs(name, capsys):
         ("c45_classifier", "rows:          9 (incl. tree expansion)"),
         ("long_flow", "partitionable: yes"),
         ("mac_learning", "partitionable: no"),
+        # the default geometry, at flow_context.CONTEXT_BYTES a context
+        ("token_bucket", "context store: up to 4096 contexts (4 x 1024 x 1), <= 1.8 MB"),
     ],
 )
 def test_validate_reports_the_program_shape(name, line, capsys):

@@ -1,7 +1,7 @@
 """docs/SCHEMA.md lists every key ``flowfsm run --stats`` writes, every
 top-level program key the loader accepts, and every table size with its
-default, each in the order the code has it; and every name the package
-exports exists."""
+default, each in the order the code has it, and every action kind the
+stats count; and every name the package exports exists."""
 
 import dataclasses
 import re
@@ -9,6 +9,7 @@ from pathlib import Path
 
 import flowfsm
 from flowfsm import programs
+from flowfsm.engine import ACTION_KINDS
 from flowfsm.stats import RunStats
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "SCHEMA.md"
@@ -38,6 +39,15 @@ def test_every_stats_key_is_documented_in_order():
     keys = list(dotted_keys(RunStats(throughput_pps=1.0).to_dict(True)))
     assert "context_table.evictions" in keys and "throughput_pps" in keys
     assert table_keys("Stats document") == keys
+
+
+def test_the_action_kinds_are_documented():
+    row = next(
+        line for line in section("Stats document").splitlines()
+        if line.startswith("| `actions` |")
+    )
+    kinds = re.findall(r"`(\w+)`", row.split("|")[2])
+    assert sorted(kinds) == sorted(ACTION_KINDS.values())
 
 
 def test_every_top_level_key_is_documented_in_order():

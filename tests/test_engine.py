@@ -10,12 +10,13 @@ from flowfsm.engine import (
     VERDICT_COLUMNS,
     Engine,
     NonMonotoneTimestampError,
+    _first_match,
     key_layout,
     pack_key,
 )
 from flowfsm.harness import gen
 
-from helpers import flow_key, program_config, scan_lookup
+from helpers import flow_key, packed_rows, program_config, row_key, scan_lookup
 from test_acceptance import golden_rows
 
 
@@ -144,38 +145,14 @@ def test_the_first_packet_starts_the_first_period():
     assert (engine.stats.evictions, engine.stats.occupancy) == (1, 1)
 
 
-def packed_rows(config, rows):
-    """The rows as (value, mask, priority, row index) over the packed key:
-    16-bit state, 8 condition bits (condition i at bit i), then one 32-bit
-    word per match field."""
-    cond_pos = {name: i for i, (name, _) in enumerate(config.conditions)}
-    entries = []
-    for idx, row in enumerate(rows):
-        if row.state is None:
-            value = mask = 0
-        else:
-            value, mask = config.states[row.state], 0xFFFF
-        cval = cmask = 0
-        for name, bit in row.cond:
-            cval |= bit << cond_pos[name]
-            cmask |= 1 << cond_pos[name]
-        value, mask = value << 8 | cval, mask << 8 | cmask
-        match = dict(row.match)
-        for name in config.match_fields:
-            fv, fm = match.get(name, (0, 0))
-            value, mask = value << 32 | fv, mask << 32 | fm
-        entries.append((value, mask, row.priority, idx))
-    return entries
-
-
-def field_vectors(config, rows, rng):
+def field_vectors(config, rng):
     """Header vectors whose match fields take each row's pattern value, its
     neighbours under the mask, and random values of the field's width."""
     per_field = []
     for name in config.match_fields:
         full = (1 << config.field_by_name(name).width) - 1
         values = {rng.randrange(full + 1) for _ in range(3)}
-        for row in rows:
+        for row in config.transition_rows():
             fv, fm = dict(row.match).get(name, (0, 0))
             values |= {fv, fv ^ (full & ~fm), (fv ^ 1) & full}
         per_field.append(sorted(values))
@@ -191,19 +168,18 @@ def field_vectors(config, rows, rng):
 def test_dispatch_equals_a_linear_scan(name):
     config = program_config(name)
     engine = Engine(config)
-    rows = config.transition_rows()
-    entries = packed_rows(config, rows)
-    vectors = list(field_vectors(config, rows, random.Random(name)))
-    slots = [config.field_by_name(n).slot for n in config.match_fields]
+    entries = packed_rows(config)
+    vectors = list(field_vectors(config, random.Random(name)))
     for state in config.states.values():
+        dispatch = engine._dispatch[state]
         for bits in range(256):
             for h in vectors:
-                key = state << 8 | bits
-                for slot in slots:
-                    key = key << 32 | h[slot]
-                assert engine.match_row(state, bits, h) == scan_lookup(entries, key), (
-                    state, bits, h,
-                )
+                # the row the step reads off the dispatch
+                row_idx = dispatch[bits]
+                if isinstance(row_idx, tuple):
+                    row_idx = _first_match(row_idx, h)
+                key = row_key(config, state, bits, h)
+                assert row_idx == scan_lookup(entries, key), (state, bits, h)
 
 
 @pytest.mark.parametrize("window", [0, 1, 2, 3])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowfsm.flow_context import FlowContextTable
+from flowfsm.flow_context import CONTEXT_BYTES, FlowContextTable
 
 from helpers import RefContextModel
 
@@ -177,9 +177,11 @@ def test_reinserted_expired_key_leaves_no_phantom_load():
 
 def test_stored_context_memory_is_bounded():
     """A stored context, its key and its share of the bucket lists take at
-    most 450 traced bytes (330-410 on CPython 3.11, with the dicts at
-    different points of their growth), so a table holds at most
-    450 x subtables x buckets x depth bytes of contexts."""
+    most CONTEXT_BYTES = 450 traced bytes (330-410 on CPython 3.11, with
+    the dicts at different points of their growth), so a table holds at
+    most 450 x subtables x buckets x depth bytes of contexts, the bound
+    ``flowfsm validate`` prints."""
+    assert CONTEXT_BYTES == 450
     table = FlowContextTable(subtables=4, buckets=1 << 14, bucket_depth=4, seed=1)
     tracemalloc.start()
     try:
@@ -190,7 +192,7 @@ def test_stored_context_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert table.occupancy == 20_000
-    assert used / table.occupancy <= 450
+    assert used / table.occupancy <= CONTEXT_BYTES
 
 
 def test_housekeep_touched_entry_stays():

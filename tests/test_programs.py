@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from flowfsm import programs
-from flowfsm.engine import VERDICT_COLUMNS, Action, ActionKind, Engine
+from flowfsm.engine import VERDICT_COLUMNS, Engine
 from flowfsm.programs import BindError, ProgramParseError, ProgramValidationError
 
 from helpers import (
@@ -85,8 +85,25 @@ def test_classifier_tree_expands_after_the_explicit_rows():
         (43, "P2P", (("C0", 1), ("C1", 0), ("C2", 0))),
     ]
     assert all(r.state == "MEASURE" for r in tree_rows)
-    assert tree_rows[0].action == Action(ActionKind.SET_DSCP, port=1, dscp=10)
+    assert tree_rows[0].action == "dscp:10:fwd:1"
     assert all(r.instructions == () and r.match == () for r in tree_rows)
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        (" FWD:0x2 ", "fwd:2"),
+        ("Dscp:0x3F:fwd:4", "dscp:63:fwd:4"),
+        ("dscp:0:FWD:1", "dscp:0:fwd:1"),
+        ("\tFlood", "flood"),
+        ("DROP", "drop"),
+    ],
+)
+def test_an_action_loads_as_its_canonical_text(text, canonical):
+    doc = patched_doc("long_flow", ("rows", 0, "action"), text)
+    config = programs.loads(yaml.safe_dump(doc))
+    assert config.rows[0].action == canonical
+    assert f"action: {canonical}" in programs.serialize(config)
 
 
 def test_fallback_key_follows_the_lookup_scope_layout():
