@@ -24,6 +24,7 @@ from helpers import (
     token_bucket_config,
     window_bound_holds,
 )
+import test_alu
 from test_replay_digests import MAC_TRACE, TRACES, replay
 
 
@@ -115,38 +116,11 @@ def test_c3_classifier_equivalence():
     assert {row_id for _, row_id, _ in decided.values()} == set(tree_rows)
 
 
-def random_instruction(rng):
-    opcode = rng.choice(list(alu.Opcode))
-    nsel, has_imm, nout = alu._LAYOUT[opcode]
-    sel = tuple(
-        rng.randrange(0, 8) if i < nout else rng.randrange(0, 16)
-        for i in range(nsel)
-    )
-    imm = rng.randrange(0, 1 << 16) if has_imm else None
-    return alu.Instruction(opcode, sel, imm)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def encode_decode_property(data):
-    opcode = data.draw(st.sampled_from(list(alu.Opcode)))
-    nsel, has_imm, nout = alu._LAYOUT[opcode]
-    sel = tuple(
-        data.draw(st.integers(0, 7 if i < nout else 15)) for i in range(nsel)
-    )
-    imm = data.draw(st.integers(0, 0xFFFF)) if has_imm else None
-    instruction = alu.Instruction(opcode, sel, imm)
-    assert alu.decode(alu.encode(instruction)) == instruction
-
-
 def encode_decode():
-    """Decoding an encoded instruction gives it back: 5,000 seeded random
-    instructions, then a hypothesis search over every opcode's layout."""
-    rng = random.Random(99)
-    for _ in range(5000):
-        instruction = random_instruction(rng)
-        assert alu.decode(alu.encode(instruction)) == instruction
-    encode_decode_property()
+    """Decoding an encoded instruction gives it back: the seeded random
+    and hypothesis round trips of ``test_alu.py``."""
+    test_alu.test_encode_decode_roundtrip_randomized()
+    test_alu.test_encode_decode_roundtrip_property()
 
 
 # time steps: small ones, backwards included, and gaps that clear the history

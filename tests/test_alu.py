@@ -1,9 +1,13 @@
 """The update unit's instructions one at a time: arithmetic, statistics,
-tuples, encoding and parsing. Acceptance criterion 4 (encode/decode round
-trips, EWMA replay, AVG bounds, tuple permutation) is in
-``test_acceptance.py``."""
+tuples, encoding and parsing. Acceptance criterion 4 in
+``test_acceptance.py`` runs the encode/decode round trips below and holds
+its own EWMA replay, AVG bounds and tuple permutation checks."""
+
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowfsm.alu import (
     AluRuntime,
@@ -19,6 +23,7 @@ from flowfsm.alu import (
     format_instruction,
     parse_instruction,
     validate_tuple,
+    _LAYOUT,
 )
 
 WORD = 0xFFFFFFFF
@@ -228,3 +233,34 @@ def test_format_roundtrip():
     for text in ("NOP", "NOT R1 H3", "ADD G2 R0 H7", "LSR R3 R3 31",
                  "AVG R0 R1 H5", "VAR R0 R1 R2 H5", "EWMA R2 R0 H6 G2"):
         assert format_instruction(parse_instruction(text)) == text
+
+
+def random_instruction(rng):
+    opcode = rng.choice(list(Opcode))
+    nsel, has_imm, nout = _LAYOUT[opcode]
+    sel = tuple(
+        rng.randrange(0, 8) if i < nout else rng.randrange(0, 16)
+        for i in range(nsel)
+    )
+    imm = rng.randrange(0, 1 << 16) if has_imm else None
+    return Instruction(opcode, sel, imm)
+
+
+def test_encode_decode_roundtrip_randomized():
+    rng = random.Random(99)
+    for _ in range(5000):
+        instruction = random_instruction(rng)
+        assert decode(encode(instruction)) == instruction
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_encode_decode_roundtrip_property(data):
+    opcode = data.draw(st.sampled_from(list(Opcode)))
+    nsel, has_imm, nout = _LAYOUT[opcode]
+    sel = tuple(
+        data.draw(st.integers(0, 7 if i < nout else 15)) for i in range(nsel)
+    )
+    imm = data.draw(st.integers(0, 0xFFFF)) if has_imm else None
+    instruction = Instruction(opcode, sel, imm)
+    assert decode(encode(instruction)) == instruction
