@@ -26,9 +26,10 @@ program's fallbacks packed by the lookup layout. It resolves each
 transition row once into its match side (state code or any, condition
 value and mask, and (slot, value, mask) field patterns) and its constants
 (action text, next state, ALU tuple). From these it generates one
-function, installed as its ``process_packet``. The step checks that
-``ts`` does not run backwards, in the branch that already compares it with
-the next period boundary. It packs the flow keys with constant shifts and
+function, installed as its ``process_packet``. The step is the one
+check that ``ts`` does not run backwards, in the branch that already
+compares it with the next period boundary; its error names the packet by
+the ``seq`` of its verdict. It packs the flow keys with constant shifts and
 masks, evaluates the comparators as one bit-vector expression, reads the
 row from the state's dispatch table, and runs each row's ALU tuple as
 straight-line code that reads every operand before it writes any, so the
@@ -135,12 +136,8 @@ _ONE_LINE = {
 _STATS = {Opcode.AVG: "exec_avg", Opcode.VAR: "exec_var", Opcode.EWMA: "exec_ewma"}
 
 
-class EngineError(Exception):
-    pass
-
-
-class NonMonotoneTimestampError(EngineError):
-    """Trace timestamps must be non-decreasing."""
+class NonMonotoneTimestampError(Exception):
+    """Packet timestamps must be non-decreasing."""
 
 
 def key_layout(parts: Iterable[tuple[int, int]]) -> KeyLayout:
@@ -429,7 +426,7 @@ class Engine:
             "    context.advance(epoch)",
             f"    boundary = (epoch + 1) * {self._period:d}",
             "elif ts < last:",
-            "    raise order_error(order_text.format(ts, last))",
+            "    raise order_error(order_text.format(seq, ts, last))",
             "last = ts",
             "pseq = seq",
             "seq = pseq + 1",
@@ -504,7 +501,7 @@ class Engine:
             "dispatch": self._dispatch,
             "first_match": _first_match,
             "order_error": NonMonotoneTimestampError,
-            "order_text": "timestamp {} after {}",
+            "order_text": "packet {}: timestamp {} after {}",
             "flush_pending": self._flush_pending,
             "pending": self._pending,
             "udiv": _udiv,

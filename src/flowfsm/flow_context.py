@@ -36,10 +36,15 @@ from typing import Optional, Sequence
 
 DEFAULT_STATE = 0
 NUM_FLOW_REGISTERS = 4
-# bytes a stored context takes at most, with its key and its share of the
-# bucket lists, while its four registers hold values below 257 (330-410 by
-# tracemalloc on CPython 3.11)
-CONTEXT_BYTES = 450
+
+
+def context_bytes(num_registers: int) -> int:
+    """Bytes a stored context with ``num_registers`` registers takes at
+    most, with its key and its share of the bucket lists, whatever 32-bit
+    values its registers hold. By tracemalloc on CPython 3.11, with the
+    dicts at different points of their growth: 473-534 bytes with four
+    full-width registers, 518-586 with five, about 44 more per register."""
+    return 380 + 48 * num_registers
 
 
 @dataclass(slots=True)

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .. import alu, programs
 from ..engine import Engine, NonMonotoneTimestampError
-from ..flow_context import CONTEXT_BYTES
+from ..flow_context import NUM_FLOW_REGISTERS, context_bytes
 from . import gen, traceio
 
 EXIT_OK = 0
@@ -118,9 +118,10 @@ def _cmd_validate(args) -> int:
     sizes = config.table_sizes
     shape = (sizes.context_subtables, sizes.context_buckets, sizes.bucket_depth)
     contexts = shape[0] * shape[1] * shape[2]
+    size = contexts * context_bytes(NUM_FLOW_REGISTERS + len(config.flow_scratch))
     print(
         f"context store: up to {contexts} contexts ({' x '.join(map(str, shape))}),"
-        f" <= {contexts * CONTEXT_BYTES / 1e6:.1f} MB"
+        f" <= {size / 1e6:.1f} MB"
     )
     return EXIT_OK
 
@@ -175,22 +176,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except programs.ProgramParseError as exc:
+    except (programs.ProgramParseError, traceio.TraceFormatError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except programs.ProgramValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except programs.BindError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NonMonotoneTimestampError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except traceio.TraceFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
+    except (
+        programs.ProgramValidationError,
+        programs.BindError,
+        NonMonotoneTimestampError,
+        ValueError,
+    ) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

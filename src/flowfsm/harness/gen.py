@@ -218,6 +218,15 @@ KINDS = {
     "bucket_stress": bucket_stress,
     "classifier_grid": classifier_grid,
 }
+# kind -> the parameter keys its generator reads
+PARAM_KEYS = {
+    "poisson_flows": ("flows", "rate_pps", "duration_s", "ports"),
+    "portscan_mix": (
+        "duration_s", "scanner_rate", "benign_rate", "benign_sources", "probe_gap_s"
+    ),
+    "bucket_stress": ("q", "count", "mean_gap"),
+    "classifier_grid": ("repeats",),
+}
 
 
 def gen_trace(
@@ -226,9 +235,16 @@ def gen_trace(
     seed: int,
     out_path: Union[str, Path],
 ) -> int:
-    """Generate a trace file; returns the number of packets written."""
+    """Generate a trace file; returns the number of packets written. A
+    parameter key that the kind's generator does not read raises
+    :class:`ValueError`."""
     if kind not in KINDS:
         raise ValueError(f"unknown trace kind {kind!r} (have {sorted(KINDS)})")
+    for key in params:
+        if key not in PARAM_KEYS[kind]:
+            raise ValueError(
+                f"unknown {kind} parameter {key!r} (have {', '.join(PARAM_KEYS[kind])})"
+            )
     rows = KINDS[kind](params, random.Random(seed))
     traceio.write_trace(out_path, rows)
     return len(rows)

@@ -1,11 +1,11 @@
 """Trace and result file formats.
 
 A trace is a CSV with a header row and one integer column (decimal or
-0x-hex) per header field, metadata such as ``ts`` and ``in_port``
-included: the columns stand for a parser's output, and the program's
-field bindings name the ones it reads. Timestamps must be non-decreasing;
-that is checked while reading so a bad file is rejected with the
-offending row number.
+0x-hex) per header field, metadata such as the timestamp and the input
+port included: the columns stand for a parser's output, and the program's
+field bindings name the ones it reads. The reader checks syntax only and
+names a bad row by its line in the file; which columns a program needs is
+the binder's check, and time order is the engine step's.
 
 Verdicts are written one CSV row per packet; stats are a JSON document.
 
@@ -23,13 +23,11 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
 import sys
-from operator import le
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from ..engine import VERDICT_COLUMNS, NonMonotoneTimestampError
+from ..engine import VERDICT_COLUMNS
 from ..programs import echo
 from ..stats import RunStats
 
@@ -86,15 +84,15 @@ def read_trace(path: Union[str, Path]) -> Iterator[dict[str, int]]:
     column, and every cell is an integer read with ``int(x, 0)``. A row
     with fewer or more cells, or a cell that is empty or not an integer,
     raises :class:`TraceFormatError` naming the row, and the column for a
-    cell. Timestamps must not decrease: a row whose ``ts`` is below the
-    previous row's raises :class:`NonMonotoneTimestampError`. Rows are
-    numbered from 2, blank lines not counted; the rows before a bad one
-    are yielded first.
+    cell. Rows are numbered from 2, blank lines not counted; the rows
+    before a bad one are yielded first. No column is required and no value
+    is checked: which columns and values a program takes is the binder's
+    check, and time order is the engine step's.
 
     Rows are read :data:`READ_CHUNK` lines at a time. While the lines of
-    a chunk are plain (see :func:`_plain_cells`) and in time order, they
-    are split and decoded without ``csv.reader``, and the chunk's dicts
-    are built in C-level passes. From the first chunk that is not,
+    a chunk are plain (see :func:`_plain_cells`), they are split and
+    decoded without ``csv.reader``, and the chunk's dicts are built in
+    C-level passes. From the first chunk that is not,
     ``csv.reader`` reads the rest of the trace one row at a time, which
     finds the first bad row, if any, and raises its error.
     """
@@ -111,29 +109,19 @@ def _read_batches(path: Path) -> Iterator[Iterable[dict[str, int]]]:
             if name in seen:
                 raise TraceFormatError(f"{path}: column {name!r} appears twice")
             seen.add(name)
-        if "ts" not in names:
-            raise TraceFormatError(f"{path}: missing required column 'ts'")
         width = len(names)
-        at_ts = names.index("ts")
         lineno = 2  # of the next row
-        last_ts: float = -math.inf
         while lines := list(itertools.islice(fh, READ_CHUNK)):
             cells = _plain_cells(lines, width)
             if cells is None:
                 break
-            stamps = cells[at_ts::width]
-            if not all(map(le, itertools.chain((last_ts,), stamps), stamps)):
-                break
-            last_ts = stamps[-1]
             lineno += len(lines)
             rows = zip(*[iter(cells)] * width)
             yield list(map(dict, map(zip, itertools.repeat(names), rows)))
         else:
             return
         # row by row from here on, up to the first bad row if there is one
-        yield _read_rows(
-            path, names, filter(None, csv.reader(itertools.chain(lines, fh))), lineno, last_ts
-        )
+        yield _read_rows(path, names, filter(None, csv.reader(itertools.chain(lines, fh))), lineno)
 
 
 # every JSON value but an integer holds one of these: strings, arrays,
@@ -173,7 +161,7 @@ def _plain_cells(lines: list[str], width: int) -> Optional[list[int]]:
 
 
 def _read_rows(
-    path: Path, names: list[str], rows: Iterable[list[str]], lineno: int, last_ts: float
+    path: Path, names: list[str], rows: Iterable[list[str]], lineno: int
 ) -> Iterator[dict[str, int]]:
     """``rows`` as dicts, one at a time, up to the first bad one, whose
     error it raises."""
@@ -188,10 +176,6 @@ def _read_rows(
             raise TraceFormatError(
                 f"{path}:{lineno} {_first_bad_cell(names, row)}"
             ) from None
-        ts = out["ts"]
-        if ts < last_ts:
-            raise NonMonotoneTimestampError(f"{path}:{lineno}: timestamp {ts} after {last_ts}")
-        last_ts = ts
         yield out
 
 

@@ -877,8 +877,10 @@ def make_binder(
     timestamp.
 
     Every field reads the trace column its ``source`` names, metadata
-    such as ``ts`` and ``in_port`` included. A missing column, or a value
-    that is negative or wider than its field, raises :class:`BindError`.
+    such as ``ts`` and ``in_port`` included, and the record's timestamp is
+    the ``ts`` column. A missing column, or a value that is negative or
+    wider than its field, raises :class:`BindError` naming the packet by
+    ``seq``, the number its verdict carries.
     """
     slots = alu.NUM_HEADER_SLOTS
     column_binds = [(f.slot, f.source, f.width) for f in config.fields]
@@ -890,13 +892,13 @@ def make_binder(
                 value = row[column]
                 if value >> width:  # negative, or wider than the field
                     raise BindError(
-                        f"trace row {seq}: column {column!r} value "
+                        f"packet {seq}: column {column!r} value "
                         f"{echo(_int_text(value))} does not fit in {width} bits"
                     )
                 h[slot] = value
-        except KeyError:
-            raise BindError(f"trace row {seq}: missing column {column!r}") from None
-        return h, row["ts"]  # ts presence checked at ingestion
+            return h, row["ts"]
+        except KeyError as exc:
+            raise BindError(f"packet {seq}: missing column {exc.args[0]!r}") from None
 
     return bind
 

@@ -24,8 +24,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             base = name.split("[")[0]
             if base in _CRITERIA:
                 verdict = "PASS" if status == "passed" else "FAIL"
-                lines.append(f"[{verdict}] {_CRITERIA[base]}")
+                criterion = _CRITERIA[base]
+                number = int(criterion.split(".", 1)[0])
+                lines.append((number, f"[{verdict}] {criterion}"))
     if lines:
         terminalreporter.section("acceptance criteria")
-        for line in sorted(set(lines), key=lambda s: s.split(". ", 1)[-1]):
+        for _, line in sorted(set(lines)):
             terminalreporter.write_line(line)

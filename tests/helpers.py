@@ -23,7 +23,6 @@ import yaml
 from flowfsm import programs
 from flowfsm.alu import execute_tuple
 from flowfsm.conditions import NUM_CONDITIONS, evaluate
-from flowfsm.engine import NonMonotoneTimestampError
 from flowfsm.harness.traceio import TraceFormatError
 
 
@@ -87,7 +86,8 @@ def reference_read_trace(path):
     """Trace reader oracle: one ``csv.reader`` row at a time, every cell
     parsed on its own. The header must name each column once, a row must
     have one cell per header column and every cell must be an integer;
-    rows are numbered from 2 without counting blank lines."""
+    rows are numbered from 2 without counting blank lines. No column is
+    required and time order is not checked."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -96,9 +96,6 @@ def reference_read_trace(path):
     for i, name in enumerate(header):
         if header.index(name) != i:
             raise TraceFormatError(f"{path}: column {name!r} appears twice")
-    if "ts" not in header:
-        raise TraceFormatError(f"{path}: missing required column 'ts'")
-    last_ts = None
     for lineno, cells in enumerate([row for row in rows[1:] if row], start=2):
         where = f"{path}:{lineno}"
         if len(cells) != len(header):
@@ -118,10 +115,6 @@ def reference_read_trace(path):
                 else:
                     reason = "is not an integer"
                 raise TraceFormatError(f"{where} column {key!r}: {shown} {reason}") from None
-        ts = out["ts"]
-        if last_ts is not None and ts < last_ts:
-            raise NonMonotoneTimestampError(f"{where}: timestamp {ts} after {last_ts}")
-        last_ts = ts
         yield out
 
 

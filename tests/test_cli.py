@@ -19,8 +19,9 @@ def test_validate_accepts_bundled_programs(name, capsys):
         ("c45_classifier", "rows:          9 (incl. tree expansion)"),
         ("long_flow", "partitionable: yes"),
         ("mac_learning", "partitionable: no"),
-        # the default geometry, at flow_context.CONTEXT_BYTES a context
-        ("token_bucket", "context store: up to 4096 contexts (4 x 1024 x 1), <= 1.8 MB"),
+        # the default geometry, at flow_context.context_bytes a context
+        ("token_bucket", "context store: up to 4096 contexts (4 x 1024 x 1), <= 2.3 MB"),
+        ("c45_classifier", "context store: up to 4096 contexts (4 x 1024 x 1), <= 2.5 MB"),
     ],
 )
 def test_validate_reports_the_program_shape(name, line, capsys):
@@ -58,7 +59,7 @@ def test_run_rejects_a_trace_value_wider_than_its_field(tmp_path, capsys):
     argv = ["run", "--program", str(program), "--trace", str(trace)]
     assert cli.main(argv) == cli.EXIT_VALIDATION == 4
     err = capsys.readouterr().err
-    assert "trace row 1: column 'in_port' value 300 does not fit in 8 bits" in err
+    assert "validation error: packet 1: column 'in_port' value 300 does not fit in 8 bits" in err
 
 
 @pytest.mark.parametrize(
@@ -88,7 +89,32 @@ def test_run_rejects_a_trace_without_a_bound_metadata_column(tmp_path, capsys):
     program = programs.bundled_path("mac_learning")
     argv = ["run", "--program", str(program), "--trace", str(trace)]
     assert cli.main(argv) == cli.EXIT_VALIDATION
-    assert "trace row 0: missing column 'in_port'" in capsys.readouterr().err
+    assert "validation error: packet 0: missing column 'in_port'" in capsys.readouterr().err
+
+
+def test_run_rejects_a_trace_without_a_ts_column(tmp_path, capsys):
+    # the binder owns ts like any other column; a header alone is 0 packets
+    trace = tmp_path / "mac.csv"
+    trace.write_text("in_port,eth_src,eth_dst\n1,0xa,0xb\n")
+    program = programs.bundled_path("mac_learning")
+    argv = ["run", "--program", str(program), "--trace", str(trace)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "validation error: packet 0: missing column 'ts'\n"
+    trace.write_text("in_port,eth_src,eth_dst\n")
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "mac_learning: 0 packets" in capsys.readouterr().err
+
+
+def test_gen_trace_rejects_an_unknown_parameter(tmp_path, capsys):
+    # flow=2 used to be ignored: poisson_flows wrote its default 8 flows
+    out = tmp_path / "trace.csv"
+    argv = ["gen-trace", "--kind", "poisson_flows", "--out", str(out), "--param", "flow=2"]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "validation error: unknown poisson_flows parameter 'flow' "
+        "(have flows, rate_pps, duration_s, ports)\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -214,11 +214,12 @@ def test_hazard_window_delays_update_visibility(window):
 @pytest.mark.parametrize("name", ["long_flow", "mac_learning"])
 @pytest.mark.parametrize("hazard", [0, 2])
 def test_step_rejects_a_timestamp_that_runs_backwards(name, hazard):
-    """The step checks time order itself, inside a management period and
-    across its boundary, for records that no trace reader checked."""
+    """The step is the one time-order check, inside a management period
+    and across its boundary; its error names the packet by the seq of
+    its verdict."""
     config = programs.bundled_program(name)
-    for times, bad in [((5, 6, 6, 5), "timestamp 5 after 6"),
-                       ((1, 10**7, 10**7 - 1), "timestamp 9999999 after 10000000")]:
+    for times, bad in [((5, 6, 6, 5), "packet 3: timestamp 5 after 6"),
+                       ((1, 10**7, 10**7 - 1), "packet 2: timestamp 9999999 after 10000000")]:
         engine = Engine(config, hazard_window=hazard)
         records = [([1, 2, 0, 0, 0, 0, 0, 1], ts) for ts in times]
         verdicts = engine.run_trace(records)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowfsm.flow_context import CONTEXT_BYTES, FlowContextTable
+from flowfsm.flow_context import FlowContextTable, context_bytes
 
 from helpers import RefContextModel
 
@@ -177,22 +177,27 @@ def test_reinserted_expired_key_leaves_no_phantom_load():
 
 def test_stored_context_memory_is_bounded():
     """A stored context, its key and its share of the bucket lists take at
-    most CONTEXT_BYTES = 450 traced bytes (330-410 on CPython 3.11, with
-    the dicts at different points of their growth), so a table holds at
-    most 450 x subtables x buckets x depth bytes of contexts, the bound
-    ``flowfsm validate`` prints."""
-    assert CONTEXT_BYTES == 450
-    table = FlowContextTable(subtables=4, buckets=1 << 14, bucket_depth=4, seed=1)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for i in range(20_000):
-            table.write_back(flow_key(0x0A000000 + i, 0xC0A80001), 1, [1, 2, 3, 4])
-        used = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert table.occupancy == 20_000
-    assert used / table.occupancy <= CONTEXT_BYTES
+    most ``context_bytes(n)`` traced bytes with n registers holding full
+    32-bit values, for the four registers of every program and the five
+    of c45_classifier's ``flow_scratch``. So a table holds at most that
+    many bytes times subtables x buckets x depth, the bound ``flowfsm
+    validate`` prints."""
+    assert (context_bytes(4), context_bytes(5)) == (572, 620)
+    for registers in (4, 5):
+        table = FlowContextTable(
+            subtables=4, buckets=1 << 14, bucket_depth=4, seed=1, num_registers=registers
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(20_000):
+                values = [2**31 + 7 * i + j for j in range(registers)]
+                table.write_back(flow_key(0x0A000000 + i, 0xC0A80001), 1, values)
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert table.occupancy == 20_000
+        assert used / table.occupancy <= context_bytes(registers)
 
 
 def test_housekeep_touched_entry_stays():

@@ -68,3 +68,18 @@ def test_portscan_mix_without_a_probe_ends_at_the_last_second():
     assert len(rows) == PORTSCAN["duration_s"] * (
         PORTSCAN["scanner_rate"] + PORTSCAN["benign_sources"] * PORTSCAN["benign_rate"]
     )
+
+
+@pytest.mark.parametrize("kind", sorted(gen.KINDS))
+def test_each_kind_reads_the_parameter_keys_it_declares(kind):
+    """``gen_trace`` rejects a key outside ``PARAM_KEYS``, so the keys a
+    generator reads must be those it declares."""
+
+    class Recorded(dict):
+        def get(self, key, default=None):
+            read.append(key)
+            return default
+
+    read = []
+    gen.KINDS[kind](Recorded(), random.Random(0))
+    assert tuple(read) == gen.PARAM_KEYS[kind]

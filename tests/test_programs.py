@@ -359,7 +359,7 @@ def test_binder_accepts_values_up_to_the_field_width():
 )
 def test_binder_rejects_column_values_outside_the_field(column, value, width):
     bind = programs.make_binder(programs.bundled_program("mac_learning"))
-    message = f"trace row 3: column {column!r} value {value} does not fit in {width} bits"
+    message = f"packet 3: column {column!r} value {value} does not fit in {width} bits"
     with pytest.raises(BindError, match=message):
         bind({**MAC_ROW, column: value}, 3)
 
@@ -367,7 +367,7 @@ def test_binder_rejects_column_values_outside_the_field(column, value, width):
 def test_binder_rejects_a_timestamp_wider_than_its_field():
     bind = programs.make_binder(programs.bundled_program("c45_classifier"))
     row = {"ts": 2**33 + 5, "ip_src": 1, "ip_dst": 2, "pkt_len": 60}
-    with pytest.raises(BindError, match="trace row 7: column 'ts' value 8589934597"):
+    with pytest.raises(BindError, match="packet 7: column 'ts' value 8589934597"):
         bind(row, 7)
     assert bind({**row, "ts": 2**32 - 1}, 7)[0][6] == 2**32 - 1
 
@@ -377,8 +377,16 @@ def test_binder_rejects_a_row_without_a_bound_metadata_column():
     row = {"ts": 5, "ip_src": 1, "ip_dst": 2, "pkt_len": 60}
     assert bind(row, 4)[0][5] == 60
     del row["pkt_len"]
-    with pytest.raises(BindError, match="trace row 4: missing column 'pkt_len'"):
+    with pytest.raises(BindError, match="packet 4: missing column 'pkt_len'"):
         bind(row, 4)
+
+
+def test_binder_rejects_a_row_without_ts():
+    # long_flow binds no ts field; the record's timestamp still needs it
+    bind = programs.make_binder(programs.bundled_program("long_flow"))
+    assert bind({"ts": 9, "ip_src": 1, "ip_dst": 2}, 0)[1] == 9
+    with pytest.raises(BindError, match="packet 0: missing column 'ts'"):
+        bind({"ip_src": 1, "ip_dst": 2}, 0)
 
 
 def test_context_geometry_at_the_cap_loads():

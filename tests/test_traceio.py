@@ -1,11 +1,14 @@
 """Trace reader and verdict writer against plain references.
 
 The reader must equal the cell-by-cell reference, rows and errors alike.
-The header names each column once, and a row has one integer cell per
-header column; a repeated column is an error that names it, and a short
-or long row, or an empty or non-integer cell, is an error that names the
-row. The reader works in chunks of rows, so the seam tests put each kind
-of defect in a later chunk and right at a seam.
+It checks syntax only: the header names each column once, and a row has
+one integer cell per header column; a repeated column is an error that
+names it, and a short or long row, or an empty or non-integer cell, is an
+error that names the row. A missing ``ts`` column or a backward ``ts`` is
+not the reader's to reject: ``flowfsm run`` stops on those in the binder
+and the engine step, which name the packet. The reader works in chunks of
+rows, so the seam tests put each kind of defect in a later chunk and
+right at a seam.
 
 The verdict writer must write the bytes a plain ``csv.writer`` writes,
 quoted state labels included, across its batches."""
@@ -17,8 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flowfsm.engine import VERDICT_COLUMNS, NonMonotoneTimestampError
-from flowfsm.harness import traceio
+from flowfsm import programs
+from flowfsm.engine import VERDICT_COLUMNS
+from flowfsm.harness import cli, traceio
 from flowfsm.harness.traceio import (
     READ_CHUNK,
     WRITE_BATCH,
@@ -38,7 +42,7 @@ def outcome(reader, path):
     try:
         for row in reader(path):
             rows.append(row)
-    except (TraceFormatError, NonMonotoneTimestampError) as exc:
+    except TraceFormatError as exc:
         return rows, type(exc), str(exc)
     return rows, None, None
 
@@ -63,8 +67,9 @@ cell = st.one_of(valid, valid, valid, valid, st.just(""), odd)
 
 @st.composite
 def traces(draw):
-    """A header with ts, then full, short, long and blank rows."""
-    header = ["ts"] + draw(st.lists(st.sampled_from(COLUMNS), max_size=4))
+    """A header with or without ts, then full, short, long and blank rows."""
+    header = draw(st.sampled_from([["ts"], []]))
+    header += draw(st.lists(st.sampled_from(COLUMNS), min_size=1 - len(header), max_size=4))
     draw(st.randoms()).shuffle(header)
     lines = [",".join(header)]
     ts = 0
@@ -121,8 +126,12 @@ def test_empty_file(tmp_path):
 
 
 def test_missing_ts_column(tmp_path):
-    path, kind, message = read_error(tmp_path, "in_port,ip_src\n1,2\n")
-    assert (kind, message) == (TraceFormatError, f"{path}: missing required column 'ts'")
+    # which columns a program needs, ts included, is the binder's check
+    path = tmp_path / "trace.csv"
+    path.write_text("in_port,ip_src\n1,2\n")
+    got = outcome(read_trace, path)
+    assert got == outcome(reference_read_trace, path)
+    assert got == ([{"in_port": 1, "ip_src": 2}], None, None)
 
 
 def test_duplicate_column_names_the_column(tmp_path):
@@ -143,8 +152,13 @@ def test_missing_ts_value(tmp_path):
 
 
 def test_non_monotone_timestamp(tmp_path):
-    path, kind, message = read_error(tmp_path, "ts,ip_src\n5,1\n0x6,1\n\n5,1\n")
-    assert (kind, message) == (NonMonotoneTimestampError, f"{path}:4: timestamp 5 after 6")
+    # time order is the engine step's check
+    path = tmp_path / "trace.csv"
+    path.write_text("ts,ip_src\n5,1\n0x6,1\n\n5,1\n")
+    got = outcome(read_trace, path)
+    assert got == outcome(reference_read_trace, path)
+    assert got == ([{"ts": 5, "ip_src": 1}, {"ts": 6, "ip_src": 1}, {"ts": 5, "ip_src": 1}],
+                   None, None)
 
 
 def test_negative_timestamps_are_read(tmp_path):
@@ -249,12 +263,27 @@ def test_reader_equals_reference_across_chunk_seams(tmp_path, defect, at, newlin
     path.write_bytes(seam_trace(defect, at, newline).encode())
     rows, kind, message = outcome(read_trace, path)
     assert (rows, kind, message) == outcome(reference_read_trace, path)
-    if defect in ("hex", "quoted", "blank"):
-        # valid, but csv.reader reads from here on
+    if defect in ("backward", "hex", "quoted", "blank"):
+        # valid syntax; from a hex, quoted or blank cell on, csv.reader
+        # reads the rest
         assert kind is None and len(rows) == SEAM_ROWS
     else:
         assert kind is not None and len(rows) == at
         assert message.startswith(f"{path}:{at + 2}")
+
+
+@pytest.mark.parametrize("at", SEAM_AT[:4])
+def test_run_rejects_a_backward_timestamp_at_a_seam(tmp_path, capsys, at):
+    """The reader passes a backward ts at a chunk seam on; the engine step
+    stops the run there and names the packet by its verdict seq."""
+    path = tmp_path / "trace.csv"
+    path.write_text(seam_trace("backward", at, "\n"))
+    # token_bucket binds ip_src and ts, both seam trace columns
+    program = programs.bundled_path("token_bucket")
+    assert cli.main(["run", "--program", str(program), "--trace", str(path)]) == 4
+    assert capsys.readouterr().err == (
+        f"validation error: packet {at}: timestamp {at - 2} after {at - 1}\n"
+    )
 
 
 @pytest.mark.parametrize("at", SEAM_AT)
