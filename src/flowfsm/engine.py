@@ -37,13 +37,18 @@ tuple still commits in parallel. When the lookup and update scopes agree
 and no hazard window is set, a lookup hit is the stored context itself,
 and the step updates it in place; only a miss goes through
 ``write_back``, which may insert. Scratch aliases, the management period,
-the hazard window and whether the key scopes agree are settled at build
-time; the statistics instructions and division call :mod:`flowfsm.alu`.
-:meth:`Engine.run_trace` maps the step over the records. The source holds
-only integers and fixed names: labels, action text and the program name
-reach it as values. The engine copies what it reads of the program, so engines
-built from one config share no state. :func:`conditions.evaluate` and
-:func:`alu.execute_tuple` interpret the same primitives from their
+the hazard window, the 16-bit division mode and whether the key scopes
+agree are settled at build time. The divisions and the statistics
+instructions are emitted as guarded lines too, which count division by
+zero and backward time where the ALU helpers do, so the step calls no
+function of :mod:`flowfsm.alu`. :meth:`Engine.run_trace` maps the step
+over the records. The source holds only integers and fixed names: labels,
+action text and the program name reach it as values. Its compiled code is
+cached by source text (:func:`compiled`) and shared by the engines of one
+program and setting, while each engine runs it in a namespace of its own
+and copies what it reads of the program, so engines built from one config
+share no state. :func:`conditions.evaluate` and :func:`alu.execute_tuple`,
+with its ``alu.exec_*`` helpers, interpret the same primitives from their
 descriptions and serve as the reference for the generated step.
 
 Sequential semantics are strict by default: the verdict of packet i sees
@@ -56,9 +61,11 @@ the first to see it. It is off for all normal runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
+from types import CodeType
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .alu import (
@@ -68,10 +75,6 @@ from .alu import (
     AluRuntime,
     Instruction,
     Opcode,
-    _udiv,
-    exec_avg,
-    exec_ewma,
-    exec_var,
 )
 from .conditions import NUM_CONDITIONS
 from .flow_context import FlowContextTable
@@ -124,16 +127,87 @@ _ONE_LINE = {
     Opcode.ADD: "({a} + {b}) & 0xFFFFFFFF",
     Opcode.SUB: "({a} - {b}) & 0xFFFFFFFF",
     Opcode.MUL: "({a} * {b}) & 0xFFFFFFFF",
-    Opcode.DIV: "udiv({a}, {b}, rt)",
     Opcode.ADDI: "({a} + {b}) & 0xFFFFFFFF",
     Opcode.SUBI: "({a} - {b}) & 0xFFFFFFFF",
     Opcode.MULI: "({a} * {b}) & 0xFFFFFFFF",
-    Opcode.DIVI: "udiv({a}, {b}, rt)",
     Opcode.LSL: "({a} << ({b} % 32)) & 0xFFFFFFFF",
     Opcode.LSR: "{a} >> ({b} % 32)",
     Opcode.ROR: "(({a} >> ({b} % 32)) | ({a} << (32 - {b} % 32))) & 0xFFFFFFFF",
 }
-_STATS = {Opcode.AVG: "exec_avg", Opcode.VAR: "exec_var", Opcode.EWMA: "exec_ewma"}
+
+
+def _guarded(
+    ins: Instruction, args: Sequence[str], n: int, hw16: bool
+) -> tuple[list[str], list[str]]:
+    """(result names, lines) of instruction ``n`` of a tuple when it is a
+    division or a statistics instruction, over its operand expressions
+    ``args`` in selector order.
+
+    The lines branch where :func:`alu._udiv`, :func:`alu._sdiv_trunc` and
+    :func:`alu.exec_ewma` do, and compute and count what they compute and
+    count: a zero divisor adds one to ``rt.div_zero`` per division (two
+    for VAR), and time running backwards adds one to
+    ``rt.time_violations``. With ``hw16`` every divisor and dividend is
+    narrowed to 16 bits, a negative dividend by its magnitude.
+    """
+    op = ins.opcode
+    narrow = " & 0xFFFF" if hw16 else ""
+
+    def quotient(num: str, den: str) -> str:
+        # truncating signed division by a positive divisor
+        return f"(({num}{narrow}) // {den} if {num} >= 0 else -((-{num}{narrow}) // {den}))"
+
+    if op == Opcode.DIVI:
+        if ins.imm == 0:
+            return [f"t{n:d}"], [f"t{n:d} = 0", "rt.div_zero += 1"]
+        return [f"t{n:d}"], [f"t{n:d} = ({args[1]}{narrow}) // {ins.imm:d}"]
+    if op == Opcode.DIV:
+        return [f"t{n:d}"], [
+            f"d{n:d} = {args[2]}{narrow}",
+            f"if d{n:d}:",
+            f"    t{n:d} = ({args[1]}{narrow}) // d{n:d}",
+            "else:",
+            f"    t{n:d} = 0",
+            "    rt.div_zero += 1",
+        ]
+    outs = [f"t{n:d}_{k:d}" for k in range(len(ins.destinations()))]
+    if op == Opcode.EWMA:
+        io1, io2, in1, in2 = args
+        return outs, [
+            f"{outs[0]} = {in1} & 0xFFFFFFFF",
+            f"p{n:d} = {in1} - {io1}",
+            f"if p{n:d} < 0:",
+            f"    {outs[1]} = ({io2} + {in2}) & 0xFFFFFFFF",
+            "    rt.time_violations += 1",
+            f"elif p{n:d} < 32:",
+            f"    {outs[1]} = (({io2} >> p{n:d}) + {in2}) & 0xFFFFFFFF",
+            "else:",
+            f"    {outs[1]} = {in2} & 0xFFFFFFFF",
+        ]
+    # AVG and VAR: the new count is the divisor of the mean (and variance)
+    io1, io2, in1 = args[0], args[1], args[-1]
+    den = f"d{n:d}" if hw16 else outs[0]
+    lines = [f"{outs[0]} = ({io1} + 1) & 0xFFFFFFFF"]
+    if hw16:
+        lines.append(f"{den} = {outs[0]} & 0xFFFF")
+    lines.append(f"p{n:d} = {in1} - {io2}")
+    fits = [f"    {outs[1]} = ({io2} + {quotient(f'p{n:d}', den)}) & 0xFFFFFFFF"]
+    by_zero = [f"    {outs[1]} = {io2} & 0xFFFFFFFF"]
+    if op == Opcode.VAR:
+        io3 = args[2]
+        lines.append(f"q{n:d} = (p{n:d} * p{n:d} & 0xFFFFFFFF) - {io3}")
+        fits.append(f"    {outs[2]} = ({io3} + {quotient(f'q{n:d}', den)}) & 0xFFFFFFFF")
+        by_zero.append(f"    {outs[2]} = {io3} & 0xFFFFFFFF")
+    by_zero.append(f"    rt.div_zero += {len(outs) - 1:d}")
+    return outs, [*lines, f"if {den}:", *fits, "else:", *by_zero]
+
+
+@functools.lru_cache(maxsize=64)
+def compiled(source: str, filename: str) -> CodeType:
+    """``source`` compiled for ``exec``. Generated sources repeat, one per
+    program and setting, so each text is compiled once; the code is
+    immutable, and every caller runs it in a namespace of its own."""
+    return compile(source, filename, "exec")
 
 
 class NonMonotoneTimestampError(Exception):
@@ -388,18 +462,18 @@ class Engine:
             temporary before the new registers are assembled from them."""
             lines, regs, globs = [], list(flow_regs), {}
             for n, ins in enumerate(plan):
-                if ins.opcode in _STATS:
-                    args = ", ".join(selector(s) for s in ins.sel)
-                    outs = [f"t{n:d}_{k:d}" for k in range(len(ins.destinations()))]
-                    lines.append(f"{', '.join(outs)} = {_STATS[ins.opcode]}({args}, rt)")
-                else:
+                args = [selector(s) for s in ins.sel]
+                if ins.opcode in _ONE_LINE:
                     if ins.imm is not None:
                         b = f"{ins.imm:d}"
                     else:
-                        b = selector(ins.sel[2]) if len(ins.sel) > 2 else ""
-                    expr = _ONE_LINE[ins.opcode].format(a=selector(ins.sel[1]), b=b)
+                        b = args[2] if len(args) > 2 else ""
                     outs = [f"t{n:d}"]
+                    expr = _ONE_LINE[ins.opcode].format(a=args[1], b=b)
                     lines.append(f"{outs[0]} = {expr}")
+                else:
+                    outs, guarded = _guarded(ins, args, n, self.alu.hw16_div)
+                    lines += guarded
                 for dest, value in zip(ins.destinations(), outs):
                     bank, index = divmod(dest, 4)
                     if bank == 1 and index in scratch:
@@ -504,12 +578,8 @@ class Engine:
             "order_text": "packet {}: timestamp {} after {}",
             "flush_pending": self._flush_pending,
             "pending": self._pending,
-            "udiv": _udiv,
-            "exec_avg": exec_avg,
-            "exec_var": exec_var,
-            "exec_ewma": exec_ewma,
         }
-        exec(compile(source, "<flowfsm step>", "exec"), namespace)
+        exec(compiled(source, "<flowfsm step>"), namespace)
         self.step_source = source  # for inspection and tests
         return namespace["make"](-math.inf, -math.inf)
 

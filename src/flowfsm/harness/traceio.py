@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -200,27 +201,40 @@ def write_verdicts(path: Union[str, Path], verdicts: Iterable[tuple]) -> int:
     text has more commas or line breaks than the format puts there, or any
     double quote, holds a cell that ``csv.writer`` quotes (a state label
     with a comma, say), and ``csv.writer`` writes that batch instead.
+
+    The rows go to a partial file next to ``path``, which replaces
+    ``path`` once the last row is written. When ``verdicts`` raises (a
+    bind or time-order error, say), the partial file is removed and
+    ``path`` keeps what it held, so a failed run leaves no verdict file
+    that reads as a shorter result.
     """
+    path = Path(path)
+    partial = path.with_name(f"{path.name}.partial")
     verdicts = iter(verdicts)
     line = _VERDICT_LINE.__mod__
     commas = len(VERDICT_COLUMNS) - 1
     count = 0
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(VERDICT_COLUMNS)
-        while batch := list(itertools.islice(verdicts, WRITE_BATCH)):
-            n = len(batch)
-            text = "".join(map(line, batch))
-            if (
-                text.count(",") == commas * n
-                and text.count("\n") == n
-                and text.count("\r") == n
-                and '"' not in text
-            ):
-                fh.write(text)
-            else:
-                writer.writerows(batch)
-            count += n
+    try:
+        with partial.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(VERDICT_COLUMNS)
+            while batch := list(itertools.islice(verdicts, WRITE_BATCH)):
+                n = len(batch)
+                text = "".join(map(line, batch))
+                if (
+                    text.count(",") == commas * n
+                    and text.count("\n") == n
+                    and text.count("\r") == n
+                    and '"' not in text
+                ):
+                    fh.write(text)
+                else:
+                    writer.writerows(batch)
+                count += n
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     return count
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import yaml
 
 from . import alu, conditions
-from .engine import ACTION_KINDS, FLOW_KEY_WIDTH, Engine
+from .engine import ACTION_KINDS, FLOW_KEY_WIDTH, Engine, compiled
 
 TIMESTAMP_UNITS = {
     "seconds": 1,
@@ -880,12 +880,21 @@ def make_binder(
     such as ``ts`` and ``in_port`` included, and the record's timestamp is
     the ``ts`` column. A missing column, or a value that is negative or
     wider than its field, raises :class:`BindError` naming the packet by
-    ``seq``, the number its verdict carries.
+    ``seq``, the number its verdict carries. The error is that of the
+    first failing field in field order, then of a missing ``ts``.
+
+    The binder is a function generated for the program's (slot, width)
+    layout, as the engine's step is: it reads every column in one ``try``,
+    checks every width with one OR of ``value >> width`` terms, and builds
+    ``h`` as one list display. The column names reach it as values, so
+    its source, exposed as the binder's ``source`` attribute, holds no
+    program text. Only a row that fails goes through the per-field loop,
+    which raises the error.
     """
     slots = alu.NUM_HEADER_SLOTS
     column_binds = [(f.slot, f.source, f.width) for f in config.fields]
 
-    def bind(row: Mapping[str, int], seq: int) -> tuple[list[int], int]:
+    def bind_loop(row: Mapping[str, int], seq: int) -> tuple[list[int], int]:
         h = [0] * slots
         try:
             for slot, column, width in column_binds:
@@ -900,6 +909,35 @@ def make_binder(
         except KeyError as exc:
             raise BindError(f"packet {seq}: missing column {exc.args[0]!r}") from None
 
+    n = len(column_binds)
+    h = ["0"] * slots
+    for i, (slot, _, _) in enumerate(column_binds):
+        h[slot] = f"v{i:d}"
+    body = [
+        "try:",
+        *(f"    v{i:d} = row[c{i:d}]" for i in range(n)),
+        "    ts = row[cts]",
+        "except KeyError:",
+        "    return bind_loop(row, seq)",
+    ]
+    if column_binds:
+        wide = " | ".join(f"v{i:d} >> {w:d}" for i, (_, _, w) in enumerate(column_binds))
+        body += [f"if {wide}:", "    return bind_loop(row, seq)"]
+    body.append(f"return [{', '.join(h)}], ts")
+    source = "\n".join(
+        [
+            "def make(columns, bind_loop):",
+            f"    {''.join(f'c{i:d}, ' for i in range(n))}cts, = columns",
+            "    def bind(row, seq):",
+            *("        " + line for line in body),
+            "    return bind",
+            "",
+        ]
+    )
+    namespace: dict = {}
+    exec(compiled(source, "<flowfsm binder>"), namespace)
+    bind = namespace["make"]([column for _, column, _ in column_binds] + ["ts"], bind_loop)
+    bind.source = source  # for inspection and tests
     return bind
 
 

@@ -9,6 +9,7 @@ as one ternary lookup for ``scan_lookup``. ``ReferenceStep`` picks the
 transition with that linear scan, never with the engine's dispatch, and
 checks the rest of the generated step against the package's own
 interpreters of the conditions and the ALU, which are tested on their own.
+``reference_bind`` binds a trace row with a plain loop over the fields.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ import sys
 import yaml
 
 from flowfsm import programs
-from flowfsm.alu import execute_tuple
+from flowfsm.alu import NUM_HEADER_SLOTS, execute_tuple
 from flowfsm.conditions import NUM_CONDITIONS, evaluate
 from flowfsm.harness.traceio import TraceFormatError
+from flowfsm.programs import BindError, echo
 
 
 def scan_lookup(entries, key):
@@ -80,6 +82,25 @@ def flow_key(config, scope, h):
         key = key << field.width | h[field.slot] % (1 << field.width)
         width += field.width
     return key << (128 - width)
+
+
+def reference_bind(config, row, seq):
+    """The record ``(h, ts)`` of trace row ``row`` as packet ``seq``, bound
+    one field at a time in field order: the oracle for the binder
+    ``programs.make_binder`` generates, with the error texts it gives."""
+    h = [0] * NUM_HEADER_SLOTS
+    try:
+        for field in config.fields:
+            value = row[field.source]
+            if value >> field.width:  # negative, or wider than the field
+                raise BindError(
+                    f"packet {seq}: column {field.source!r} value "
+                    f"{echo(programs._int_text(value))} does not fit in {field.width} bits"
+                )
+            h[field.slot] = value
+        return h, row["ts"]
+    except KeyError as exc:
+        raise BindError(f"packet {seq}: missing column {exc.args[0]!r}") from None
 
 
 def reference_read_trace(path):

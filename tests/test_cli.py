@@ -105,6 +105,29 @@ def test_run_rejects_a_trace_without_a_ts_column(tmp_path, capsys):
     assert "mac_learning: 0 packets" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("earlier", [None, "seq,ts\n0,1\n"], ids=["no-out", "old-out"])
+def test_a_failed_run_leaves_no_partial_verdict_file(earlier, tmp_path, capsys):
+    # the time-order error comes after more than one write batch of verdicts
+    rows = [f"{ts},1,0xa,0xb" for ts in range(1499)] + ["3,1,0xa,0xb"]
+    trace = tmp_path / "mac.csv"
+    trace.write_text("ts,in_port,eth_src,eth_dst\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "verdicts.csv"
+    if earlier is not None:
+        out.write_text(earlier)
+    program = programs.bundled_path("mac_learning")
+    argv = ["run", "--program", str(program), "--trace", str(trace), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "validation error: packet 1499: timestamp 3 after 1498\n"
+    if earlier is None:
+        assert not out.exists()
+    else:
+        assert out.read_text() == earlier
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["mac.csv"] + (["verdicts.csv"] if earlier else [])
+    )
+
+
 def test_gen_trace_rejects_an_unknown_parameter(tmp_path, capsys):
     # flow=2 used to be ignored: poisson_flows wrote its default 8 flows
     out = tmp_path / "trace.csv"

@@ -1,7 +1,11 @@
 """Program loader: round trip, rejection locations, tree expansion, fallbacks."""
 
+import dataclasses
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowfsm import programs
 from flowfsm.engine import VERDICT_COLUMNS, Engine
@@ -14,6 +18,7 @@ from helpers import (
     flow_key,
     patched_doc,
     program_config,
+    reference_bind,
 )
 
 
@@ -387,6 +392,54 @@ def test_binder_rejects_a_row_without_ts():
     assert bind({"ts": 9, "ip_src": 1, "ip_dst": 2}, 0)[1] == 9
     with pytest.raises(BindError, match="packet 0: missing column 'ts'"):
         bind({"ip_src": 1, "ip_dst": 2}, 0)
+
+
+COLUMNS = ("a", "b", "c", "d", "ts")
+
+
+@st.composite
+def binder_cases(draw):
+    """(fields, row, seq): up to eight fields on distinct slots, with widths
+    past the loader's 32 bits, reading columns that may repeat and may be
+    ``ts``; and a row whose cells may be missing, negative, at the field's
+    maximum, one past it, or anything."""
+    slots = draw(st.lists(st.integers(0, 7), unique=True, max_size=8))
+    fields = [
+        programs.FieldDef(f"f{slot}", slot, draw(st.integers(1, 48)), draw(st.sampled_from(COLUMNS)))
+        for slot in slots
+    ]
+    widths = {f.source: f.width for f in fields}
+    row = {}
+    for column in COLUMNS:
+        width = widths.get(column, 32)
+        value = draw(
+            st.one_of(
+                st.none(),
+                st.integers(-(2**50), -1),
+                st.sampled_from([0, (1 << width) - 1, 1 << width]),
+                st.integers(0, 2**50),
+            )
+        )
+        if value is not None:
+            row[column] = value
+    return fields, row, draw(st.integers(0, 2**40))
+
+
+def bound(bind, *args):
+    try:
+        return bind(*args)
+    except BindError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(binder_cases())
+def test_generated_binder_equals_the_field_loop(case):
+    """The generated binder returns the loop's record, or raises its error:
+    the first failing field in field order, then a missing ts."""
+    fields, row, seq = case
+    config = dataclasses.replace(programs.bundled_program("long_flow"), fields=tuple(fields))
+    assert bound(programs.make_binder(config), row, seq) == bound(reference_bind, config, row, seq)
 
 
 def test_context_geometry_at_the_cap_loads():

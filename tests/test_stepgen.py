@@ -3,14 +3,17 @@ reference step in ``helpers``: same verdict rows, same stored contexts,
 globals, ALU counters and transition counts, packet by packet."""
 
 import random
+import re
 
 import pytest
+import yaml
 
+from flowfsm import engine as engine_mod
 from flowfsm import programs
 from flowfsm.alu import Opcode
 from flowfsm.engine import Engine
 
-from helpers import ReferenceStep, flow_key, program_config
+from helpers import ReferenceStep, flow_key, patched_doc, program_config
 
 # Every opcode, shift amounts of 32 and more, a division by a zero
 # immediate, G destinations, statistics instructions on G and on the
@@ -64,6 +67,56 @@ rows:
   - {priority: 0, next: _stay, action: none}
 """
 
+# One state per division or statistics instruction, so that a packet's
+# stored state picks the instruction and its registers pick the edge.
+ALU_EDGES = """
+name: alu_edges
+timestamp_unit: ticks
+ports: 4
+fields:
+  - {name: a, slot: 0, width: 32, source: a}
+  - {name: b, slot: 1, width: 32, source: b}
+  - {name: c, slot: 2, width: 32, source: c}
+lookup_scope: [a]
+states: {VAR: 0, AVG: 1, EWMA: 2, DIV: 3, DIVI: 4}
+rows:
+  - {state: VAR, priority: 5, next: _stay, action: none, update: ["VAR R0 R1 R2 b"]}
+  - {state: AVG, priority: 4, next: _stay, action: none, update: ["AVG R0 R1 b"]}
+  - {state: EWMA, priority: 3, next: _stay, action: none, update: ["EWMA R0 R1 c b"]}
+  - {state: DIV, priority: 2, next: _stay, action: none,
+     update: ["DIV R0 R1 b", "DIV G0 c R2"]}
+  - {state: DIVI, priority: 1, next: _stay, action: none,
+     update: ["DIVI R0 R1 0", "DIVI R1 R2 3"]}
+  - {priority: 0, next: _stay, action: none}
+"""
+
+M32 = 0xFFFFFFFF
+# (state, registers R0..R3, header values b and c) of one packet each
+EDGE_PACKETS = [
+    # the count wraps to 0: both VAR divisions and the AVG one are by zero
+    ("VAR", [M32, 5, 9, 0], 3, 0),
+    ("VAR", [M32, 0x12345, M32, 0], 0, 0),
+    ("AVG", [M32, 5, 0, 0], 3, 0),
+    # the count is 0x10000, 0 in 16 bits; the numerator is negative
+    ("VAR", [0xFFFF, 100000, 7, 0], 3, 0),
+    ("AVG", [0xFFFF, 100000, 0, 0], 3, 0),
+    ("VAR", [0x1FFFF, 3, 0x23456, 0], 0x20000, 0),
+    # negative numerators whose magnitude is wider than 16 bits
+    ("AVG", [2, 0x12345, 0, 0], 1, 0),
+    ("VAR", [6, 0x54321, 0x30000, 0], 0x10001, 0),
+    ("VAR", [6, 1, 0x30000, 0], 0x10001, 0),
+    # by zero, and by a value that is 0 in 16 bits
+    ("DIV", [0, 77, 0, 0], 0, 9),
+    ("DIV", [0, 0x30007, 0x10000, 0], 0x10000, 0x20005),
+    ("DIV", [0, 100, 3, 0], 7, 50),
+    ("DIVI", [0, 0x12345, 0x10005, 0], 0, 0),
+    # time runs backwards; the delta is 31, 32 and more
+    ("EWMA", [1000, 0xFFFF, 0, 0], 5, 10),
+    ("EWMA", [0, M32, 0, 0], 5, 31),
+    ("EWMA", [0, M32, 0, 0], 5, 32),
+    ("EWMA", [3, M32, 0, 0], M32, 1 << 40),
+]
+
 NAMES = programs.BUNDLED + ("synthetic", "every_opcode")
 
 # register and header values around the edges of the ALU's arithmetic
@@ -73,6 +126,8 @@ EDGES = (0, 1, 2, 3, 4, 5, 9, 32, 0xFFFF, 0x10000, 0x7FFFFFFF, 0xFFFFFFFF)
 def config_of(name):
     if name == "every_opcode":
         return programs.loads(EVERY_OPCODE)
+    if name == "alu_edges":
+        return programs.loads(ALU_EDGES)
     return program_config(name)
 
 
@@ -150,13 +205,87 @@ def test_generated_step_equals_the_interpreter(name, hw16_div, hazard):
         assert taken == set(range(len(config.transition_rows())))
 
 
+@pytest.mark.parametrize("hazard", [0, 2])
+@pytest.mark.parametrize("hw16_div", [False, True])
+def test_guarded_alu_lines_equal_the_interpreter_at_the_edges(hw16_div, hazard):
+    """Divisions by zero, wrapped counts and backward or long time gaps,
+    each forced by one packet: the inlined instructions give the registers,
+    globals and counters that ``alu.execute_tuple`` gives."""
+    config = config_of("alu_edges")
+    engine, reference = (
+        Engine(config, seed=3, hazard_window=hazard, hw16_div=hw16_div)
+        for _ in range(2)
+    )
+    interpreted = ReferenceStep(reference, config)
+    for flow, (state, regs, b, c) in enumerate(EDGE_PACKETS):
+        h = [flow, b, c, 0, 0, 0, 0, 0]
+        key = flow_key(config, config.lookup_scope, h)
+        for e in (engine, reference):
+            e.context.write_back(key, config.states[state], regs)
+            e.g[:] = [flow, 1, 2, 3]
+        verdict = engine.process_packet((list(h), flow))
+        assert verdict == interpreted.process_packet((list(h), flow))
+        assert observed(engine) == observed(reference)
+    engine.flush()
+    reference.flush()
+    assert observed(engine) == observed(reference)
+    assert engine.stats.to_dict() == reference.stats.to_dict()
+    # two per VAR by a zero count, one per AVG, DIV and DIVI by zero; with
+    # 16-bit division, also those by a count or divisor that is 0 in 16 bits
+    assert engine.alu.div_zero == (15 if hw16_div else 8)
+    assert engine.alu.time_violations == 1
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_generated_source_holds_no_program_text(name):
-    """Labels, action text and the program name reach the step as values:
-    the source is made of fixed names and integers only."""
+    """Labels, action text, column names and the program name reach the
+    step and the binder as values: each source is made of fixed names and
+    integers only. The step calls no ALU helper, and the binder's success
+    path has no loop."""
     config = config_of(name)
     for hazard in (0, 1):
-        source = Engine(config, hazard_window=hazard).step_source
-        for text in (config.name, *config.states):
-            assert text not in source.replace("process_packet", "")
-        assert '"' not in source and "'" not in source
+        for hw16_div in (False, True):
+            source = Engine(config, hazard_window=hazard, hw16_div=hw16_div).step_source
+            for text in (config.name, *config.states):
+                assert text not in source.replace("process_packet", "")
+            assert '"' not in source and "'" not in source
+            assert "exec_" not in source and "udiv(" not in source
+    source = programs.make_binder(config).source
+    for text in (config.name, *config.states, *{f.source for f in config.fields} - {"ts"}):
+        assert not re.search(rf"\b{re.escape(text)}\b", source)
+    assert '"' not in source and "'" not in source
+    assert "for " not in source and "while " not in source
+
+
+def test_engine_holds_no_alu_helper():
+    names = ("exec_avg", "exec_var", "exec_ewma", "_udiv", "udiv")
+    assert not any(hasattr(engine_mod, name) for name in names)
+
+
+def test_compiled_code_is_shared_and_state_is_not():
+    """Engines and binders of one layout run one cached code object, each
+    in a namespace of its own: packets through one engine leave the other's
+    stats and globals as built, and each binder reads its own columns."""
+    assert engine_mod.compiled.cache_info().maxsize > 0
+    config = config_of("c45_classifier")
+    used, fresh = Engine(config, seed=3), Engine(config, seed=3)
+    assert used.process_packet.__code__ is fresh.process_packet.__code__
+    built = (fresh.stats.to_dict(), list(fresh.g))
+    bind = programs.make_binder(config)
+    for ts in range(0, 200, 7):
+        row = {"ts": ts, "ip_src": ts % 5, "ip_dst": 9, "pkt_len": 60 + ts}
+        used.process_packet(bind(row, ts // 7))
+    assert used.stats.packets == 29
+    assert (fresh.stats.to_dict(), list(fresh.g)) == built
+
+    # long_flow with its columns renamed: the same (slot, width) layout
+    doc = patched_doc("long_flow", ("fields",), [
+        {"name": "x", "slot": 0, "width": 32, "source": "u"},
+        {"name": "ip_dst", "slot": 1, "width": 32, "source": "v"},
+    ])
+    doc["lookup_scope"] = doc["update_scope"] = ["x", "ip_dst"]
+    renamed = programs.make_binder(programs.loads(yaml.safe_dump(doc)))
+    bind = programs.make_binder(programs.bundled_program("long_flow"))
+    assert renamed.__code__ is bind.__code__
+    assert renamed({"ts": 4, "u": 1, "v": 2}, 0) == ([1, 2, 0, 0, 0, 0, 0, 0], 4)
+    assert bind({"ts": 5, "ip_src": 3, "ip_dst": 4}, 0) == ([3, 4, 0, 0, 0, 0, 0, 0], 5)
