@@ -43,13 +43,12 @@ instructions are emitted as guarded lines too, which count division by
 zero and backward time where the ALU helpers do, so the step calls no
 function of :mod:`flowfsm.alu`. :meth:`Engine.run_trace` maps the step
 over the records. The source holds only integers and fixed names: labels,
-action text and the program name reach it as values. Its compiled code is
-cached by source text (:func:`compiled`) and shared by the engines of one
-program and setting, while each engine runs it in a namespace of its own
-and copies what it reads of the program, so engines built from one config
-share no state. :func:`conditions.evaluate` and :func:`alu.execute_tuple`,
-with its ``alu.exec_*`` helpers, interpret the same primitives from their
-descriptions and serve as the reference for the generated step.
+action text and the program name reach it as values. Each engine runs it
+in a namespace of its own and copies what it reads of the program, so
+engines built from one config share no state. :func:`conditions.evaluate`
+and :func:`alu.execute_tuple`, with its ``alu.exec_*`` helpers, interpret
+the same primitives from their descriptions and serve as the reference
+for the generated step.
 
 Sequential semantics are strict by default: the verdict of packet i sees
 every update of packets before i, including back-to-back packets of the
@@ -61,11 +60,9 @@ the first to see it. It is off for all normal runs.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import deque
-from types import CodeType
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .alu import (
@@ -200,14 +197,6 @@ def _guarded(
         by_zero.append(f"    {outs[2]} = {io3} & 0xFFFFFFFF")
     by_zero.append(f"    rt.div_zero += {len(outs) - 1:d}")
     return outs, [*lines, f"if {den}:", *fits, "else:", *by_zero]
-
-
-@functools.lru_cache(maxsize=64)
-def compiled(source: str, filename: str) -> CodeType:
-    """``source`` compiled for ``exec``. Generated sources repeat, one per
-    program and setting, so each text is compiled once; the code is
-    immutable, and every caller runs it in a namespace of its own."""
-    return compile(source, filename, "exec")
 
 
 class NonMonotoneTimestampError(Exception):
@@ -579,7 +568,7 @@ class Engine:
             "flush_pending": self._flush_pending,
             "pending": self._pending,
         }
-        exec(compiled(source, "<flowfsm step>"), namespace)
+        exec(compile(source, "<flowfsm step>", "exec"), namespace)
         self.step_source = source  # for inspection and tests
         return namespace["make"](-math.inf, -math.inf)
 

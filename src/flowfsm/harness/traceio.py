@@ -24,7 +24,9 @@ import csv
 import itertools
 import json
 import os
+import stat
 import sys
+import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -202,39 +204,59 @@ def write_verdicts(path: Union[str, Path], verdicts: Iterable[tuple]) -> int:
     double quote, holds a cell that ``csv.writer`` quotes (a state label
     with a comma, say), and ``csv.writer`` writes that batch instead.
 
-    The rows go to a partial file next to ``path``, which replaces
-    ``path`` once the last row is written. When ``verdicts`` raises (a
-    bind or time-order error, say), the partial file is removed and
-    ``path`` keeps what it held, so a failed run leaves no verdict file
-    that reads as a shorter result.
+    When ``path`` (after following symlinks) is a regular file or does not
+    exist, the rows go to a new partial file in its directory, which takes
+    the target's place, and the permissions an existing target had, once
+    the last row is written. When ``verdicts`` raises (a bind or
+    time-order error, say), the partial file is removed and the target
+    keeps what it held, so a failed run leaves no verdict file that reads
+    as a shorter result. Any other target, such as ``/dev/null`` or a
+    FIFO, is written in place.
     """
-    path = Path(path)
-    partial = path.with_name(f"{path.name}.partial")
+    target = Path(path).resolve()
+    if target.exists() and not target.is_file():
+        with target.open("w", newline="") as fh:
+            return _write_verdict_rows(fh, verdicts)
+    if target.exists():
+        mode = stat.S_IMODE(target.stat().st_mode)
+    else:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, partial = tempfile.mkstemp(
+        prefix=f".{target.name}.", suffix=".partial", dir=target.parent
+    )
+    try:
+        with open(fd, "w", newline="") as fh:
+            count = _write_verdict_rows(fh, verdicts)
+        os.chmod(partial, mode)
+        os.replace(partial, target)
+    except BaseException:
+        Path(partial).unlink(missing_ok=True)
+        raise
+    return count
+
+
+def _write_verdict_rows(fh, verdicts: Iterable[tuple]) -> int:
     verdicts = iter(verdicts)
     line = _VERDICT_LINE.__mod__
     commas = len(VERDICT_COLUMNS) - 1
+    writer = csv.writer(fh)
+    writer.writerow(VERDICT_COLUMNS)
     count = 0
-    try:
-        with partial.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(VERDICT_COLUMNS)
-            while batch := list(itertools.islice(verdicts, WRITE_BATCH)):
-                n = len(batch)
-                text = "".join(map(line, batch))
-                if (
-                    text.count(",") == commas * n
-                    and text.count("\n") == n
-                    and text.count("\r") == n
-                    and '"' not in text
-                ):
-                    fh.write(text)
-                else:
-                    writer.writerows(batch)
-                count += n
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    while batch := list(itertools.islice(verdicts, WRITE_BATCH)):
+        n = len(batch)
+        text = "".join(map(line, batch))
+        if (
+            text.count(",") == commas * n
+            and text.count("\n") == n
+            and text.count("\r") == n
+            and '"' not in text
+        ):
+            fh.write(text)
+        else:
+            writer.writerows(batch)
+        count += n
     return count
 
 

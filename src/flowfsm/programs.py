@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import yaml
 
 from . import alu, conditions
-from .engine import ACTION_KINDS, FLOW_KEY_WIDTH, Engine, compiled
+from .engine import ACTION_KINDS, FLOW_KEY_WIDTH, Engine
 
 TIMESTAMP_UNITS = {
     "seconds": 1,
@@ -33,6 +33,9 @@ STAY = "_stay"
 
 # libyaml's parser where PyYAML was built with it; same documents, ~9x faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_TAG = "tag:yaml.org,2002:"
+_YAML_SCALARS = yaml.constructor.SafeConstructor()
+_YAML_CORE_SCALARS = {_YAML_TAG + kind for kind in ("int", "float", "bool", "null")}
 
 FIELD_MASK = 0xFFFFFFFF
 
@@ -416,10 +419,52 @@ def _match(
 # loading
 
 
+class _NotPlain(Exception):
+    """A YAML node that only PyYAML's own constructor handles."""
+
+
+def _plain(node: yaml.Node, seen: set[int]) -> object:
+    """The value ``SafeLoader`` constructs for a composed node, built
+    without its constructor's per-node bookkeeping: mappings, sequences
+    and core-schema scalars. An alias, another tag (a merge or ``=`` key
+    among them) or a node of the wrong kind for its tag raises
+    :class:`_NotPlain`."""
+    if id(node) in seen:  # an alias: the constructor shares the object
+        raise _NotPlain
+    seen.add(id(node))
+    tag = node.tag
+    if isinstance(node, yaml.ScalarNode):
+        if tag == _YAML_TAG + "str":
+            return node.value
+        if tag in _YAML_CORE_SCALARS:
+            return _YAML_SCALARS.yaml_constructors[tag](_YAML_SCALARS, node)
+    elif isinstance(node, yaml.SequenceNode):
+        if tag == _YAML_TAG + "seq":
+            return [_plain(item, seen) for item in node.value]
+    elif tag == _YAML_TAG + "map":
+        return {_plain(key, seen): _plain(value, seen) for key, value in node.value}
+    raise _NotPlain
+
+
+def _load_yaml(text: str) -> object:
+    """``yaml.load(text, Loader=_YAML_LOADER)``. A program document is
+    plain mappings, lists and scalars, which :func:`_plain` builds for
+    under a third of the constructor's cost; any other document, and any
+    error past parsing, goes through the constructor, so values and
+    errors are the constructor's."""
+    node = yaml.compose(text, Loader=_YAML_LOADER)
+    if node is None:
+        return None
+    try:
+        return _plain(node, set())
+    except Exception:
+        return yaml.load(text, Loader=_YAML_LOADER)
+
+
 def loads(text: str, source: str = "<string>") -> ProgramConfig:
     """Parse and validate a program document from a string."""
     try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
+        doc = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise ProgramParseError(f"{source}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -913,10 +958,16 @@ def make_binder(
     h = ["0"] * slots
     for i, (slot, _, _) in enumerate(column_binds):
         h[slot] = f"v{i:d}"
+    columns = [column for _, column, _ in column_binds]
+    if "ts" in columns:  # a field already reads the ts column
+        read_ts, names = f"ts = v{columns.index('ts'):d}", ""
+    else:
+        read_ts, names = "ts = row[cts]", "cts, "
+        columns.append("ts")
     body = [
         "try:",
         *(f"    v{i:d} = row[c{i:d}]" for i in range(n)),
-        "    ts = row[cts]",
+        f"    {read_ts}",
         "except KeyError:",
         "    return bind_loop(row, seq)",
     ]
@@ -927,7 +978,7 @@ def make_binder(
     source = "\n".join(
         [
             "def make(columns, bind_loop):",
-            f"    {''.join(f'c{i:d}, ' for i in range(n))}cts, = columns",
+            f"    {''.join(f'c{i:d}, ' for i in range(n))}{names}= columns",
             "    def bind(row, seq):",
             *("        " + line for line in body),
             "    return bind",
@@ -935,8 +986,8 @@ def make_binder(
         ]
     )
     namespace: dict = {}
-    exec(compiled(source, "<flowfsm binder>"), namespace)
-    bind = namespace["make"]([column for _, column, _ in column_binds] + ["ts"], bind_loop)
+    exec(compile(source, "<flowfsm binder>", "exec"), namespace)
+    bind = namespace["make"](columns, bind_loop)
     bind.source = source  # for inspection and tests
     return bind
 

@@ -1,7 +1,11 @@
+import os
+import stat
+
 import pytest
 import yaml
 
 from flowfsm import programs
+from flowfsm.engine import VERDICT_COLUMNS
 from flowfsm.harness import cli
 
 from helpers import GAP_CASES, patched_doc
@@ -126,6 +130,46 @@ def test_a_failed_run_leaves_no_partial_verdict_file(earlier, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["mac.csv"] + (["verdicts.csv"] if earlier else [])
     )
+
+
+def _mac_run(tmp_path, out):
+    trace = tmp_path / "mac.csv"
+    trace.write_text("ts,in_port,eth_src,eth_dst\n0,1,0xa,0xb\n1,2,0xb,0xa\n")
+    program = programs.bundled_path("mac_learning")
+    return cli.main(["run", "--program", str(program), "--trace", str(trace), "--out", str(out)])
+
+
+def test_run_writes_through_a_symlinked_out(tmp_path, capsys):
+    (tmp_path / "kept").mkdir()
+    real = tmp_path / "kept" / "verdicts.csv"
+    real.write_text("old\n")
+    real.chmod(0o640)
+    link = tmp_path / "out.csv"
+    link.symlink_to(real)
+    assert _mac_run(tmp_path, link) == cli.EXIT_OK
+    assert link.is_symlink() and link.resolve() == real
+    assert real.read_text().splitlines()[0] == ",".join(VERDICT_COLUMNS)
+    assert len(real.read_text().splitlines()) == 3
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    assert sorted(p.name for p in real.parent.iterdir()) == ["verdicts.csv"]
+
+
+def test_run_writes_a_fifo_out_in_place(tmp_path, capsys):
+    plain = tmp_path / "plain.csv"
+    assert _mac_run(tmp_path, plain) == cli.EXIT_OK
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    # a reader is open before the run, so the run's open does not block; the
+    # three verdict lines fit in the pipe buffer
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert _mac_run(tmp_path, fifo) == cli.EXIT_OK
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert received == plain.read_bytes()
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mac.csv", "out.fifo", "plain.csv"]
 
 
 def test_gen_trace_rejects_an_unknown_parameter(tmp_path, capsys):

@@ -45,6 +45,50 @@ def test_serialize_round_trip(name):
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 
+YAML_EDGE_DOCS = [
+    "",
+    "a: 1\nb: [1, 2.5, true, null, ~, 0x1F, 0o17, 1_000, 1:30, .inf, -.nan]\n",
+    "a: 'quoted'\nb: \"0x10\"\nc: yes\nd: Off\n",
+    "a: 1\na: 2\nb: 3\n",
+    "- 1\n- a\n- {x: [y]}\n",
+    "a: &x [1]\nb: *x\n",
+    "base: &b {x: 1}\nc:\n  <<: *b\n  y: 2\n",
+    "= : 3\n",
+    "? [1, 2]\n: 3\n",
+    "2020-01-02: x\nt: 2020-01-02 10:00:00\n",
+    "a: !!set {x, y}\nb: !!binary aGVsbG8=\n",
+    "a: !foo 1\n",
+    "a: !!int abc\n",
+    "a: !!str [1]\n",
+    "a: !!map x\n",
+    "a: [1\n",
+]
+
+
+@pytest.mark.parametrize("text", YAML_EDGE_DOCS, ids=range(len(YAML_EDGE_DOCS)))
+def test_yaml_documents_load_as_the_safe_loader_loads_them(text):
+    def load(read):
+        try:
+            return repr(read())
+        except Exception as exc:  # the constructor's errors are not all YAMLError
+            return f"{type(exc).__name__}: {exc}"
+
+    expected = load(lambda: yaml.load(text, Loader=programs._YAML_LOADER))
+    assert load(lambda: programs._load_yaml(text)) == expected
+
+
+def test_a_yaml_alias_is_one_object_as_the_safe_loader_makes_it():
+    doc = programs._load_yaml("a: &x [1]\nb: *x\n")
+    assert doc["a"] is doc["b"]
+
+
+@pytest.mark.parametrize("name", programs.BUNDLED)
+def test_bundled_programs_take_the_plain_yaml_path(name):
+    text = programs.bundled_path(name).read_text()
+    node = yaml.compose(text, Loader=programs._YAML_LOADER)
+    assert programs._plain(node, set()) == yaml.safe_load(text)
+
+
 @pytest.mark.parametrize("name", programs.BUNDLED + ("synthetic",))
 def test_every_yaml_loader_builds_the_same_program(name, monkeypatch):
     if name == "synthetic":
