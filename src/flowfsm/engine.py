@@ -74,7 +74,7 @@ from .alu import (
     Opcode,
 )
 from .conditions import NUM_CONDITIONS
-from .flow_context import FlowContextTable
+from .flow_context import NUM_FLOW_REGISTERS, FlowContextTable
 from .stats import RunStats
 
 if TYPE_CHECKING:  # programs imports this module
@@ -274,7 +274,7 @@ class Engine:
             buckets=sizes.context_buckets,
             bucket_depth=sizes.bucket_depth,
             seed=seed,
-            num_registers=4 + len(config.flow_scratch),
+            num_registers=NUM_FLOW_REGISTERS + len(config.flow_scratch),
         )
         for fb in config.context_fallback:
             # the pattern as header slot values, packed by the lookup layout
@@ -298,7 +298,8 @@ class Engine:
         # global selector scratch[i]
         self._scratch = tuple(slot for _, slot in config.flow_scratch)
         self.hazard_window = hazard_window
-        self._pending: deque[tuple[int, int, int, list[int], list[int]]] = deque()
+        # the delayed (key, state, registers, globals) updates, oldest first
+        self._pending: deque[tuple[int, int, list[int], list[int]]] = deque()
         self.alu = AluRuntime(hw16_div=hw16_div)
         # each row resolved once. The match side goes to _by_priority as
         # (priority, row index, state code or None for any, condition
@@ -394,16 +395,13 @@ class Engine:
                 table.append(candidates[0][0])
         return table
 
-    def _flush_pending(self, upto_seq: int) -> None:
-        pending = self._pending
-        while pending and pending[0][0] <= upto_seq:
-            _, key, state, r, g = pending.popleft()
-            self.context.write_back(key, state, r)
-            self.g[:] = g
-
     def flush(self) -> None:
         """Apply all delayed updates (hazard-window mode only)."""
-        self._flush_pending(1 << 62)
+        pending = self._pending
+        while pending:
+            key, state, r, g = pending.popleft()
+            self.context.write_back(key, state, r)
+            self.g[:] = g
 
     def process_packet(self, record: tuple[list[int], int]) -> tuple:
         """Run one packet, the pair ``(h, ts)``, through the stage; returns
@@ -435,7 +433,7 @@ class Engine:
             if sel < SEL_H_BASE:
                 index = sel - SEL_G_BASE
                 if index in scratch:
-                    return f"r{4 + scratch.index(index):d}"
+                    return f"r{NUM_FLOW_REGISTERS + scratch.index(index):d}"
                 return f"g[{index:d}]"
             slots.add(sel - SEL_H_BASE)
             return f"h{sel - SEL_H_BASE:d}"
@@ -466,7 +464,7 @@ class Engine:
                 for dest, value in zip(ins.destinations(), outs):
                     bank, index = divmod(dest, 4)
                     if bank == 1 and index in scratch:
-                        bank, index = 0, 4 + scratch.index(index)
+                        bank, index = 0, NUM_FLOW_REGISTERS + scratch.index(index)
                     if bank == 0:
                         regs[index] = value
                     else:
@@ -495,7 +493,13 @@ class Engine:
             "seq = pseq + 1",
         ]
         if hazard:
-            body.append("flush_pending(pseq)")
+            # one update queued a packet: packet p applies packet p - hazard - 1's
+            body += [
+                f"if len(pending) > {hazard:d}:",
+                "    ukey, ustate, ur, ug = pending.popleft()",
+                "    context.write_back(ukey, ustate, ur)",
+                "    g[:] = ug",
+            ]
         lookup_key = key(self._lookup_key)
         update_key = key(self._update_key)
         bits = " | ".join(
@@ -525,7 +529,7 @@ class Engine:
             body += ["    " + line for line in lines]
         if hazard:
             ukey = "key" if self._same_scope else update_key
-            body.append(f"pending.append((pseq + {hazard + 1:d}, {ukey}, nxt, rn, gn))")
+            body.append(f"pending.append(({ukey}, nxt, rn, gn))")
         elif self._same_scope:
             # a hit is the stored context itself: update it where it is
             body += [
@@ -565,7 +569,6 @@ class Engine:
             "first_match": _first_match,
             "order_error": NonMonotoneTimestampError,
             "order_text": "packet {}: timestamp {} after {}",
-            "flush_pending": self._flush_pending,
             "pending": self._pending,
         }
         exec(compile(source, "<flowfsm step>", "exec"), namespace)

@@ -18,12 +18,11 @@ traffic costs no table space.
 Contexts age without a scan. Each one is stamped with the management
 period of its last lookup hit or write-back and stays live through the
 next period. An expired context reads as absent. An insert counts the
-live keys of its candidate buckets, at most d × ``bucket_depth`` checks,
-and rewrites only the bucket it picks, dropping that bucket's expired
-contexts; when the inserted key still has an expired entry in another
-candidate bucket, that entry leaves it too. Live counts for the current
-and previous periods give occupancy, the high-water mark and evictions
-(inserts no longer live) in O(1).
+live keys of its candidate buckets in one pass, at most d ×
+``bucket_depth`` checks, and reclaims the expired contexts of every
+bucket it scans, the key's own expired entry among them. Live counts for
+the current and previous periods give occupancy, the high-water mark and
+evictions (inserts no longer live) in O(1).
 """
 
 from __future__ import annotations
@@ -49,7 +48,8 @@ def context_bytes(num_registers: int) -> int:
 
 @dataclass(slots=True)
 class FlowContext:
-    """State label plus the four per-flow registers."""
+    """State label plus the per-flow registers: the four flow registers,
+    then one per ``flow_scratch`` alias of the program."""
 
     state: int = DEFAULT_STATE
     r: list[int] = field(default_factory=lambda: [0] * NUM_FLOW_REGISTERS)
@@ -192,46 +192,37 @@ class FlowContextTable:
         if state == DEFAULT_STATE and not any(registers):
             return True
         # ctx is None, or the key's own expired entry, which one of its
-        # candidate buckets still lists
+        # candidate buckets lists and the scan below reclaims
         members = self._members
         buckets = self.buckets
         floor = epoch - 1
-        positions = self._positions(key)
         home = -1
         best = self.bucket_depth
         index = 0
-        for bucket in positions:
+        for bucket in self._positions(key):
+            slot = index + bucket
+            keys = members.get(slot, ())
             live = 0
-            for k in members.get(index + bucket, ()):
+            for k in keys:
                 if contexts[k].epoch >= floor:
                     live += 1
+            if live < len(keys):
+                kept = []
+                for k in keys:
+                    if contexts[k].epoch >= floor:
+                        kept.append(k)
+                    else:
+                        del contexts[k]
+                members[slot] = keys = tuple(kept)
             if live < best:
                 best = live
-                home = index + bucket
-                if not live:  # no later bucket can be less loaded
-                    break
+                home = slot
+                home_keys = keys
             index += buckets
         if home < 0:
             self.table_full_drops += 1
             return False
-        keys = members.get(home, ())
-        if best < len(keys):
-            kept = []
-            for k in keys:
-                if contexts[k].epoch >= floor:
-                    kept.append(k)
-                else:
-                    del contexts[k]
-            keys = tuple(kept)
-        if ctx is not None and key in contexts:
-            # its expired entry is in another candidate bucket, where it
-            # would count as a live load once the key is stored again
-            for sub, bucket in enumerate(positions):
-                old = members.get(sub * buckets + bucket, ())
-                if key in old:
-                    members[sub * buckets + bucket] = tuple(k for k in old if k != key)
-                    break
-        members[home] = keys + (key,)
+        members[home] = home_keys + (key,)
         contexts[key] = FlowContext(state, list(registers), epoch)
         self._inserts += 1
         self._live_now += 1

@@ -26,7 +26,6 @@ import json
 import os
 import stat
 import sys
-import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -205,10 +204,11 @@ def write_verdicts(path: Union[str, Path], verdicts: Iterable[tuple]) -> int:
     with a comma, say), and ``csv.writer`` writes that batch instead.
 
     When ``path`` (after following symlinks) is a regular file or does not
-    exist, the rows go to a new partial file in its directory, which takes
-    the target's place, and the permissions an existing target had, once
-    the last row is written. When ``verdicts`` raises (a bind or
-    time-order error, say), the partial file is removed and the target
+    exist, the rows go to a new hidden partial file in its directory, which
+    takes the target's place once the last row is written. It keeps the
+    permissions an existing target had; a new one gets those the umask
+    leaves of 0o666, as any new file does. When ``verdicts`` raises (a bind
+    or time-order error, say), the partial file is removed and the target
     keeps what it held, so a failed run leaves no verdict file that reads
     as a shorter result. Any other target, such as ``/dev/null`` or a
     FIFO, is written in place.
@@ -217,22 +217,18 @@ def write_verdicts(path: Union[str, Path], verdicts: Iterable[tuple]) -> int:
     if target.exists() and not target.is_file():
         with target.open("w", newline="") as fh:
             return _write_verdict_rows(fh, verdicts)
-    if target.exists():
-        mode = stat.S_IMODE(target.stat().st_mode)
-    else:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, partial = tempfile.mkstemp(
-        prefix=f".{target.name}.", suffix=".partial", dir=target.parent
-    )
+    mode = stat.S_IMODE(target.stat().st_mode) if target.exists() else None
+    # created as a new file would be, so the umask applies
+    partial = target.with_name(f".{target.name}.{os.urandom(8).hex()}.partial")
+    fd = os.open(partial, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", newline="") as fh:
             count = _write_verdict_rows(fh, verdicts)
-        os.chmod(partial, mode)
+        if mode is not None:
+            os.chmod(partial, mode)
         os.replace(partial, target)
     except BaseException:
-        Path(partial).unlink(missing_ok=True)
+        partial.unlink(missing_ok=True)
         raise
     return count
 

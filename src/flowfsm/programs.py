@@ -185,8 +185,9 @@ MAX_CONTEXT_BUCKETS = 1 << 22
 # bucket in every subtable, 8 bytes each; d-left balance barely improves
 # past a few choices
 MAX_CONTEXT_SUBTABLES = 8
-# an insert counts the live keys of its candidate buckets, so it costs up
-# to subtables * depth key checks; hardware buckets hold a few cells
+# an insert counts the live keys of its candidate buckets and reclaims
+# their expired ones in the same pass, so it costs up to subtables * depth
+# key checks; hardware buckets hold a few cells
 MAX_BUCKET_DEPTH = 8
 
 

@@ -14,9 +14,11 @@ interpreters of the conditions and the ALU, which are tested on their own.
 
 from __future__ import annotations
 
+import collections
 import copy
 import csv
 import dataclasses
+import math
 import sys
 
 import yaml
@@ -152,7 +154,8 @@ class ReferenceStep:
     rows, the state labels, the key scopes and the management period from
     ``config``, the program the engine was built from. It keeps its own
     packet clock and period clock, and tells the table each new management
-    period.
+    period. In hazard mode it delays each update in a queue of its own,
+    stamped with the packet that first sees it, which :meth:`flush` drains.
     """
 
     def __init__(self, engine, config):
@@ -160,6 +163,8 @@ class ReferenceStep:
         self.config = config
         self.seq = 0
         self.epoch = None
+        # (first packet to see it, update key, state, registers, globals)
+        self.pending = collections.deque()
         states = config.states
         self.labels = {code: label for label, code in states.items()}
         self.entries = packed_rows(config)
@@ -184,7 +189,7 @@ class ReferenceStep:
             context.advance(self.epoch)
         hazard = engine.hazard_window
         if hazard:
-            engine._flush_pending(seq)
+            self.flush(seq)
 
         ctx = context.lookup_context(flow_key(config, config.lookup_scope, h))
         state, r, g = ctx.state, list(ctx.r), engine.g
@@ -204,7 +209,7 @@ class ReferenceStep:
 
         update_key = flow_key(config, config.update_scope, h)
         if hazard:
-            engine._pending.append((seq + hazard + 1, update_key, next_state, r2, g2))
+            self.pending.append((seq + hazard + 1, update_key, next_state, r2, g2))
         else:
             context.write_back(update_key, next_state, r2)
             g[:] = g2
@@ -214,6 +219,14 @@ class ReferenceStep:
             seq, ts, action, labels[state], labels[next_state], row_idx,
             f"{bits:0{NUM_CONDITIONS}b}",
         )
+
+    def flush(self, upto_seq=math.inf):
+        """Apply the delayed updates that packet ``upto_seq`` sees, or all."""
+        pending = self.pending
+        while pending and pending[0][0] <= upto_seq:
+            _, key, state, r, g = pending.popleft()
+            self.engine.context.write_back(key, state, r)
+            self.engine.g[:] = g
 
 
 class RefContextModel:

@@ -1,5 +1,8 @@
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -170,6 +173,20 @@ def test_run_writes_a_fifo_out_in_place(tmp_path, capsys):
     assert received == plain.read_bytes()
     assert stat.S_ISFIFO(fifo.lstat().st_mode)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["mac.csv", "out.fifo", "plain.csv"]
+
+
+def test_run_gives_a_new_out_the_mode_the_umask_leaves(tmp_path):
+    trace = tmp_path / "mac.csv"
+    trace.write_text("ts,in_port,eth_src,eth_dst\n0,1,0xa,0xb\n")
+    out = tmp_path / "verdicts.csv"
+    src = Path(programs.__file__).parents[1]
+    argv = [sys.executable, "-m", "flowfsm.harness.cli", "run", "--program",
+            str(programs.bundled_path("mac_learning")), "--trace", str(trace), "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(argv, env=env, umask=0o027, capture_output=True, text=True)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mac.csv", "verdicts.csv"]
 
 
 def test_gen_trace_rejects_an_unknown_parameter(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -173,6 +174,30 @@ def test_reinserted_expired_key_leaves_no_phantom_load():
     # the second-subtable bucket is free again
     assert table.write_back(probe, 1, [0, 0, 0, 0])
     assert (table.occupancy, table.table_full_drops) == (2, 0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_insert_reclaims_every_expired_key_of_its_candidate_buckets(seed):
+    """An insert leaves no expired key in any of its candidate buckets, the
+    key's own expired entry included, and every key a bucket lists is a
+    stored key and the other way round."""
+    rng = random.Random(seed)
+    table = FlowContextTable(subtables=2, buckets=4, bucket_depth=2, seed=seed)
+    for _ in range(600):
+        key = rng.randrange(40)
+        if rng.random() < 0.3:
+            table.lookup_context(key)
+        else:
+            inserting = table.get(key) is None
+            table.write_back(key, 1, [rng.randrange(4), 0, 0, 0])
+            if inserting:
+                for sub, bucket in enumerate(table._positions(key)):
+                    for k in table._members.get(sub * table.buckets + bucket, ()):
+                        assert table._contexts[k].epoch >= table.epoch - 1, (key, k)
+        if rng.random() < 0.1:
+            table.advance(table.epoch + rng.choice((0, 1, 2, 5)))
+        listed = [k for keys in table._members.values() for k in keys]
+        assert sorted(listed) == sorted(table._contexts)
 
 
 def test_stored_context_memory_is_bounded():

@@ -190,7 +190,7 @@ def test_generated_step_equals_the_interpreter(name, hw16_div, hazard):
         assert verdict == interpreted.process_packet((list(h), ts))
         assert observed(engine) == observed(reference)
     engine.flush()
-    reference.flush()
+    interpreted.flush()
     assert observed(engine) == observed(reference)
     assert engine.stats.to_dict() == reference.stats.to_dict()
     if name == "every_opcode":
@@ -227,7 +227,7 @@ def test_guarded_alu_lines_equal_the_interpreter_at_the_edges(hw16_div, hazard):
         assert verdict == interpreted.process_packet((list(h), flow))
         assert observed(engine) == observed(reference)
     engine.flush()
-    reference.flush()
+    interpreted.flush()
     assert observed(engine) == observed(reference)
     assert engine.stats.to_dict() == reference.stats.to_dict()
     # two per VAR by a zero count, one per AVG, DIV and DIVI by zero; with
