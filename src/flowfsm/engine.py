@@ -4,13 +4,10 @@ One engine instance runs one program over one packet stream. Each packet
 goes through the same fixed sequence: flow context lookup, condition
 evaluation, transition-table match on state / condition bits / selected
 header fields, action emission, parallel register update, and context
-write-back under the (possibly different) update key. The transition
-match goes through a per-state table indexed by the condition bits, built
-on the state's first packet, so a packet checks field patterns only on the
-few rows left for its (state, bits) pair. When the packet clock crosses a
-management-period boundary, the step tells the context table the new
-period before it processes the packet; the table ages its contexts from
-that alone, so no packet scans the table.
+write-back under the (possibly different) update key. When the packet
+clock crosses a management-period boundary, the step tells the context
+table the new period before it processes the packet; the table ages its
+contexts from that alone, so no packet scans the table.
 
 A packet reaches the step as the pair ``(h, ts)``: ``h``, the values of
 the eight 32-bit header slots H0..H7 that the program's fields bind from
@@ -19,36 +16,39 @@ fields of a key scope concatenate in scope order, the first in the most
 significant bits, each masked to its width, zero-padded on the right.
 
 An engine is built from a validated :class:`~flowfsm.programs.ProgramConfig`
-in one compile stage, the only one between the program and the packets.
-It computes the key layout of the lookup and update scopes once, as
-(slot, mask, shift) triples, and builds the flow context table with the
-program's fallbacks packed by the lookup layout. It resolves each
-transition row once into its match side (state code or any, condition
-value and mask, and (slot, value, mask) field patterns) and its constants
-(action text, next state, ALU tuple). From these it generates one
-function, installed as its ``process_packet``. The step is the one
-check that ``ts`` does not run backwards, in the branch that already
-compares it with the next period boundary; its error names the packet by
-the ``seq`` of its verdict. It packs the flow keys with constant shifts and
-masks, evaluates the comparators as one bit-vector expression, reads the
-row from the state's dispatch table, and runs each row's ALU tuple as
-straight-line code that reads every operand before it writes any, so the
-tuple still commits in parallel. When the lookup and update scopes agree
-and no hazard window is set, a lookup hit is the stored context itself,
-and the step updates it in place; only a miss goes through
-``write_back``, which may insert. Scratch aliases, the management period,
-the hazard window, the 16-bit division mode and whether the key scopes
-agree are settled at build time. The divisions and the statistics
-instructions are emitted as guarded lines too, which count division by
-zero and backward time where the ALU helpers do, so the step calls no
-function of :mod:`flowfsm.alu`. :meth:`Engine.run_trace` maps the step
-over the records. The source holds only integers and fixed names: labels,
-action text and the program name reach it as values. Each engine runs it
-in a namespace of its own and copies what it reads of the program, so
-engines built from one config share no state. :func:`conditions.evaluate`
-and :func:`alu.execute_tuple`, with its ``alu.exec_*`` helpers, interpret
-the same primitives from their descriptions and serve as the reference
-for the generated step.
+in one compile stage, the only one between the program and the packets,
+and no packet builds or grows any of what it makes. It computes the key
+layout of the lookup and update scopes once, as (slot, mask, shift)
+triples, and builds the flow context table with the program's fallbacks
+packed by the lookup layout. It resolves the transition table for every
+declared state: the state's dispatch has one entry per condition bits,
+which names a transition, one (pre-state, row) pair, or for rows with
+field patterns the few candidate transitions left for that (state, bits)
+pair. Each transition's constants are resolved once: action text, next
+state (a stay is the pre-state), ALU tuple, both state labels and the row
+index. From these it generates one function, installed as its
+``process_packet``. The step is the one check that ``ts`` does not run
+backwards, in the branch that already compares it with the next period
+boundary; its error names the packet by the ``seq`` of its verdict. It
+packs the flow keys with constant shifts and masks, evaluates the
+comparators as one bit-vector expression, reads the transition off the
+state's dispatch, and runs its ALU tuple as straight-line code that reads
+every operand before it writes any, so the tuple still commits in
+parallel. When the lookup and update scopes agree and no hazard window is
+set, a lookup hit is the stored context itself, and the step updates it
+in place; only a miss goes through ``write_back``, which may insert.
+Scratch aliases, the management period, the hazard window, the 16-bit
+division mode and whether the key scopes agree are settled at build time.
+The divisions and the statistics instructions are emitted as guarded
+lines too, which count division by zero and backward time where the ALU
+helpers do, so the step calls no function of :mod:`flowfsm.alu`.
+:meth:`Engine.run_trace` maps the step over the records. The source holds
+only integers and fixed names: labels, action text and the program name
+reach it as values. Each engine runs it in a namespace of its own and
+copies what it reads of the program, so engines built from one config
+share no state. :func:`conditions.evaluate` and :func:`alu.execute_tuple`,
+with its ``alu.exec_*`` helpers, interpret the same primitives from their
+descriptions and serve as the reference for the generated step.
 
 Sequential semantics are strict by default: the verdict of packet i sees
 every update of packets before i, including back-to-back packets of the
@@ -60,6 +60,7 @@ the first to see it. It is off for all normal runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -203,6 +204,11 @@ class NonMonotoneTimestampError(Exception):
     """Packet timestamps must be non-decreasing."""
 
 
+class OptionError(ValueError):
+    """An option or parameter outside the values it takes, such as a
+    negative hazard window."""
+
+
 def key_layout(parts: Iterable[tuple[int, int]]) -> KeyLayout:
     """The layout of a scope given as (slot, width) pairs in scope order."""
     layout, shift = [], FLOW_KEY_WIDTH
@@ -221,26 +227,20 @@ def pack_key(layout: KeyLayout, h: Sequence[int]) -> int:
 
 
 def _first_match(candidates: tuple, h: Sequence[int]) -> int:
-    """Index of the first row in ``candidates`` whose field patterns all
+    """The first transition in ``candidates`` whose field patterns all
     match ``h``; the last candidate has none, so one always does."""
-    for row_idx, patterns in candidates:
+    for transition, patterns in candidates:
         for slot, value, mask in patterns:
             if h[slot] & mask != value:
                 break
         else:
-            return row_idx
+            return transition
 
 
-class _PerState(dict):
-    """state -> a list built by ``build(state)`` on the state's first use."""
-
-    def __init__(self, build: Callable[[int], list]):
-        super().__init__()
-        self._build = build
-
-    def __missing__(self, state: int) -> list:
-        value = self[state] = self._build(state)
-        return value
+@functools.cache
+def _matching_bits(value: int, mask: int) -> tuple[int, ...]:
+    """The condition bits that equal ``value`` under ``mask``."""
+    return tuple(bits for bits in range(1 << NUM_CONDITIONS) if bits & mask == value)
 
 
 class Engine:
@@ -256,10 +256,9 @@ class Engine:
         hw16_div: bool = False,
     ):
         if hazard_window < 0:
-            raise ValueError(f"hazard window {hazard_window} is negative")
+            raise OptionError(f"hazard window {hazard_window} is negative")
         self.name = config.name
         states = config.states
-        self._labels = {code: label for label, code in states.items()}
         fields = {f.name: f for f in config.fields}
 
         def layout(names: Sequence[str]) -> KeyLayout:
@@ -301,19 +300,16 @@ class Engine:
         # the delayed (key, state, registers, globals) updates, oldest first
         self._pending: deque[tuple[int, int, list[int], list[int]]] = deque()
         self.alu = AluRuntime(hw16_div=hw16_div)
-        # each row resolved once. The match side goes to _by_priority as
-        # (priority, row index, state code or None for any, condition
-        # value, condition mask, (slot, value, mask) field patterns), in
-        # descending priority: the order a TCAM resolves them. The rest
-        # goes to _row_consts as (action text, next state or None to stay,
-        # index of the row's ALU tuple in `plans`), kept out of the
-        # per-packet path; rows with equal tuples share their generated code
+        # each row resolved once into its match side, (row index, state
+        # code or None for any, the condition bits it matches, (slot, value,
+        # mask) field patterns), in descending priority: the order a TCAM
+        # resolves them; and into the index of its ALU tuple in `plans`.
+        # Rows with equal tuples share their generated code
         cond_pos = {name: i for i, (name, _) in enumerate(config.conditions)}
+        rows = config.transition_rows()
         plans: list[tuple[Instruction, ...]] = [()]
-        matches = []
-        self._row_consts = []
-        self._row_actions = []
-        for idx, row in enumerate(config.transition_rows()):
+        plan_of, matches = [], []
+        for idx, row in enumerate(rows):
             cval = cmask = 0
             for cname, bit in row.cond:
                 cmask |= 1 << cond_pos[cname]
@@ -322,17 +318,53 @@ class Engine:
                 (fields[name].slot, v & m, m) for name, (v, m) in row.match if m
             )
             state = None if row.state is None else states[row.state]
-            matches.append((row.priority, idx, state, cval, cmask, patterns))
+            matches.append((row.priority, idx, state, _matching_bits(cval, cmask), patterns))
             plan = tuple(i for i in row.instructions if i.opcode != Opcode.NOP)
             if plan not in plans:
                 plans.append(plan)
-            nxt = None if row.next_state is None else states[row.next_state]
-            self._row_consts.append((row.action, nxt, plans.index(plan)))
-            self._row_actions.append(ACTION_KINDS[row.action.split(":", 1)[0]])
-        self._by_priority = sorted(matches, key=lambda m: m[0], reverse=True)
-        # state -> 256 entries indexed by condition bits, built on the
-        # state's first packet; see _dispatch_for
-        self._dispatch = _PerState(self._dispatch_for)
+            plan_of.append(plans.index(plan))
+        matches.sort(key=lambda m: m[0], reverse=True)
+        # one transition per (pre-state, row) pair that a dispatch entry
+        # names: (action text, next state, index into `plans`, pre-state
+        # label, post-state label, row index). Each state's dispatch has one
+        # entry per condition bits: the transition of the row that matches
+        # (state, bits) with the highest priority when that row matches every
+        # packet, else a tuple of (transition, field patterns) candidates in
+        # descending priority, ending with the first that has no pattern.
+        # Rows are taken in descending priority: one with field patterns is
+        # a candidate of each unresolved entry it matches, and one without
+        # resolves them
+        self.transitions: list[tuple[str, int, int, str, str, int]] = []
+        self.dispatch: dict[int, list] = {}
+        labels = {code: label for label, code in states.items()}
+        for label, state in states.items():
+            table: list = [None] * (1 << NUM_CONDITIONS)
+            unresolved = set(range(len(table)))
+            # the candidates so far of the unresolved entries that have one
+            candidates: dict[int, list] = {}
+            for _, idx, st, matching, patterns in matches:
+                hits = unresolved.intersection(matching) if st in (None, state) else ()
+                if not hits:
+                    continue
+                t = len(self.transitions)
+                candidate = (t, patterns)
+                row = rows[idx]
+                nxt = state if row.next_state is None else states[row.next_state]
+                self.transitions.append((row.action, nxt, plan_of[idx], label, labels[nxt], idx))
+                if patterns:
+                    for bits in hits:
+                        candidates.setdefault(bits, []).append(candidate)
+                    continue
+                unresolved -= hits
+                for bits in hits:
+                    table[bits] = t
+                for bits in hits & candidates.keys():
+                    table[bits] = (*candidates.pop(bits), candidate)
+                if not unresolved:
+                    break
+            self.dispatch[state] = table
+        # packets per transition
+        self._counts = [0] * len(self.transitions)
         self._stats = RunStats(
             program=self.name,
             seed=seed,
@@ -340,10 +372,7 @@ class Engine:
             hazard_window=hazard_window,
             hw_faithful_div=hw16_div,
         )
-        # pre-state code -> packets per row index
-        nrows = len(self._row_consts)
-        self._transition_counts = _PerState(lambda state: [0] * nrows)
-        self.process_packet = self._generate_step(plans)
+        self.process_packet = self._generate_step(plans, any(m[4] for m in matches))
 
     @property
     def stats(self) -> RunStats:
@@ -355,45 +384,15 @@ class Engine:
         s.table_full_drops = self.context.table_full_drops
         s.div_zero = self.alu.div_zero
         s.ewma_time_violations = self.alu.time_violations
-        s.packets = 0
+        s.packets = sum(self._counts)
         s.actions = {}
         s.transitions = {}
-        for state, counts in self._transition_counts.items():
-            for row_idx, n in enumerate(counts):
-                if n:
-                    s.packets += n
-                    action = self._row_actions[row_idx]
-                    s.actions[action] = s.actions.get(action, 0) + n
-                    s.transitions[f"{self._labels[state]}#{row_idx}"] = n
+        for (action, _, _, pre, _, row_idx), n in zip(self.transitions, self._counts):
+            if n:
+                kind = ACTION_KINDS[action.split(":", 1)[0]]
+                s.actions[kind] = s.actions.get(kind, 0) + n
+                s.transitions[f"{pre}#{row_idx}"] = n
         return s
-
-    def _dispatch_for(self, state: int) -> list:
-        """The 256-entry row dispatch of one state.
-
-        Entry ``bits`` is the index of the row that matches (state, bits)
-        with the highest priority when that row matches every packet.
-        Otherwise it is a tuple of (row index, field patterns) candidates in
-        descending priority, ending with the first candidate that has no
-        field pattern. Field patterns are (slot, value, mask) triples.
-        """
-        live = [
-            (idx, cv, cm, patterns)
-            for _, idx, st, cv, cm, patterns in self._by_priority
-            if st is None or st == state
-        ]
-        table: list = []
-        for bits in range(1 << NUM_CONDITIONS):
-            candidates = []
-            for idx, cv, cm, patterns in live:
-                if bits & cm == cv:
-                    candidates.append((idx, patterns))
-                    if not patterns:
-                        break
-            if candidates[0][1]:
-                table.append(tuple(candidates))
-            else:
-                table.append(candidates[0][0])
-        return table
 
     def flush(self) -> None:
         """Apply all delayed updates (hazard-window mode only)."""
@@ -411,12 +410,14 @@ class Engine:
         raise NotImplementedError("engines run their generated step")
 
     def _generate_step(
-        self, plans: Sequence[tuple[Instruction, ...]]
+        self, plans: Sequence[tuple[Instruction, ...]], patterns: bool
     ) -> Callable[[tuple[list[int], int]], tuple]:
         """Compile the program into its per-packet step.
 
         ``plans`` are the distinct ALU tuples, the empty one first; the
-        step branches on a row's index into them. It reads the lookup,
+        step branches on a transition's index into them. Only when
+        ``patterns`` (some row has a field pattern) can a dispatch entry be
+        a tuple of candidates. The step reads the lookup,
         write-back and period methods off ``self.context`` on each call, so
         a wrapper installed on the table after the build sees them. The
         first packet starts the table's first period. The time-order error
@@ -515,15 +516,11 @@ class Engine:
             "r = ctx.r",
             f"{', '.join(flow_regs)}, = r",
             f"bits = {bits or '0'}",
-            "row_idx = dispatch[state][bits]",
+            "t = dispatch[state][bits]",
         ]
-        if any(m[5] for m in self._by_priority):
-            body += ["if row_idx.__class__ is tuple:", "    row_idx = first_match(row_idx, h)"]
-        body += [
-            "action, nxt, plan = row_consts[row_idx]",
-            "if nxt is None:",
-            "    nxt = state",
-        ]
+        if patterns:
+            body += ["if t.__class__ is tuple:", "    t = first_match(t, h)"]
+        body.append("action, nxt, plan, pre, post, row_idx = transitions[t]")
         for i, lines in enumerate(blocks):
             body.append(f"{'elif' if i else 'if'} plan == {i:d}:")
             body += ["    " + line for line in lines]
@@ -542,9 +539,8 @@ class Engine:
         else:
             body.append(f"context.write_back({update_key}, nxt, rn)")
         body += [
-            "counts[state][row_idx] += 1",
-            "return (pseq, ts, action, labels[state], labels[nxt], row_idx,"
-            " cond_text[bits])",
+            "counts[t] += 1",
+            "return (pseq, ts, action, pre, post, row_idx, cond_text[bits])",
         ]
         source = "\n".join(
             [
@@ -561,11 +557,10 @@ class Engine:
             "context": self.context,
             "g": self.g,
             "rt": self.alu,
-            "labels": self._labels,
-            "counts": self._transition_counts,
-            "row_consts": self._row_consts,
+            "counts": self._counts,
+            "transitions": self.transitions,
             "cond_text": _COND_TEXT,
-            "dispatch": self._dispatch,
+            "dispatch": self.dispatch,
             "first_match": _first_match,
             "order_error": NonMonotoneTimestampError,
             "order_text": "packet {}: timestamp {} after {}",

@@ -6,9 +6,10 @@ Verbs:
     gen-trace           write a synthetic trace
     calibrate-portscan  table the decayed SYN counter for given rates
 
-Exit codes: 0 success, 3 parse failure (program or trace syntax),
-4 validation failure (program semantics, missing columns, bad time
-order), 5 I/O failure.
+Exit codes: 0 success, 3 parse failure (program or trace syntax, bytes
+that are not UTF-8), 4 validation failure (program semantics, missing
+columns, bad time order, an option out of range), 5 I/O failure. Any
+other exception is a defect and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import time
 from typing import Optional, Sequence
 
 from .. import alu, programs
-from ..engine import Engine, NonMonotoneTimestampError
+from ..engine import Engine, NonMonotoneTimestampError, OptionError
 from ..flow_context import NUM_FLOW_REGISTERS, context_bytes
 from . import gen, traceio
 
@@ -76,6 +77,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _int_option(option: str, text: str, base: int = 10) -> int:
+    try:
+        return int(text, base)
+    except ValueError:
+        raise OptionError(f"{option}: {text.strip()!r} is not an integer") from None
+
+
 def _cmd_run(args) -> int:
     config = programs.load(args.program)
     binder = programs.make_binder(config)
@@ -115,6 +123,14 @@ def _cmd_validate(args) -> int:
     print(f"rows:          {len(rows)} (incl. tree expansion)")
     print(f"globals:       {list(config.globals_init)}")
     print(f"partitionable: {'yes' if config.partitionable else 'no'}")
+    # rows that no (state, condition bits) dispatch entry names
+    reached = {row_idx for *_, row_idx in Engine(config).transitions}
+    unreached = [
+        f"{i}" + (f" ({row.row_id})" if row.row_id else "")
+        for i, row in enumerate(rows)
+        if i not in reached
+    ]
+    print(f"unreached:     {', '.join(unreached) or 'none'}")
     sizes = config.table_sizes
     shape = (sizes.context_subtables, sizes.context_buckets, sizes.bucket_depth)
     contexts = shape[0] * shape[1] * shape[2]
@@ -130,9 +146,9 @@ def _cmd_gen_trace(args) -> int:
     params = {}
     for item in args.param:
         if "=" not in item:
-            raise ValueError(f"--param needs KEY=VALUE, got {item!r}")
+            raise OptionError(f"--param needs KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        params[key.strip()] = int(value, 0)
+        params[key.strip()] = _int_option(f"--param {key.strip()}", value, 0)
     count = gen.gen_trace(args.kind, params, args.seed, args.out)
     print(f"{args.out}: {count} packets ({args.kind}, seed {args.seed})")
     return EXIT_OK
@@ -141,7 +157,7 @@ def _cmd_gen_trace(args) -> int:
 def _cmd_calibrate(args) -> int:
     config = programs.load(args.program)
     threshold, _, sample, _ = config.globals_init
-    rates = [int(r) for r in args.rates.split(",") if r.strip()]
+    rates = [_int_option("--rates", r) for r in args.rates.split(",") if r.strip()]
     print(f"program {config.name}: threshold G0={threshold}, decay 1/2 per tick")
     for rate in rates:
         acc = 0
@@ -183,7 +199,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         programs.ProgramValidationError,
         programs.BindError,
         NonMonotoneTimestampError,
-        ValueError,
+        OptionError,
     ) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

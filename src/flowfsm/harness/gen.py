@@ -12,6 +12,7 @@ import random
 from pathlib import Path
 from typing import Mapping, Union
 
+from ..engine import OptionError
 from . import traceio
 
 SCANNER_IP = 0xC0A80001  # the one scanning source in portscan_mix
@@ -235,14 +236,14 @@ def gen_trace(
     seed: int,
     out_path: Union[str, Path],
 ) -> int:
-    """Generate a trace file; returns the number of packets written. A
-    parameter key that the kind's generator does not read raises
-    :class:`ValueError`."""
+    """Generate a trace file; returns the number of packets written. An
+    unknown kind, or a parameter key that the kind's generator does not
+    read, raises :class:`~flowfsm.engine.OptionError`."""
     if kind not in KINDS:
-        raise ValueError(f"unknown trace kind {kind!r} (have {sorted(KINDS)})")
+        raise OptionError(f"unknown trace kind {kind!r} (have {sorted(KINDS)})")
     for key in params:
         if key not in PARAM_KEYS[kind]:
-            raise ValueError(
+            raise OptionError(
                 f"unknown {kind} parameter {key!r} (have {', '.join(PARAM_KEYS[kind])})"
             )
     rows = KINDS[kind](params, random.Random(seed))

@@ -24,6 +24,7 @@ import csv
 import itertools
 import json
 import os
+import re
 import stat
 import sys
 from pathlib import Path
@@ -57,10 +58,19 @@ class TraceFormatError(Exception):
 READ_CHUNK = 256
 # verdict rows formatted per batch
 WRITE_BATCH = 1024
+# a byte that is not UTF-8, as the surrogateescape error handler decodes it
+_UNDECODED = re.compile("[\udc80-\udcff]")
 # one verdict row as csv.writer writes it when no cell needs quoting; ts
 # comes from the packet record, so it is written with str() as csv.writer
 # would, whatever its type
 _VERDICT_LINE = "%d,%s,%s,%s,%s,%d,%s\r\n"
+
+
+def _not_utf8(text: str) -> Optional[str]:
+    """How ``text``, read with ``surrogateescape``, fails to be UTF-8: its
+    first byte that did not decode, or None if every byte did."""
+    bad = _UNDECODED.search(text)
+    return bad and f"byte {ord(bad[0]) - 0xDC00:#04x} is not UTF-8"
 
 
 def _first_bad_cell(names: list[str], row: list[str]) -> str:
@@ -68,6 +78,8 @@ def _first_bad_cell(names: list[str], row: list[str]) -> str:
         try:
             int(value, 0)
         except ValueError:
+            if reason := _not_utf8(value):
+                return f"column {key!r}: {reason}"
             digits = value.strip().lstrip("+-").replace("_", "")
             limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
             if digits.isdecimal() and 0 < limit < len(digits):
@@ -87,9 +99,11 @@ def read_trace(path: Union[str, Path]) -> Iterator[dict[str, int]]:
     with fewer or more cells, or a cell that is empty or not an integer,
     raises :class:`TraceFormatError` naming the row, and the column for a
     cell. Rows are numbered from 2, blank lines not counted; the rows
-    before a bad one are yielded first. No column is required and no value
-    is checked: which columns and values a program takes is the binder's
-    check, and time order is the engine step's.
+    before a bad one are yielded first. The file is UTF-8, and a byte order
+    mark before the header is skipped; a byte that is not UTF-8 raises the
+    error of the header, or of its cell's row and column. No column is
+    required and no value is checked: which columns and values a program
+    takes is the binder's check, and time order is the engine step's.
 
     Rows are read :data:`READ_CHUNK` lines at a time. While the lines of
     a chunk are plain (see :func:`_plain_cells`), they are split and
@@ -102,10 +116,14 @@ def read_trace(path: Union[str, Path]) -> Iterator[dict[str, int]]:
 
 
 def _read_batches(path: Path) -> Iterator[Iterable[dict[str, int]]]:
-    with path.open(newline="") as fh:
+    # a byte that is not UTF-8 decodes to a lone surrogate, which no cell
+    # that int() reads holds, so its row fails where _first_bad_cell names it
+    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         names = next(csv.reader(fh), None)
         if names is None:
             raise TraceFormatError(f"{path}: empty trace")
+        if reason := _not_utf8(",".join(names)):
+            raise TraceFormatError(f"{path}: header {reason}")
         seen: set[str] = set()
         for name in names:
             if name in seen:

@@ -189,6 +189,14 @@ MAX_CONTEXT_SUBTABLES = 8
 # their expired ones in the same pass, so it costs up to subtables * depth
 # key checks; hardware buckets hold a few cells
 MAX_BUCKET_DEPTH = 8
+# the engine builds a 256-entry dispatch per state before the first packet,
+# each entry holding up to every row as a candidate, so states * rows bounds
+# the build: 64 states of 512 rows take under a second and about 40 MB
+# (CPython 3.11 on a 2-vCPU x86-64 host)
+MAX_STATES = 64
+MAX_XFSM_ROWS = 512
+# a flow-table miss scans the fallbacks in priority order
+MAX_CONTEXT_FALLBACK = 64
 
 
 @dataclass(frozen=True)
@@ -474,9 +482,16 @@ def loads(text: str, source: str = "<string>") -> ProgramConfig:
 
 
 def load(path: Union[str, Path]) -> ProgramConfig:
-    """Load and validate a program file."""
+    """Load and validate a program file: UTF-8 text, a byte order mark
+    before it skipped."""
     path = Path(path)
-    return loads(path.read_text(), str(path))
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        byte = exc.object[exc.start]
+        raise ProgramParseError(f"{path}:{line}: byte {byte:#04x} is not UTF-8") from None
+    return loads(text, str(path))
 
 
 def _build(doc: dict, source: str) -> ProgramConfig:
@@ -567,6 +582,8 @@ def _build(doc: dict, source: str) -> ProgramConfig:
         states[str(label)] = code
     if states and 0 not in states.values():
         problems.append("states: a state with code 0 (the default) is required")
+    if len(states) > MAX_STATES:
+        problems.append(f"states: {len(states)} states exceed the cap of {MAX_STATES}")
 
     # --- globals --------------------------------------------------------
     gvals = [0, 0, 0, 0]
@@ -767,16 +784,16 @@ def _build(doc: dict, source: str) -> ProgramConfig:
                 v = 1
             size_kwargs[key] = v
     sizes = TableSizes(**size_kwargs)
-    if sizes.context_subtables > MAX_CONTEXT_SUBTABLES:
-        problems.append(
-            f"table_sizes.context_subtables: {sizes.context_subtables} exceeds "
-            f"the cap of {MAX_CONTEXT_SUBTABLES}"
-        )
-    if sizes.bucket_depth > MAX_BUCKET_DEPTH:
-        problems.append(
-            f"table_sizes.bucket_depth: {sizes.bucket_depth} exceeds "
-            f"the cap of {MAX_BUCKET_DEPTH}"
-        )
+    for key, cap in (
+        ("context_subtables", MAX_CONTEXT_SUBTABLES),
+        ("bucket_depth", MAX_BUCKET_DEPTH),
+        ("context_fallback", MAX_CONTEXT_FALLBACK),
+        ("xfsm", MAX_XFSM_ROWS),
+    ):
+        if getattr(sizes, key) > cap:
+            problems.append(
+                f"table_sizes.{key}: {getattr(sizes, key)} exceeds the cap of {cap}"
+            )
     buckets = sizes.context_subtables * sizes.context_buckets
     if buckets > MAX_CONTEXT_BUCKETS:
         problems.append(

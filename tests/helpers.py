@@ -26,6 +26,7 @@ import yaml
 from flowfsm import programs
 from flowfsm.alu import NUM_HEADER_SLOTS, execute_tuple
 from flowfsm.conditions import NUM_CONDITIONS, evaluate
+from flowfsm.engine import ACTION_KINDS
 from flowfsm.harness.traceio import TraceFormatError
 from flowfsm.programs import BindError, echo
 
@@ -105,17 +106,29 @@ def reference_bind(config, row, seq):
         raise BindError(f"packet {seq}: missing column {exc.args[0]!r}") from None
 
 
+def not_utf8(char):
+    """The message for a byte that did not decode, as ``surrogateescape``
+    reads it."""
+    return f"byte 0x{ord(char) - 0xDC00:02x} is not UTF-8"
+
+
 def reference_read_trace(path):
     """Trace reader oracle: one ``csv.reader`` row at a time, every cell
     parsed on its own. The header must name each column once, a row must
     have one cell per header column and every cell must be an integer;
-    rows are numbered from 2 without counting blank lines. No column is
-    required and time order is not checked."""
-    with open(path, newline="") as fh:
+    rows are numbered from 2 without counting blank lines. The file is
+    UTF-8 after an optional byte order mark, and a byte that is not fails
+    the header or its cell. No column is required and time order is not
+    checked."""
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise TraceFormatError(f"{path}: empty trace")
     header = rows[0]
+    for name in header:
+        for char in name:
+            if "\udc80" <= char <= "\udcff":
+                raise TraceFormatError(f"{path}: header {not_utf8(char)}")
     for i, name in enumerate(header):
         if header.index(name) != i:
             raise TraceFormatError(f"{path}: column {name!r} appears twice")
@@ -128,6 +141,11 @@ def reference_read_trace(path):
             try:
                 out[key] = int(value, 0)
             except ValueError:
+                for char in value:
+                    if "\udc80" <= char <= "\udcff":
+                        raise TraceFormatError(
+                            f"{where} column {key!r}: {not_utf8(char)}"
+                        ) from None
                 shown = repr(value)
                 if len(value) > 40:
                     shown = f"{value[:40]!r}... ({len(value)} characters)"
@@ -145,8 +163,9 @@ class ReferenceStep:
     """The per-packet step of an engine, interpreted: the oracle for the
     step the engine generates from its program.
 
-    It runs on the engine's own context table, globals, ALU counters and
-    transition counts, with ``conditions.evaluate`` for the conditions and
+    It runs on the engine's own context table, globals and ALU counters,
+    and counts its packets per (pre-state label, row index) in ``counts``
+    of its own, with ``conditions.evaluate`` for the conditions and
     ``alu.execute_tuple`` for the register update. It picks the transition
     with a linear scan of all rows for the highest-priority match
     (``scan_lookup`` over ``packed_rows``) and packs the flow keys with
@@ -167,6 +186,8 @@ class ReferenceStep:
         self.pending = collections.deque()
         states = config.states
         self.labels = {code: label for label, code in states.items()}
+        # (pre-state label, row index) -> packets
+        self.counts = collections.Counter()
         self.entries = packed_rows(config)
         self.rows = [
             (
@@ -213,8 +234,8 @@ class ReferenceStep:
         else:
             context.write_back(update_key, next_state, r2)
             g[:] = g2
-        engine._transition_counts[state][row_idx] += 1
         labels = self.labels
+        self.counts[labels[state], row_idx] += 1
         return (
             seq, ts, action, labels[state], labels[next_state], row_idx,
             f"{bits:0{NUM_CONDITIONS}b}",
@@ -227,6 +248,21 @@ class ReferenceStep:
             _, key, state, r, g = pending.popleft()
             self.engine.context.write_back(key, state, r)
             self.engine.g[:] = g
+
+    def stats(self):
+        """The engine's stats document, with the packet, action and
+        transition counts taken from ``counts``."""
+        doc = self.engine.stats.to_dict()
+        rows = self.config.transition_rows()
+        actions = collections.Counter()
+        for (_, row_idx), n in self.counts.items():
+            actions[ACTION_KINDS[rows[row_idx].action.split(":")[0]]] += n
+        doc["packets"] = sum(self.counts.values())
+        doc["actions"] = dict(sorted(actions.items()))
+        doc["transitions"] = dict(sorted(
+            (f"{label}#{row_idx}", n) for (label, row_idx), n in self.counts.items()
+        ))
+        return doc
 
 
 class RefContextModel:

@@ -9,6 +9,7 @@ import yaml
 
 from flowfsm import programs
 from flowfsm.engine import VERDICT_COLUMNS
+from flowfsm.flow_context import FlowContextTable
 from flowfsm.harness import cli
 
 from helpers import GAP_CASES, patched_doc
@@ -236,3 +237,105 @@ def test_calibrate_portscan_tables_the_bundled_threshold(capsys):
     out = capsys.readouterr().out.splitlines()
     assert "rate=5/s: peak counter 9 < 20, never trips" in out
     assert "rate=40/s: trips at SYN #21 (t=0s)" in out
+
+
+@pytest.mark.parametrize(
+    "name, line",
+    [
+        ("long_flow", "unreached:     3 (default)"),
+        ("load_balance", "unreached:     5 (default)"),
+        ("port_scan", "unreached:     8 (default)"),
+        ("c45_classifier", "unreached:     4 (default)"),
+        ("token_bucket", "unreached:     6 (default)"),
+        # the one program whose catch-all some (state, bits) pair selects
+        ("mac_learning", "unreached:     none"),
+    ],
+)
+def test_validate_reports_the_rows_no_dispatch_entry_reaches(name, line, capsys):
+    assert cli.main(["validate", "--program", str(programs.bundled_path(name))]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def poisson_trace(tmp_path):
+    """A small poisson_flows trace from ``gen-trace``, as bytes."""
+    trace = tmp_path / "trace.csv"
+    argv = ["gen-trace", "--kind", "poisson_flows", "--out", str(trace),
+            "--param", "flows=3", "--param", "duration_s=1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    return trace, trace.read_bytes()
+
+
+def test_run_names_the_row_of_a_trace_byte_that_is_not_utf8(tmp_path, capsys):
+    trace, data = poisson_trace(tmp_path)
+    lines = data.split(b"\n")
+    # the last cell of the fourth row, the file's line 5
+    lines[4] = lines[4][:-1] + b"\xff"
+    trace.write_bytes(b"\n".join(lines))
+    argv = ["run", "--program", str(programs.bundled_path("long_flow")), "--trace", str(trace)]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"parse error: {trace}:5 column 'dscp': byte 0xff is not UTF-8\n"
+    )
+
+
+def test_a_byte_order_mark_before_the_trace_header_is_skipped(tmp_path, capsys):
+    trace, data = poisson_trace(tmp_path)
+    program = str(programs.bundled_path("long_flow"))
+    outputs = []
+    for text in (data, b"\xef\xbb\xbf" + data):
+        trace.write_bytes(text)
+        out, stats = tmp_path / "verdicts.csv", tmp_path / "stats.json"
+        argv = ["run", "--program", program, "--trace", str(trace),
+                "--out", str(out), "--stats", str(stats)]
+        assert cli.main(argv) == cli.EXIT_OK
+        outputs.append((out.read_bytes(), stats.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_a_program_byte_that_is_not_utf8_is_a_parse_error_naming_the_file(
+    verb, tmp_path, capsys
+):
+    program = tmp_path / "long_flow.yaml"
+    text = programs.bundled_path("long_flow").read_bytes()
+    program.write_bytes(text.replace(b"name: long_flow", b"name: long_\xffflow"))
+    line = text[: text.index(b"name: long_flow")].count(b"\n") + 1
+    trace = tmp_path / "trace.csv"
+    trace.write_text("ts,ip_src,ip_dst\n0,1,2\n")
+    argv = [verb, "--program", str(program)] + (["--trace", str(trace)] if verb == "run" else [])
+    assert cli.main(argv) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == f"parse error: {program}:{line}: byte 0xff is not UTF-8\n"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--param", "flows"], "--param needs KEY=VALUE, got 'flows'"),
+        (["--param", "flows=x"], "--param flows: 'x' is not an integer"),
+    ],
+    ids=["no-equals", "not-an-integer"],
+)
+def test_gen_trace_rejects_a_malformed_parameter(argv, error, tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    argv = ["gen-trace", "--kind", "poisson_flows", "--out", str(out), *argv]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"validation error: {error}\n"
+    assert not out.exists()
+
+
+def test_a_value_error_inside_the_step_is_a_defect_not_a_validation_error(
+    tmp_path, monkeypatch
+):
+    """Only the typed errors of bad input exit 4; a ValueError the step
+    raises is a defect in the program, and it propagates as one."""
+
+    def broken(self, key):
+        raise ValueError("a defect in the step")
+
+    monkeypatch.setattr(FlowContextTable, "lookup_context", broken)
+    trace = tmp_path / "trace.csv"
+    trace.write_text("ts,ip_src,ip_dst\n0,1,2\n")
+    argv = ["run", "--program", str(programs.bundled_path("long_flow")), "--trace", str(trace)]
+    with pytest.raises(ValueError, match="a defect in the step"):
+        cli.main(argv)

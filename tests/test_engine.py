@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -14,10 +15,11 @@ from flowfsm.engine import (
     key_layout,
     pack_key,
 )
-from flowfsm.harness import gen
+from flowfsm.harness import gen, traceio
 
 from helpers import flow_key, packed_rows, program_config, row_key, scan_lookup
 from test_acceptance import golden_rows
+from test_replay_digests import MAC_TRACE, TRACES
 
 
 def bundled_engine(name):
@@ -166,20 +168,50 @@ def field_vectors(config, rng):
 
 @pytest.mark.parametrize("name", programs.BUNDLED + ("synthetic",))
 def test_dispatch_equals_a_linear_scan(name):
+    """The transition a packet reads off its state's dispatch is the
+    (state, row) pair whose row the linear scan picks, with that row's
+    constants."""
     config = program_config(name)
     engine = Engine(config)
     entries = packed_rows(config)
+    rows = config.transition_rows()
     vectors = list(field_vectors(config, random.Random(name)))
-    for state in config.states.values():
-        dispatch = engine._dispatch[state]
+    for label, state in config.states.items():
+        dispatch = engine.dispatch[state]
         for bits in range(256):
             for h in vectors:
-                # the row the step reads off the dispatch
-                row_idx = dispatch[bits]
-                if isinstance(row_idx, tuple):
-                    row_idx = _first_match(row_idx, h)
+                # the transition the step reads off the dispatch
+                t = dispatch[bits]
+                if isinstance(t, tuple):
+                    t = _first_match(t, h)
+                action, nxt, _, pre, post, row_idx = engine.transitions[t]
                 key = row_key(config, state, bits, h)
                 assert row_idx == scan_lookup(entries, key), (state, bits, h)
+                row = rows[row_idx]
+                after = row.next_state or label
+                assert (action, nxt, pre, post) == (
+                    row.action, config.states[after], label, after
+                )
+
+
+@pytest.mark.parametrize("name", programs.BUNDLED)
+def test_no_packet_builds_or_grows_a_table(name, tmp_path):
+    """Every dispatch and the transition table are complete once the engine
+    is built: a replay of the program's digest trace leaves them as they
+    were."""
+    trace = tmp_path / "trace.csv"
+    if TRACES[name] is None:
+        trace.write_text(MAC_TRACE)
+    else:
+        kind, params, seed = TRACES[name]
+        gen.gen_trace(kind, params, seed, trace)
+    engine, bind = bundled_engine(name)
+    built = (copy.deepcopy(engine.dispatch), list(engine.transitions))
+    assert sorted(engine.dispatch) == sorted(programs.bundled_program(name).states.values())
+    assert all(len(table) == 256 and None not in table for table in engine.dispatch.values())
+    verdicts = engine.run_trace(bind(row, i) for i, row in enumerate(traceio.read_trace(trace)))
+    assert sum(1 for _ in verdicts) == engine.stats.packets > 0
+    assert (engine.dispatch, engine.transitions) == built
 
 
 @pytest.mark.parametrize("window", [0, 1, 2, 3])

@@ -206,6 +206,9 @@ def test_fallback_registers_are_stored_as_given():
 
 
 L, C, M, B = "long_flow", "c45_classifier", "mac_learning", "load_balance"
+# long_flow's two states and more, up to the state cap and one past it
+STATES_AT_CAP = {"DEFAULT": 0, "LONG": 1, **{f"S{i}": i for i in range(2, programs.MAX_STATES)}}
+STATES_OVER_CAP = {**STATES_AT_CAP, "S64": 64}
 S = "synthetic"  # the only document with fallbacks: two of them
 FIELD0 = ("fields", 0)
 ROW0 = ("rows", 0)
@@ -354,6 +357,18 @@ BROKEN = [
         {"bucket_depth": 100000},
         "table_sizes.bucket_depth: 100000 exceeds the cap of 8",
     ),
+    (L, ("table_sizes",), {"bucket_depth": 9}, "table_sizes.bucket_depth: 9 exceeds the cap"),
+    (L, ("table_sizes",), {"context_subtables": 9}, "table_sizes.context_subtables: 9 exceeds"),
+    # the caps that bound the engine's build: each state's dispatch holds
+    # up to every row, and a miss scans the fallbacks
+    (L, ("table_sizes",), {"xfsm": 513}, "table_sizes.xfsm: 513 exceeds the cap of 512"),
+    (
+        L,
+        ("table_sizes",),
+        {"context_fallback": 65},
+        "table_sizes.context_fallback: 65 exceeds the cap of 64",
+    ),
+    (L, ("states",), STATES_OVER_CAP, "states: 65 states exceed the cap of 64"),
 ]
 
 
@@ -496,4 +511,10 @@ def test_context_geometry_at_the_cap_loads():
     sizes = {"bucket_depth": programs.MAX_BUCKET_DEPTH}
     config = programs.loads(yaml.safe_dump(patched_doc(L, ("table_sizes",), sizes)))
     assert config.table_sizes.bucket_depth == 8
+    # the caps that bound the engine's build
+    sizes = {"xfsm": programs.MAX_XFSM_ROWS, "context_fallback": programs.MAX_CONTEXT_FALLBACK}
+    config = programs.loads(yaml.safe_dump(patched_doc(L, ("table_sizes",), sizes)))
+    assert (config.table_sizes.xfsm, config.table_sizes.context_fallback) == (512, 64)
+    config = programs.loads(yaml.safe_dump(patched_doc(L, ("states",), STATES_AT_CAP)))
+    assert len(Engine(config).dispatch) == len(config.states) == 64
 

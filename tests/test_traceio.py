@@ -57,17 +57,20 @@ def spellings(value):
 valid = st.integers(0, 2**40).flatmap(spellings)
 # leading-zero decimals are rejected by int(x, 0); "-3", "-0" and "00"
 # are not. The JSON-like cells hold values that are not JSON integers; a
-# quoted cell may hold a comma or an integer with a space
+# quoted cell may hold a comma or an integer with a space. The last two
+# hold the bytes 0xff and 0x80, which are not UTF-8 (see write_trace_text)
 odd = st.sampled_from(
     ["007", "01", "00", "-3", "-0", "1.5", "0x", "x", "deadbeef", "1e3", "2E1",
-     "true", "null", "NaN", "-Infinity", "[1]", '"4"', '"1,2"', '" 5"', "\t6"]
+     "true", "null", "NaN", "-Infinity", "[1]", '"4"', '"1,2"', '" 5"', "\t6",
+     "\udcff", "7\udc80"]
 )
 cell = st.one_of(valid, valid, valid, valid, st.just(""), odd)
 
 
 @st.composite
 def traces(draw):
-    """A header with or without ts, then full, short, long and blank rows."""
+    """A header with or without ts, then full, short, long and blank rows,
+    after a byte order mark or not."""
     header = draw(st.sampled_from([["ts"], []]))
     header += draw(st.lists(st.sampled_from(COLUMNS), min_size=1 - len(header), max_size=4))
     draw(st.randoms()).shuffle(header)
@@ -84,7 +87,14 @@ def traces(draw):
         if "ts" in header[: len(cells)] and draw(st.integers(0, 4)):
             cells[header.index("ts")] = draw(spellings(max(ts, 0)))
         lines.append(",".join(cells))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    return bom + "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def write_trace_text(path, text):
+    """Write ``text`` as UTF-8, each lone surrogate U+DC80..U+DCFF as the
+    byte it stands for."""
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
 @settings(
@@ -93,7 +103,7 @@ def traces(draw):
 @given(trace=traces())
 def test_reader_equals_reference(tmp_path, trace):
     path = tmp_path / "trace.csv"
-    path.write_text(trace)
+    write_trace_text(path, trace)
     assert outcome(read_trace, path) == outcome(reference_read_trace, path)
 
 
@@ -107,7 +117,7 @@ def test_reader_equals_reference_in_small_chunks(tmp_path, monkeypatch, chunk, t
     row meets every kind of seam."""
     monkeypatch.setattr(traceio, "READ_CHUNK", chunk)
     path = tmp_path / "trace.csv"
-    path.write_text(trace)
+    write_trace_text(path, trace)
     assert outcome(read_trace, path) == outcome(reference_read_trace, path)
 
 
