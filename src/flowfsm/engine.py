@@ -7,7 +7,8 @@ header fields, action emission, parallel register update, and context
 write-back under the (possibly different) update key. When the packet
 clock crosses a management-period boundary, the step tells the context
 table the new period before it processes the packet; the table ages its
-contexts from that alone, so no packet scans the table.
+contexts from that alone, by dropping the generation of contexts that
+went unused for a whole period, so no packet scans the table.
 
 A packet reaches the step as the pair ``(h, ts)``: ``h``, the values of
 the eight 32-bit header slots H0..H7 that the program's fields bind from
@@ -35,8 +36,10 @@ comparators as one bit-vector expression, reads the transition off the
 state's dispatch, and runs its ALU tuple as straight-line code that reads
 every operand before it writes any, so the tuple still commits in
 parallel. When the lookup and update scopes agree and no hazard window is
-set, a lookup hit is the stored context itself, and the step updates it
-in place; only a miss goes through ``write_back``, which may insert.
+set, a lookup hit is the stored context itself, which its ``stored``
+flag tells apart from a fallback or the default context, and the step
+updates it in place; only a miss goes through ``write_back``, which may
+insert.
 Scratch aliases, the management period, the hazard window, the 16-bit
 division mode and whether the key scopes agree are settled at build time.
 The divisions and the statistics instructions are emitted as guarded
@@ -530,7 +533,7 @@ class Engine:
         elif self._same_scope:
             # a hit is the stored context itself: update it where it is
             body += [
-                "if ctx.epoch is None:",
+                "if not ctx.stored:",
                 "    context.write_back(key, nxt, rn)",
                 "else:",
                 "    ctx.state = nxt",

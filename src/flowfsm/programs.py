@@ -197,6 +197,9 @@ MAX_STATES = 64
 MAX_XFSM_ROWS = 512
 # a flow-table miss scans the fallbacks in priority order
 MAX_CONTEXT_FALLBACK = 64
+# conditions on a classifier-tree path: loading, expanding, comparing and
+# serializing a tree recurse per level, within Python's recursion limit
+MAX_TREE_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -854,7 +857,9 @@ def _parse_tree(
     ports: int,
     problems: list[str],
 ) -> Optional[ClassifierTree]:
-    def walk(node: object, where: str) -> Union[TreeNode, TreeLeaf, None]:
+    too_deep = f"classifier_tree.tree: a path holds more than {MAX_TREE_DEPTH} conditions"
+
+    def walk(node: object, where: str, depth: int) -> Union[TreeNode, TreeLeaf, None]:
         if not isinstance(node, dict):
             problems.append(f"{where}: expected a mapping")
             return None
@@ -865,12 +870,16 @@ def _parse_tree(
                 problems.append(f"{where}: unknown state {st!r}")
             action = _action(node.get("action", "none"), where, ports, problems)
             return TreeLeaf(st, action)
+        if depth == MAX_TREE_DEPTH:
+            if too_deep not in problems:
+                problems.append(too_deep)
+            return None
         _known_keys(node, TREE_NODE_KEYS, where, problems)
         cname = str(node.get("condition", ""))
         if cname not in cond_names:
             problems.append(f"{where}: unknown condition {cname!r}")
-        t = walk(node.get("if_true"), where + ".if_true")
-        f = walk(node.get("if_false"), where + ".if_false")
+        t = walk(node.get("if_true"), where + ".if_true", depth + 1)
+        f = walk(node.get("if_false"), where + ".if_false", depth + 1)
         if t is None or f is None:
             return None
         return TreeNode(cname, t, f)
@@ -888,7 +897,7 @@ def _parse_tree(
     base = _to_int(raw.get("base_priority", -1), "classifier_tree.base_priority", problems)
     if base < 0:
         problems.append("classifier_tree.base_priority: must be non-negative")
-    root = walk(raw.get("tree"), "classifier_tree.tree")
+    root = walk(raw.get("tree"), "classifier_tree.tree", 0)
     if root is None or gate not in cond_names or in_state not in states or base < 0:
         return None
     return ClassifierTree(gate, in_state, base, root)

@@ -27,6 +27,7 @@ from flowfsm import programs
 from flowfsm.alu import NUM_HEADER_SLOTS, execute_tuple
 from flowfsm.conditions import NUM_CONDITIONS, evaluate
 from flowfsm.engine import ACTION_KINDS
+from flowfsm.flow_context import FlowContext
 from flowfsm.harness.traceio import TraceFormatError
 from flowfsm.programs import BindError, echo
 
@@ -347,6 +348,18 @@ class RefContextModel:
         return len(self.entries)
 
 
+def stored_contexts(table):
+    """(key, context) for every context that any dict of ``table`` holds,
+    whatever the dicts are called: what the store keeps in memory."""
+    return [
+        (key, ctx)
+        for value in vars(table).values()
+        if isinstance(value, dict)
+        for key, ctx in value.items()
+        if isinstance(ctx, FlowContext)
+    ]
+
+
 def token_bucket_config(burst, q):
     """Bundled token-bucket program re-parameterized for (burst, q)."""
     cfg = programs.bundled_program("token_bucket")
@@ -399,6 +412,16 @@ def bundled_doc(name):
     if name == "synthetic":
         return yaml.safe_load(SYNTHETIC_PROGRAM)
     return yaml.safe_load(programs.bundled_path(name).read_text())
+
+
+def deep_tree_program(depth):
+    """c45_classifier's text with its classifier tree replaced by a chain
+    of ``depth`` conditions, in flow style, and room for its rows."""
+    text = programs.bundled_path("c45_classifier").read_text()
+    chain = "{condition: C1, if_true: {class: WEB}, if_false: " * depth
+    chain += "{class: P2P}" + "}" * depth
+    head = text[: text.index("  tree:\n")]
+    return f"{head}  tree: {chain}\ntable_sizes: {{xfsm: 512}}\n"
 
 
 DELETE = object()

@@ -21,6 +21,7 @@ from helpers import (
     RefContextModel,
     flow_key,
     scan_lookup,
+    stored_contexts,
     token_bucket_config,
     window_bound_holds,
 )
@@ -263,8 +264,10 @@ def test_c6_flow_context_model_equivalence():
     """Random lookups, write-backs and period changes give the store and
     the two-scan reference model the same contexts, write-back results,
     occupancy, evictions, high-water mark and table-full drops after every
-    operation. The table is small enough that inserts are dropped and
-    expired contexts are reclaimed by inserts."""
+    operation, and the store holds exactly the model's contexts, in the
+    buckets the model placed them. The table is small enough that inserts
+    are dropped and that inserts drop the keys of expired contexts from
+    their buckets."""
     rng = random.Random(17)
     table = FlowContextTable(subtables=2, buckets=4, bucket_depth=2, seed=5)
     ref = RefContextModel.of(table)
@@ -300,10 +303,10 @@ def test_c6_flow_context_model_equivalence():
         elif op < 0.9:
             state = rng.randrange(0, 3)
             regs = [rng.randrange(0, 4) for _ in range(4)]
-            stored, was_stored = len(table._contexts), key in ref.entries
+            listed, was_stored = member_keys(table), key in ref.entries
             assert table.write_back(key, state, regs) == ref.write_back(key, state, regs)
             inserted = not was_stored and key in ref.entries
-            reclaims += stored + inserted - len(table._contexts)
+            reclaims += listed + inserted - member_keys(table)
         else:
             gap = rng.choice((0, 1, 1, 2, 5))
             epoch += gap
@@ -313,7 +316,22 @@ def test_c6_flow_context_model_equivalence():
         assert (table.occupancy, table.evictions, table.high_water,
                 table.table_full_drops) == (ref.occupancy, ref.evictions,
                                             ref.high_water, ref.table_full_drops)
+        # the store holds exactly the model's contexts, each listed by the
+        # bucket the model placed it in
+        stored = stored_contexts(table)
+        assert len(stored) == table.occupancy
+        assert {k: (c.state, tuple(c.r)) for k, c in stored} == {
+            k: (e[0], tuple(e[1])) for k, e in ref.entries.items()
+        }
+        for k, (*_, (sub, bucket)) in ref.entries.items():
+            assert k in table._members[sub * table.buckets + bucket]
     assert table.table_full_drops > 0 and reclaims > 0
+
+
+def member_keys(table):
+    """Keys the table's buckets list, the keys of expired contexts that no
+    insert has dropped yet included."""
+    return sum(map(len, table._members.values()))
 
 
 # the verdicts of mac_learning on MAC_TRACE, as `flowfsm run --out` writes

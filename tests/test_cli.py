@@ -12,7 +12,7 @@ from flowfsm.engine import VERDICT_COLUMNS
 from flowfsm.flow_context import FlowContextTable
 from flowfsm.harness import cli
 
-from helpers import GAP_CASES, patched_doc
+from helpers import GAP_CASES, deep_tree_program, patched_doc
 
 
 @pytest.mark.parametrize("name", programs.BUNDLED)
@@ -28,8 +28,8 @@ def test_validate_accepts_bundled_programs(name, capsys):
         ("long_flow", "partitionable: yes"),
         ("mac_learning", "partitionable: no"),
         # the default geometry, at flow_context.context_bytes a context
-        ("token_bucket", "context store: up to 4096 contexts (4 x 1024 x 1), <= 2.3 MB"),
-        ("c45_classifier", "context store: up to 4096 contexts (4 x 1024 x 1), <= 2.5 MB"),
+        ("token_bucket", "context store: up to 4096 contexts (4 x 1024 x 1), <= 2.8 MB"),
+        ("c45_classifier", "context store: up to 4096 contexts (4 x 1024 x 1), <= 2.9 MB"),
     ],
 )
 def test_validate_reports_the_program_shape(name, line, capsys):
@@ -339,3 +339,13 @@ def test_a_value_error_inside_the_step_is_a_defect_not_a_validation_error(
     argv = ["run", "--program", str(programs.bundled_path("long_flow")), "--trace", str(trace)]
     with pytest.raises(ValueError, match="a defect in the step"):
         cli.main(argv)
+
+
+def test_validate_refuses_a_classifier_tree_1200_levels_deep(tmp_path, capsys):
+    """Such a tree used to exit 1 with a RecursionError traceback."""
+    program = tmp_path / "deep.yaml"
+    program.write_text(deep_tree_program(1200))
+    assert cli.main(["validate", "--program", str(program)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{program}: classifier_tree.tree: a path holds more than 256 conditions" in err
+    assert "Traceback" not in err

@@ -17,7 +17,14 @@ from flowfsm.engine import (
 )
 from flowfsm.harness import gen, traceio
 
-from helpers import flow_key, packed_rows, program_config, row_key, scan_lookup
+from helpers import (
+    flow_key,
+    packed_rows,
+    program_config,
+    row_key,
+    scan_lookup,
+    stored_contexts,
+)
 from test_acceptance import golden_rows
 from test_replay_digests import MAC_TRACE, TRACES
 
@@ -90,7 +97,7 @@ class NoScan(dict):
 
 def test_no_packet_iterates_the_stored_contexts():
     engine, bind = bundled_engine("mac_learning")
-    engine.context._contexts = NoScan()
+    engine.context._now, engine.context._prev = NoScan(), NoScan()
     gap = 30_000_000  # 100,000 management periods of 300 s
     stations = [
         {"ts": gap, "eth_src": 1000 + i, "eth_dst": 5, "in_port": 2} for i in range(2000)
@@ -109,6 +116,19 @@ def test_no_packet_iterates_the_stored_contexts():
     stats = engine.stats
     assert stats.evictions == 1
     assert stats.occupancy + stats.table_full_drops == len(stations) + 1
+
+
+def test_a_classifier_replay_stores_only_live_contexts():
+    """Over a classifier grid spanning many management periods, flows age
+    out of c45_classifier's table, and at the end the table stores its
+    live contexts and nothing else."""
+    engine, bind = bundled_engine("c45_classifier")
+    rows = gen.classifier_grid({"repeats": 12}, random.Random(1))
+    assert rows[-1]["ts"] // engine._period >= 2
+    run_rows(engine, bind, rows)
+    stats = engine.stats
+    assert stats.evictions > 0 and stats.occupancy > 0
+    assert len(stored_contexts(engine.context)) == stats.occupancy
 
 
 @pytest.mark.parametrize("name", ["mac_learning", "c45_classifier"])

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from flowfsm.flow_context import FlowContextTable, context_bytes
 
-from helpers import RefContextModel
+from helpers import RefContextModel, stored_contexts
 
 
 def small_table(**kw):
@@ -101,7 +101,7 @@ def test_table_full_on_adversarial_keys():
     table.advance(2)
     assert table.write_back(colliders[4], 1, [0, 0, 0, 0])
     assert (table.occupancy, table.evictions, table.table_full_drops) == (1, 4, 1)
-    assert colliders[0] not in table._contexts
+    assert [k for k, _ in stored_contexts(table)] == [colliders[4]]
 
 
 def test_bookkeeping_bounded_by_capacity_over_many_keys():
@@ -116,11 +116,14 @@ def test_bookkeeping_bounded_by_capacity_over_many_keys():
             if isinstance(value, (dict, list))
         }
         assert max(sizes.values()) <= table.capacity, sizes
-        # each stored key is listed by one bucket, which lists at most
-        # bucket_depth keys
+        # the table stores only live contexts; a bucket lists at most
+        # bucket_depth keys, and each stored key is listed by one bucket
+        assert len(stored_contexts(table)) == table.occupancy
         members = table._members.values()
         assert max(map(len, members)) <= table.bucket_depth
-        assert sorted(k for keys in members for k in keys) == sorted(table._contexts)
+        listed = Counter(k for keys in members for k in keys)
+        assert max(listed.values()) == 1
+        assert {k for k, _ in stored_contexts(table)} <= listed.keys()
 
 
 def flow_key(ip_src, ip_dst):
@@ -179,8 +182,8 @@ def test_reinserted_expired_key_leaves_no_phantom_load():
 @pytest.mark.parametrize("seed", range(5))
 def test_insert_reclaims_every_expired_key_of_its_candidate_buckets(seed):
     """An insert leaves no expired key in any of its candidate buckets, the
-    key's own expired entry included, and every key a bucket lists is a
-    stored key and the other way round."""
+    key's own expired entry included. The table stores only live
+    contexts, and no key is listed by two buckets."""
     rng = random.Random(seed)
     table = FlowContextTable(subtables=2, buckets=4, bucket_depth=2, seed=seed)
     for _ in range(600):
@@ -193,11 +196,14 @@ def test_insert_reclaims_every_expired_key_of_its_candidate_buckets(seed):
             if inserting:
                 for sub, bucket in enumerate(table._positions(key)):
                     for k in table._members.get(sub * table.buckets + bucket, ()):
-                        assert table._contexts[k].epoch >= table.epoch - 1, (key, k)
+                        assert table.get(k) is not None, (key, k)
         if rng.random() < 0.1:
             table.advance(table.epoch + rng.choice((0, 1, 2, 5)))
-        listed = [k for keys in table._members.values() for k in keys]
-        assert sorted(listed) == sorted(table._contexts)
+        stored = {k for k, _ in stored_contexts(table)}
+        assert len(stored) == table.occupancy
+        listed = Counter(k for keys in table._members.values() for k in keys)
+        assert max(listed.values(), default=1) == 1
+        assert stored <= listed.keys()
 
 
 def test_stored_context_memory_is_bounded():
@@ -206,9 +212,11 @@ def test_stored_context_memory_is_bounded():
     32-bit values, for the four registers of every program and the five
     of c45_classifier's ``flow_scratch``. So a table holds at most that
     many bytes times subtables x buckets x depth, the bound ``flowfsm
-    validate`` prints."""
-    assert (context_bytes(4), context_bytes(5)) == (572, 620)
-    for registers in (4, 5):
+    validate`` prints. With every context written in one period and hit
+    in the next, the emptied previous generation and the full current
+    one are both allocated, and the bound still holds."""
+    assert (context_bytes(4), context_bytes(5)) == (672, 720)
+    for registers, hit_next_period in product((4, 5), (False, True)):
         table = FlowContextTable(
             subtables=4, buckets=1 << 14, bucket_depth=4, seed=1, num_registers=registers
         )
@@ -218,6 +226,11 @@ def test_stored_context_memory_is_bounded():
             for i in range(20_000):
                 values = [2**31 + 7 * i + j for j in range(registers)]
                 table.write_back(flow_key(0x0A000000 + i, 0xC0A80001), 1, values)
+            if hit_next_period:
+                table.advance(1)
+                for i in range(20_000):
+                    table.lookup_context(flow_key(0x0A000000 + i, 0xC0A80001))
+                assert not table._prev
             used = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -228,12 +241,13 @@ def test_stored_context_memory_is_bounded():
 def test_housekeep_touched_entry_stays():
     table = small_table()
     table.write_back(1, 1, [0, 0, 0, 0])
+    table.write_back(2, 1, [0, 0, 0, 0])
     table.advance(1)
-    assert table.get(1).epoch == 0  # a peek does not stamp
-    table.lookup_context(1)  # a hit in the next period keeps it alive
-    assert table.get(1).epoch == 1
+    assert table.get(1) is not None  # a peek does not keep a context alive
+    table.lookup_context(2)  # a hit in the next period does
     table.advance(2)
-    assert table.occupancy == 1 and table.evictions == 0
+    assert table.get(1) is None and table.get(2) is not None
+    assert table.occupancy == 1 and table.evictions == 1
 
 
 def test_housekeep_idle_entry_evicted_on_second_scan():

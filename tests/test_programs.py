@@ -15,6 +15,7 @@ from helpers import (
     DELETE,
     GAP_CASES,
     SYNTHETIC_PROGRAM,
+    deep_tree_program,
     flow_key,
     patched_doc,
     program_config,
@@ -518,3 +519,18 @@ def test_context_geometry_at_the_cap_loads():
     config = programs.loads(yaml.safe_dump(patched_doc(L, ("states",), STATES_AT_CAP)))
     assert len(Engine(config).dispatch) == len(config.states) == 64
 
+
+def test_a_classifier_tree_at_the_depth_cap_round_trips():
+    config = programs.loads(deep_tree_program(programs.MAX_TREE_DEPTH))
+    assert len(config.classifier_tree.rows()) == programs.MAX_TREE_DEPTH + 1
+    assert programs.loads(programs.serialize(config)) == config
+
+
+def test_a_classifier_tree_480_levels_deep_is_a_located_error():
+    """Such a tree used to load, and then serializing it raised
+    RecursionError, so load(serialize(c)) == c failed."""
+    with pytest.raises(programs.ProgramValidationError) as err:
+        programs.loads(deep_tree_program(480), "deep.yaml")
+    assert err.value.problems == [
+        "deep.yaml: classifier_tree.tree: a path holds more than 256 conditions"
+    ]

@@ -13,7 +13,13 @@ from flowfsm import programs
 from flowfsm.alu import Opcode
 from flowfsm.engine import Engine
 
-from helpers import ReferenceStep, flow_key, patched_doc, program_config
+from helpers import (
+    ReferenceStep,
+    flow_key,
+    patched_doc,
+    program_config,
+    stored_contexts,
+)
 
 # Every opcode, shift amounts of 32 and more, a division by a zero
 # immediate, G destinations, statistics instructions on G and on the
@@ -148,7 +154,7 @@ def observed(engine, counts=None):
     """What a packet may change: the stored contexts, the globals, the ALU
     counters and the transition counts, the engine's own unless ``counts``
     are given."""
-    contexts = {k: (c.state, list(c.r)) for k, c in engine.context._contexts.items()}
+    contexts = {k: (c.state, list(c.r)) for k, c in stored_contexts(engine.context)}
     return (
         contexts,
         list(engine.g),
