@@ -10,7 +10,7 @@ files; see the bundled ones under ``flowfsm/data``.
 from .alu import AluRuntime, Instruction, Opcode, decode, encode, execute_tuple
 from .conditions import CmpOp, ConditionSpec, evaluate
 from .engine import Engine
-from .flow_context import FlowContext, FlowContextTable
+from .flow_context import FlowContextTable
 from .programs import (
     ProgramConfig,
     bundled_program,
@@ -28,7 +28,6 @@ __all__ = [
     "CmpOp",
     "ConditionSpec",
     "Engine",
-    "FlowContext",
     "FlowContextTable",
     "Instruction",
     "Opcode",

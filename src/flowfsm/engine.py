@@ -35,11 +35,11 @@ packs the flow keys with constant shifts and masks, evaluates the
 comparators as one bit-vector expression, reads the transition off the
 state's dispatch, and runs its ALU tuple as straight-line code that reads
 every operand before it writes any, so the tuple still commits in
-parallel. When the lookup and update scopes agree and no hazard window is
-set, a lookup hit is the stored context itself, which its ``stored``
-flag tells apart from a fallback or the default context, and the step
-updates it in place; only a miss goes through ``write_back``, which may
-insert.
+parallel. A context is the tuple ``(state, r0, ..., r_{n-1})``, unpacked
+at lookup and rebuilt by the update. When the lookup and update scopes
+agree and no hazard window is set, the step stores a hit's new context in
+the table's current generation itself; only a miss goes through
+``write_back``, which may insert.
 Scratch aliases, the management period, the hazard window, the 16-bit
 division mode and whether the key scopes agree are settled at build time.
 The divisions and the statistics instructions are emitted as guarded
@@ -78,7 +78,7 @@ from .alu import (
     Opcode,
 )
 from .conditions import NUM_CONDITIONS
-from .flow_context import NUM_FLOW_REGISTERS, FlowContextTable
+from .flow_context import NUM_FLOW_REGISTERS, Context, FlowContextTable
 from .stats import RunStats
 
 if TYPE_CHECKING:  # programs imports this module
@@ -300,8 +300,8 @@ class Engine:
         # global selector scratch[i]
         self._scratch = tuple(slot for _, slot in config.flow_scratch)
         self.hazard_window = hazard_window
-        # the delayed (key, state, registers, globals) updates, oldest first
-        self._pending: deque[tuple[int, int, list[int], list[int]]] = deque()
+        # the delayed (key, context, globals) updates, oldest first
+        self._pending: deque[tuple[int, Context, list[int]]] = deque()
         self.alu = AluRuntime(hw16_div=hw16_div)
         # each row resolved once into its match side, (row index, state
         # code or None for any, the condition bits it matches, (slot, value,
@@ -401,8 +401,8 @@ class Engine:
         """Apply all delayed updates (hazard-window mode only)."""
         pending = self._pending
         while pending:
-            key, state, r, g = pending.popleft()
-            self.context.write_back(key, state, r)
+            key, ctx, g = pending.popleft()
+            self.context.write_back(key, ctx)
             self.g[:] = g
 
     def process_packet(self, record: tuple[list[int], int]) -> tuple:
@@ -450,7 +450,7 @@ class Engine:
 
         def update(plan: tuple[Instruction, ...]) -> list[str]:
             """Lines that run one ALU tuple: every result lands in a
-            temporary before the new registers are assembled from them."""
+            temporary before the new context is assembled from them."""
             lines, regs, globs = [], list(flow_regs), {}
             for n, ins in enumerate(plan):
                 args = [selector(s) for s in ins.sel]
@@ -473,12 +473,11 @@ class Engine:
                         regs[index] = value
                     else:
                         globs[index] = value
+            lines.append(f"ctx = (nxt, {', '.join(regs)})")
             if hazard:
                 gn = (globs.get(k, f"g[{k:d}]") for k in range(len(self.g)))
-                lines.append(f"rn = [{', '.join(regs)}]")
                 lines.append(f"gn = [{', '.join(gn)}]")
             else:
-                lines.append(f"rn = [{', '.join(regs)}]" if regs != flow_regs else "rn = r")
                 lines.extend(f"g[{k:d}] = {v}" for k, v in globs.items())
             return lines
 
@@ -500,8 +499,8 @@ class Engine:
             # one update queued a packet: packet p applies packet p - hazard - 1's
             body += [
                 f"if len(pending) > {hazard:d}:",
-                "    ukey, ustate, ur, ug = pending.popleft()",
-                "    context.write_back(ukey, ustate, ur)",
+                "    ukey, uctx, ug = pending.popleft()",
+                "    context.write_back(ukey, uctx)",
                 "    g[:] = ug",
             ]
         lookup_key = key(self._lookup_key)
@@ -514,10 +513,7 @@ class Engine:
         body += [f"h{s:d} = h[{s:d}]" for s in sorted(slots)]
         body += [
             f"key = {lookup_key}",
-            "ctx = context.lookup_context(key)",
-            "state = ctx.state",
-            "r = ctx.r",
-            f"{', '.join(flow_regs)}, = r",
+            f"state, {', '.join(flow_regs)} = context.lookup_context(key)",
             f"bits = {bits or '0'}",
             "t = dispatch[state][bits]",
         ]
@@ -529,18 +525,18 @@ class Engine:
             body += ["    " + line for line in lines]
         if hazard:
             ukey = "key" if self._same_scope else update_key
-            body.append(f"pending.append(({ukey}, nxt, rn, gn))")
+            body.append(f"pending.append(({ukey}, ctx, gn))")
         elif self._same_scope:
-            # a hit is the stored context itself: update it where it is
+            # a hit leaves its key in the current generation: replace it there
             body += [
-                "if not ctx.stored:",
-                "    context.write_back(key, nxt, rn)",
+                "now = context._now",
+                "if key in now:",
+                "    now[key] = ctx",
                 "else:",
-                "    ctx.state = nxt",
-                "    ctx.r = rn",
+                "    context.write_back(key, ctx)",
             ]
         else:
-            body.append(f"context.write_back({update_key}, nxt, rn)")
+            body.append(f"context.write_back({update_key}, ctx)")
         body += [
             "counts[t] += 1",
             "return (pseq, ts, action, pre, post, row_idx, cond_text[bits])",

@@ -14,6 +14,12 @@ default context (state 0, all registers zero). Neither allocates: a miss
 returns a context built once, and an entry is only allocated when a
 non-default context is written back, so idle traffic costs no table space.
 
+A context is the tuple ``(state, r0, ..., r_{n-1})``: four flow registers,
+then one per ``flow_scratch`` alias. Stored, fallback and default contexts
+are such tuples. An update stores a new one; the engine's step puts a hit's
+straight into the current generation's dict. The cyclic GC untracks a
+tuple of ints once a collection has seen it, so it does not walk the store.
+
 Contexts age by generation, without a scan: one key -> context dict holds
 those written or hit in the current management period, another those of
 the previous period not hit since, and a hit moves a context from the
@@ -28,12 +34,11 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
 from operator import mod
 from typing import Optional, Sequence
 
-DEFAULT_STATE = 0
 NUM_FLOW_REGISTERS = 4
+Context = tuple[int, ...]  # (state, r0, ..., r_{n-1})
 
 
 def context_bytes(num_registers: int) -> int:
@@ -42,20 +47,9 @@ def context_bytes(num_registers: int) -> int:
     values its registers hold. By tracemalloc on CPython 3.11, with every
     context written in one period and hit in the next, so that both
     generations' dicts are sized for all of them, and the dicts just past
-    a growth step: 638 bytes with four full-width registers and 690 with
-    five, about 45 more per register."""
-    return 480 + 48 * num_registers
-
-
-@dataclass(slots=True)
-class FlowContext:
-    """State label plus the per-flow registers: the four flow registers,
-    then one per ``flow_scratch`` alias of the program."""
-
-    state: int = DEFAULT_STATE
-    r: list[int] = field(default_factory=lambda: [0] * NUM_FLOW_REGISTERS)
-    # False for a fallback or the default context, which are not stored
-    stored: bool = False
+    a growth step: 560 bytes with four full-width registers and 603 with
+    five, about 43 more per register."""
+    return 400 + 48 * num_registers
 
 
 class FlowContextTable:
@@ -93,15 +87,15 @@ class FlowContextTable:
         self._words = struct.Struct(f"<{subtables:d}Q").unpack
         self._moduli = (buckets,) * subtables
         # the two generations, the same two dicts for the table's life
-        self._now: dict[int, FlowContext] = {}
-        self._prev: dict[int, FlowContext] = {}
+        self._now: dict[int, Context] = {}
+        self._prev: dict[int, Context] = {}
         # subtable * buckets + bucket -> keys stored there, expired or not;
         # tuples, which the cyclic GC does not track
         self._members: dict[int, tuple[int, ...]] = {}
         # (value & mask, mask, priority, context), descending priority; the
-        # contexts a miss returns are built once and never stored
-        self._fallbacks: list[tuple[int, int, int, FlowContext]] = []
-        self._default = FlowContext(r=[0] * num_registers)
+        # contexts a miss returns are built once
+        self._fallbacks: list[tuple[int, int, int, Context]] = []
+        self._default: Context = (0,) * (1 + num_registers)
         self.epoch = 0  # the current period
         self._inserts = 0
         self.high_water = 0
@@ -126,11 +120,11 @@ class FlowContextTable:
         Priorities are unique and the rule count bounded; the program
         loader checks both.
         """
-        regs = list(registers) if registers is not None else []
+        regs = tuple(registers or ())
         if len(regs) > self.num_registers:
             raise ValueError(f"fallback allows {self.num_registers} register values")
-        regs += [0] * (self.num_registers - len(regs))
-        self._fallbacks.append((value & mask, mask, priority, FlowContext(state, regs)))
+        ctx = (state, *regs) + (0,) * (self.num_registers - len(regs))
+        self._fallbacks.append((value & mask, mask, priority, ctx))
         self._fallbacks.sort(key=lambda rule: rule[2], reverse=True)
 
     def advance(self, epoch: int) -> None:
@@ -146,17 +140,12 @@ class FlowContextTable:
                 self._now.clear()
             self.epoch = epoch
 
-    def lookup_context(self, key: int) -> FlowContext:
+    def lookup_context(self, key: int) -> Context:
         """Context for a flow key; never fails.
 
         An exact hit in the previous generation moves to the current one.
         A miss falls through to the highest-priority matching fallback and
-        finally to the default context; neither allocates. The returned
-        object is owned by the table on exact hits, which are the contexts
-        whose ``stored`` is True: a caller may update one in place, and
-        must publish any other change via write_back. A miss returns a
-        context shared by every miss it matches, which callers must not
-        modify.
+        finally to the default context; neither allocates.
         """
         ctx = self._now.get(key)
         if ctx is None:
@@ -169,24 +158,20 @@ class FlowContextTable:
             self._now[key] = ctx
         return ctx
 
-    def write_back(self, key: int, state: int, registers: Sequence[int]) -> bool:
-        """Store a context under a key.
+    def write_back(self, key: int, ctx: Context) -> bool:
+        """Store the context ``ctx`` under a key.
 
-        Live entries are updated in place, and move to the current
-        generation. A default-valued context (state 0, all registers zero)
-        is not allocated for an absent key, so flows that never leave the
-        default state occupy nothing. When all candidate buckets are full
-        the context is dropped and counted; processing continues.
+        A live entry is replaced, and moves to the current generation. A
+        default-valued context (state 0, all registers zero) is not
+        allocated for an absent key, so flows that never leave the default
+        state occupy nothing. When all candidate buckets are full the
+        context is dropped and counted; processing continues.
         """
         now, prev = self._now, self._prev
-        ctx = now.get(key) or prev.pop(key, None)  # a FlowContext is truthy
-        if ctx is not None:
+        if key in now or prev.pop(key, None):  # a context is never empty
             now[key] = ctx
-            ctx.state = state
-            if registers is not ctx.r:
-                ctx.r[:] = registers
             return True
-        if state == DEFAULT_STATE and not any(registers):
+        if not any(ctx):
             return True
         # a candidate bucket may still list the key itself, expired
         members = self._members
@@ -208,17 +193,16 @@ class FlowContextTable:
             self.table_full_drops += 1
             return False
         members[home] = home_keys + (key,)
-        now[key] = FlowContext(state, list(registers), True)
+        now[key] = ctx
         self._inserts += 1
         live = len(now) + len(prev)
         if live > self.high_water:
             self.high_water = live
         return True
 
-    def get(self, key: int) -> Optional[FlowContext]:
+    def get(self, key: int) -> Optional[Context]:
         """Exact-match peek at a live context; it does not move it."""
-        ctx = self._now.get(key)
-        return self._prev.get(key) if ctx is None else ctx
+        return self._now.get(key) or self._prev.get(key)  # a context is never empty
 
     @property
     def occupancy(self) -> int:

@@ -178,9 +178,8 @@ class ClassifierTree:
         )
 
 
-# the flow-context store keeps a key list for every bucket that has held
-# a flow
-MAX_CONTEXT_BUCKETS = 1 << 22
+# subtables * buckets * depth, each at most flow_context.context_bytes(n)
+MAX_CONTEXTS = 1 << 22
 # one blake2b digest of at most 64 bytes gives a new flow's candidate
 # bucket in every subtable, 8 bytes each; d-left balance barely improves
 # past a few choices
@@ -200,6 +199,9 @@ MAX_CONTEXT_FALLBACK = 64
 # conditions on a classifier-tree path: loading, expanding, comparing and
 # serializing a tree recurse per level, within Python's recursion limit
 MAX_TREE_DEPTH = 256
+# YAML collections nested in one another: libyaml's composer recurses per
+# level on the C stack, and 100,000 levels crash the interpreter
+MAX_YAML_NESTING = 2048
 
 
 @dataclass(frozen=True)
@@ -473,9 +475,27 @@ def _load_yaml(text: str) -> object:
         return yaml.load(text, Loader=_YAML_LOADER)
 
 
+def _check_nesting(text: str, source: str) -> None:
+    """Refuse a document nested over :data:`MAX_YAML_NESTING` levels deep
+    before it is composed. A level opens with one of ``[{-?:``, so a text
+    with fewer passes unread; otherwise the parser, which keeps its own
+    stack, reads events up to the first level too deep."""
+    depth = 0
+    if sum(map(text.count, "[{-?:")) > MAX_YAML_NESTING:
+        for event in yaml.parse(text, Loader=_YAML_LOADER):
+            depth += isinstance(event, yaml.CollectionStartEvent)
+            depth -= isinstance(event, yaml.CollectionEndEvent)
+            if depth > MAX_YAML_NESTING:
+                line = event.start_mark.line + 1
+                raise ProgramParseError(
+                    f"{source}:{line}: collections nested more than {MAX_YAML_NESTING} levels deep"
+                )
+
+
 def loads(text: str, source: str = "<string>") -> ProgramConfig:
     """Parse and validate a program document from a string."""
     try:
+        _check_nesting(text, source)
         doc = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise ProgramParseError(f"{source}: {exc}") from exc
@@ -797,11 +817,11 @@ def _build(doc: dict, source: str) -> ProgramConfig:
             problems.append(
                 f"table_sizes.{key}: {getattr(sizes, key)} exceeds the cap of {cap}"
             )
-    buckets = sizes.context_subtables * sizes.context_buckets
-    if buckets > MAX_CONTEXT_BUCKETS:
+    contexts = sizes.context_subtables * sizes.context_buckets * sizes.bucket_depth
+    if contexts > MAX_CONTEXTS:
         problems.append(
-            f"table_sizes: context_subtables * context_buckets = {buckets} "
-            f"exceeds the cap of {MAX_CONTEXT_BUCKETS} buckets"
+            f"table_sizes: context_subtables * context_buckets * bucket_depth = "
+            f"{contexts} exceeds the cap of {MAX_CONTEXTS} contexts"
         )
     total_rows = len(rows) + len(tree_rows)
     if total_rows > sizes.xfsm:

@@ -27,7 +27,6 @@ from flowfsm import programs
 from flowfsm.alu import NUM_HEADER_SLOTS, execute_tuple
 from flowfsm.conditions import NUM_CONDITIONS, evaluate
 from flowfsm.engine import ACTION_KINDS
-from flowfsm.flow_context import FlowContext
 from flowfsm.harness.traceio import TraceFormatError
 from flowfsm.programs import BindError, echo
 
@@ -214,7 +213,7 @@ class ReferenceStep:
             self.flush(seq)
 
         ctx = context.lookup_context(flow_key(config, config.lookup_scope, h))
-        state, r, g = ctx.state, list(ctx.r), engine.g
+        state, r, g = ctx[0], list(ctx[1:]), engine.g
         # scratch i is flow register 4+i, addressed as global scratch[i]
         g_view = list(g)
         for i, slot in enumerate(engine._scratch):
@@ -233,7 +232,7 @@ class ReferenceStep:
         if hazard:
             self.pending.append((seq + hazard + 1, update_key, next_state, r2, g2))
         else:
-            context.write_back(update_key, next_state, r2)
+            context.write_back(update_key, (next_state, *r2))
             g[:] = g2
         labels = self.labels
         self.counts[labels[state], row_idx] += 1
@@ -247,7 +246,7 @@ class ReferenceStep:
         pending = self.pending
         while pending and pending[0][0] <= upto_seq:
             _, key, state, r, g = pending.popleft()
-            self.engine.context.write_back(key, state, r)
+            self.engine.context.write_back(key, (state, *r))
             self.engine.g[:] = g
 
     def stats(self):
@@ -349,14 +348,14 @@ class RefContextModel:
 
 
 def stored_contexts(table):
-    """(key, context) for every context that any dict of ``table`` holds,
-    whatever the dicts are called: what the store keeps in memory."""
+    """(key, context) for every context that any dict of ``table`` but its
+    bucket lists holds, whatever the dicts are called: what the store keeps
+    in memory."""
     return [
         (key, ctx)
         for value in vars(table).values()
-        if isinstance(value, dict)
+        if isinstance(value, dict) and value is not table._members
         for key, ctx in value.items()
-        if isinstance(ctx, FlowContext)
     ]
 
 

@@ -103,7 +103,7 @@ def test_c3_classifier_equivalence():
         src = row["ip_src"]
         if verdict[3] == "MEASURE" and verdict[4] != "MEASURE":
             ctx = engine.context.get(flow_key(config, config.lookup_scope, h))
-            decided[src] = verdict[4], verdict[5], tuple(ctx.r[:4])
+            decided[src] = verdict[4], verdict[5], ctx[1:5]
         elif src not in decided:
             sizes.setdefault(src, []).append(row["pkt_len"])
     assert decided.keys() == sizes.keys()
@@ -251,7 +251,7 @@ def test_c5_context_fallback_oracle_equivalence(data):
     for value, mask, priority, state in rules:
         table.add_fallback(value, mask, priority, state)
     key = data.draw(word) << shift
-    assert (table.lookup_context(key).state or None) == scan_lookup(rules, key)
+    assert (table.lookup_context(key)[0] or None) == scan_lookup(rules, key)
 
 
 def flipped(rng, key, mask, inside):
@@ -299,12 +299,12 @@ def test_c6_flow_context_model_equivalence():
         key = rng.choice(keys)
         if op < 0.45:
             ctx = table.lookup_context(key)
-            assert (ctx.state, tuple(ctx.r)) == ref.lookup(key)
+            assert (ctx[0], ctx[1:]) == ref.lookup(key)
         elif op < 0.9:
             state = rng.randrange(0, 3)
             regs = [rng.randrange(0, 4) for _ in range(4)]
             listed, was_stored = member_keys(table), key in ref.entries
-            assert table.write_back(key, state, regs) == ref.write_back(key, state, regs)
+            assert table.write_back(key, (state, *regs)) == ref.write_back(key, state, regs)
             inserted = not was_stored and key in ref.entries
             reclaims += listed + inserted - member_keys(table)
         else:
@@ -320,7 +320,7 @@ def test_c6_flow_context_model_equivalence():
         # bucket the model placed it in
         stored = stored_contexts(table)
         assert len(stored) == table.occupancy
-        assert {k: (c.state, tuple(c.r)) for k, c in stored} == {
+        assert {k: (c[0], c[1:]) for k, c in stored} == {
             k: (e[0], tuple(e[1])) for k, e in ref.entries.items()
         }
         for k, (*_, (sub, bucket)) in ref.entries.items():

@@ -28,8 +28,8 @@ def test_validate_accepts_bundled_programs(name, capsys):
         ("long_flow", "partitionable: yes"),
         ("mac_learning", "partitionable: no"),
         # the default geometry, at flow_context.context_bytes a context
-        ("token_bucket", "context store: up to 4096 contexts (4 x 1024 x 1), <= 2.8 MB"),
-        ("c45_classifier", "context store: up to 4096 contexts (4 x 1024 x 1), <= 2.9 MB"),
+        ("token_bucket", "context store: up to 4096 contexts (4 x 1024 x 1), <= 2.4 MB"),
+        ("c45_classifier", "context store: up to 4096 contexts (4 x 1024 x 1), <= 2.6 MB"),
     ],
 )
 def test_validate_reports_the_program_shape(name, line, capsys):
@@ -349,3 +349,25 @@ def test_validate_refuses_a_classifier_tree_1200_levels_deep(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{program}: classifier_tree.tree: a path holds more than 256 conditions" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("style", ["flow", "block"])
+def test_validate_refuses_yaml_nested_100000_levels_deep(style, tmp_path):
+    """libyaml's composer recurses per level on the C stack: such a file
+    used to kill the interpreter with SIGSEGV, in flow style (a classifier
+    tree chain) and in block style (nested sequences). It runs in a
+    subprocess, so that a crash fails this test only."""
+    program = tmp_path / "deep.yaml"
+    if style == "flow":
+        text = deep_tree_program(100_000)
+        line = text.count("\n", 0, text.index("  tree: ")) + 1
+    else:
+        text, line = "name: deep\nfields:\n" + "- " * 100_000 + "1\n", 3
+    program.write_text(text)
+    argv = [sys.executable, "-m", "flowfsm.harness.cli", "validate", "--program", str(program)]
+    env = {**os.environ, "PYTHONPATH": str(Path(programs.__file__).parents[1])}
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == cli.EXIT_PARSE, done.stderr
+    assert done.stderr == (
+        f"parse error: {program}:{line}: collections nested more than 2048 levels deep\n"
+    )

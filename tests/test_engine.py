@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import random
 
@@ -131,6 +132,16 @@ def test_a_classifier_replay_stores_only_live_contexts():
     assert len(stored_contexts(engine.context)) == stats.occupancy
 
 
+def test_the_cyclic_gc_does_not_track_stored_contexts():
+    """A stored context is a tuple of ints, which a collection untracks:
+    after one, a full store adds nothing to what the GC walks."""
+    engine, bind = bundled_engine("c45_classifier")
+    run_rows(engine, bind, gen.classifier_grid({"repeats": 12}, random.Random(1)))
+    gc.collect()
+    stored = stored_contexts(engine.context)
+    assert stored and not any(gc.is_tracked(ctx) for _, ctx in stored)
+
+
 @pytest.mark.parametrize("name", ["mac_learning", "c45_classifier"])
 def test_verdicts_do_not_depend_on_the_period_phase(name, tmp_path):
     """A trace shifted by whole management periods gives the same verdicts
@@ -245,7 +256,7 @@ def test_hazard_window_delays_update_visibility(window):
 
     def recorded(key):
         ctx = lookup(key)
-        seen.append(ctx.r[0])
+        seen.append(ctx[1])
         return ctx
 
     engine.context.lookup_context = recorded
@@ -260,7 +271,7 @@ def test_hazard_window_delays_update_visibility(window):
     assert seen == expected
     # run_trace applies the updates still in flight when the trace ends
     flow = flow_key(config, config.lookup_scope, [1, 2, 0, 0, 0, 0, 0, 0])
-    assert engine.context.get(flow).r[0] == expected[-1] + 1
+    assert engine.context.get(flow)[1] == expected[-1] + 1
 
 
 @pytest.mark.parametrize("name", ["long_flow", "mac_learning"])

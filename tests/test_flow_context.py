@@ -21,37 +21,37 @@ def small_table(**kw):
 def test_default_context_synthesized_on_miss():
     table = small_table()
     ctx = table.lookup_context(12345)
-    assert (ctx.state, ctx.r) == (0, [0, 0, 0, 0])
+    assert ctx == (0, 0, 0, 0, 0)
     assert table.occupancy == 0  # lookups never allocate
 
 
 def test_write_back_roundtrip():
     table = small_table()
-    table.write_back(7, 2, [7, 0, 0, 0])
+    table.write_back(7, (2, 7, 0, 0, 0))
     ctx = table.lookup_context(7)
-    assert (ctx.state, ctx.r) == (2, [7, 0, 0, 0])
+    assert ctx == (2, 7, 0, 0, 0)
 
 
 def test_default_write_back_elided():
     table = small_table()
-    table.write_back(9, 0, [0, 0, 0, 0])
+    table.write_back(9, (0, 0, 0, 0, 0))
     assert table.occupancy == 0
 
 
 def test_non_default_write_back_allocates():
     table = small_table()
-    table.write_back(9, 1, [0, 0, 0, 0])
+    table.write_back(9, (1, 0, 0, 0, 0))
     assert table.occupancy == 1
-    table.write_back(10, 0, [0, 0, 1, 0])  # non-zero register also allocates
+    table.write_back(10, (0, 0, 0, 1, 0))  # non-zero register also allocates
     assert table.occupancy == 2
 
 
 def test_existing_entry_updated_in_place_even_to_default():
     table = small_table()
-    table.write_back(9, 1, [5, 0, 0, 0])
-    table.write_back(9, 0, [0, 0, 0, 0])
+    table.write_back(9, (1, 5, 0, 0, 0))
+    table.write_back(9, (0, 0, 0, 0, 0))
     assert table.occupancy == 1
-    assert table.lookup_context(9).state == 0
+    assert table.lookup_context(9)[0] == 0
 
 
 def test_fallback_entry_state_with_zeroed_registers():
@@ -59,23 +59,23 @@ def test_fallback_entry_state_with_zeroed_registers():
     # wildcard on the low 8 bits of the key
     table.add_fallback(0x06 << 120, 0xFF << 120, 1, state=5)
     ctx = table.lookup_context((0x06 << 120) | 0x1234)
-    assert (ctx.state, ctx.r) == (5, [0, 0, 0, 0])
+    assert ctx == (5, 0, 0, 0, 0)
     assert table.occupancy == 0
     # non-matching keys still get the default
-    assert table.lookup_context(0x07 << 120).state == 0
+    assert table.lookup_context(0x07 << 120)[0] == 0
 
 
 def test_fallback_initial_registers():
     table = small_table()
     table.add_fallback(0, 0, 1, state=3, registers=[9, 8, 7, 6])
-    assert table.lookup_context(42).r == [9, 8, 7, 6]
+    assert table.lookup_context(42)[1:] == (9, 8, 7, 6)
 
 
 def test_exact_match_shadows_fallback():
     table = small_table()
     table.add_fallback(0, 0, 1, state=3)
-    table.write_back(42, 1, [1, 0, 0, 0])
-    assert table.lookup_context(42).state == 1
+    table.write_back(42, (1, 1, 0, 0, 0))
+    assert table.lookup_context(42)[0] == 1
 
 
 def test_table_full_on_adversarial_keys():
@@ -91,15 +91,15 @@ def test_table_full_on_adversarial_keys():
     else:
         raise AssertionError("no 5-way collision found in search budget")
     for key in colliders[:4]:
-        assert table.write_back(key, 1, [0, 0, 0, 0])
-    assert not table.write_back(colliders[4], 1, [0, 0, 0, 0])
+        assert table.write_back(key, (1, 0, 0, 0, 0))
+    assert not table.write_back(colliders[4], (1, 0, 0, 0, 0))
     assert table.table_full_drops == 1
     # the store keeps serving the already-present keys
-    assert table.lookup_context(colliders[0]).state == 1
+    assert table.lookup_context(colliders[0])[0] == 1
     # after two idle periods the four colliders have expired, and the
     # fifth key's insert reclaims their buckets
     table.advance(2)
-    assert table.write_back(colliders[4], 1, [0, 0, 0, 0])
+    assert table.write_back(colliders[4], (1, 0, 0, 0, 0))
     assert (table.occupancy, table.evictions, table.table_full_drops) == (1, 4, 1)
     assert [k for k, _ in stored_contexts(table)] == [colliders[4]]
 
@@ -107,7 +107,7 @@ def test_table_full_on_adversarial_keys():
 def test_bookkeeping_bounded_by_capacity_over_many_keys():
     for table in (small_table(), small_table(bucket_depth=3)):
         for key in range(20_000):
-            table.write_back(key, 1, [0, 0, 0, 0])
+            table.write_back(key, (1, 0, 0, 0, 0))
             if key % 500 == 499:
                 table.advance(table.epoch + 2)
         sizes = {
@@ -168,14 +168,14 @@ def test_reinserted_expired_key_leaves_no_phantom_load():
         for p in pos
         if p not in (k, b) and pos[p] == pos[k]
     )
-    table.write_back(blocker, 1, [0, 0, 0, 0])
-    table.write_back(key, 1, [0, 0, 0, 0])
+    table.write_back(blocker, (1, 0, 0, 0, 0))
+    table.write_back(key, (1, 0, 0, 0, 0))
     table.advance(2)  # both expire
     # the first-subtable bucket now holds only an expired key: key goes there
-    assert table.write_back(key, 1, [0, 0, 0, 0])
+    assert table.write_back(key, (1, 0, 0, 0, 0))
     assert [k for keys in table._members.values() for k in keys].count(key) == 1
     # the second-subtable bucket is free again
-    assert table.write_back(probe, 1, [0, 0, 0, 0])
+    assert table.write_back(probe, (1, 0, 0, 0, 0))
     assert (table.occupancy, table.table_full_drops) == (2, 0)
 
 
@@ -192,7 +192,7 @@ def test_insert_reclaims_every_expired_key_of_its_candidate_buckets(seed):
             table.lookup_context(key)
         else:
             inserting = table.get(key) is None
-            table.write_back(key, 1, [rng.randrange(4), 0, 0, 0])
+            table.write_back(key, (1, rng.randrange(4), 0, 0, 0))
             if inserting:
                 for sub, bucket in enumerate(table._positions(key)):
                     for k in table._members.get(sub * table.buckets + bucket, ()):
@@ -215,7 +215,7 @@ def test_stored_context_memory_is_bounded():
     validate`` prints. With every context written in one period and hit
     in the next, the emptied previous generation and the full current
     one are both allocated, and the bound still holds."""
-    assert (context_bytes(4), context_bytes(5)) == (672, 720)
+    assert (context_bytes(4), context_bytes(5)) == (592, 640)
     for registers, hit_next_period in product((4, 5), (False, True)):
         table = FlowContextTable(
             subtables=4, buckets=1 << 14, bucket_depth=4, seed=1, num_registers=registers
@@ -225,7 +225,7 @@ def test_stored_context_memory_is_bounded():
             before = tracemalloc.get_traced_memory()[0]
             for i in range(20_000):
                 values = [2**31 + 7 * i + j for j in range(registers)]
-                table.write_back(flow_key(0x0A000000 + i, 0xC0A80001), 1, values)
+                table.write_back(flow_key(0x0A000000 + i, 0xC0A80001), (1, *values))
             if hit_next_period:
                 table.advance(1)
                 for i in range(20_000):
@@ -240,8 +240,8 @@ def test_stored_context_memory_is_bounded():
 
 def test_housekeep_touched_entry_stays():
     table = small_table()
-    table.write_back(1, 1, [0, 0, 0, 0])
-    table.write_back(2, 1, [0, 0, 0, 0])
+    table.write_back(1, (1, 0, 0, 0, 0))
+    table.write_back(2, (1, 0, 0, 0, 0))
     table.advance(1)
     assert table.get(1) is not None  # a peek does not keep a context alive
     table.lookup_context(2)  # a hit in the next period does
@@ -252,21 +252,21 @@ def test_housekeep_touched_entry_stays():
 
 def test_housekeep_idle_entry_evicted_on_second_scan():
     table = small_table()
-    table.write_back(1, 1, [0, 0, 0, 0])
+    table.write_back(1, (1, 0, 0, 0, 0))
     table.advance(1)
     assert (table.occupancy, table.evictions) == (1, 0)
     table.advance(2)
     assert (table.occupancy, table.evictions) == (0, 1)
     assert table.get(1) is None
-    assert table.lookup_context(1).state == 0
+    assert table.lookup_context(1)[0] == 0
     # a default write-back to the expired key allocates nothing
-    assert table.write_back(1, 0, [0, 0, 0, 0])
+    assert table.write_back(1, (0, 0, 0, 0, 0))
     assert (table.occupancy, table.high_water) == (0, 1)
 
 
 def test_periodic_sender_never_evicted():
     table = small_table()
-    table.write_back(1, 1, [0, 0, 0, 0])
+    table.write_back(1, (1, 0, 0, 0, 0))
     for epoch in range(1, 11):
         table.lookup_context(1)
         table.advance(epoch)
@@ -276,7 +276,7 @@ def test_periodic_sender_never_evicted():
 def test_occupancy_never_exceeds_capacity():
     table = FlowContextTable(subtables=2, buckets=2, bucket_depth=2, seed=0)
     for key in range(100):
-        table.write_back(key, 1, [0, 0, 0, 0])
+        table.write_back(key, (1, 0, 0, 0, 0))
     assert table.occupancy <= table.capacity == 8
     assert table.high_water <= table.capacity
 
@@ -298,7 +298,7 @@ def test_fallback_lookup_matches_reference_property(data):
         ref.add_fallback(value, mask, priority, state, regs=regs)
     key = data.draw(word) << shift
     ctx = table.lookup_context(key)
-    assert (ctx.state, tuple(ctx.r)) == ref.lookup(key)
+    assert (ctx[0], ctx[1:]) == ref.lookup(key)
 
 
 def test_seeds_are_reproducible():

@@ -168,11 +168,11 @@ def test_fallback_key_follows_the_lookup_scope_layout():
 
     monitor, seen = config.states["MONITOR"], config.states["SEEN"]
     hit = state_of(0x01020304, 0x06)
-    assert (hit.state, hit.r) == (monitor, [1, 2, 3, 4, 0])
-    assert state_of(0x01020304, 0x16).state == monitor  # only the low nibble
-    assert state_of(0x01020304, 0x07).state == 0
-    assert state_of(0x0A000001, 0x07).state == seen
-    assert state_of(0x0B000001, 0x11).state == 0
+    assert hit == (monitor, 1, 2, 3, 4, 0)
+    assert state_of(0x01020304, 0x16)[0] == monitor  # only the low nibble
+    assert state_of(0x01020304, 0x07)[0] == 0
+    assert state_of(0x0A000001, 0x07)[0] == seen
+    assert state_of(0x0B000001, 0x11)[0] == 0
 
 
 def test_fallback_on_the_second_scope_field_steers_packets():
@@ -332,12 +332,12 @@ BROKEN = [
     # the fallback capacity
     (L, ("table_sizes",), {"context_fallback": 0}, "table_sizes.context_fallback"),
     (S, ("table_sizes",), {"context_fallback": 1}, "context_fallback"),
-    # the flow-context geometry cap: 2^22 buckets over all subtables
+    # the flow-context geometry cap: 2^22 contexts over all subtables
     (
         L,
         ("table_sizes",),
         {"context_subtables": 4, "context_buckets": 1 << 21},
-        "table_sizes: context_subtables * context_buckets = 8388608 exceeds",
+        "table_sizes: context_subtables * context_buckets * bucket_depth = 8388608 exceeds",
     ),
     # the subtable cap: one 64-byte digest gives the buckets of 8 subtables
     (
@@ -370,6 +370,14 @@ BROKEN = [
         "table_sizes.context_fallback: 65 exceeds the cap of 64",
     ),
     (L, ("states",), STATES_OVER_CAP, "states: 65 states exceed the cap of 64"),
+    # one context over the geometry cap
+    (
+        L,
+        ("table_sizes",),
+        {"context_subtables": 1, "context_buckets": (1 << 22) + 1},
+        "table_sizes: context_subtables * context_buckets * bucket_depth = 4194305 "
+        "exceeds the cap of 4194304 contexts",
+    ),
 ]
 
 
@@ -534,3 +542,17 @@ def test_a_classifier_tree_480_levels_deep_is_a_located_error():
     assert err.value.problems == [
         "deep.yaml: classifier_tree.tree: a path holds more than 256 conditions"
     ]
+
+
+def test_yaml_nesting_past_the_cap_is_refused_before_composing():
+    """A tree chain of n conditions nests n + 3 collections: the document,
+    classifier_tree, the chain and the last leaf. At the cap the tree
+    depth check refuses it; one level more is a parse error on its line."""
+    at_cap = programs.MAX_YAML_NESTING - 3
+    with pytest.raises(ProgramValidationError):
+        programs.loads(deep_tree_program(at_cap), "deep.yaml")
+    text = deep_tree_program(at_cap + 1)
+    line = text.count("\n", 0, text.index("  tree: ")) + 1
+    with pytest.raises(ProgramParseError) as err:
+        programs.loads(text, "deep.yaml")
+    assert str(err.value) == f"deep.yaml:{line}: collections nested more than 2048 levels deep"

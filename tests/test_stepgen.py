@@ -154,7 +154,7 @@ def observed(engine, counts=None):
     """What a packet may change: the stored contexts, the globals, the ALU
     counters and the transition counts, the engine's own unless ``counts``
     are given."""
-    contexts = {k: (c.state, list(c.r)) for k, c in stored_contexts(engine.context)}
+    contexts = dict(stored_contexts(engine.context))
     return (
         contexts,
         list(engine.g),
@@ -196,7 +196,7 @@ def test_generated_step_equals_the_interpreter(name, hw16_div, hazard):
             regs = [word(rng) for _ in range(nregs)]
             key = flow_key(config, config.lookup_scope, h)
             for e in (engine, reference):
-                e.context.write_back(key, state, regs)
+                e.context.write_back(key, (state, *regs))
         if rng.random() < 0.2:
             g = [word(rng) for _ in range(4)]
             for e in (engine, reference):
@@ -232,7 +232,7 @@ def test_guarded_alu_lines_equal_the_interpreter_at_the_edges(hw16_div, hazard):
         h = [flow, b, c, 0, 0, 0, 0, 0]
         key = flow_key(config, config.lookup_scope, h)
         for e in (engine, reference):
-            e.context.write_back(key, config.states[state], regs)
+            e.context.write_back(key, (config.states[state], *regs))
             e.g[:] = [flow, 1, 2, 3]
         verdict = engine.process_packet((list(h), flow))
         assert verdict == interpreted.process_packet((list(h), flow))

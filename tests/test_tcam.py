@@ -29,7 +29,7 @@ def table_of(fallbacks):
 
 def fallback_state(table, key):
     """State a miss on ``key`` yields, or None for the default context."""
-    return table.lookup_context(key).state or None
+    return table.lookup_context(key)[0] or None
 
 
 def load_long_flow(fallbacks, **sizes):
