@@ -6,10 +6,11 @@ Verbs:
     gen-trace           write a synthetic trace
     calibrate-portscan  table the decayed SYN counter for given rates
 
-Exit codes: 0 success, 3 parse failure (program or trace syntax, bytes
-that are not UTF-8), 4 validation failure (program semantics, missing
-columns, bad time order, an option out of range), 5 I/O failure. Any
-other exception is a defect and propagates with its traceback.
+Exit codes: 0 success, 3 parse failure (program or trace syntax, YAML
+outside the subset docs/SCHEMA.md accepts, bytes that are not UTF-8),
+4 validation failure (program semantics, missing columns, bad time
+order, an option out of range), 5 I/O failure. Any other exception is a
+defect and propagates with its traceback.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 A program is a YAML document that declares header-field bindings, flow-key
 scopes, state labels, initial global registers, the comparator set, and
 the transition rows with their actions and register-update tuples. The
-loader validates everything it can up front and reports every violation
-with its location, so a broken config fails in one round trip.
+loader reads the YAML subset docs/SCHEMA.md gives in one pass, then
+validates everything it can and reports each violation with its location.
 
 See docs/SCHEMA.md for the field-by-field reference and a worked listing.
 """
@@ -15,7 +15,7 @@ import dataclasses
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, NoReturn, Optional, Sequence, Union
 
 import yaml
 
@@ -199,9 +199,12 @@ MAX_CONTEXT_FALLBACK = 64
 # conditions on a classifier-tree path: loading, expanding, comparing and
 # serializing a tree recurse per level, within Python's recursion limit
 MAX_TREE_DEPTH = 256
-# YAML collections nested in one another: libyaml's composer recurses per
-# level on the C stack, and 100,000 levels crash the interpreter
+# YAML collections nested in one another: the loader keeps its own stack,
+# and this bounds the depth it hands to code that recurses per level
 MAX_YAML_NESTING = 2048
+# YAML nodes, an alias counting the nodes it stands for: ten times the
+# 25,206 of the largest program the other caps accept (512 full rows)
+MAX_YAML_NODES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -433,70 +436,90 @@ def _match(
 # loading
 
 
-class _NotPlain(Exception):
-    """A YAML node that only PyYAML's own constructor handles."""
+def _read_yaml(text: str, source: str) -> object:
+    """The document ``yaml.safe_load(text)`` builds, None for an empty
+    stream, read in one pass over the parser's events on an explicit
+    stack. docs/SCHEMA.md lists what it refuses, and why."""
 
+    def refuse(event: yaml.Event, problem: str) -> NoReturn:
+        line = event.start_mark.line + 1
+        raise ProgramParseError(f"{source}:{line}: {problem.replace(_YAML_TAG, '!!')}")
 
-def _plain(node: yaml.Node, seen: set[int]) -> object:
-    """The value ``SafeLoader`` constructs for a composed node, built
-    without its constructor's per-node bookkeeping: mappings, sequences
-    and core-schema scalars. An alias, another tag (a merge or ``=`` key
-    among them) or a node of the wrong kind for its tag raises
-    :class:`_NotPlain`."""
-    if id(node) in seen:  # an alias: the constructor shares the object
-        raise _NotPlain
-    seen.add(id(node))
-    tag = node.tag
-    if isinstance(node, yaml.ScalarNode):
-        if tag == _YAML_TAG + "str":
-            return node.value
-        if tag in _YAML_CORE_SCALARS:
-            return _YAML_SCALARS.yaml_constructors[tag](_YAML_SCALARS, node)
-    elif isinstance(node, yaml.SequenceNode):
-        if tag == _YAML_TAG + "seq":
-            return [_plain(item, seen) for item in node.value]
-    elif tag == _YAML_TAG + "map":
-        return {_plain(key, seen): _plain(value, seen) for key, value in node.value}
-    raise _NotPlain
-
-
-def _load_yaml(text: str) -> object:
-    """``yaml.load(text, Loader=_YAML_LOADER)``. A program document is
-    plain mappings, lists and scalars, which :func:`_plain` builds for
-    under a third of the constructor's cost; any other document, and any
-    error past parsing, goes through the constructor, so values and
-    errors are the constructor's."""
-    node = yaml.compose(text, Loader=_YAML_LOADER)
-    if node is None:
-        return None
+    loader = _YAML_LOADER(text)
+    get_event, resolve = loader.get_event, loader.resolve
+    construct, str_tag = _YAML_SCALARS.yaml_constructors, _YAML_TAG + "str"
     try:
-        return _plain(node, set())
-    except Exception:
-        return yaml.load(text, Loader=_YAML_LOADER)
-
-
-def _check_nesting(text: str, source: str) -> None:
-    """Refuse a document nested over :data:`MAX_YAML_NESTING` levels deep
-    before it is composed. A level opens with one of ``[{-?:``, so a text
-    with fewer passes unread; otherwise the parser, which keeps its own
-    stack, reads events up to the first level too deep."""
-    depth = 0
-    if sum(map(text.count, "[{-?:")) > MAX_YAML_NESTING:
-        for event in yaml.parse(text, Loader=_YAML_LOADER):
-            depth += isinstance(event, yaml.CollectionStartEvent)
-            depth -= isinstance(event, yaml.CollectionEndEvent)
-            if depth > MAX_YAML_NESTING:
-                line = event.start_mark.line + 1
-                raise ProgramParseError(
-                    f"{source}:{line}: collections nested more than {MAX_YAML_NESTING} levels deep"
-                )
+        get_event()  # the stream's start
+        if loader.check_event(yaml.StreamEndEvent):
+            return None
+        get_event()  # the document's start
+        anchors: dict = {}  # anchor: (value, the nodes it stands for), None while open
+        stack: list = []  # [collection, start event, nodes before, a mapping's key]
+        nodes = 0
+        while True:
+            event = get_event()
+            kind = type(event)
+            if kind is yaml.ScalarEvent:
+                tag, value = event.tag, event.value
+                if tag is None or tag == "!":
+                    tag = resolve(yaml.ScalarNode, value, event.implicit)
+                if tag in _YAML_CORE_SCALARS:
+                    try:
+                        value = construct[tag](_YAML_SCALARS, yaml.ScalarNode(tag, value))
+                    except (ValueError, LookupError):
+                        refuse(event, f"the scalar is not a valid {tag}")
+                elif tag != str_tag:
+                    refuse(event, f"a scalar tagged {tag} is not accepted")
+                start, nodes = event, nodes + 1
+                if event.anchor is not None:
+                    anchors[event.anchor] = (value, 1)
+            elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
+                mapping = kind is yaml.MappingStartEvent
+                if event.tag not in (None, "!", _YAML_TAG + ("map" if mapping else "seq")):
+                    refuse(event, f"a collection tagged {event.tag} is not accepted")
+                if len(stack) == MAX_YAML_NESTING:
+                    refuse(event, f"collections nested more than {MAX_YAML_NESTING} levels deep")
+                if event.anchor is not None:
+                    anchors[event.anchor] = None
+                stack.append([{} if mapping else [], event, nodes])
+                continue
+            elif kind is yaml.AliasEvent:
+                if anchors.get(event.anchor) is None:  # undefined, or recursive
+                    refuse(event, f"alias *{event.anchor} names no finished node")
+                value, count = anchors[event.anchor]
+                start, nodes = event, nodes + count
+            else:  # a collection's end
+                value, start, before = stack.pop()
+                nodes += 1
+                if start.anchor is not None:
+                    anchors[start.anchor] = (value, nodes - before)
+            if nodes > MAX_YAML_NODES:
+                refuse(event, f"more than {MAX_YAML_NODES} nodes, aliases expanded")
+            if not stack:
+                break
+            frame = stack[-1]
+            if type(frame[0]) is list:
+                frame[0].append(value)
+            elif len(frame) == 4:  # the value of the mapping's key
+                frame[0][frame.pop()] = value
+            elif isinstance(value, (dict, list)):
+                refuse(start, "a mapping key must be a scalar")
+            elif value in frame[0]:
+                refuse(start, f"mapping key {value!r} is given twice")
+            else:
+                frame.append(value)
+        get_event()  # the document's end
+        if not loader.check_event(yaml.StreamEndEvent):
+            refuse(get_event(), "a second document is not accepted")
+        return value
+    finally:
+        loader.dispose()
 
 
 def loads(text: str, source: str = "<string>") -> ProgramConfig:
     """Parse and validate a program document from a string."""
     try:
-        _check_nesting(text, source)
-        doc = _load_yaml(text)
+        doc = _read_yaml(text, source)
     except yaml.YAMLError as exc:
         raise ProgramParseError(f"{source}: {exc}") from exc
     if not isinstance(doc, dict):

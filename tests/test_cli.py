@@ -2,6 +2,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -370,4 +371,61 @@ def test_validate_refuses_yaml_nested_100000_levels_deep(style, tmp_path):
     assert done.returncode == cli.EXIT_PARSE, done.stderr
     assert done.stderr == (
         f"parse error: {program}:{line}: collections nested more than 2048 levels deep\n"
+    )
+
+
+LONG_FLOW = programs.bundled_path("long_flow").read_text()
+# long_flow with one edit (old text, new text), and the text that starts
+# the line the parse error names
+YAML_DEFECTS = {
+    "int_tag": ("ports: 4", "ports: !!int abc", "ports:"),
+    "bool_tag": ("ports: 4", "ports: !!bool maybe", "ports:"),
+    "float_tag": ("ports: 4", "ports: !!float x", "ports:"),
+    "5000_digits": ("ports: 4", "ports: 1" + "0" * 4999, "ports:"),
+    "duplicated_key": (
+        "management_period:",
+        "rows: [{id: dropped, priority: 9, action: drop}]\nmanagement_period:",
+        "rows:\n  - id: count",
+    ),
+    "second_document": ('action: "none"', 'action: "none"\n---\nname: other', "---"),
+    "undefined_alias": ("ports: 4", "ports: *nowhere", "ports:"),
+    "recursive_alias": ("ports: 4", "ports: &p [1, *p]", "ports:"),
+    "collection_key": ("ports: 4", "ports: 4\n? [a, b]\n: 1", "? [a, b]"),
+    "set_value": ("ports: 4", "ports: !!set {1, 2}", "ports:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(YAML_DEFECTS))
+def test_validate_refuses_yaml_outside_the_program_subset(case, tmp_path, capsys):
+    """Each used to exit 0 or 4 with a wrong program, or 1 with a traceback."""
+    old, new, at = YAML_DEFECTS[case]
+    text = LONG_FLOW.replace(old, new, 1)
+    line = text.count("\n", 0, text.index(at)) + 1
+    program = tmp_path / f"{case}.yaml"
+    program.write_text(text)
+    assert cli.main(["validate", "--program", str(program)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {program}:{line}: ")
+    assert "Traceback" not in err
+
+
+def test_validate_refuses_an_alias_bomb_within_a_second(tmp_path):
+    """A list doubled 40 times by aliases, in 2 KB, stands for 2^40 nodes.
+    Doubled 20 times it used to take 1.3 s and a 15 MB error message, and
+    each level doubled both; it runs in a subprocess with a timeout."""
+    levels = "".join(f", &b{i} [*b{i - 1}, *b{i - 1}]" for i in range(1, 41))
+    text = LONG_FLOW.replace("ports: 4", "ports: *b40").replace(
+        "description: ", f"description: [&b0 [x, x]{levels}] # ", 1
+    )
+    line = text.count("\n", 0, text.index("description:")) + 1
+    program = tmp_path / "bomb.yaml"
+    program.write_text(text)
+    argv = [sys.executable, "-m", "flowfsm.harness.cli", "validate", "--program", str(program)]
+    env = {**os.environ, "PYTHONPATH": str(Path(programs.__file__).parents[1])}
+    started = time.monotonic()
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=10)
+    assert time.monotonic() - started < 1
+    assert done.returncode == cli.EXIT_PARSE, done.stderr
+    assert done.stderr == (
+        f"parse error: {program}:{line}: more than 262144 nodes, aliases expanded\n"
     )

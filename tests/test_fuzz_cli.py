@@ -10,7 +10,8 @@ time-order errors. It must fail exactly when the reference pipeline
 refuses the input: ``reference_read_trace``, then ``reference_bind``,
 then a check that no timestamp runs backwards. Otherwise it exits 0 and
 writes the verdict bytes of ``ReferenceStep`` on those records, as
-``csv.writer`` writes them, and the stats ``ReferenceStep`` counts.
+``csv.writer`` writes them, and the stats ``ReferenceStep`` counts. A
+second test runs the same checks on programs mutated with YAML tokens.
 """
 
 import contextlib
@@ -160,3 +161,33 @@ def test_a_mutated_run_fails_located_or_equals_the_reference(name, program_ops, 
             assert code == cli.EXIT_OK, err
             assert out.read_bytes() == expected[0]
             assert json.loads(stats.read_text()) == expected[1]
+
+
+# YAML indicators, and tokens that tag, anchor, alias, merge or start a
+# document, for mutating the program alone
+YAML_TOKENS = [bytes([b]) for b in b"&*!|>%@?<"] + [b"!!int ", b"&a ", b"*a", b"<<: ", b"--- "]
+yaml_tokens = st.lists(st.sampled_from(YAML_TOKENS), min_size=1, max_size=3)
+yaml_mutation = st.one_of(
+    st.tuples(st.just("insert"), position, yaml_tokens),
+    st.tuples(st.just("replace"), position, st.sampled_from(YAML_TOKENS)),
+    st.tuples(st.just("value"), position, yaml_tokens),  # before the n-th ": "'s value
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(programs.BUNDLED),
+    program_ops=st.lists(yaml_mutation, min_size=1, max_size=3),
+)
+def test_a_program_mutated_with_yaml_tokens_fails_located_or_equals_the_reference(
+    name, program_ops
+):
+    """The run above, with the program mutated by YAML tokens and the
+    trace left whole."""
+    values = [m.end() for m in re.finditer(rb": ", programs.bundled_path(name).read_bytes())]
+    program_ops = [
+        ("insert", values[op[1] % len(values)], op[2]) if op[0] == "value" else op
+        for op in program_ops
+    ]
+    run = test_a_mutated_run_fails_located_or_equals_the_reference.hypothesis.inner_test
+    run(name, program_ops, [])

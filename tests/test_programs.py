@@ -46,48 +46,119 @@ def test_serialize_round_trip(name):
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 
+# the loader's contract: a document loads as yaml.safe_load loads it
+# (SAFE_LOAD), or is a ProgramParseError on the line given here; the last
+# entry, which PyYAML refuses, gives its value
+SAFE_LOAD = "loads as safe_load"
 YAML_EDGE_DOCS = [
-    "",
-    "a: 1\nb: [1, 2.5, true, null, ~, 0x1F, 0o17, 1_000, 1:30, .inf, -.nan]\n",
-    "a: 'quoted'\nb: \"0x10\"\nc: yes\nd: Off\n",
-    "a: 1\na: 2\nb: 3\n",
-    "- 1\n- a\n- {x: [y]}\n",
-    "a: &x [1]\nb: *x\n",
-    "base: &b {x: 1}\nc:\n  <<: *b\n  y: 2\n",
-    "= : 3\n",
-    "? [1, 2]\n: 3\n",
-    "2020-01-02: x\nt: 2020-01-02 10:00:00\n",
-    "a: !!set {x, y}\nb: !!binary aGVsbG8=\n",
-    "a: !foo 1\n",
-    "a: !!int abc\n",
-    "a: !!str [1]\n",
-    "a: !!map x\n",
-    "a: [1\n",
+    ("", SAFE_LOAD),
+    ("a: 1\nb: [1, 2.5, true, null, ~, 0x1F, 0o17, 1_000, 1:30, .inf, -.nan]\n", SAFE_LOAD),
+    ("a: 'quoted'\nb: \"0x10\"\nc: yes\nd: Off\n", SAFE_LOAD),
+    ("a: 1\na: 2\nb: 3\n", "2: mapping key 'a' is given twice"),
+    ("- 1\n- a\n- {x: [y]}\n", SAFE_LOAD),
+    ("a: &x [1]\nb: *x\n", SAFE_LOAD),
+    ("base: &b {x: 1}\nc:\n  <<: *b\n  y: 2\n", "3: a scalar tagged !!merge is not accepted"),
+    ("= : 3\n", "1: a scalar tagged !!value is not accepted"),
+    ("? [1, 2]\n: 3\n", "1: a mapping key must be a scalar"),
+    ("2020-01-02: x\nt: 2020-01-02 10:00:00\n", "1: a scalar tagged !!timestamp is not accepted"),
+    ("a: !!set {x, y}\nb: !!binary aGVsbG8=\n", "1: a collection tagged !!set is not accepted"),
+    ("a: !foo 1\n", "1: a scalar tagged !foo is not accepted"),
+    ("a: !!int abc\n", "1: the scalar is not a valid !!int"),
+    ("a: !!str [1]\n", "1: a collection tagged !!str is not accepted"),
+    ("a: !!map x\n", "1: a scalar tagged !!map is not accepted"),
+    ("a: [1\n", SAFE_LOAD),  # the parser's error, under both
+    ("---\n", SAFE_LOAD),
+    ("# a comment\n", SAFE_LOAD),
+    ("a: !!map {b: 1}\nc: !!seq [1]\nd: ! [1]\ne: ! 12\nf: !!null x\ng: !!str 1\n", SAFE_LOAD),
+    ("a: &x 1\n*x : 2\n", SAFE_LOAD),
+    ("a: !!bool maybe\n", "1: the scalar is not a valid !!bool"),
+    ("a: !!float x\n", "1: the scalar is not a valid !!float"),
+    ("a: !!int ''\n", "1: the scalar is not a valid !!int"),
+    ("a: 1" + "0" * 5000 + "\n", "1: the scalar is not a valid !!int"),
+    ("a: 1\n---\nb: 2\n", "2: a second document is not accepted"),
+    ("a: *x\n", "1: alias *x names no finished node"),
+    ("a: &x [1, *x]\n", "1: alias *x names no finished node"),
+    ("a: &x [1]\n*x : 2\n", "2: a mapping key must be a scalar"),
+    ("a: &x 1\nb: &x [*x]\n", "2: alias *x names no finished node"),
+    # an alias names the latest node with its anchor (YAML 1.2.2 section
+    # 3.2.2.2: anchors need not be unique); PyYAML's composer refuses this
+    ("a: &x 1\nb: &x 2\nc: *x\n", {"a": 1, "b": 2, "c": 2}),
 ]
 
 
-@pytest.mark.parametrize("text", YAML_EDGE_DOCS, ids=range(len(YAML_EDGE_DOCS)))
-def test_yaml_documents_load_as_the_safe_loader_loads_them(text):
-    def load(read):
+@pytest.mark.parametrize("text, expected", YAML_EDGE_DOCS, ids=range(len(YAML_EDGE_DOCS)))
+def test_yaml_documents_load_as_the_safe_loader_loads_them(text, expected, monkeypatch):
+    def outcome(read):
         try:
             return repr(read())
-        except Exception as exc:  # the constructor's errors are not all YAMLError
+        except yaml.YAMLError as exc:
             return f"{type(exc).__name__}: {exc}"
 
-    expected = load(lambda: yaml.load(text, Loader=programs._YAML_LOADER))
-    assert load(lambda: programs._load_yaml(text)) == expected
+    for loader in LOADERS:
+        monkeypatch.setattr(programs, "_YAML_LOADER", loader)
+        if expected is SAFE_LOAD:
+            safe = outcome(lambda: yaml.load(text, Loader=loader))
+            assert outcome(lambda: programs._read_yaml(text, "doc.yaml")) == safe
+        elif isinstance(expected, str):
+            with pytest.raises(ProgramParseError) as err:
+                programs._read_yaml(text, "doc.yaml")
+            assert str(err.value) == f"doc.yaml:{expected}"
+        else:
+            assert programs._read_yaml(text, "doc.yaml") == expected
 
 
 def test_a_yaml_alias_is_one_object_as_the_safe_loader_makes_it():
-    doc = programs._load_yaml("a: &x [1]\nb: *x\n")
+    doc = programs._read_yaml("a: &x [1]\nb: *x\n", "doc.yaml")
     assert doc["a"] is doc["b"]
 
 
 @pytest.mark.parametrize("name", programs.BUNDLED)
-def test_bundled_programs_take_the_plain_yaml_path(name):
+def test_bundled_programs_take_the_plain_yaml_path(name, monkeypatch):
     text = programs.bundled_path(name).read_text()
-    node = yaml.compose(text, Loader=programs._YAML_LOADER)
-    assert programs._plain(node, set()) == yaml.safe_load(text)
+    for loader in LOADERS:
+        monkeypatch.setattr(programs, "_YAML_LOADER", loader)
+        assert programs._read_yaml(text, name) == yaml.safe_load(text)
+
+
+# core-schema scalars, NaN left out as it equals nothing; strings that
+# would resolve to another type unquoted, and non-ASCII ones
+yaml_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.sampled_from(["yes", "Off", "0x1F", "0o17", "1:30", "~", "", "null", ".inf", "=", "<<"]),
+    st.sampled_from(["2020-01-02", "1_000", "1e3", "é", "日本", "\u2028", "a: b", "- x"]),
+    st.text(max_size=8),
+)
+
+
+def _shared(items):
+    """``items`` twice: each collection among them is then one object met
+    twice, which yaml.safe_dump writes as an anchor and an alias."""
+    return items + items
+
+
+yaml_documents = st.recursive(
+    yaml_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(yaml_scalars, children, max_size=4),
+        st.lists(children, min_size=1, max_size=3).map(_shared),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=yaml_documents)
+def test_dumped_documents_load_as_the_safe_loader_loads_them(doc):
+    for flow in (False, True):
+        text = yaml.safe_dump(doc, default_flow_style=flow)
+        for loader in LOADERS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(programs, "_YAML_LOADER", loader)
+                assert programs._read_yaml(text, "doc.yaml") == yaml.load(text, Loader=loader)
 
 
 @pytest.mark.parametrize("name", programs.BUNDLED + ("synthetic",))
