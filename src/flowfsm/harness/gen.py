@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Mapping, Union
 
 from ..engine import OptionError
+from ..programs import echo
 from . import traceio
 
 SCANNER_IP = 0xC0A80001  # the one scanning source in portscan_mix
@@ -219,14 +220,17 @@ KINDS = {
     "bucket_stress": bucket_stress,
     "classifier_grid": classifier_grid,
 }
-# kind -> the parameter keys its generator reads
-PARAM_KEYS = {
-    "poisson_flows": ("flows", "rate_pps", "duration_s", "ports"),
-    "portscan_mix": (
-        "duration_s", "scanner_rate", "benign_rate", "benign_sources", "probe_gap_s"
-    ),
-    "bucket_stress": ("q", "count", "mean_gap"),
-    "classifier_grid": ("repeats",),
+# kind -> {parameter its generator reads: the least value it takes}.
+# rate_pps divides in expovariate, and a negative rate never ends a flow;
+# in_port counts from 1 to ports
+PARAMS = {
+    "poisson_flows": {"flows": 0, "rate_pps": 1, "duration_s": 0, "ports": 1},
+    "portscan_mix": {
+        "duration_s": 0, "scanner_rate": 0, "benign_rate": 0, "benign_sources": 0,
+        "probe_gap_s": 0,
+    },
+    "bucket_stress": {"q": 0, "count": 0, "mean_gap": 0},
+    "classifier_grid": {"repeats": 0},
 }
 
 
@@ -237,15 +241,19 @@ def gen_trace(
     out_path: Union[str, Path],
 ) -> int:
     """Generate a trace file; returns the number of packets written. An
-    unknown kind, or a parameter key that the kind's generator does not
-    read, raises :class:`~flowfsm.engine.OptionError`."""
+    unknown kind, a parameter key that the kind's generator does not read,
+    or a value below the key's least one in :data:`PARAMS` raises
+    :class:`~flowfsm.engine.OptionError` before any row is generated."""
     if kind not in KINDS:
         raise OptionError(f"unknown trace kind {kind!r} (have {sorted(KINDS)})")
-    for key in params:
-        if key not in PARAM_KEYS[kind]:
+    least = PARAMS[kind]
+    for key, value in params.items():
+        if key not in least:
             raise OptionError(
-                f"unknown {kind} parameter {key!r} (have {', '.join(PARAM_KEYS[kind])})"
+                f"unknown {kind} parameter {key!r} (have {', '.join(least)})"
             )
+        if value < least[key]:
+            raise OptionError(f"{kind} parameter {key}: {echo(value)} is below {least[key]}")
     rows = KINDS[kind](params, random.Random(seed))
     traceio.write_trace(out_path, rows)
     return len(rows)

@@ -87,7 +87,7 @@ def _first_bad_cell(names: list[str], row: list[str]) -> str:
                 reason = f"has more than {limit} digits"
             else:
                 reason = "is not an integer"
-            return f"column {key!r}: {echo(value, repr)} {reason}"
+            return f"column {key!r}: {echo(value)} {reason}"
     raise AssertionError("every cell of the row is an integer")
 
 

@@ -15,7 +15,7 @@ import dataclasses
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping, NoReturn, Optional, Sequence, Union
+from typing import Callable, Container, Mapping, NoReturn, Optional, Sequence, Union
 
 import yaml
 
@@ -199,8 +199,12 @@ MAX_CONTEXT_FALLBACK = 64
 # conditions on a classifier-tree path: loading, expanding, comparing and
 # serializing a tree recurse per level, within Python's recursion limit
 MAX_TREE_DEPTH = 256
-# YAML collections nested in one another: the loader keeps its own stack,
-# and this bounds the depth it hands to code that recurses per level
+# ticks in a management period: the step's source holds the period, and a
+# 64-bit tick count (over 500,000 years of microseconds) outlasts any trace
+MAX_PERIOD = (1 << 64) - 1
+# YAML collections nested in one another. The loader keeps its own stack,
+# no check recurses into a value, and MAX_TREE_DEPTH stops the one walk
+# that recurses: this refuses, while reading, a nesting no program needs
 MAX_YAML_NESTING = 2048
 # YAML nodes, an alias counting the nodes it stands for: ten times the
 # 25,206 of the largest program the other caps accept (512 full rows)
@@ -273,27 +277,49 @@ class ProgramConfig:
 # parsing helpers
 
 
-def _to_int(value: object, where: str, problems: list[str]) -> int:
-    if isinstance(value, bool):
-        problems.append(f"{where}: expected integer, got boolean")
-        return 0
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
+def _int(
+    value: object, where: str, problems: list[str], lo: int, hi: Optional[int] = None
+) -> Optional[int]:
+    """``value`` as an integer in ``lo..hi`` (``hi`` None: no upper bound):
+    an int, or a string that ``int(text, 0)`` reads. Anything else, a
+    missing value (None) included, is one problem at ``where``, and None."""
+    if type(value) is str:
         try:
-            return int(value, 0)
+            value = int(value, 0)
         except ValueError:
             pass
-    problems.append(f"{where}: expected integer, got {value!r}")
-    return 0
+    if type(value) is not int:  # bool is not an integer here
+        got = "nothing" if value is None else echo(value)
+        problems.append(f"{where}: expected an integer, got {got}")
+        return None
+    if value < lo or hi is not None and value > hi:
+        span = f"outside {lo}..{hi}" if hi is not None else f"below {lo}"
+        problems.append(f"{where}: {echo(value)} {span}")
+        return None
+    return value
 
 
-def _u32(value: object, where: str, problems: list[str]) -> int:
-    """A 32-bit register value."""
-    v = _to_int(value, where, problems)
-    if not 0 <= v <= FIELD_MASK:
-        problems.append(f"{where}: value does not fit in 32 bits")
-    return v & FIELD_MASK
+def _text(value: object, where: str, problems: list[str]) -> Optional[str]:
+    """A name: the text of a scalar as ``str`` gives it (a label 1 is
+    ``"1"``). A mapping, a list or an integer past the int-to-str digit
+    limit is one problem at ``where``, and None."""
+    if not isinstance(value, (dict, list)):
+        try:
+            return str(value)
+        except ValueError:  # more digits than int-to-str conversion allows
+            pass
+    problems.append(f"{where}: expected a name, got {echo(value)}")
+    return None
+
+
+def _name(
+    value: object, where: str, problems: list[str], known: Container, what: str
+) -> Optional[str]:
+    """The name ``_text`` reads, reported at ``where`` unless ``known`` holds it."""
+    text = _text(value, where, problems)
+    if text is not None and text not in known:
+        problems.append(f"{where}: unknown {what} {echo(text)}")
+    return text
 
 
 def _expect(
@@ -317,8 +343,9 @@ def _known_keys(
     item: Mapping, keys: Sequence[str], where: str, problems: list[str]
 ) -> None:
     """Report each key of ``item`` outside ``keys``, so that typos fail."""
-    for key in sorted(set(item) - set(keys), key=str):
-        problems.append(f"{where}: unknown key {key!r}")
+    for key in item:
+        if key not in keys:
+            problems.append(f"{where}: unknown key {echo(key)}")
 
 
 def _entries(doc: Mapping, key: str, problems: list[str], required: bool = False):
@@ -332,71 +359,52 @@ def _entries(doc: Mapping, key: str, problems: list[str], required: bool = False
             problems.append(f"{where}: expected a mapping")
 
 
-def _priority(item: Mapping, where: str, seen: set[int], problems: list[str]) -> int:
+def _priority(item: Mapping, where: str, seen: set[int], problems: list[str]) -> Optional[int]:
     """The entry's ``priority``: required, non-negative and unique in ``seen``."""
-    priority = _to_int(item.get("priority", -1), f"{where}.priority", problems)
-    if priority < 0:
-        problems.append(f"{where}: priority must be a non-negative integer")
-    elif priority in seen:
-        problems.append(f"{where}: duplicate priority {priority}")
-    seen.add(priority)
+    priority = _int(item.get("priority"), f"{where}.priority", problems, 0)
+    if priority in seen:
+        problems.append(f"{where}: duplicate priority {echo(priority)}")
+    elif priority is not None:
+        seen.add(priority)
     return priority
 
 
-def _action(text: object, where: str, ports: int, problems: list[str]) -> str:
+def _action(value: object, where: str, ports: int, problems: list[str]) -> str:
     """The canonical text of an action: ``none``, ``drop``, ``flood``,
     ``fwd:P`` or ``dscp:V:fwd:P``, read regardless of case and surrounding
     whitespace, with P a port in 1..ports and V a DSCP value in 0..63."""
-    words = str(text).strip().lower().split(":")
-    verb = words[0]
-    try:
-        if len(words) == 1 and verb in ACTION_KINDS and verb not in ("fwd", "dscp"):
-            return verb
-        if verb == "fwd" and len(words) == 2:
-            dscp, port = None, int(words[1], 0)
-        elif verb == "dscp" and len(words) == 4 and words[2] == "fwd":
-            dscp, port = int(words[1], 0), int(words[3], 0)
-        else:
-            raise ValueError
-    except ValueError:
-        problems.append(f"{where}: unknown action {str(text)!r}")
+    text = _text(value, f"{where}.action", problems)
+    if text is None:
         return "none"
-    if not 1 <= port <= ports:
-        problems.append(f"{where}: port {port} outside 1..{ports}")
-    if dscp is None:
+    verb, *words = text.strip().lower().split(":")
+    if not words and verb in ACTION_KINDS and verb not in ("fwd", "dscp"):
+        return verb
+    if verb == "fwd" and len(words) == 1:
+        port = _int(words[0], f"{where}.action.port", problems, 1, ports)
         return f"fwd:{port}"
-    if not 0 <= dscp <= 63:
-        problems.append(f"{where}: DSCP value {dscp} outside 0..63")
-    return f"dscp:{dscp}:fwd:{port}"
+    if verb == "dscp" and len(words) == 3 and words[1] == "fwd":
+        dscp = _int(words[0], f"{where}.action.dscp", problems, 0, 63)
+        port = _int(words[2], f"{where}.action.port", problems, 1, ports)
+        return f"dscp:{dscp}:fwd:{port}"
+    problems.append(f"{where}: unknown action {echo(text)}")
+    return "none"
 
 
 def _parse_pattern(
     value: object, width: int, where: str, problems: list[str]
 ) -> tuple[int, int]:
     """value/mask pattern: int (exact), "*" (any) or "VALUE/MASK"; value and
-    mask must fit in the field's ``width`` bits."""
+    mask must fit in the field's ``width`` bits. A bad pattern is one
+    problem, that of its first bad part."""
     full = (1 << width) - 1
-    text = value.strip() if isinstance(value, str) else None
-    if text == "*":
+    if isinstance(value, str) and value.strip() == "*":
         return 0, 0
-    sub: list[str] = []
-    if isinstance(value, int) and not isinstance(value, bool):
-        v, m = value, full
-    elif text is not None and "/" in text:
-        left, right = text.split("/", 1)
-        v = _to_int(left.strip(), where, sub)
-        m = _to_int(right.strip(), where, sub)
-    elif text is not None:
-        v, m = _to_int(text, where, sub), full
-        if sub:
-            sub = [f"{where}: bad match pattern {value!r}"]
-    else:
-        sub = [f"{where}: bad match pattern {value!r}"]
-    if sub:
-        problems.extend(sub)
+    parts = value.split("/", 1) if isinstance(value, str) and "/" in value else [value, full]
+    bad: list[str] = []
+    v, m = (_int(part, where, bad, 0, full) for part in parts)
+    if bad:
+        problems.append(bad[0])
         return 0, 0
-    if not (0 <= v <= full and 0 <= m <= full):
-        problems.append(f"{where}: pattern {value!r} does not fit in {width} bits")
     return v & m, m
 
 
@@ -420,12 +428,14 @@ def _match(
     """The entry's ``match`` patterns over the fields in ``widths`` (name to
     pattern width), which the document lists under ``allowed``."""
     patterns = []
-    for name, text in _expect(
+    for key, text in _expect(
         item.get("match", {}), dict, f"{where}.match", problems
     ).items():
-        name = str(name)
+        name = _text(key, f"{where}.match", problems)
+        if name is None:
+            continue
         if name not in widths:
-            problems.append(f"{where}: field {name!r} is not listed in {allowed}")
+            problems.append(f"{where}: field {echo(name)} is not listed in {allowed}")
             continue
         at = f"{where}.match.{name}"
         patterns.append((name, _parse_pattern(text, widths[name], at, problems)))
@@ -505,7 +515,7 @@ def _read_yaml(text: str, source: str) -> object:
             elif isinstance(value, (dict, list)):
                 refuse(start, "a mapping key must be a scalar")
             elif value in frame[0]:
-                refuse(start, f"mapping key {value!r} is given twice")
+                refuse(start, f"mapping key {echo(value)} is given twice")
             else:
                 frame.append(value)
         get_event()  # the document's end
@@ -520,8 +530,15 @@ def loads(text: str, source: str = "<string>") -> ProgramConfig:
     """Parse and validate a program document from a string."""
     try:
         doc = _read_yaml(text, source)
-    except yaml.YAMLError as exc:
-        raise ProgramParseError(f"{source}: {exc}") from exc
+    except yaml.MarkedYAMLError as exc:  # a syntax error
+        line = exc.problem_mark.line + 1
+        raise ProgramParseError(f"{source}:{line}: {exc.problem}") from None
+    except yaml.reader.ReaderError as exc:  # a character YAML does not allow
+        # the parsers count its position in characters or in UTF-8 bytes;
+        # either way it is the character's first occurrence
+        line = text.count("\n", 0, text.index(chr(exc.character))) + 1
+        problem = f"unacceptable character #x{exc.character:04x}: {exc.reason}"
+        raise ProgramParseError(f"{source}:{line}: {problem}") from None
     if not isinstance(doc, dict):
         raise ProgramParseError(f"{source}: program document must be a mapping")
     return _build(doc, source)
@@ -548,17 +565,12 @@ def _build(doc: dict, source: str) -> ProgramConfig:
         problems.append("name: required non-empty string")
         name = "<unnamed>"
 
-    unit = doc.get("timestamp_unit", "microseconds")
-    if not isinstance(unit, str) or unit not in TIMESTAMP_UNITS:
-        problems.append(
-            f"timestamp_unit: {unit!r} not one of {sorted(TIMESTAMP_UNITS)}"
-        )
-        unit = "microseconds"
+    unit = _text(doc.get("timestamp_unit", "microseconds"), "timestamp_unit", problems)
+    if unit is not None and unit not in TIMESTAMP_UNITS:
+        problems.append(f"timestamp_unit: {echo(unit)} not one of {sorted(TIMESTAMP_UNITS)}")
+    unit = unit if unit in TIMESTAMP_UNITS else "microseconds"
 
-    ports = _to_int(doc.get("ports", 4), "ports", problems)
-    if not 1 <= ports < 64:
-        problems.append(f"ports: {ports} outside 1..63")
-        ports = 4
+    ports = _int(doc.get("ports", 4), "ports", problems, 1, 63) or 4
 
     # --- fields ---------------------------------------------------------
     fields: list[FieldDef] = []
@@ -571,19 +583,14 @@ def _build(doc: dict, source: str) -> ProgramConfig:
             problems.append(f"{where}: missing name")
             continue
         if fname in seen_names:
-            problems.append(f"{where}: duplicate field name {fname!r}")
+            problems.append(f"{where}: duplicate field name {echo(fname)}")
         seen_names.add(fname)
-        slot = _to_int(item.get("slot", -1), f"{where}.slot", problems)
-        if not 0 <= slot < alu.NUM_HEADER_SLOTS:
-            last = alu.NUM_HEADER_SLOTS - 1
-            problems.append(f"{where}: slot {slot} outside 0..{last}")
-        elif slot in seen_slots:
-            problems.append(f"{where}: slot {slot} already bound")
-        seen_slots.add(slot)
-        width = _to_int(item.get("width", 32), f"{where}.width", problems)
-        if not 1 <= width <= 32:
-            problems.append(f"{where}: width {width} outside 1..32")
-            width = 32
+        slot = _int(item.get("slot"), f"{where}.slot", problems, 0, alu.NUM_HEADER_SLOTS - 1)
+        if slot in seen_slots:
+            problems.append(f"{where}: slot {echo(slot)} already bound")
+        elif slot is not None:
+            seen_slots.add(slot)
+        width = _int(item.get("width", 32), f"{where}.width", problems, 1, 32) or 32
         src = item.get("source")
         if not isinstance(src, str) or not src:
             problems.append(f"{where}: source must name a trace column")
@@ -599,14 +606,11 @@ def _build(doc: dict, source: str) -> ProgramConfig:
         names = []
         total = 0
         for i, n in enumerate(_expect(doc.get(key), list, key, problems, required=True)):
-            if not isinstance(n, str):
-                problems.append(f"{key}[{i}]: expected a field name, got {n!r}")
-                continue
-            names.append(n)
-            if n not in field_map:
-                problems.append(f"{key}: unknown field {n!r}")
-            else:
+            n = _name(n, f"{key}[{i}]", problems, field_map, "field")
+            if n in field_map:
                 total += field_map[n].width
+            if n is not None:
+                names.append(n)
         if total > FLOW_KEY_WIDTH:
             problems.append(f"{key}: widths sum to {total} > {FLOW_KEY_WIDTH} bits")
         return tuple(names)
@@ -617,16 +621,18 @@ def _build(doc: dict, source: str) -> ProgramConfig:
     )
 
     # --- states ---------------------------------------------------------
-    states: dict[str, int] = {}
+    # a label whose code is bad maps to None: it is declared, with no code
+    states: dict[str, Optional[int]] = {}
     raw_states = _expect(doc.get("states"), dict, "states", problems, required=True)
-    for label, code in raw_states.items():
-        code = _to_int(code, f"states.{label}", problems)
-        if not 0 <= code < (1 << 16):
-            problems.append(f"states.{label}: code {code} outside 16 bits")
-        if code in states.values():
-            problems.append(f"states.{label}: duplicate code {code}")
-        states[str(label)] = code
-    if states and 0 not in states.values():
+    for key, value in raw_states.items():
+        label = _text(key, "states", problems)
+        if label is None:
+            continue
+        code = _int(value, f"states.{label}", problems, 0, 0xFFFF)
+        if code is not None and code in states.values():
+            problems.append(f"states.{label}: duplicate code {echo(code)}")
+        states[label] = code
+    if states and 0 not in states.values() and None not in states.values():
         problems.append("states: a state with code 0 (the default) is required")
     if len(states) > MAX_STATES:
         problems.append(f"states: {len(states)} states exceed the cap of {MAX_STATES}")
@@ -635,23 +641,31 @@ def _build(doc: dict, source: str) -> ProgramConfig:
     gvals = [0, 0, 0, 0]
     raw_globals = _expect(doc.get("globals", {}), dict, "globals", problems)
     for key, value in raw_globals.items():
-        k = str(key).upper()
-        if k in ("G0", "G1", "G2", "G3"):
-            gvals[int(k[1])] = _u32(value, f"globals.{k}", problems)
+        k = _text(key, "globals", problems)
+        if k is None:
+            continue
+        if k.upper() in ("G0", "G1", "G2", "G3"):
+            where = f"globals.{k.upper()}"
+            gvals[int(k[1])] = _int(value, where, problems, 0, FIELD_MASK) or 0
         else:
-            problems.append(f"globals: unknown register {key!r}")
+            problems.append(f"globals: unknown register {echo(k)}")
 
     # --- per-flow scratch registers --------------------------------------
     scratch: list[tuple[str, int]] = []
     raw_scratch = _expect(doc.get("flow_scratch", {}), dict, "flow_scratch", problems)
     donated: set[int] = set()
-    for alias, gname in raw_scratch.items():
-        alias = str(alias)
+    for key, gname in raw_scratch.items():
+        alias = _text(key, "flow_scratch", problems)
+        if alias is None:
+            continue
         where = f"flow_scratch.{alias}"
         if alias in field_map:
-            problems.append(f"{where}: alias collides with field {alias!r}")
+            problems.append(f"{where}: alias collides with field {echo(alias)}")
+        gname = _text(gname, where, problems)
+        if gname is None:
+            continue
         try:
-            sel = alu.parse_selector(str(gname))
+            sel = alu.parse_selector(gname)
         except ValueError as exc:
             problems.append(f"{where}: {exc}")
             continue
@@ -687,32 +701,35 @@ def _build(doc: dict, source: str) -> ProgramConfig:
                 f"conditions: at most {conditions.NUM_CONDITIONS} conditions fit "
                 "the comparator slots"
             )
-        cname = str(item.get("name", f"C{i}"))
+        cname = _text(item.get("name", f"C{i}"), f"{where}.name", problems)
         if cname in cond_names:
-            problems.append(f"{where}: duplicate condition name {cname!r}")
-        op_txt = str(item.get("op", "")).upper()
+            problems.append(f"{where}: duplicate condition name {echo(cname)}")
+        elif cname is not None:
+            cond_names[cname] = i
+        op_txt = _text(item.get("op", ""), f"{where}.op", problems)
+        lhs = _text(item.get("lhs", ""), f"{where}.lhs", problems)
+        rhs = _text(item.get("rhs", ""), f"{where}.rhs", problems)
+        if op_txt is None or lhs is None or rhs is None:
+            continue
         try:
-            op = conditions.CmpOp[op_txt]
+            op = conditions.CmpOp[op_txt.upper()]
         except KeyError:
-            problems.append(f"{where}: unknown comparison {op_txt!r}")
+            problems.append(f"{where}: unknown comparison {echo(op_txt.upper())}")
             op = conditions.CmpOp.EQ
         try:
-            lhs = alu.parse_selector(resolve_token(str(item.get("lhs", ""))))
-            rhs = alu.parse_selector(resolve_token(str(item.get("rhs", ""))))
+            lhs, rhs = (alu.parse_selector(resolve_token(token)) for token in (lhs, rhs))
         except ValueError as exc:
             problems.append(f"{where}: {exc}")
             continue
-        cond_names[cname] = i
         cond_list.append((cname, conditions.ConditionSpec(op, lhs, rhs)))
 
     # --- match fields ----------------------------------------------------
-    match_fields = tuple(
-        str(n)
-        for n in _expect(doc.get("match_fields", []), list, "match_fields", problems)
-    )
-    for n in match_fields:
-        if n not in field_map:
-            problems.append(f"match_fields: unknown field {n!r}")
+    match_fields = []
+    raw_match = _expect(doc.get("match_fields", []), list, "match_fields", problems)
+    for i, key in enumerate(raw_match):
+        n = _name(key, f"match_fields[{i}]", problems, field_map, "field")
+        if n is not None:
+            match_fields.append(n)
     if len(match_fields) > 4:
         problems.append("match_fields: at most 4 fields fit the row match budget")
 
@@ -723,46 +740,40 @@ def _build(doc: dict, source: str) -> ProgramConfig:
     for i, where, item in _entries(doc, "rows", problems, required=True):
         rid = item.get("id")
         if rid is not None:
-            rid = str(rid)
-            where = f"rows[{i}] (id={rid})"
+            rid = _text(rid, f"{where}.id", problems)
+            where = where if rid is None else f"{where} (id={rid})"
         _known_keys(item, ROW_KEYS, where, problems)
         state = item.get("state", "*")
         if state in ("*", None):
             state = None
         else:
-            state = str(state)
-            if state not in states:
-                problems.append(f"{where}: unknown state {state!r}")
+            state = _name(state, f"{where}.state", problems, states, "state")
         cond_pat: list[tuple[str, int]] = []
-        for cname, bit in _expect(
+        for key, bit in _expect(
             item.get("cond", {}), dict, f"{where}.cond", problems
         ).items():
-            cname = str(cname)
-            if cname not in cond_names:
-                problems.append(f"{where}: unknown condition {cname!r}")
+            cname = _name(key, f"{where}.cond", problems, cond_names, "condition")
+            if cname not in cond_names or bit in ("*", None):
                 continue
-            if bit in ("*", None):
-                continue
-            bit = _to_int(bit, f"{where}.cond.{cname}", problems)
-            if bit not in (0, 1):
-                problems.append(f"{where}: condition {cname} must be 0, 1 or '*'")
-                continue
-            cond_pat.append((cname, bit))
+            bit = _int(bit, f"{where}.cond.{cname}", problems, 0, 1)
+            if bit is not None:
+                cond_pat.append((cname, bit))
         match_pat = _match(item, where, row_widths, "match_fields", problems)
         priority = _priority(item, where, priorities, problems)
         nxt = item.get("next", STAY)
         if nxt == STAY or nxt is None:
             nxt = None
         else:
-            nxt = str(nxt)
-            if nxt not in states:
-                problems.append(f"{where}: next state {nxt!r} not declared")
+            nxt = _name(nxt, f"{where}.next", problems, states, "state")
         action = _action(item.get("action", "none"), where, ports, problems)
         instrs: list[alu.Instruction] = []
         raw_update = _expect(item.get("update", []), list, f"{where}.update", problems)
-        for j, text in enumerate(raw_update):
+        for j, value in enumerate(raw_update):
+            text = _text(value, f"{where}.update[{j}]", problems)
+            if text is None:
+                continue
             try:
-                instrs.append(alu.parse_instruction(str(text), resolve_token))
+                instrs.append(alu.parse_instruction(text, resolve_token))
             except ValueError as exc:
                 problems.append(f"{where}.update[{j}]: {exc}")
         for msg in alu.validate_tuple(instrs):
@@ -791,9 +802,7 @@ def _build(doc: dict, source: str) -> ProgramConfig:
     scope_widths = widths(lookup_scope)
     for _, where, item in _entries(doc, "context_fallback", problems):
         _known_keys(item, _keys(FallbackDef), where, problems)
-        st = str(item.get("state", ""))
-        if st not in states:
-            problems.append(f"{where}: unknown state {st!r}")
+        st = _name(item.get("state", ""), f"{where}.state", problems, states, "state")
         prio = _priority(item, where, fb_priorities, problems)
         pats = _match(item, where, scope_widths, "lookup_scope", problems)
         regs = item.get("registers", [])
@@ -801,7 +810,8 @@ def _build(doc: dict, source: str) -> ProgramConfig:
             problems.append(f"{where}: registers must be a list of up to 4 values")
             regs = []
         regs = [
-            _u32(v, f"{where}.registers[{i}]", problems) for i, v in enumerate(regs)
+            _int(v, f"{where}.registers[{i}]", problems, 0, FIELD_MASK) or 0
+            for i, v in enumerate(regs)
         ]
         regs += [0] * (4 - len(regs))
         fallback.append(FallbackDef(prio, st, pats, tuple(regs)))
@@ -814,7 +824,7 @@ def _build(doc: dict, source: str) -> ProgramConfig:
     for row in tree_rows:
         if row.priority in priorities:
             problems.append(
-                f"classifier_tree: expanded priority {row.priority} collides "
+                f"classifier_tree: expanded priority {echo(row.priority)} collides "
                 "with an explicit row"
             )
 
@@ -824,11 +834,9 @@ def _build(doc: dict, source: str) -> ProgramConfig:
     size_kwargs = {}
     for key in _keys(TableSizes):
         if key in raw_sizes:
-            v = _to_int(raw_sizes[key], f"table_sizes.{key}", problems)
-            if v < 1:
-                problems.append(f"table_sizes.{key}: must be positive")
-                v = 1
-            size_kwargs[key] = v
+            v = _int(raw_sizes[key], f"table_sizes.{key}", problems, 1)
+            if v is not None:
+                size_kwargs[key] = v
     sizes = TableSizes(**size_kwargs)
     for key, cap in (
         ("context_subtables", MAX_CONTEXT_SUBTABLES),
@@ -838,37 +846,32 @@ def _build(doc: dict, source: str) -> ProgramConfig:
     ):
         if getattr(sizes, key) > cap:
             problems.append(
-                f"table_sizes.{key}: {getattr(sizes, key)} exceeds the cap of {cap}"
+                f"table_sizes.{key}: {echo(getattr(sizes, key))} exceeds the cap of {cap}"
             )
     contexts = sizes.context_subtables * sizes.context_buckets * sizes.bucket_depth
     if contexts > MAX_CONTEXTS:
         problems.append(
             f"table_sizes: context_subtables * context_buckets * bucket_depth = "
-            f"{contexts} exceeds the cap of {MAX_CONTEXTS} contexts"
+            f"{echo(contexts)} exceeds the cap of {MAX_CONTEXTS} contexts"
         )
     total_rows = len(rows) + len(tree_rows)
     if total_rows > sizes.xfsm:
         problems.append(
             f"rows: {total_rows} rows exceed the transition table capacity "
-            f"({sizes.xfsm})"
+            f"({echo(sizes.xfsm)})"
         )
     if len(fallback) > sizes.context_fallback:
         problems.append(
             f"context_fallback: {len(fallback)} entries exceed capacity "
-            f"({sizes.context_fallback})"
+            f"({echo(sizes.context_fallback)})"
         )
 
-    period = _to_int(
-        doc.get("management_period", 0), "management_period", problems
-    )
-    if period < 0:
-        problems.append("management_period: must be non-negative")
-        period = 0
-    if period == 0:
-        period = TIMESTAMP_UNITS.get(unit, 1_000_000)
+    period = _int(doc.get("management_period", 0), "management_period", problems, 0, MAX_PERIOD)
+    period = period or TIMESTAMP_UNITS[unit]
 
-    for key in sorted(set(doc) - set(TOP_LEVEL_KEYS), key=str):
-        problems.append(f"unknown top-level key {key!r}")
+    for key in doc:
+        if key not in TOP_LEVEL_KEYS:
+            problems.append(f"unknown top-level key {echo(key)}")
 
     if problems:
         raise ProgramValidationError([f"{source}: {p}" for p in problems])
@@ -883,7 +886,7 @@ def _build(doc: dict, source: str) -> ProgramConfig:
         states=states,
         globals_init=tuple(gvals),  # type: ignore[arg-type]
         conditions=tuple(cond_list),
-        match_fields=match_fields,
+        match_fields=tuple(match_fields),
         rows=tuple(rows),
         context_fallback=tuple(fallback),
         classifier_tree=tree,
@@ -895,7 +898,7 @@ def _build(doc: dict, source: str) -> ProgramConfig:
 
 def _parse_tree(
     raw: object,
-    states: dict[str, int],
+    states: Mapping[str, Optional[int]],
     cond_names: dict[str, int],
     ports: int,
     problems: list[str],
@@ -908,9 +911,7 @@ def _parse_tree(
             return None
         if "class" in node:
             _known_keys(node, TREE_LEAF_KEYS, where, problems)
-            st = str(node.get("class", ""))
-            if st not in states:
-                problems.append(f"{where}: unknown state {st!r}")
+            st = _name(node.get("class"), f"{where}.class", problems, states, "state")
             action = _action(node.get("action", "none"), where, ports, problems)
             return TreeLeaf(st, action)
         if depth == MAX_TREE_DEPTH:
@@ -918,9 +919,8 @@ def _parse_tree(
                 problems.append(too_deep)
             return None
         _known_keys(node, TREE_NODE_KEYS, where, problems)
-        cname = str(node.get("condition", ""))
-        if cname not in cond_names:
-            problems.append(f"{where}: unknown condition {cname!r}")
+        at = f"{where}.condition"
+        cname = _name(node.get("condition", ""), at, problems, cond_names, "condition")
         t = walk(node.get("if_true"), where + ".if_true", depth + 1)
         f = walk(node.get("if_false"), where + ".if_false", depth + 1)
         if t is None or f is None:
@@ -930,18 +930,13 @@ def _parse_tree(
     if not isinstance(raw, dict):
         problems.append("classifier_tree: expected a mapping")
         return None
-    _known_keys(raw, TREE_KEYS, "classifier_tree", problems)
-    gate = str(raw.get("gate", ""))
-    if gate not in cond_names:
-        problems.append(f"classifier_tree.gate: unknown condition {gate!r}")
-    in_state = str(raw.get("in_state", ""))
-    if in_state not in states:
-        problems.append(f"classifier_tree.in_state: unknown state {in_state!r}")
-    base = _to_int(raw.get("base_priority", -1), "classifier_tree.base_priority", problems)
-    if base < 0:
-        problems.append("classifier_tree.base_priority: must be non-negative")
-    root = walk(raw.get("tree"), "classifier_tree.tree", 0)
-    if root is None or gate not in cond_names or in_state not in states or base < 0:
+    where = "classifier_tree"
+    _known_keys(raw, TREE_KEYS, where, problems)
+    gate = _name(raw.get("gate", ""), f"{where}.gate", problems, cond_names, "condition")
+    in_state = _name(raw.get("in_state", ""), f"{where}.in_state", problems, states, "state")
+    base = _int(raw.get("base_priority"), f"{where}.base_priority", problems, 0)
+    root = walk(raw.get("tree"), f"{where}.tree", 0)
+    if root is None or gate not in cond_names or in_state not in states or base is None:
         return None
     return ClassifierTree(gate, in_state, base, root)
 
@@ -964,24 +959,26 @@ class BindError(ProgramError):
     """The trace rows do not carry what the program needs."""
 
 
-# an error message quotes at most this many characters of a trace value
+# an error message quotes at most this many characters of a value
 ECHO_CHARS = 40
 
 
-def echo(text: str, render: Callable[[str], str] = str) -> str:
-    """``text`` for an error message, rendered by ``render``: whole when it
-    has at most ECHO_CHARS characters, else its first ECHO_CHARS and its
-    length."""
+def echo(value: object) -> str:
+    """A program or trace value for an error message: a string by its
+    ``repr``, a mapping or a list by its kind alone, anything else by its
+    ``str``, with an integer past the int-to-str digit limit in hex. The
+    text is whole when it has at most ECHO_CHARS characters, else its
+    first ECHO_CHARS and its length."""
+    if isinstance(value, (dict, list)):
+        return "a mapping" if isinstance(value, dict) else "a list"
+    render: Callable[[str], str] = repr if isinstance(value, str) else str
+    try:
+        text = value if isinstance(value, str) else str(value)
+    except ValueError:  # more digits than int-to-str conversion allows
+        text = hex(value)  # type: ignore[arg-type]
     if len(text) <= ECHO_CHARS:
         return render(text)
     return f"{render(text[:ECHO_CHARS])}... ({len(text)} characters)"
-
-
-def _int_text(value: int) -> str:
-    try:
-        return str(value)
-    except ValueError:  # more digits than int-to-str conversion allows
-        return hex(value)
 
 
 def make_binder(
@@ -1016,13 +1013,13 @@ def make_binder(
                 value = row[column]
                 if value >> width:  # negative, or wider than the field
                     raise BindError(
-                        f"packet {seq}: column {column!r} value "
-                        f"{echo(_int_text(value))} does not fit in {width} bits"
+                        f"packet {seq}: column {echo(column)} value "
+                        f"{echo(value)} does not fit in {width} bits"
                     )
                 h[slot] = value
             return h, row["ts"]
         except KeyError as exc:
-            raise BindError(f"packet {seq}: missing column {exc.args[0]!r}") from None
+            raise BindError(f"packet {seq}: missing column {echo(exc.args[0])}") from None
 
     n = len(column_binds)
     h = ["0"] * slots

@@ -97,13 +97,13 @@ def reference_bind(config, row, seq):
             value = row[field.source]
             if value >> field.width:  # negative, or wider than the field
                 raise BindError(
-                    f"packet {seq}: column {field.source!r} value "
-                    f"{echo(programs._int_text(value))} does not fit in {field.width} bits"
+                    f"packet {seq}: column {echo(field.source)} value "
+                    f"{echo(value)} does not fit in {field.width} bits"
                 )
             h[field.slot] = value
         return h, row["ts"]
     except KeyError as exc:
-        raise BindError(f"packet {seq}: missing column {exc.args[0]!r}") from None
+        raise BindError(f"packet {seq}: missing column {echo(exc.args[0])}") from None
 
 
 def not_utf8(char):
@@ -514,26 +514,26 @@ GAP_CASES = {
         "long_flow",
         ("rows", 1, "action"),
         "dscp:999:fwd:1",
-        "rows[1] (id=crossed): DSCP value 999 outside 0..63",
+        "rows[1] (id=crossed).action.dscp: 999 outside 0..63",
     ),
     "tree_leaf_dscp_range": (
         "c45_classifier",
         ("classifier_tree", "tree", "if_true", "action"),
         "dscp:-5:fwd:1",
-        "classifier_tree.tree.if_true: DSCP value -5 outside 0..63",
+        "classifier_tree.tree.if_true.action.dscp: -5 outside 0..63",
     ),
     "row_port_not_an_integer": (
         "long_flow",
         ("rows", 0, "action"),
         "fwd:1.5",
-        "rows[0] (id=count): unknown action 'fwd:1.5'",
+        "rows[0] (id=count).action.port: expected an integer, got '1.5'",
     ),
     # unhashable values where the loader tests membership
     "scope_entry_mapping": (
-        "long_flow", ("lookup_scope",), [{"a": 1}], "lookup_scope[0]: expected a field name"
+        "long_flow", ("lookup_scope",), [{"a": 1}], "lookup_scope[0]: expected a name, got a mapping"
     ),
     "scope_entry_list": (
         "long_flow", ("update_scope",), ["ip_src", ["ip_dst"]], "update_scope[1]"
     ),
-    "timestamp_unit_list": ("long_flow", ("timestamp_unit",), [], "timestamp_unit: []"),
+    "timestamp_unit_list": ("long_flow", ("timestamp_unit",), [], "timestamp_unit: expected a name, got a list"),
 }

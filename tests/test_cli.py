@@ -325,6 +325,23 @@ def test_gen_trace_rejects_a_malformed_parameter(argv, error, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "param, error",
+    [
+        # ZeroDivisionError in expovariate, and i % ports, exited 1
+        ("rate_pps=0", "poisson_flows parameter rate_pps: 0 is below 1"),
+        ("ports=0", "poisson_flows parameter ports: 0 is below 1"),
+    ],
+    ids=["rate_pps-0", "ports-0"],
+)
+def test_gen_trace_refuses_a_parameter_out_of_range(param, error, tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    argv = ["gen-trace", "--kind", "poisson_flows", "--out", str(out), "--param", param]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"validation error: {error}\n"
+    assert not out.exists()
+
+
 def test_a_value_error_inside_the_step_is_a_defect_not_a_validation_error(
     tmp_path, monkeypatch
 ):
@@ -429,3 +446,77 @@ def test_validate_refuses_an_alias_bomb_within_a_second(tmp_path):
     assert done.stderr == (
         f"parse error: {program}:{line}: more than 262144 nodes, aliases expanded\n"
     )
+
+
+HUGE = "0x" + "F" * 4000  # past the int-to-str digit limit in decimal
+DEEP = "[" * 1500 + "]" * 1500  # past Python's recursion limit for repr
+SHOWN = "0x" + "f" * 38 + "... (4002 characters)"
+# long_flow with edits (old text, new text), and the message that follows
+# "{program}: " (exit 4) or "{program}:" (exit 3, a YAML-level refusal)
+BAD_VALUES = {
+    "huge-ports": ([("ports: 4", f"ports: {HUGE}")], f"ports: {SHOWN} outside 1..63"),
+    "huge-row-id": ([("id: count", f"id: {HUGE}")], f"rows[0].id: expected a name, got {SHOWN}"),
+    "huge-next": (
+        [("next: DEFAULT", f"next: {HUGE}")],
+        f"rows[0] (id=count).next: expected a name, got {SHOWN}",
+    ),
+    "huge-fwd-port": (
+        [('action: "fwd:1"', f'action: "fwd:{HUGE}"')],
+        f"rows[0] (id=count).action.port: {SHOWN} outside 1..4",
+    ),
+    "huge-priority-twice": (
+        [("priority: 20", f"priority: {HUGE}"), ("priority: 21", f"priority: {HUGE}")],
+        f"rows[1] (id=crossed): duplicate priority {SHOWN}",
+    ),
+    "huge-op": ([("op: GT", f"op: {HUGE}")], f"conditions[0].op: expected a name, got {SHOWN}"),
+    "huge-width": (
+        [("slot: 0, width: 32", f"slot: 0, width: {HUGE}")],
+        f"fields[0].width: {SHOWN} outside 1..32",
+    ),
+    "huge-state-code": ([("LONG: 1}", f"LONG: {HUGE}}}")], f"states.LONG: {SHOWN} outside 0..65535"),
+    "huge-state-label": (
+        [("LONG: 1}", f"LONG: 1, ? {HUGE} : 2}}")],
+        f"states: expected a name, got {SHOWN}",
+    ),
+    "huge-repeated-key": (
+        [("management_period:", f"? {HUGE}\n: 1\n? {HUGE}\n: 2\nmanagement_period:")],
+        f"22: mapping key {SHOWN} is given twice",
+    ),
+    "deep-ports": ([("ports: 4", f"ports: {DEEP}")], "ports: expected an integer, got a list"),
+    "deep-next": (
+        [("next: DEFAULT", f"next: {DEEP}")],
+        "rows[0] (id=count).next: expected a name, got a list",
+    ),
+    "deep-action": (
+        [('action: "fwd:1"', f"action: {DEEP}")],
+        "rows[0] (id=count).action: expected a name, got a list",
+    ),
+    "deep-scope-item": (
+        [("lookup_scope: [ip_src, ip_dst]", f"lookup_scope: [ip_src, {DEEP}]")],
+        "lookup_scope[1]: expected a name, got a list",
+    ),
+    "deep-global": ([("{G0: 3}", f"{{G0: {DEEP}}}")], "globals.G0: expected an integer, got a list"),
+    "deep-period": (
+        [("management_period: 1000000", f"management_period: {DEEP}")],
+        "management_period: expected an integer, got a list",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_validate_quotes_a_huge_or_deep_value_at_its_key(case, tmp_path, capsys):
+    """Each used to exit 1 with a ValueError (int-to-str) or RecursionError
+    (repr) traceback. Now the value is one problem, quoted in bounded form."""
+    edits, error = BAD_VALUES[case]
+    text = LONG_FLOW
+    for old, new in edits:
+        text = text.replace(old, new, 1)
+    program = tmp_path / f"{case}.yaml"
+    program.write_text(text)
+    code = cli.main(["validate", "--program", str(program)])
+    err = capsys.readouterr().err
+    if case == "huge-repeated-key":
+        assert (code, err) == (cli.EXIT_PARSE, f"parse error: {program}:{error}\n")
+    else:
+        assert code == cli.EXIT_VALIDATION, err
+        assert err == f"validation error: invalid program:\n  - {program}: {error}\n"

@@ -167,11 +167,17 @@ def test_a_mutated_run_fails_located_or_equals_the_reference(name, program_ops, 
 # document, for mutating the program alone
 YAML_TOKENS = [bytes([b]) for b in b"&*!|>%@?<"] + [b"!!int ", b"&a ", b"*a", b"<<: ", b"--- "]
 yaml_tokens = st.lists(st.sampled_from(YAML_TOKENS), min_size=1, max_size=3)
+# values that the loader once formatted with str() or repr(): an integer
+# past the int-to-str digit limit, and a list nested past the recursion limit
+BAD_VALUES = [b"0x" + b"F" * 4000, b"[" * 1500 + b"]" * 1500]
 yaml_mutation = st.one_of(
     st.tuples(st.just("insert"), position, yaml_tokens),
     st.tuples(st.just("replace"), position, st.sampled_from(YAML_TOKENS)),
     st.tuples(st.just("value"), position, yaml_tokens),  # before the n-th ": "'s value
+    st.tuples(st.just("swap"), position, st.sampled_from(BAD_VALUES)),  # in its place
 )
+# each ": " and the value after it, up to the end of its line or flow item
+VALUE = re.compile(rb": (?=([^,\]}\n]*))")
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -182,12 +188,19 @@ yaml_mutation = st.one_of(
 def test_a_program_mutated_with_yaml_tokens_fails_located_or_equals_the_reference(
     name, program_ops
 ):
-    """The run above, with the program mutated by YAML tokens and the
-    trace left whole."""
-    values = [m.end() for m in re.finditer(rb": ", programs.bundled_path(name).read_bytes())]
-    program_ops = [
-        ("insert", values[op[1] % len(values)], op[2]) if op[0] == "value" else op
-        for op in program_ops
-    ]
+    """The run above, with the program mutated by YAML tokens or with one
+    value replaced by a huge or deep one, and the trace left whole."""
+    values = list(VALUE.finditer(programs.bundled_path(name).read_bytes()))
+    ops = []
+    for kind, *args in program_ops:
+        if kind in ("value", "swap"):
+            value = values[args[0] % len(values)]
+            at = value.end()
+            if kind == "swap":
+                ops.append(("delete", at, len(value[1])))
+            ops.append(("insert", at, [args[1]] if kind == "swap" else args[1]))
+        else:
+            ops.append((kind, *args))
+    program_ops = ops
     run = test_a_mutated_run_fails_located_or_equals_the_reference.hypothesis.inner_test
     run(name, program_ops, [])

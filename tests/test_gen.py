@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from flowfsm.engine import OptionError
 from flowfsm.harness import gen
 
 POISSON = {"flows": 6, "rate_pps": 40, "duration_s": 3, "ports": 4}
@@ -72,7 +73,7 @@ def test_portscan_mix_without_a_probe_ends_at_the_last_second():
 
 @pytest.mark.parametrize("kind", sorted(gen.KINDS))
 def test_each_kind_reads_the_parameter_keys_it_declares(kind):
-    """``gen_trace`` rejects a key outside ``PARAM_KEYS``, so the keys a
+    """``gen_trace`` rejects a key outside ``PARAMS``, so the keys a
     generator reads must be those it declares."""
 
     class Recorded(dict):
@@ -82,4 +83,29 @@ def test_each_kind_reads_the_parameter_keys_it_declares(kind):
 
     read = []
     gen.KINDS[kind](Recorded(), random.Random(0))
-    assert tuple(read) == gen.PARAM_KEYS[kind]
+    assert tuple(read) == tuple(gen.PARAMS[kind])
+
+
+@pytest.mark.parametrize(
+    "kind, key, value, shown",
+    [
+        ("poisson_flows", "rate_pps", 0, "0 is below 1"),  # ZeroDivisionError
+        ("poisson_flows", "rate_pps", -1, "-1 is below 1"),  # the flow never ends
+        ("poisson_flows", "ports", 0, "0 is below 1"),
+        ("poisson_flows", "flows", -1, "-1 is below 0"),
+        ("bucket_stress", "count", -(16**4000), f"-0x1{'0' * 36}... (4004 characters) is below 0"),
+    ],
+    ids=["rate-0", "rate-negative", "ports-0", "flows-negative", "count-4000-hex-digits"],
+)
+def test_gen_trace_refuses_a_parameter_below_its_least_value(kind, key, value, shown, tmp_path):
+    """It is checked before any row is generated."""
+    out = tmp_path / "trace.csv"
+    with pytest.raises(OptionError) as err:
+        gen.gen_trace(kind, {key: value}, 0, out)
+    assert str(err.value) == f"{kind} parameter {key}: {shown}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(gen.KINDS))
+def test_gen_trace_takes_each_least_value(kind, tmp_path):
+    assert gen.gen_trace(kind, gen.PARAMS[kind], 0, tmp_path / "trace.csv") >= 0

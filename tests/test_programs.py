@@ -1,6 +1,7 @@
 """Program loader: round trip, rejection locations, tree expansion, fallbacks."""
 
 import dataclasses
+import re
 
 import pytest
 import yaml
@@ -176,9 +177,18 @@ def test_every_yaml_loader_builds_the_same_program(name, monkeypatch):
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
 def test_malformed_yaml_is_a_parse_error_naming_the_source(loader, monkeypatch):
+    """A syntax error reads ``path:line: problem``, as every other refusal
+    does, with the parser's problem and not its ``"<unicode string>"``."""
     monkeypatch.setattr(programs, "_YAML_LOADER", loader)
     for text in ("name: [unclosed", "rows: {a: 1\n  b: 2", "a: b: c"):
-        with pytest.raises(ProgramParseError, match="^broken.yaml: "):
+        with pytest.raises(ProgramParseError, match=r"^broken.yaml:[12]: \w") as err:
+            programs.loads(text, source="broken.yaml")
+        assert "<unicode string>" not in str(err.value)
+    for text, problem in (
+        ("name: x\nrows: [a, b}\nc: 1\n", "expected ',' or ']'"),
+        ("name: x\nrows: \x07\n", "unacceptable character #x0007: "),
+    ):
+        with pytest.raises(ProgramParseError, match=f"^broken.yaml:2: .*{re.escape(problem)}"):
             programs.loads(text, source="broken.yaml")
 
 
@@ -459,6 +469,61 @@ BROKEN = [
 )
 def test_broken_programs_are_rejected_at_their_location(base, path, value, location):
     assert_rejected_at(patched_doc(base, path, value), location)
+
+
+# (path, value, the one problem): each reader used to return a sentinel
+# that a later check reported again, at times at another entry
+ONE_PROBLEM = [
+    (("ports",), "abc", "ports: expected an integer, got 'abc'"),
+    (FIELD0 + ("width",), "abc", "fields[0].width: expected an integer, got 'abc'"),
+    (("fields", 1, "slot"), "abc", "fields[1].slot: expected an integer, got 'abc'"),
+    (("table_sizes",), {"xfsm": "abc"}, "table_sizes.xfsm: expected an integer, got 'abc'"),
+    (("rows", 2, "priority"), "abc", "rows[2] (id=long).priority: expected an integer, got 'abc'"),
+    (("states", "DEFAULT"), "abc", "states.DEFAULT: expected an integer, got 'abc'"),
+    (("rows", 1, "action"), "dscp:64:fwd:1", "rows[1] (id=crossed).action.dscp: 64 outside 0..63"),
+    (("management_period",), None, "management_period: expected an integer, got nothing"),
+    (("globals", "G0"), True, "globals.G0: expected an integer, got True"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, problem", ONE_PROBLEM, ids=[case[2].split(":")[0] for case in ONE_PROBLEM]
+)
+def test_a_bad_value_is_one_problem_at_its_key(path, value, problem):
+    assert problems_of(patched_doc(L, path, value)) == [problem]
+
+
+def test_a_bad_match_pattern_is_one_problem():
+    doc = patched_doc(L, ("match_fields",), ["ip_src"])
+    for pattern, problem in (
+        ("abc/def", "expected an integer, got 'abc'"),
+        ("0x1/0x1ffffffff", "8589934591 outside 0..4294967295"),
+        ([[1]], "expected an integer, got a list"),
+    ):
+        doc["rows"][0]["match"] = {"ip_src": pattern}
+        assert problems_of(doc) == [f"rows[0] (id=count).match.ip_src: {problem}"]
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        ("ab", "'ab'"),
+        ("x" * 40, repr("x" * 40)),
+        ("x" * 41, repr("x" * 40) + "... (41 characters)"),
+        (-7, "-7"),
+        (1 << 200, str(1 << 200)[:40] + "... (61 characters)"),
+        (16**4000, "0x1" + "0" * 37 + "... (4003 characters)"),
+        (True, "True"),
+        (None, "None"),
+        (2.5, "2.5"),
+        ({"a": [1]}, "a mapping"),
+        ([[[]]], "a list"),
+    ],
+    ids=["short-str", "40-char-str", "41-char-str", "int", "long-int", "huge-int", "bool", "none", "float",
+         "mapping", "list"],
+)
+def test_echo_quotes_any_value_in_bounded_form(value, shown):
+    assert programs.echo(value) == shown
 
 
 def scope_doc(widths):
