@@ -45,6 +45,28 @@ NUM_SELECTORS = 16
 NUM_HEADER_SLOTS = NUM_SELECTORS - SEL_H_BASE
 
 
+# an error message quotes at most this many characters of a value
+ECHO_CHARS = 40
+
+
+def echo(value: object) -> str:
+    """A program or trace value for an error message: a string by its
+    ``repr``, a mapping or a list by its kind alone, anything else by its
+    ``str``, with an integer past the int-to-str digit limit in hex. The
+    text is whole when it has at most ECHO_CHARS characters, else its
+    first ECHO_CHARS and its length."""
+    if isinstance(value, (dict, list)):
+        return "a mapping" if isinstance(value, dict) else "a list"
+    render: Callable[[str], str] = repr if isinstance(value, str) else str
+    try:
+        text = value if isinstance(value, str) else str(value)
+    except ValueError:  # more digits than int-to-str conversion allows
+        text = hex(value)  # type: ignore[arg-type]
+    if len(text) <= ECHO_CHARS:
+        return render(text)
+    return f"{render(text[:ECHO_CHARS])}... ({len(text)} characters)"
+
+
 class Opcode(enum.IntEnum):
     NOP = 0x00
     NOT = 0x01
@@ -126,7 +148,7 @@ def parse_selector(token: str) -> int:
         idx = int(token[1:])
         if idx < limit:
             return base + idx
-    raise ValueError(f"unknown register selector {token!r}")
+    raise ValueError(f"unknown register selector {echo(token)}")
 
 
 def read_selector(
@@ -216,7 +238,7 @@ def parse_instruction(
     try:
         opcode = Opcode[tokens[0].upper()]
     except KeyError as exc:
-        raise ValueError(f"unknown mnemonic {tokens[0]!r}") from exc
+        raise ValueError(f"unknown mnemonic {echo(tokens[0])}") from exc
     nsel, has_imm, _ = _LAYOUT[opcode]
     args = tokens[1:]
     if len(args) != nsel + (1 if has_imm else 0):

@@ -4,7 +4,6 @@ Verbs:
     run                 replay a trace through a program
     validate            load a program and report its shape
     gen-trace           write a synthetic trace
-    calibrate-portscan  table the decayed SYN counter for given rates
 
 Exit codes: 0 success, 3 parse failure (program or trace syntax, YAML
 outside the subset docs/SCHEMA.md accepts, bytes that are not UTF-8),
@@ -20,7 +19,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .. import alu, programs
+from .. import programs
 from ..engine import Engine, NonMonotoneTimestampError, OptionError
 from ..flow_context import NUM_FLOW_REGISTERS, context_bytes
 from . import gen, traceio
@@ -68,19 +67,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="generator parameter (repeatable)",
     )
 
-    cal = sub.add_parser(
-        "calibrate-portscan", help="table the decayed SYN counter per rate"
-    )
-    cal.add_argument("--program", required=True)
-    cal.add_argument("--rates", default="5,40", help="comma-separated SYN/s rates")
-    cal.add_argument("--duration", type=int, default=30, help="seconds simulated")
-
     return parser
 
 
-def _int_option(option: str, text: str, base: int = 10) -> int:
+def _int_option(option: str, text: str) -> int:
     try:
-        return int(text, base)
+        return int(text, 0)
     except ValueError:
         raise OptionError(f"{option}: {text.strip()!r} is not an integer") from None
 
@@ -149,35 +141,9 @@ def _cmd_gen_trace(args) -> int:
         if "=" not in item:
             raise OptionError(f"--param needs KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        params[key.strip()] = _int_option(f"--param {key.strip()}", value, 0)
+        params[key.strip()] = _int_option(f"--param {key.strip()}", value)
     count = gen.gen_trace(args.kind, params, args.seed, args.out)
     print(f"{args.out}: {count} packets ({args.kind}, seed {args.seed})")
-    return EXIT_OK
-
-
-def _cmd_calibrate(args) -> int:
-    config = programs.load(args.program)
-    threshold, _, sample, _ = config.globals_init
-    rates = [_int_option("--rates", r) for r in args.rates.split(",") if r.strip()]
-    print(f"program {config.name}: threshold G0={threshold}, decay 1/2 per tick")
-    for rate in rates:
-        acc = 0
-        last = 0
-        peak = 0
-        trip = None
-        syn = 0
-        for t in range(args.duration):
-            for _ in range(rate):
-                syn += 1
-                peak = max(peak, acc)
-                if acc >= threshold and trip is None:
-                    trip = (syn, t)
-                # the program's "EWMA R2 R0 ts G2"
-                last, acc = alu.exec_ewma(last, acc, t, sample)
-        if trip:
-            print(f"rate={rate}/s: trips at SYN #{trip[0]} (t={trip[1]}s)")
-        else:
-            print(f"rate={rate}/s: peak counter {peak} < {threshold}, never trips")
     return EXIT_OK
 
 
@@ -185,7 +151,6 @@ _COMMANDS = {
     "run": _cmd_run,
     "validate": _cmd_validate,
     "gen-trace": _cmd_gen_trace,
-    "calibrate-portscan": _cmd_calibrate,
 }
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Mapping, Union
 
 from ..engine import OptionError
-from ..programs import echo
+from ..alu import echo
 from . import traceio
 
 SCANNER_IP = 0xC0A80001  # the one scanning source in portscan_mix

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from ..engine import VERDICT_COLUMNS
-from ..programs import echo
+from ..alu import echo
 from ..stats import RunStats
 
 TRACE_COLUMNS = (

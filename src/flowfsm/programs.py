@@ -1,10 +1,12 @@
-"""Program configuration: schema, loader, validator and engine builder.
+"""Program configuration: schema, loader, serializer and trace-row binder.
 
 A program is a YAML document that declares header-field bindings, flow-key
 scopes, state labels, initial global registers, the comparator set, and
 the transition rows with their actions and register-update tuples. The
-loader reads the YAML subset docs/SCHEMA.md gives in one pass, then
-validates everything it can and reports each violation with its location.
+loader reads the YAML subset docs/SCHEMA.md gives in one pass, reads each
+section against its table in the schema, then checks the sections against
+one another and reports each violation with its location. The engine
+compiles the program it returns.
 
 See docs/SCHEMA.md for the field-by-field reference and a worked listing.
 """
@@ -12,7 +14,7 @@ See docs/SCHEMA.md for the field-by-field reference and a worked listing.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Container, Mapping, NoReturn, Optional, Sequence, Union
@@ -20,6 +22,7 @@ from typing import Callable, Container, Mapping, NoReturn, Optional, Sequence, U
 import yaml
 
 from . import alu, conditions
+from .alu import echo
 from .engine import ACTION_KINDS, FLOW_KEY_WIDTH, Engine
 
 TIMESTAMP_UNITS = {
@@ -29,45 +32,11 @@ TIMESTAMP_UNITS = {
     "ticks": 1_000,
 }
 
-STAY = "_stay"
-
 # libyaml's parser where PyYAML was built with it; same documents, ~9x faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _YAML_TAG = "tag:yaml.org,2002:"
 _YAML_SCALARS = yaml.constructor.SafeConstructor()
 _YAML_CORE_SCALARS = {_YAML_TAG + kind for kind in ("int", "float", "bool", "null")}
-
-FIELD_MASK = 0xFFFFFFFF
-
-TOP_LEVEL_KEYS = (
-    "name",
-    "description",
-    "timestamp_unit",
-    "ports",
-    "fields",
-    "lookup_scope",
-    "update_scope",
-    "states",
-    "globals",
-    "flow_scratch",
-    "conditions",
-    "match_fields",
-    "rows",
-    "context_fallback",
-    "classifier_tree",
-    "table_sizes",
-    "management_period",
-)
-
-
-# keys of the entries of each list section, and of classifier-tree nodes;
-# fields, context_fallback and table_sizes use their dataclass fields
-CONDITION_KEYS = ("name", "op", "lhs", "rhs")
-ROW_KEYS = ("id", "state", "cond", "match", "priority", "next", "action", "update")
-TREE_KEYS = ("gate", "in_state", "base_priority", "tree")
-TREE_NODE_KEYS = ("condition", "if_true", "if_false")
-TREE_LEAF_KEYS = ("class", "action")
-
 
 class ProgramError(Exception):
     pass
@@ -88,18 +57,6 @@ class ProgramValidationError(ProgramError):
 
 
 @dataclass(frozen=True)
-class FieldDef:
-    """One operand slot binding: slot ``slot`` holds the ``width``-bit
-    value of the trace column ``source`` (metadata such as ``ts`` and
-    ``in_port`` included)."""
-
-    name: str
-    slot: int
-    width: int
-    source: str
-
-
-@dataclass(frozen=True)
 class RowDef:
     """One declarative transition row (label-level, before compilation)."""
 
@@ -111,16 +68,6 @@ class RowDef:
     action: str  # canonical text, as _action returns it
     instructions: tuple[alu.Instruction, ...]
     row_id: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class FallbackDef:
-    """Wildcard context entry matched when the exact lookup misses."""
-
-    priority: int
-    state: str
-    match: tuple[tuple[str, tuple[int, int]], ...]
-    registers: tuple[int, int, int, int] = (0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -211,15 +158,6 @@ MAX_YAML_NESTING = 2048
 MAX_YAML_NODES = 1 << 18
 
 
-@dataclass(frozen=True)
-class TableSizes:
-    context_subtables: int = 4
-    context_buckets: int = 1024
-    bucket_depth: int = 1
-    context_fallback: int = 32
-    xfsm: int = 128
-
-
 @dataclass
 class ProgramConfig:
     name: str
@@ -235,12 +173,12 @@ class ProgramConfig:
     rows: tuple[RowDef, ...]
     # positive: the loader replaces 0 by one second of ticks
     management_period: int
-    context_fallback: tuple[FallbackDef, ...] = ()
-    classifier_tree: Optional[ClassifierTree] = None
-    table_sizes: TableSizes = dc_field(default_factory=TableSizes)
+    context_fallback: tuple[FallbackDef, ...]
+    classifier_tree: Optional[ClassifierTree]
+    table_sizes: TableSizes
     # extra per-flow scratch registers, each addressed through a donated
     # (otherwise unused) global selector slot: (alias name, G slot index)
-    flow_scratch: tuple[tuple[str, int], ...] = ()
+    flow_scratch: tuple[tuple[str, int], ...]
 
     def transition_rows(self) -> tuple[RowDef, ...]:
         """Explicit rows, then tree-expanded decision rows; the position is
@@ -274,7 +212,8 @@ class ProgramConfig:
 
 
 # ---------------------------------------------------------------------------
-# parsing helpers
+# readers: each takes (value, where, problems, *bounds) and reports a bad
+# value as one problem at ``where``
 
 
 def _int(
@@ -312,82 +251,237 @@ def _text(value: object, where: str, problems: list[str]) -> Optional[str]:
     return None
 
 
+def _label(value: object, where: str, problems: list[str]) -> Optional[str]:
+    """The name ``_text`` reads, which also names the entry in its later
+    messages (``rows[2] (id=long).priority``)."""
+    return _text(value, where, problems)
+
+
+def _string(value: object, where: str, problems: list[str], problem: str) -> Optional[str]:
+    """A non-empty string. Anything else is ``problem``, reported at the
+    entry that holds the key, or at the key itself at the top level."""
+    if isinstance(value, str) and value:
+        return value
+    entry, _, key = where.rpartition(".")
+    problems.append(f"{entry or key}: {problem}")
+    return None
+
+
 def _name(
-    value: object, where: str, problems: list[str], known: Container, what: str
+    value: object, where: str, problems: list[str], known: Optional[Container], what=None
 ) -> Optional[str]:
-    """The name ``_text`` reads, reported at ``where`` unless ``known`` holds it."""
+    """The name ``_text`` reads, reported at ``where`` unless ``known`` holds
+    it: as an unknown ``what``, or without ``what`` as not one of ``known``.
+    None ``known``, a section that failed to read, holds every name."""
     text = _text(value, where, problems)
-    if text is not None and text not in known:
-        problems.append(f"{where}: unknown {what} {echo(text)}")
+    if known is not None and text is not None and text not in known:
+        bad = f"unknown {what} {echo(text)}" if what else f"{echo(text)} not one of {sorted(known)}"
+        problems.append(f"{where}: {bad}")
     return text
 
 
+def _size(value: object, where: str, problems: list[str], cap: Optional[int] = None):
+    """A table size: a positive integer as ``_int`` reads it, at most ``cap``."""
+    size = _int(value, where, problems, 1)
+    if size is None or cap is None or size <= cap:
+        return size
+    problems.append(f"{where}: {echo(size)} exceeds the cap of {cap}")
+    return None
+
+
 def _expect(
-    value: object, kind: type, where: str, problems: list[str], required: bool = False
-):
-    """``value`` if it is a ``kind`` (list or dict), else report it and use an
-    empty one. ``required`` also rejects an empty value."""
+    value: object, where: str, problems: list[str], kind: type = object, required: bool = False
+) -> tuple:
+    """``(value, where)``, for checks that report at ``where`` later, if
+    ``value`` is a ``kind`` (list or dict; by default anything) and, if
+    ``required``, not empty. Else one problem, and ``(None, where)``."""
     if isinstance(value, kind) and (value or not required):
-        return value
+        return value, where
     what = "list" if kind is list else "mapping"
     problems.append(f"{where}: expected a {'non-empty ' if required else ''}{what}")
-    return kind()
+    return None, where
 
 
-def _keys(cls: type) -> tuple[str, ...]:
-    """The field names of a dataclass, which are also its document keys."""
-    return tuple(f.name for f in dataclasses.fields(cls))
+def _read(item: object, where: str, problems: list[str], schema: Mapping) -> tuple:
+    """``(values, where)`` of the mapping ``item`` read against ``schema``,
+    one of the tables below: in table order, what each key's reader gives
+    for the key's value, or for its default where ``item`` lacks the key,
+    and None for an optional key that is absent or null. A name ``_label``
+    reads joins ``where``. Then each key the table lacks is one problem.
+    Not a mapping: one problem, and ``(None, where)``."""
+    if not isinstance(item, dict):
+        problems.append(f"{where}: expected a mapping")
+        return None, where
+    values = []
+    for key, (read, default, bounds) in schema.items():
+        if read is None:
+            continue
+        value = item.get(key, default)
+        if value is None and default is None:
+            values.append(None)
+            continue
+        at = f"{where}.{key}" if where else key
+        value = read(None if value is REQUIRED else value, at, problems, *bounds)
+        if read is _label and value is not None:
+            where = f"{where} ({key}={value})"
+        values.append(value)
+    if not schema.keys() >= item.keys():
+        unknown = f"{where}: unknown key" if where else "unknown top-level key"
+        problems.extend(f"{unknown} {echo(key)}" for key in item if key not in schema)
+    return values, where
 
 
-def _known_keys(
-    item: Mapping, keys: Sequence[str], where: str, problems: list[str]
-) -> None:
-    """Report each key of ``item`` outside ``keys``, so that typos fail."""
-    for key in item:
-        if key not in keys:
-            problems.append(f"{where}: unknown key {echo(key)}")
+def _entries(
+    value: object, where: str, problems: list[str], schema: Mapping, required: bool = False
+) -> tuple:
+    """``(entries, where)`` of the list ``value``: each mapping in it as
+    ``_read`` reads it at ``where[i]``; any other item is one problem. Not
+    a list: ``(None, where)``, as from ``_expect``."""
+    items, where = _expect(value, where, problems, list, required)
+    if items is None:
+        return None, where
+    entries = [_read(item, f"{where}[{i}]", problems, schema) for i, item in enumerate(items)]
+    return [entry for entry in entries if entry[0] is not None], where
 
 
-def _entries(doc: Mapping, key: str, problems: list[str], required: bool = False):
-    """Yield (index, location, entry) for each mapping in the list ``doc[key]``;
-    other items are reported at ``key[i]``."""
-    for i, item in enumerate(_expect(doc.get(key, []), list, key, problems, required)):
-        where = f"{key}[{i}]"
-        if isinstance(item, dict):
-            yield i, where, item
-        else:
-            problems.append(f"{where}: expected a mapping")
+# ---------------------------------------------------------------------------
+# the schema: each section's keys in document order, as key: (reader,
+# default, bounds). _read calls reader(value, where, problems, *bounds) with
+# the key's value, or its default where the key is absent. A REQUIRED key
+# has none (its reader reports the value missing), a key whose default is
+# None is optional, and a key without a reader is not read. The checks
+# between sections read what _expect locates. serialize writes the keys in
+# this order, and tests/test_docs.py checks docs/SCHEMA.md against them.
+
+REQUIRED = object()
+
+# a row state ANY matches any state, as one without a state does; a row
+# next STAY keeps the current state, as one without a next does
+ANY = "*"
+STAY = "_stay"
+
+FIELD = {
+    "name": (_string, REQUIRED, ("missing name",)),
+    "slot": (_int, REQUIRED, (0, alu.NUM_HEADER_SLOTS - 1)),
+    "width": (_int, 32, (1, 32)),
+    "source": (_string, REQUIRED, ("source must name a trace column",)),
+}
+CONDITION = {
+    "name": (_text, None, ()),  # None: C<i>, for condition i
+    "op": (_text, "", ()),
+    "lhs": (_text, "", ()),
+    "rhs": (_text, "", ()),
+}
+ROW = {
+    "id": (_label, None, ()),
+    "state": (_expect, None, ()),
+    "cond": (_expect, {}, (dict,)),
+    "match": (_expect, {}, (dict,)),
+    "priority": (_int, REQUIRED, (0,)),
+    "next": (_expect, None, ()),
+    "action": (_expect, "none", ()),
+    "update": (_expect, [], (list,)),
+}
+FALLBACK = {
+    "priority": (_int, REQUIRED, (0,)),
+    "state": (_expect, "", ()),
+    "match": (_expect, {}, (dict,)),
+    "registers": (_expect, [], ()),
+}
+TREE = {
+    "gate": (_expect, "", ()),
+    "in_state": (_expect, "", ()),
+    "base_priority": (_int, REQUIRED, (0,)),
+    "tree": (_expect, REQUIRED, (dict,)),
+}
+TREE_NODE = {
+    "condition": (_expect, "", ()),
+    "if_true": (_expect, REQUIRED, (dict,)),
+    "if_false": (_expect, REQUIRED, (dict,)),
+}
+# a tree node that holds the first key of TREE_LEAF is a leaf
+TREE_LEAF = {
+    "class": (_expect, REQUIRED, ()),
+    "action": (_expect, "none", ()),
+}
+TABLE_SIZES = {
+    "context_subtables": (_size, 4, (MAX_CONTEXT_SUBTABLES,)),
+    "context_buckets": (_size, 1024, ()),
+    "bucket_depth": (_size, 1, (MAX_BUCKET_DEPTH,)),
+    "context_fallback": (_size, 32, (MAX_CONTEXT_FALLBACK,)),
+    "xfsm": (_size, 128, (MAX_XFSM_ROWS,)),
+}
+
+PROGRAM = {
+    "name": (_string, REQUIRED, ("required non-empty string",)),
+    "description": (None, None, ()),
+    "timestamp_unit": (_name, "microseconds", (TIMESTAMP_UNITS,)),
+    "ports": (_int, 4, (1, 63)),
+    "fields": (_entries, [], (FIELD,)),
+    "lookup_scope": (_expect, REQUIRED, (list, True)),
+    "update_scope": (_expect, None, (list, True)),  # None: the lookup scope
+    "states": (_expect, REQUIRED, (dict, True)),
+    "globals": (_expect, {}, (dict,)),
+    "flow_scratch": (_expect, {}, (dict,)),
+    "conditions": (_entries, [], (CONDITION,)),
+    "match_fields": (_expect, [], (list,)),
+    "rows": (_entries, REQUIRED, (ROW, True)),
+    "context_fallback": (_entries, [], (FALLBACK,)),
+    "classifier_tree": (_read, None, (TREE,)),
+    "table_sizes": (_read, {}, (TABLE_SIZES,)),
+    "management_period": (_int, 0, (0, MAX_PERIOD)),  # 0: one second of ticks
+}
 
 
-def _priority(item: Mapping, where: str, seen: set[int], problems: list[str]) -> Optional[int]:
-    """The entry's ``priority``: required, non-negative and unique in ``seen``."""
-    priority = _int(item.get("priority"), f"{where}.priority", problems, 0)
+def _record(name: str, schema: Mapping, doc: str) -> type:
+    """A frozen dataclass whose fields are the keys of ``schema``, in order."""
+    namespace = {"__module__": __name__, "__doc__": doc}
+    return dataclasses.make_dataclass(name, list(schema), frozen=True, namespace=namespace)
+
+
+FieldDef = _record(
+    "FieldDef",
+    FIELD,
+    """One operand slot binding: slot ``slot`` holds the ``width``-bit
+    value of the trace column ``source`` (metadata such as ``ts`` and
+    ``in_port`` included).""",
+)
+# a fallback's match is ((field, (value, mask)), ...), its registers four ints
+FallbackDef = _record(
+    "FallbackDef", FALLBACK, "Wildcard context entry matched when the exact lookup misses."
+)
+TableSizes = _record("TableSizes", TABLE_SIZES, "The geometry of the context and XFSM tables.")
+
+
+def _unique(priority: Optional[int], where: str, seen: set[int], problems: list[str]) -> None:
+    """Report ``priority`` at ``where`` if ``seen`` holds it, else add it."""
     if priority in seen:
         problems.append(f"{where}: duplicate priority {echo(priority)}")
     elif priority is not None:
         seen.add(priority)
-    return priority
 
 
-def _action(value: object, where: str, ports: int, problems: list[str]) -> str:
-    """The canonical text of an action: ``none``, ``drop``, ``flood``,
-    ``fwd:P`` or ``dscp:V:fwd:P``, read regardless of case and surrounding
-    whitespace, with P a port in 1..ports and V a DSCP value in 0..63."""
-    text = _text(value, f"{where}.action", problems)
+def _action(action: tuple, where: str, ports: Optional[int], problems: list[str]):
+    """The canonical text of a located action: ``none``, ``drop``,
+    ``flood``, ``fwd:P`` or ``dscp:V:fwd:P``, read regardless of case and
+    surrounding whitespace, with P a port in 1..ports and V a DSCP value
+    in 0..63."""
+    value, at = action
+    text = _text(value, at, problems)
     if text is None:
-        return "none"
+        return None
     verb, *words = text.strip().lower().split(":")
     if not words and verb in ACTION_KINDS and verb not in ("fwd", "dscp"):
         return verb
     if verb == "fwd" and len(words) == 1:
-        port = _int(words[0], f"{where}.action.port", problems, 1, ports)
+        port = _int(words[0], f"{at}.port", problems, 1, ports)
         return f"fwd:{port}"
     if verb == "dscp" and len(words) == 3 and words[1] == "fwd":
-        dscp = _int(words[0], f"{where}.action.dscp", problems, 0, 63)
-        port = _int(words[2], f"{where}.action.port", problems, 1, ports)
+        dscp = _int(words[0], f"{at}.dscp", problems, 0, 63)
+        port = _int(words[2], f"{at}.port", problems, 1, ports)
         return f"dscp:{dscp}:fwd:{port}"
     problems.append(f"{where}: unknown action {echo(text)}")
-    return "none"
+    return None
 
 
 def _parse_pattern(
@@ -397,7 +491,7 @@ def _parse_pattern(
     mask must fit in the field's ``width`` bits. A bad pattern is one
     problem, that of its first bad part."""
     full = (1 << width) - 1
-    if isinstance(value, str) and value.strip() == "*":
+    if isinstance(value, str) and value.strip() == ANY:
         return 0, 0
     parts = value.split("/", 1) if isinstance(value, str) and "/" in value else [value, full]
     bad: list[str] = []
@@ -408,38 +502,26 @@ def _parse_pattern(
     return v & m, m
 
 
-def _format_pattern(pattern: tuple[int, int], width: int) -> object:
-    value, mask = pattern
-    full = (1 << width) - 1
-    if mask == 0:
-        return "*"
-    if mask == full:
-        return value
-    return f"0x{value:x}/0x{mask:x}"
-
-
 def _match(
-    item: Mapping,
-    where: str,
-    widths: Mapping[str, int],
-    allowed: str,
-    problems: list[str],
+    match: tuple, where: str, widths: Optional[Mapping], allowed: str, problems: list[str]
 ) -> tuple[tuple[str, tuple[int, int]], ...]:
-    """The entry's ``match`` patterns over the fields in ``widths`` (name to
-    pattern width), which the document lists under ``allowed``."""
-    patterns = []
-    for key, text in _expect(
-        item.get("match", {}), dict, f"{where}.match", problems
-    ).items():
-        name = _text(key, f"{where}.match", problems)
+    """The entry's located ``match`` patterns over the fields in ``widths``
+    (name to pattern width, None where unknown), which the document lists
+    under ``allowed``. None ``widths``, where ``allowed`` failed to read,
+    checks no pattern."""
+    patterns, at = match
+    if patterns is None or widths is None:
+        return ()
+    read = []
+    for key, text in patterns.items():
+        name = _text(key, at, problems)
         if name is None:
             continue
         if name not in widths:
             problems.append(f"{where}: field {echo(name)} is not listed in {allowed}")
-            continue
-        at = f"{where}.match.{name}"
-        patterns.append((name, _parse_pattern(text, widths[name], at, problems)))
-    return tuple(patterns)
+        elif widths[name] is not None:
+            read.append((name, _parse_pattern(text, widths[name], f"{at}.{name}", problems)))
+    return tuple(read)
 
 
 # ---------------------------------------------------------------------------
@@ -559,106 +641,95 @@ def load(path: Union[str, Path]) -> ProgramConfig:
 
 def _build(doc: dict, source: str) -> ProgramConfig:
     problems: list[str] = []
-
-    name = doc.get("name")
-    if not isinstance(name, str) or not name:
-        problems.append("name: required non-empty string")
-        name = "<unnamed>"
-
-    unit = _text(doc.get("timestamp_unit", "microseconds"), "timestamp_unit", problems)
-    if unit is not None and unit not in TIMESTAMP_UNITS:
-        problems.append(f"timestamp_unit: {echo(unit)} not one of {sorted(TIMESTAMP_UNITS)}")
-    unit = unit if unit in TIMESTAMP_UNITS else "microseconds"
-
-    ports = _int(doc.get("ports", 4), "ports", problems, 1, 63) or 4
+    # a section value that failed to read is None: no check against it reports
+    (
+        name, unit, ports, (field_entries, _), lookup_at, update_at, (raw_states, states_at),
+        (raw_globals, globals_at), (raw_scratch, scratch_at), (condition_entries, conditions_at),
+        match_at, (row_entries, rows_at), (fallback_entries, fallback_at), tree_at,
+        (sizes_read, sizes_at), period,
+    ), _ = _read(doc, "", problems, PROGRAM)
 
     # --- fields ---------------------------------------------------------
-    fields: list[FieldDef] = []
-    seen_names: set[str] = set()
+    field_map: dict[str, FieldDef] = {}
     seen_slots: set[int] = set()
-    for _, where, item in _entries(doc, "fields", problems):
-        _known_keys(item, _keys(FieldDef), where, problems)
-        fname = item.get("name")
-        if not isinstance(fname, str) or not fname:
-            problems.append(f"{where}: missing name")
+    for (fname, slot, width, src), where in field_entries or ():
+        if fname is None:
             continue
-        if fname in seen_names:
+        if fname in field_map:
             problems.append(f"{where}: duplicate field name {echo(fname)}")
-        seen_names.add(fname)
-        slot = _int(item.get("slot"), f"{where}.slot", problems, 0, alu.NUM_HEADER_SLOTS - 1)
         if slot in seen_slots:
             problems.append(f"{where}: slot {echo(slot)} already bound")
         elif slot is not None:
             seen_slots.add(slot)
-        width = _int(item.get("width", 32), f"{where}.width", problems, 1, 32) or 32
-        src = item.get("source")
-        if not isinstance(src, str) or not src:
-            problems.append(f"{where}: source must name a trace column")
-        fields.append(FieldDef(fname, slot, width, src))
+        field_map[fname] = FieldDef(fname, slot, width, src)
+    known_fields = None if field_entries is None else field_map
 
-    field_map = {f.name: f for f in fields}
+    def widths(names: Sequence[str]) -> dict[str, Optional[int]]:
+        """Match pattern width of each field (None for unknown ones)."""
+        return {n: field_map[n].width if n in field_map else None for n in names}
 
-    def widths(names: Sequence[str]) -> dict[str, int]:
-        """Match pattern width of each field (32 for unknown ones)."""
-        return {n: field_map[n].width if n in field_map else 32 for n in names}
+    def field_names(located: tuple) -> tuple[str, ...]:
+        """The field names in a located list."""
+        value, where = located
+        names = (
+            _name(n, f"{where}[{i}]", problems, known_fields, "field")
+            for i, n in enumerate(value or ())
+        )
+        return tuple(n for n in names if n is not None)
 
-    def scope_of(key: str) -> tuple[str, ...]:
-        names = []
-        total = 0
-        for i, n in enumerate(_expect(doc.get(key), list, key, problems, required=True)):
-            n = _name(n, f"{key}[{i}]", problems, field_map, "field")
-            if n in field_map:
-                total += field_map[n].width
-            if n is not None:
-                names.append(n)
+    def scope_of(located: tuple) -> tuple[str, ...]:
+        names = field_names(located)
+        total = sum(field_map[n].width or 0 for n in names if n in field_map)
         if total > FLOW_KEY_WIDTH:
-            problems.append(f"{key}: widths sum to {total} > {FLOW_KEY_WIDTH} bits")
-        return tuple(names)
+            problems.append(f"{located[1]}: widths sum to {total} > {FLOW_KEY_WIDTH} bits")
+        return names
 
-    lookup_scope = scope_of("lookup_scope")
-    update_scope = (
-        scope_of("update_scope") if "update_scope" in doc else lookup_scope
-    )
+    lookup_scope = scope_of(lookup_at)
+    update_scope = lookup_scope if update_at is None else scope_of(update_at)
 
     # --- states ---------------------------------------------------------
     # a label whose code is bad maps to None: it is declared, with no code
     states: dict[str, Optional[int]] = {}
-    raw_states = _expect(doc.get("states"), dict, "states", problems, required=True)
-    for key, value in raw_states.items():
-        label = _text(key, "states", problems)
+    for key, value in (raw_states or {}).items():
+        label = _text(key, states_at, problems)
         if label is None:
             continue
-        code = _int(value, f"states.{label}", problems, 0, 0xFFFF)
+        code = _int(value, f"{states_at}.{label}", problems, 0, 0xFFFF)
         if code is not None and code in states.values():
-            problems.append(f"states.{label}: duplicate code {echo(code)}")
+            problems.append(f"{states_at}.{label}: duplicate code {echo(code)}")
         states[label] = code
     if states and 0 not in states.values() and None not in states.values():
-        problems.append("states: a state with code 0 (the default) is required")
+        problems.append(f"{states_at}: a state with code 0 (the default) is required")
     if len(states) > MAX_STATES:
-        problems.append(f"states: {len(states)} states exceed the cap of {MAX_STATES}")
+        problems.append(f"{states_at}: {len(states)} states exceed the cap of {MAX_STATES}")
+    known_states = None if raw_states is None else states
+
+    def state_name(located: Optional[tuple], wildcard: str) -> Optional[str]:
+        """The state a row's state or next names; None for ``wildcard``."""
+        if located is None or located[0] == wildcard:
+            return None
+        return _name(*located, problems, known_states, "state")
 
     # --- globals --------------------------------------------------------
     gvals = [0, 0, 0, 0]
-    raw_globals = _expect(doc.get("globals", {}), dict, "globals", problems)
-    for key, value in raw_globals.items():
-        k = _text(key, "globals", problems)
+    for key, value in (raw_globals or {}).items():
+        k = _text(key, globals_at, problems)
         if k is None:
             continue
         if k.upper() in ("G0", "G1", "G2", "G3"):
-            where = f"globals.{k.upper()}"
-            gvals[int(k[1])] = _int(value, where, problems, 0, FIELD_MASK) or 0
+            where = f"{globals_at}.{k.upper()}"
+            gvals[int(k[1])] = _int(value, where, problems, 0, alu.WORD) or 0
         else:
-            problems.append(f"globals: unknown register {echo(k)}")
+            problems.append(f"{globals_at}: unknown register {echo(k)}")
 
     # --- per-flow scratch registers --------------------------------------
     scratch: list[tuple[str, int]] = []
-    raw_scratch = _expect(doc.get("flow_scratch", {}), dict, "flow_scratch", problems)
     donated: set[int] = set()
-    for key, gname in raw_scratch.items():
-        alias = _text(key, "flow_scratch", problems)
+    for key, gname in (raw_scratch or {}).items():
+        alias = _text(key, scratch_at, problems)
         if alias is None:
             continue
-        where = f"flow_scratch.{alias}"
+        where = f"{scratch_at}.{alias}"
         if alias in field_map:
             problems.append(f"{where}: alias collides with field {echo(alias)}")
         gname = _text(gname, where, problems)
@@ -694,21 +765,16 @@ def _build(doc: dict, source: str) -> ProgramConfig:
 
     cond_list: list[tuple[str, conditions.ConditionSpec]] = []
     cond_names: dict[str, int] = {}
-    for i, where, item in _entries(doc, "conditions", problems):
-        _known_keys(item, CONDITION_KEYS, where, problems)
-        if i == conditions.NUM_CONDITIONS:
-            problems.append(
-                f"conditions: at most {conditions.NUM_CONDITIONS} conditions fit "
-                "the comparator slots"
-            )
-        cname = _text(item.get("name", f"C{i}"), f"{where}.name", problems)
+    if len(condition_entries or ()) > conditions.NUM_CONDITIONS:
+        problems.append(
+            f"{conditions_at}: at most {conditions.NUM_CONDITIONS} conditions fit "
+            "the comparator slots"
+        )
+    for i, ((cname, op_txt, lhs, rhs), where) in enumerate(condition_entries or ()):
+        cname = f"C{i}" if cname is None else cname
         if cname in cond_names:
             problems.append(f"{where}: duplicate condition name {echo(cname)}")
-        elif cname is not None:
-            cond_names[cname] = i
-        op_txt = _text(item.get("op", ""), f"{where}.op", problems)
-        lhs = _text(item.get("lhs", ""), f"{where}.lhs", problems)
-        rhs = _text(item.get("rhs", ""), f"{where}.rhs", problems)
+        cond_names[cname] = i
         if op_txt is None or lhs is None or rhs is None:
             continue
         try:
@@ -722,60 +788,40 @@ def _build(doc: dict, source: str) -> ProgramConfig:
             problems.append(f"{where}: {exc}")
             continue
         cond_list.append((cname, conditions.ConditionSpec(op, lhs, rhs)))
+    known_conditions = None if condition_entries is None else cond_names
 
     # --- match fields ----------------------------------------------------
-    match_fields = []
-    raw_match = _expect(doc.get("match_fields", []), list, "match_fields", problems)
-    for i, key in enumerate(raw_match):
-        n = _name(key, f"match_fields[{i}]", problems, field_map, "field")
-        if n is not None:
-            match_fields.append(n)
+    match_fields = field_names(match_at)
     if len(match_fields) > 4:
-        problems.append("match_fields: at most 4 fields fit the row match budget")
+        problems.append(f"{match_at[1]}: at most 4 fields fit the row match budget")
+    row_widths = None if match_at[0] is None else widths(match_fields)
 
     # --- rows -------------------------------------------------------------
     rows: list[RowDef] = []
     priorities: set[int] = set()
-    row_widths = widths(match_fields)
-    for i, where, item in _entries(doc, "rows", problems, required=True):
-        rid = item.get("id")
-        if rid is not None:
-            rid = _text(rid, f"{where}.id", problems)
-            where = where if rid is None else f"{where} (id={rid})"
-        _known_keys(item, ROW_KEYS, where, problems)
-        state = item.get("state", "*")
-        if state in ("*", None):
-            state = None
-        else:
-            state = _name(state, f"{where}.state", problems, states, "state")
+    for (rid, state, cond, match, priority, nxt, action, update), where in row_entries or ():
+        state = state_name(state, ANY)
         cond_pat: list[tuple[str, int]] = []
-        for key, bit in _expect(
-            item.get("cond", {}), dict, f"{where}.cond", problems
-        ).items():
-            cname = _name(key, f"{where}.cond", problems, cond_names, "condition")
-            if cname not in cond_names or bit in ("*", None):
+        cond_map, cond_at = cond
+        for key, bit in (cond_map or {}).items():
+            cname = _name(key, cond_at, problems, known_conditions, "condition")
+            if bit in (ANY, None) or cname not in (known_conditions or ()):
                 continue
-            bit = _int(bit, f"{where}.cond.{cname}", problems, 0, 1)
+            bit = _int(bit, f"{cond_at}.{cname}", problems, 0, 1)
             if bit is not None:
                 cond_pat.append((cname, bit))
-        match_pat = _match(item, where, row_widths, "match_fields", problems)
-        priority = _priority(item, where, priorities, problems)
-        nxt = item.get("next", STAY)
-        if nxt == STAY or nxt is None:
-            nxt = None
-        else:
-            nxt = _name(nxt, f"{where}.next", problems, states, "state")
-        action = _action(item.get("action", "none"), where, ports, problems)
+        match_pat = _match(match, where, row_widths, match_at[1], problems)
+        _unique(priority, where, priorities, problems)
         instrs: list[alu.Instruction] = []
-        raw_update = _expect(item.get("update", []), list, f"{where}.update", problems)
-        for j, value in enumerate(raw_update):
-            text = _text(value, f"{where}.update[{j}]", problems)
+        raw_update, update_at = update
+        for j, value in enumerate(raw_update or ()):
+            text = _text(value, f"{update_at}[{j}]", problems)
             if text is None:
                 continue
             try:
                 instrs.append(alu.parse_instruction(text, resolve_token))
             except ValueError as exc:
-                problems.append(f"{where}.update[{j}]: {exc}")
+                problems.append(f"{update_at}[{j}]: {exc}")
         for msg in alu.validate_tuple(instrs):
             problems.append(f"{where}: {msg}")
         rows.append(
@@ -784,94 +830,60 @@ def _build(doc: dict, source: str) -> ProgramConfig:
                 cond=tuple(cond_pat),
                 match=match_pat,
                 priority=priority,
-                next_state=nxt,
-                action=action,
+                next_state=state_name(nxt, STAY),
+                action=_action(action, where, ports, problems),
                 instructions=tuple(instrs),
                 row_id=rid,
             )
         )
 
-    if rows and not any(
-        r.state is None and not r.cond and not r.match for r in rows
-    ):
-        problems.append("rows: a catch-all row (state '*', no cond/match) is required")
+    if rows and not any(r.state is None and not r.cond and not r.match for r in rows):
+        problems.append(f"{rows_at}: a catch-all row (state '*', no cond/match) is required")
 
     # --- context fallback --------------------------------------------------
     fallback: list[FallbackDef] = []
     fb_priorities: set[int] = set()
-    scope_widths = widths(lookup_scope)
-    for _, where, item in _entries(doc, "context_fallback", problems):
-        _known_keys(item, _keys(FallbackDef), where, problems)
-        st = _name(item.get("state", ""), f"{where}.state", problems, states, "state")
-        prio = _priority(item, where, fb_priorities, problems)
-        pats = _match(item, where, scope_widths, "lookup_scope", problems)
-        regs = item.get("registers", [])
+    scope_widths = None if lookup_at[0] is None else widths(lookup_scope)
+    for (prio, st, match, (regs, regs_at)), where in fallback_entries or ():
+        st = _name(*st, problems, known_states, "state")
+        _unique(prio, where, fb_priorities, problems)
+        pats = _match(match, where, scope_widths, lookup_at[1], problems)
         if not isinstance(regs, list) or len(regs) > 4:
             problems.append(f"{where}: registers must be a list of up to 4 values")
             regs = []
-        regs = [
-            _int(v, f"{where}.registers[{i}]", problems, 0, FIELD_MASK) or 0
-            for i, v in enumerate(regs)
-        ]
+        regs = [_int(v, f"{regs_at}[{i}]", problems, 0, alu.WORD) or 0 for i, v in enumerate(regs)]
         regs += [0] * (4 - len(regs))
         fallback.append(FallbackDef(prio, st, pats, tuple(regs)))
 
     # --- classifier tree ----------------------------------------------------
-    tree: Optional[ClassifierTree] = None
-    if doc.get("classifier_tree") is not None:
-        tree = _parse_tree(doc["classifier_tree"], states, cond_names, ports, problems)
+    tree = _parse_tree(tree_at, known_states, known_conditions, ports, problems)
     tree_rows = tree.rows() if tree is not None else ()
     for row in tree_rows:
         if row.priority in priorities:
             problems.append(
-                f"classifier_tree: expanded priority {echo(row.priority)} collides "
+                f"{tree_at[1]}: expanded priority {echo(row.priority)} collides "
                 "with an explicit row"
             )
 
-    # --- sizes and period --------------------------------------------------
-    raw_sizes = _expect(doc.get("table_sizes", {}), dict, "table_sizes", problems)
-    _known_keys(raw_sizes, _keys(TableSizes), "table_sizes", problems)
-    size_kwargs = {}
-    for key in _keys(TableSizes):
-        if key in raw_sizes:
-            v = _int(raw_sizes[key], f"table_sizes.{key}", problems, 1)
-            if v is not None:
-                size_kwargs[key] = v
-    sizes = TableSizes(**size_kwargs)
-    for key, cap in (
-        ("context_subtables", MAX_CONTEXT_SUBTABLES),
-        ("bucket_depth", MAX_BUCKET_DEPTH),
-        ("context_fallback", MAX_CONTEXT_FALLBACK),
-        ("xfsm", MAX_XFSM_ROWS),
-    ):
-        if getattr(sizes, key) > cap:
-            problems.append(
-                f"table_sizes.{key}: {echo(getattr(sizes, key))} exceeds the cap of {cap}"
-            )
-    contexts = sizes.context_subtables * sizes.context_buckets * sizes.bucket_depth
-    if contexts > MAX_CONTEXTS:
+    # --- sizes ----------------------------------------------------------------
+    sizes = TableSizes(*(sizes_read or [None] * len(TABLE_SIZES)))
+    shape = (sizes.context_subtables, sizes.context_buckets, sizes.bucket_depth)
+    if None not in shape and shape[0] * shape[1] * shape[2] > MAX_CONTEXTS:
         problems.append(
-            f"table_sizes: context_subtables * context_buckets * bucket_depth = "
-            f"{echo(contexts)} exceeds the cap of {MAX_CONTEXTS} contexts"
+            f"{sizes_at}: {' * '.join(list(TABLE_SIZES)[:3])} = "
+            f"{echo(shape[0] * shape[1] * shape[2])} exceeds the cap of {MAX_CONTEXTS} contexts"
         )
     total_rows = len(rows) + len(tree_rows)
-    if total_rows > sizes.xfsm:
+    if sizes.xfsm is not None and total_rows > sizes.xfsm:
         problems.append(
-            f"rows: {total_rows} rows exceed the transition table capacity "
+            f"{rows_at}: {total_rows} rows exceed the transition table capacity "
             f"({echo(sizes.xfsm)})"
         )
-    if len(fallback) > sizes.context_fallback:
+    if sizes.context_fallback is not None and len(fallback) > sizes.context_fallback:
         problems.append(
-            f"context_fallback: {len(fallback)} entries exceed capacity "
+            f"{fallback_at}: {len(fallback)} entries exceed capacity "
             f"({echo(sizes.context_fallback)})"
         )
-
-    period = _int(doc.get("management_period", 0), "management_period", problems, 0, MAX_PERIOD)
-    period = period or TIMESTAMP_UNITS[unit]
-
-    for key in doc:
-        if key not in TOP_LEVEL_KEYS:
-            problems.append(f"unknown top-level key {echo(key)}")
 
     if problems:
         raise ProgramValidationError([f"{source}: {p}" for p in problems])
@@ -880,65 +892,58 @@ def _build(doc: dict, source: str) -> ProgramConfig:
         name=name,
         timestamp_unit=unit,
         ports=ports,
-        fields=tuple(fields),
+        fields=tuple(field_map.values()),
         lookup_scope=lookup_scope,
         update_scope=update_scope,
         states=states,
         globals_init=tuple(gvals),  # type: ignore[arg-type]
         conditions=tuple(cond_list),
-        match_fields=tuple(match_fields),
+        match_fields=match_fields,
         rows=tuple(rows),
         context_fallback=tuple(fallback),
         classifier_tree=tree,
         table_sizes=sizes,
-        management_period=period,
+        management_period=period or TIMESTAMP_UNITS[unit],
         flow_scratch=tuple(scratch),
     )
 
 
 def _parse_tree(
-    raw: object,
-    states: Mapping[str, Optional[int]],
-    cond_names: dict[str, int],
-    ports: int,
-    problems: list[str],
+    tree: Optional[tuple], states: Optional[Container], cond_names: Optional[Container],
+    ports: Optional[int], problems: list[str],
 ) -> Optional[ClassifierTree]:
-    too_deep = f"classifier_tree.tree: a path holds more than {MAX_TREE_DEPTH} conditions"
+    """The classifier tree of the section ``_read`` read, None if there is
+    none or any part of it is bad: a bad node has no subtree, and adds a
+    problem."""
+    if tree is None or tree[0] is None:
+        return None
+    start = len(problems)
+    (gate, in_state, base, root), _ = tree
+    too_deep = f"{root[1]}: a path holds more than {MAX_TREE_DEPTH} conditions"
+    leaf_key = next(iter(TREE_LEAF))
 
-    def walk(node: object, where: str, depth: int) -> Union[TreeNode, TreeLeaf, None]:
-        if not isinstance(node, dict):
-            problems.append(f"{where}: expected a mapping")
+    def walk(node: tuple, depth: int) -> Union[TreeNode, TreeLeaf, None]:
+        item, where = node
+        if item is None:
             return None
-        if "class" in node:
-            _known_keys(node, TREE_LEAF_KEYS, where, problems)
-            st = _name(node.get("class"), f"{where}.class", problems, states, "state")
-            action = _action(node.get("action", "none"), where, ports, problems)
-            return TreeLeaf(st, action)
+        if leaf_key in item:
+            (state, action), where = _read(item, where, problems, TREE_LEAF)
+            state = _name(*state, problems, states, "state")
+            return TreeLeaf(state, _action(action, where, ports, problems))
         if depth == MAX_TREE_DEPTH:
             if too_deep not in problems:
                 problems.append(too_deep)
             return None
-        _known_keys(node, TREE_NODE_KEYS, where, problems)
-        at = f"{where}.condition"
-        cname = _name(node.get("condition", ""), at, problems, cond_names, "condition")
-        t = walk(node.get("if_true"), where + ".if_true", depth + 1)
-        f = walk(node.get("if_false"), where + ".if_false", depth + 1)
-        if t is None or f is None:
-            return None
-        return TreeNode(cname, t, f)
+        (cname, if_true, if_false), where = _read(item, where, problems, TREE_NODE)
+        cname = _name(*cname, problems, cond_names, "condition")
+        return TreeNode(cname, walk(if_true, depth + 1), walk(if_false, depth + 1))
 
-    if not isinstance(raw, dict):
-        problems.append("classifier_tree: expected a mapping")
+    gate = _name(*gate, problems, cond_names, "condition")
+    in_state = _name(*in_state, problems, states, "state")
+    node = walk(root, 0)
+    if node is None or base is None or len(problems) > start:
         return None
-    where = "classifier_tree"
-    _known_keys(raw, TREE_KEYS, where, problems)
-    gate = _name(raw.get("gate", ""), f"{where}.gate", problems, cond_names, "condition")
-    in_state = _name(raw.get("in_state", ""), f"{where}.in_state", problems, states, "state")
-    base = _int(raw.get("base_priority"), f"{where}.base_priority", problems, 0)
-    root = walk(raw.get("tree"), f"{where}.tree", 0)
-    if root is None or gate not in cond_names or in_state not in states or base is None:
-        return None
-    return ClassifierTree(gate, in_state, base, root)
+    return ClassifierTree(gate, in_state, base, node)
 
 
 # ---------------------------------------------------------------------------
@@ -957,28 +962,6 @@ compile_rows = ProgramConfig.transition_rows
 
 class BindError(ProgramError):
     """The trace rows do not carry what the program needs."""
-
-
-# an error message quotes at most this many characters of a value
-ECHO_CHARS = 40
-
-
-def echo(value: object) -> str:
-    """A program or trace value for an error message: a string by its
-    ``repr``, a mapping or a list by its kind alone, anything else by its
-    ``str``, with an integer past the int-to-str digit limit in hex. The
-    text is whole when it has at most ECHO_CHARS characters, else its
-    first ECHO_CHARS and its length."""
-    if isinstance(value, (dict, list)):
-        return "a mapping" if isinstance(value, dict) else "a list"
-    render: Callable[[str], str] = repr if isinstance(value, str) else str
-    try:
-        text = value if isinstance(value, str) else str(value)
-    except ValueError:  # more digits than int-to-str conversion allows
-        text = hex(value)  # type: ignore[arg-type]
-    if len(text) <= ECHO_CHARS:
-        return render(text)
-    return f"{render(text[:ECHO_CHARS])}... ({len(text)} characters)"
 
 
 def make_binder(
@@ -1063,79 +1046,71 @@ def make_binder(
 # serialization and bundled programs
 
 
+def _doc(schema: Mapping, *values: object) -> dict:
+    """A section as a document mapping: ``values`` under the keys of its
+    table, in order, leaving out a key without a reader, which no
+    config keeps."""
+    keys = [key for key, (read, _, _) in schema.items() if read is not None]
+    return dict(zip(keys, values, strict=True))
+
+
 def _tree_doc(node: Union[TreeNode, TreeLeaf]) -> dict:
     if isinstance(node, TreeLeaf):
-        return {"class": node.state, "action": node.action}
-    return {
-        "condition": node.condition,
-        "if_true": _tree_doc(node.if_true),
-        "if_false": _tree_doc(node.if_false),
-    }
+        return _doc(TREE_LEAF, node.state, node.action)
+    return _doc(TREE_NODE, node.condition, _tree_doc(node.if_true), _tree_doc(node.if_false))
 
 
 def _match_doc(config: ProgramConfig, match: tuple) -> dict:
-    return {
-        name: _format_pattern(pat, config.field_by_name(name).width)
-        for name, pat in match
-    }
+    """Patterns as a document writes them: ANY, a value, or VALUE/MASK."""
+    doc: dict = {}
+    for name, (value, mask) in match:
+        if mask == 0:
+            doc[name] = ANY
+        elif mask == (1 << config.field_by_name(name).width) - 1:
+            doc[name] = value
+        else:
+            doc[name] = f"0x{value:x}/0x{mask:x}"
+    return doc
 
 
 def serialize(config: ProgramConfig) -> str:
     """Canonical YAML form; load(serialize(c)) == c."""
     tree = config.classifier_tree
-    doc = {
-        "name": config.name,
-        "timestamp_unit": config.timestamp_unit,
-        "ports": config.ports,
-        "fields": [dataclasses.asdict(f) for f in config.fields],
-        "lookup_scope": list(config.lookup_scope),
-        "update_scope": list(config.update_scope),
-        "states": dict(config.states),
-        "globals": {f"G{i}": v for i, v in enumerate(config.globals_init)},
-        "flow_scratch": {alias: f"G{slot}" for alias, slot in config.flow_scratch},
-        "conditions": [
-            {
-                "name": name,
-                "op": spec.op.name,
-                "lhs": alu.selector_name(spec.lhs),
-                "rhs": alu.selector_name(spec.rhs),
-            }
+    doc = _doc(
+        PROGRAM,
+        config.name,
+        config.timestamp_unit,
+        config.ports,
+        [_doc(FIELD, *dataclasses.astuple(f)) for f in config.fields],
+        list(config.lookup_scope),
+        list(config.update_scope),
+        dict(config.states),
+        {f"G{i}": v for i, v in enumerate(config.globals_init)},
+        {alias: f"G{slot}" for alias, slot in config.flow_scratch},
+        [
+            _doc(CONDITION, name, spec.op.name, *map(alu.selector_name, (spec.lhs, spec.rhs)))
             for name, spec in config.conditions
         ],
-        "match_fields": list(config.match_fields),
-        "rows": [
-            {
-                "id": row.row_id,
-                "state": "*" if row.state is None else row.state,
-                "cond": dict(row.cond),
-                "match": _match_doc(config, row.match),
-                "priority": row.priority,
-                "next": STAY if row.next_state is None else row.next_state,
-                "action": row.action,
-                "update": [alu.format_instruction(i) for i in row.instructions],
-            }
+        list(config.match_fields),
+        [
+            _doc(
+                ROW, row.row_id, ANY if row.state is None else row.state, dict(row.cond),
+                _match_doc(config, row.match), row.priority,
+                STAY if row.next_state is None else row.next_state, row.action,
+                [alu.format_instruction(i) for i in row.instructions],
+            )
             for row in config.rows
         ],
-        "context_fallback": [
-            {
-                "priority": fb.priority,
-                "state": fb.state,
-                "match": _match_doc(config, fb.match),
-                "registers": list(fb.registers),
-            }
+        [
+            _doc(FALLBACK, fb.priority, fb.state, _match_doc(config, fb.match), list(fb.registers))
             for fb in config.context_fallback
         ],
-        "classifier_tree": None
+        None
         if tree is None
-        else {
-            "gate": tree.gate,
-            "in_state": tree.in_state,
-            "base_priority": tree.base_priority,
-            "tree": _tree_doc(tree.root),
-        },
-        "table_sizes": dataclasses.asdict(config.table_sizes),
-        "management_period": config.management_period,
-    }
+        else _doc(TREE, tree.gate, tree.in_state, tree.base_priority, _tree_doc(tree.root)),
+        _doc(TABLE_SIZES, *dataclasses.astuple(config.table_sizes)),
+        config.management_period,
+    )
     return yaml.safe_dump(doc, sort_keys=False)
 
 

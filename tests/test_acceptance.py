@@ -65,8 +65,9 @@ def test_c1_token_bucket_bundled_stress_trace():
 
 def test_c2_port_scan_behavior():
     """A 40 SYN/s scanner among three benign sources at 5 SYN/s: the
-    scanner's first 20 SYNs pass and its 21st, where ``calibrate-portscan``
-    puts the trip point, is dropped; every benign SYN passes; and a probe
+    scanner's first 20 SYNs pass and its 21st, where the engine's decayed
+    counter reaches port_scan.yaml's threshold, is dropped; every benign
+    SYN passes, its counter staying under the threshold; and a probe
     150 s after the scan stopped finds the scanner's context aged out and
     passes, moving the source from DEFAULT to MONITOR."""
     config = programs.bundled_program("port_scan")

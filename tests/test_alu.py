@@ -22,6 +22,7 @@ from flowfsm.alu import (
     execute_tuple,
     format_instruction,
     parse_instruction,
+    parse_selector,
     validate_tuple,
     _LAYOUT,
 )
@@ -227,6 +228,20 @@ def test_parse_rejects_garbage():
     for bad in ("", "FROB R0", "ADD R0 R0", "ADDI R0 R0 65536", "ADD R0 R0 H9"):
         with pytest.raises(ValueError):
             parse_instruction(bad)
+
+
+@pytest.mark.parametrize(
+    "parse, token, what",
+    [
+        (parse_instruction, "X" * 100_000, "mnemonic"),
+        (parse_selector, "R" * 100_000, "register selector"),
+    ],
+    ids=["mnemonic", "selector"],
+)
+def test_a_long_token_is_quoted_in_bounded_form(parse, token, what):
+    with pytest.raises(ValueError) as err:
+        parse(token + " R0 R0" if parse is parse_instruction else token)
+    assert str(err.value) == f"unknown {what} {token[:40]!r}... (100000 characters)"
 
 
 def test_format_roundtrip():

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -14,6 +16,18 @@ from flowfsm.flow_context import FlowContextTable
 from flowfsm.harness import cli
 
 from helpers import GAP_CASES, deep_tree_program, patched_doc
+
+
+def test_the_docstring_lists_every_verb_in_order():
+    """The verbs the module docstring lists are the parser's subcommands,
+    in order, so a deleted verb cannot stay documented."""
+    verbs = cli.__doc__.split("Verbs:\n", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^    (\S+)  ", verbs, re.MULTILINE)
+    (sub,) = (
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert listed == list(sub.choices)
 
 
 @pytest.mark.parametrize("name", programs.BUNDLED)
@@ -230,14 +244,6 @@ def test_run_rejects_a_trace_that_names_a_column_twice(tmp_path, capsys):
     assert f"parse error: {trace}: column 'in_port' appears twice" in (
         capsys.readouterr().err
     )
-
-
-def test_calibrate_portscan_tables_the_bundled_threshold(capsys):
-    program = programs.bundled_path("port_scan")
-    assert cli.main(["calibrate-portscan", "--program", str(program)]) == cli.EXIT_OK
-    out = capsys.readouterr().out.splitlines()
-    assert "rate=5/s: peak counter 9 < 20, never trips" in out
-    assert "rate=40/s: trips at SYN #21 (t=0s)" in out
 
 
 @pytest.mark.parametrize(

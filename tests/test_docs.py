@@ -1,11 +1,13 @@
-"""docs/SCHEMA.md lists every key ``flowfsm run --stats`` writes, every
-top-level program key the loader accepts, and every table size with its
-default, each in the order the code has it, and every action kind the
-stats count; and every name the package exports exists."""
+"""docs/SCHEMA.md lists every key ``flowfsm run --stats`` writes, and
+every key of every program section with its default and bounds, each in
+the order the code has it, and every action kind the stats count; and
+every name the package exports exists."""
 
-import dataclasses
 import re
 from pathlib import Path
+
+import pytest
+import yaml
 
 import flowfsm
 from flowfsm import programs
@@ -50,15 +52,82 @@ def test_the_action_kinds_are_documented():
     assert sorted(kinds) == sorted(ACTION_KINDS.values())
 
 
+def key_tables(title):
+    """(key, default, bounds cell) of each row of each key table in one
+    section, a table being a run of lines that start with "|"."""
+    tables, rows = [], None
+    for line in section(title).splitlines() + [""]:
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.split("|")[1:5]]
+            rows.append((cells[0].strip("`"), default_of(cells[2]), cells[3]))
+        elif line.startswith("|"):
+            rows = rows if rows is not None else []
+        elif rows is not None:
+            tables.append(rows)
+            rows = None
+    return tables
+
+
+def number(n):
+    """A bound as the tables write it: 2^64 − 1 for MAX_PERIOD, else decimal."""
+    return str(n) if n < 1 << 32 else f"2^{n.bit_length()} − 1"
+
+
+def default_of(cell):
+    """The default a table cell names: none, no value, or a YAML value."""
+    if cell == "required":
+        return programs.REQUIRED
+    return None if cell == "—" else yaml.safe_load(cell.strip("`"))
+
+
+def documented_bounds(read, bounds):
+    """An entry's bounds as its table cell writes them."""
+    if read is programs._int:
+        return f"{bounds[0]}..{number(bounds[1])}" if len(bounds) > 1 else f"≥ {bounds[0]}"
+    if read is programs._size:
+        return f"1..{bounds[0]}" if bounds else "≥ 1"
+    if read is programs._name:
+        return ", ".join(f"`{name}`" for name in bounds[0])
+    if read in (programs._expect, programs._entries) and bounds[1:] == (True,):
+        return "non-empty"
+    return "—"
+
+
+def assert_documented(title, *schemas):
+    """Each key table of the section lists its schema's keys in order, each
+    with its default and bounds."""
+    expected = [
+        [
+            (key, default, documented_bounds(read, bounds))
+            for key, (read, default, bounds) in schema.items()
+        ]
+        for schema in schemas
+    ]
+    assert key_tables(title) == expected
+
+
 def test_every_top_level_key_is_documented_in_order():
-    assert table_keys("Top-level keys") == list(programs.TOP_LEVEL_KEYS)
+    assert_documented("Top-level keys", programs.PROGRAM)
 
 
 def test_every_table_size_is_documented_with_its_default():
-    block = section("`table_sizes`").split("```yaml\n", 1)[1].split("```", 1)[0]
-    documented = re.findall(r"^  (\w+): (\d+)", block, re.MULTILINE)
-    defaults = dataclasses.asdict(programs.TableSizes())
-    assert [(key, int(value)) for key, value in documented] == list(defaults.items())
+    assert_documented("`table_sizes`", programs.TABLE_SIZES)
+
+
+SECTIONS = [
+    ("`fields`", (programs.FIELD,)),
+    ("`conditions`", (programs.CONDITION,)),
+    ("`rows`", (programs.ROW,)),
+    ("`context_fallback`", (programs.FALLBACK,)),
+    ("`classifier_tree`", (programs.TREE, programs.TREE_NODE, programs.TREE_LEAF)),
+]
+
+
+@pytest.mark.parametrize(
+    "title, schemas", SECTIONS, ids=[title.strip("`") for title, _ in SECTIONS]
+)
+def test_every_section_key_is_documented_in_order(title, schemas):
+    assert_documented(title, *schemas)
 
 
 def test_every_exported_name_resolves():

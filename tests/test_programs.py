@@ -471,26 +471,29 @@ def test_broken_programs_are_rejected_at_their_location(base, path, value, locat
     assert_rejected_at(patched_doc(base, path, value), location)
 
 
-# (path, value, the one problem): each reader used to return a sentinel
+# (base, path, value, the one problem): each reader used to return a sentinel
 # that a later check reported again, at times at another entry
 ONE_PROBLEM = [
-    (("ports",), "abc", "ports: expected an integer, got 'abc'"),
-    (FIELD0 + ("width",), "abc", "fields[0].width: expected an integer, got 'abc'"),
-    (("fields", 1, "slot"), "abc", "fields[1].slot: expected an integer, got 'abc'"),
-    (("table_sizes",), {"xfsm": "abc"}, "table_sizes.xfsm: expected an integer, got 'abc'"),
-    (("rows", 2, "priority"), "abc", "rows[2] (id=long).priority: expected an integer, got 'abc'"),
-    (("states", "DEFAULT"), "abc", "states.DEFAULT: expected an integer, got 'abc'"),
-    (("rows", 1, "action"), "dscp:64:fwd:1", "rows[1] (id=crossed).action.dscp: 64 outside 0..63"),
-    (("management_period",), None, "management_period: expected an integer, got nothing"),
-    (("globals", "G0"), True, "globals.G0: expected an integer, got True"),
+    (L, ("ports",), "abc", "ports: expected an integer, got 'abc'"),
+    (L, FIELD0 + ("width",), "abc", "fields[0].width: expected an integer, got 'abc'"),
+    (L, ("fields", 1, "slot"), "abc", "fields[1].slot: expected an integer, got 'abc'"),
+    (L, ("table_sizes",), {"xfsm": "abc"}, "table_sizes.xfsm: expected an integer, got 'abc'"),
+    (L, ("rows", 2, "priority"), "abc", "rows[2] (id=long).priority: expected an integer, got 'abc'"),
+    (L, ("states", "DEFAULT"), "abc", "states.DEFAULT: expected an integer, got 'abc'"),
+    (L, ("rows", 1, "action"), "dscp:64:fwd:1", "rows[1] (id=crossed).action.dscp: 64 outside 0..63"),
+    (L, ("management_period",), None, "management_period: expected an integer, got nothing"),
+    (L, ("globals", "G0"), True, "globals.G0: expected an integer, got True"),
+    # a section that fails to read is absent to the checks against it: the
+    # rows that match on in_port do not each report it unlisted
+    (M, ("match_fields",), "abc", "match_fields: expected a list"),
 ]
 
 
 @pytest.mark.parametrize(
-    "path, value, problem", ONE_PROBLEM, ids=[case[2].split(":")[0] for case in ONE_PROBLEM]
+    "base, path, value, problem", ONE_PROBLEM, ids=[case[3].split(":")[0] for case in ONE_PROBLEM]
 )
-def test_a_bad_value_is_one_problem_at_its_key(path, value, problem):
-    assert problems_of(patched_doc(L, path, value)) == [problem]
+def test_a_bad_value_is_one_problem_at_its_key(base, path, value, problem):
+    assert problems_of(patched_doc(base, path, value)) == [problem]
 
 
 def test_a_bad_match_pattern_is_one_problem():
