@@ -20,6 +20,7 @@ import time
 from typing import Optional, Sequence
 
 from .. import programs
+from ..alu import echo
 from ..engine import Engine, NonMonotoneTimestampError, OptionError
 from ..flow_context import NUM_FLOW_REGISTERS, context_bytes
 from . import gen, traceio
@@ -74,7 +75,7 @@ def _int_option(option: str, text: str) -> int:
     try:
         return int(text, 0)
     except ValueError:
-        raise OptionError(f"{option}: {text.strip()!r} is not an integer") from None
+        raise OptionError(f"{option}: {echo(text.strip())} is not an integer") from None
 
 
 def _cmd_run(args) -> int:
@@ -139,9 +140,9 @@ def _cmd_gen_trace(args) -> int:
     params = {}
     for item in args.param:
         if "=" not in item:
-            raise OptionError(f"--param needs KEY=VALUE, got {item!r}")
+            raise OptionError(f"--param needs KEY=VALUE, got {echo(item)}")
         key, value = item.split("=", 1)
-        params[key.strip()] = _int_option(f"--param {key.strip()}", value)
+        params[key.strip()] = _int_option(f"--param {echo(key.strip())}", value)
     count = gen.gen_trace(args.kind, params, args.seed, args.out)
     print(f"{args.out}: {count} packets ({args.kind}, seed {args.seed})")
     return EXIT_OK

@@ -250,10 +250,12 @@ def gen_trace(
     for key, value in params.items():
         if key not in least:
             raise OptionError(
-                f"unknown {kind} parameter {key!r} (have {', '.join(least)})"
+                f"unknown {kind} parameter {echo(key)} (have {', '.join(least)})"
             )
         if value < least[key]:
-            raise OptionError(f"{kind} parameter {key}: {echo(value)} is below {least[key]}")
+            raise OptionError(
+                f"{kind} parameter {echo(key)}: {echo(value)} is below {least[key]}"
+            )
     rows = KINDS[kind](params, random.Random(seed))
     traceio.write_trace(out_path, rows)
     return len(rows)

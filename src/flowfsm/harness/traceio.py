@@ -7,6 +7,12 @@ field bindings name the ones it reads. The reader checks syntax only and
 names a bad row by its line in the file; which columns a program needs is
 the binder's check, and time order is the engine step's.
 
+A row is read as the pair ``(columns, values)``: the header's column
+names as one tuple, the same object for every row of the trace, and the
+row's ints in header order. As a parser's field offsets are fixed once
+for a program, a binder finds its columns' positions once per header
+object and reads every later row by position, with no lookup by name.
+
 Verdicts are written one CSV row per packet; stats are a JSON document.
 
 Both directions work in batches, so that the per-row cost is mostly
@@ -73,7 +79,7 @@ def _not_utf8(text: str) -> Optional[str]:
     return bad and f"byte {ord(bad[0]) - 0xDC00:#04x} is not UTF-8"
 
 
-def _first_bad_cell(names: list[str], row: list[str]) -> str:
+def _first_bad_cell(names: tuple[str, ...], row: list[str]) -> str:
     for key, value in zip(names, row):
         try:
             int(value, 0)
@@ -91,8 +97,13 @@ def _first_bad_cell(names: list[str], row: list[str]) -> str:
     raise AssertionError("every cell of the row is an integer")
 
 
-def read_trace(path: Union[str, Path]) -> Iterator[dict[str, int]]:
-    """Stream trace rows as dicts of ints.
+# one trace row: the header's column names, shared by every row, and the
+# row's values in header order
+Row = tuple[tuple[str, ...], tuple[int, ...]]
+
+
+def read_trace(path: Union[str, Path]) -> Iterator[Row]:
+    """Stream trace rows as ``(columns, values)`` pairs of ints.
 
     The header names each column once. Every row has one cell per header
     column, and every cell is an integer read with ``int(x, 0)``. A row
@@ -105,17 +116,20 @@ def read_trace(path: Union[str, Path]) -> Iterator[dict[str, int]]:
     required and no value is checked: which columns and values a program
     takes is the binder's check, and time order is the engine step's.
 
+    Every row's ``columns`` is one tuple object, the header's names in
+    file order; ``values`` is the row's tuple of ints in that order.
+
     Rows are read :data:`READ_CHUNK` lines at a time. While the lines of
     a chunk are plain (see :func:`_plain_cells`), they are split and
-    decoded without ``csv.reader``, and the chunk's dicts are built in
-    C-level passes. From the first chunk that is not,
-    ``csv.reader`` reads the rest of the trace one row at a time, which
-    finds the first bad row, if any, and raises its error.
+    decoded without ``csv.reader``, and the chunk's value tuples are cut
+    from its decoded cells in C-level passes. From the first chunk that
+    is not, ``csv.reader`` reads the rest of the trace one row at a time,
+    which finds the first bad row, if any, and raises its error.
     """
     return itertools.chain.from_iterable(_read_batches(Path(path)))
 
 
-def _read_batches(path: Path) -> Iterator[Iterable[dict[str, int]]]:
+def _read_batches(path: Path) -> Iterator[Iterable[Row]]:
     # a byte that is not UTF-8 decodes to a lone surrogate, which no cell
     # that int() reads holds, so its row fails where _first_bad_cell names it
     with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
@@ -129,19 +143,20 @@ def _read_batches(path: Path) -> Iterator[Iterable[dict[str, int]]]:
             if name in seen:
                 raise TraceFormatError(f"{path}: column {name!r} appears twice")
             seen.add(name)
-        width = len(names)
+        columns = tuple(names)
+        width = len(columns)
         lineno = 2  # of the next row
         while lines := list(itertools.islice(fh, READ_CHUNK)):
             cells = _plain_cells(lines, width)
             if cells is None:
                 break
             lineno += len(lines)
-            rows = zip(*[iter(cells)] * width)
-            yield list(map(dict, map(zip, itertools.repeat(names), rows)))
+            yield list(zip(itertools.repeat(columns), zip(*[iter(cells)] * width)))
         else:
             return
         # row by row from here on, up to the first bad row if there is one
-        yield _read_rows(path, names, filter(None, csv.reader(itertools.chain(lines, fh))), lineno)
+        rows = filter(None, csv.reader(itertools.chain(lines, fh)))
+        yield _read_rows(path, columns, rows, lineno)
 
 
 # every JSON value but an integer holds one of these: strings, arrays,
@@ -181,22 +196,22 @@ def _plain_cells(lines: list[str], width: int) -> Optional[list[int]]:
 
 
 def _read_rows(
-    path: Path, names: list[str], rows: Iterable[list[str]], lineno: int
-) -> Iterator[dict[str, int]]:
-    """``rows`` as dicts, one at a time, up to the first bad one, whose
-    error it raises."""
-    width = len(names)
+    path: Path, columns: tuple[str, ...], rows: Iterable[list[str]], lineno: int
+) -> Iterator[Row]:
+    """``rows`` as ``(columns, values)`` pairs, one at a time, up to the
+    first bad one, whose error it raises."""
+    width = len(columns)
     bases = (0,) * width
     for lineno, row in enumerate(rows, start=lineno):
         if len(row) != width:
             raise TraceFormatError(f"{path}:{lineno}: {len(row)} cells, header has {width}")
         try:
-            out = dict(zip(names, map(int, row, bases)))
+            values = tuple(map(int, row, bases))
         except ValueError:
             raise TraceFormatError(
-                f"{path}:{lineno} {_first_bad_cell(names, row)}"
+                f"{path}:{lineno} {_first_bad_cell(columns, row)}"
             ) from None
-        yield out
+        yield columns, values
 
 
 def write_trace(

@@ -966,25 +966,32 @@ class BindError(ProgramError):
 
 def make_binder(
     config: ProgramConfig,
-) -> Callable[[Mapping[str, int], int], tuple[list[int], int]]:
+) -> Callable[[tuple[Sequence[str], Sequence[int]], int], tuple[list[int], int]]:
     """Build the trace-row to packet-record binding for one program: a
     record is the pair ``(h, ts)`` of the header slot values and the
     timestamp.
 
-    Every field reads the trace column its ``source`` names, metadata
-    such as ``ts`` and ``in_port`` included, and the record's timestamp is
-    the ``ts`` column. A missing column, or a value that is negative or
-    wider than its field, raises :class:`BindError` naming the packet by
-    ``seq``, the number its verdict carries. The error is that of the
-    first failing field in field order, then of a missing ``ts``.
+    A row is the pair ``(columns, values)`` that
+    :func:`~flowfsm.harness.traceio.read_trace` yields: the column names,
+    each once, and the row's values in their order. Every field reads the
+    trace column its ``source`` names, metadata such as ``ts`` and
+    ``in_port`` included, and the record's timestamp is the ``ts``
+    column. A missing column, or a value that is negative or wider than
+    its field, raises :class:`BindError` naming the packet by ``seq``,
+    the number its verdict carries. The error is that of the first
+    failing field in field order, then of a missing ``ts``.
 
     The binder is a function generated for the program's (slot, width)
-    layout, as the engine's step is: it reads every column in one ``try``,
-    checks every width with one OR of ``value >> width`` terms, and builds
-    ``h`` as one list display. The column names reach it as values, so
-    its source, exposed as the binder's ``source`` attribute, holds no
-    program text. Only a row that fails goes through the per-field loop,
-    which raises the error.
+    layout, as the engine's step is. It finds the positions of the
+    columns it reads only when a row's ``columns`` is not the header
+    object it last found them in, and keeps them in closure cells, so a
+    trace's rows are read by position, with no lookup by name. It checks
+    every width with one OR of ``value >> width`` terms and builds ``h``
+    as one list display. The column names reach it as values, so its
+    source, exposed as the binder's ``source`` attribute, holds no
+    program text. Only a row that fails, by a missing column or a value
+    out of its field, goes through the per-field loop, over the row as a
+    dict, which raises the error.
     """
     slots = alu.NUM_HEADER_SLOTS
     column_binds = [(f.slot, f.source, f.width) for f in config.fields]
@@ -1009,27 +1016,36 @@ def make_binder(
     for i, (slot, _, _) in enumerate(column_binds):
         h[slot] = f"v{i:d}"
     columns = [column for _, column, _ in column_binds]
+    positions = [f"p{i:d}" for i in range(n)]
     if "ts" in columns:  # a field already reads the ts column
-        read_ts, names = f"ts = v{columns.index('ts'):d}", ""
+        read_ts = f"ts = v{columns.index('ts'):d}"
     else:
-        read_ts, names = "ts = row[cts]", "cts, "
+        read_ts = "ts = values[pts]"
+        positions.append("pts")
         columns.append("ts")
+    fail = "    return bind_loop(dict(zip(names, values)), seq)"
     body = [
-        "try:",
-        *(f"    v{i:d} = row[c{i:d}]" for i in range(n)),
-        f"    {read_ts}",
-        "except KeyError:",
-        "    return bind_loop(row, seq)",
+        "names, values = row",
+        "if names is not header:",
+        "    try:",
+        f"        {', '.join(positions)}, = map(names.index, columns)",
+        "    except ValueError:",
+        "    " + fail,
+        "    header = names",
+        *(f"v{i:d} = values[p{i:d}]" for i in range(n)),
+        read_ts,
     ]
     if column_binds:
         wide = " | ".join(f"v{i:d} >> {w:d}" for i, (_, _, w) in enumerate(column_binds))
-        body += [f"if {wide}:", "    return bind_loop(row, seq)"]
+        body += [f"if {wide}:", fail]
     body.append(f"return [{', '.join(h)}], ts")
     source = "\n".join(
         [
             "def make(columns, bind_loop):",
-            f"    {''.join(f'c{i:d}, ' for i in range(n))}{names}= columns",
+            "    header = None",
+            f"    {' = '.join(positions)} = 0",
             "    def bind(row, seq):",
+            f"        nonlocal header, {', '.join(positions)}",
             *("        " + line for line in body),
             "    return bind",
             "",
@@ -1037,7 +1053,7 @@ def make_binder(
     )
     namespace: dict = {}
     exec(compile(source, "<flowfsm binder>", "exec"), namespace)
-    bind = namespace["make"](columns, bind_loop)
+    bind = namespace["make"](tuple(columns), bind_loop)
     bind.source = source  # for inspection and tests
     return bind
 

@@ -9,7 +9,11 @@ as one ternary lookup for ``scan_lookup``. ``ReferenceStep`` picks the
 transition with that linear scan, never with the engine's dispatch, and
 checks the rest of the generated step against the package's own
 interpreters of the conditions and the ALU, which are tested on their own.
-``reference_bind`` binds a trace row with a plain loop over the fields.
+``reference_bind`` binds a trace row with a plain loop over the fields,
+finding each column by a scan of the row's header, and
+``reference_read_trace`` reads a trace one cell at a time. ``trace_row``
+puts a row the generators make as a dict in the ``(columns, values)`` form
+the reader yields and the binder takes.
 """
 
 from __future__ import annotations
@@ -87,23 +91,35 @@ def flow_key(config, scope, h):
     return key << (128 - width)
 
 
+def trace_row(row):
+    """A dict row, as the trace generators make them, as the pair
+    ``(columns, values)`` that ``traceio.read_trace`` yields."""
+    return tuple(row), tuple(row.values())
+
+
 def reference_bind(config, row, seq):
-    """The record ``(h, ts)`` of trace row ``row`` as packet ``seq``, bound
-    one field at a time in field order: the oracle for the binder
+    """The record ``(h, ts)`` of trace row ``row``, a ``(columns, values)``
+    pair, as packet ``seq``, bound one field at a time in field order,
+    each column found by a scan of the header: the oracle for the binder
     ``programs.make_binder`` generates, with the error texts it gives."""
+    columns, values = row
+
+    def value_of(column):
+        for name, value in zip(columns, values):
+            if name == column:
+                return value
+        raise BindError(f"packet {seq}: missing column {echo(column)}")
+
     h = [0] * NUM_HEADER_SLOTS
-    try:
-        for field in config.fields:
-            value = row[field.source]
-            if value >> field.width:  # negative, or wider than the field
-                raise BindError(
-                    f"packet {seq}: column {echo(field.source)} value "
-                    f"{echo(value)} does not fit in {field.width} bits"
-                )
-            h[field.slot] = value
-        return h, row["ts"]
-    except KeyError as exc:
-        raise BindError(f"packet {seq}: missing column {echo(exc.args[0])}") from None
+    for field in config.fields:
+        value = value_of(field.source)
+        if value >> field.width:  # negative, or wider than the field
+            raise BindError(
+                f"packet {seq}: column {echo(field.source)} value "
+                f"{echo(value)} does not fit in {field.width} bits"
+            )
+        h[field.slot] = value
+    return h, value_of("ts")
 
 
 def not_utf8(char):
@@ -119,12 +135,13 @@ def reference_read_trace(path):
     rows are numbered from 2 without counting blank lines. The file is
     UTF-8 after an optional byte order mark, and a byte that is not fails
     the header or its cell. No column is required and time order is not
-    checked."""
+    checked. Each row is the pair ``(columns, values)``: one header tuple
+    for every row, and the row's ints in header order."""
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise TraceFormatError(f"{path}: empty trace")
-    header = rows[0]
+    header = tuple(rows[0])
     for name in header:
         for char in name:
             if "\udc80" <= char <= "\udcff":
@@ -136,10 +153,10 @@ def reference_read_trace(path):
         where = f"{path}:{lineno}"
         if len(cells) != len(header):
             raise TraceFormatError(f"{where}: {len(cells)} cells, header has {len(header)}")
-        out = {}
+        out = []
         for key, value in zip(header, cells):
             try:
-                out[key] = int(value, 0)
+                out.append(int(value, 0))
             except ValueError:
                 for char in value:
                     if "\udc80" <= char <= "\udcff":
@@ -156,7 +173,7 @@ def reference_read_trace(path):
                 else:
                     reason = "is not an integer"
                 raise TraceFormatError(f"{where} column {key!r}: {shown} {reason}") from None
-        yield out
+        yield header, tuple(out)
 
 
 class ReferenceStep:

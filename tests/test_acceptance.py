@@ -23,6 +23,7 @@ from helpers import (
     scan_lookup,
     stored_contexts,
     token_bucket_config,
+    trace_row,
     window_bound_holds,
 )
 import test_alu
@@ -34,7 +35,7 @@ def assert_policer_equals_oracle(burst, q, arrivals):
     config = token_bucket_config(burst, q)
     engine = Engine(config, seed=1)
     bind = programs.make_binder(config)
-    rows = ({"ts": t, "ip_src": gen.STRESS_IP} for t in arrivals)
+    rows = (trace_row({"ts": t, "ip_src": gen.STRESS_IP}) for t in arrivals)
     actions = [v[2] for v in engine.run_trace(bind(row, i) for i, row in enumerate(rows))]
     assert actions == oracles.token_bucket_verdicts(burst, q, arrivals)
     forwarded = [t for t, action in zip(arrivals, actions) if action == "fwd:1"]
@@ -76,7 +77,7 @@ def test_c2_port_scan_behavior():
     rows = gen.portscan_mix(params, random.Random(2))
     engine = Engine(config, seed=1)
     bind = programs.make_binder(config)
-    verdicts = list(engine.run_trace(bind(row, i) for i, row in enumerate(rows)))
+    verdicts = list(engine.run_trace(bind(trace_row(row), i) for i, row in enumerate(rows)))
     scanner = [v for row, v in zip(rows, verdicts) if row["ip_src"] == gen.SCANNER_IP]
     benign = [v for row, v in zip(rows, verdicts) if row["ip_src"] != gen.SCANNER_IP]
     assert [v[2] for v in scanner[:21]] == ["fwd:1"] * 20 + ["drop"]
@@ -99,7 +100,7 @@ def test_c3_classifier_equivalence():
     decided = {}
     engine = Engine(config, seed=1)
     bind = programs.make_binder(config)
-    records = [bind(row, i) for i, row in enumerate(rows)]
+    records = [bind(trace_row(row), i) for i, row in enumerate(rows)]
     for row, (h, _), verdict in zip(rows, records, engine.run_trace(records)):
         src = row["ip_src"]
         if verdict[3] == "MEASURE" and verdict[4] != "MEASURE":
@@ -390,7 +391,7 @@ def test_c8_long_flow_marking():
             rows.append({"ts": ts, "ip_src": src, "ip_dst": dst})
         engine = Engine(config, seed=seed)
         bind = programs.make_binder(config)
-        verdicts = engine.run_trace(bind(row, i) for i, row in enumerate(rows))
+        verdicts = engine.run_trace(bind(trace_row(row), i) for i, row in enumerate(rows))
         per_flow = {key: [] for key in keys}
         for row, (_, _, action, pre, post, row_idx, _) in zip(rows, verdicts):
             per_flow[row["ip_src"], row["ip_dst"]].append(
@@ -402,11 +403,11 @@ def test_c8_long_flow_marking():
 
 
 def golden_rows(name, tmp_path):
-    """The trace rows of the program's golden replay."""
+    """The trace rows of the program's golden replay, as dicts."""
     if TRACES[name] is None:
         path = tmp_path / "mac.csv"
         path.write_text(MAC_TRACE)
-        return list(traceio.read_trace(path))
+        return [dict(zip(*row)) for row in traceio.read_trace(path)]
     kind, params, seed = TRACES[name]
     return gen.KINDS[kind](params, random.Random(seed))
 
@@ -424,7 +425,7 @@ def test_c9_replay_determinism(name, tmp_path):
 
     config = programs.bundled_program(name)
     bind = programs.make_binder(config)
-    records = [bind(row, i) for i, row in enumerate(golden_rows(name, tmp_path))]
+    records = [bind(trace_row(row), i) for i, row in enumerate(golden_rows(name, tmp_path))]
     alone = Engine(config, seed=7)
     expected = list(alone.run_trace(records))
     a, b = (Engine(config, seed=7) for _ in range(2))

@@ -34,6 +34,8 @@ from flowfsm.engine import Engine
 from flowfsm.flow_context import FlowContextTable
 from flowfsm.harness import gen, oracles, traceio
 
+from helpers import trace_row
+
 CALLED = [
     (programs, "bundled_program"),
     (programs, "make_binder"),
@@ -95,7 +97,7 @@ def counted_replay(monkeypatch, program, rows):
     count(engine, "process_packet")
     for name in ("lookup_context", "write_back"):
         count(engine.context, name)
-    records = (bind(row, i) for i, row in enumerate(rows))
+    records = (bind(trace_row(row), i) for i, row in enumerate(rows))
     packets = sum(1 for _ in engine.run_trace(records))
     return packets, calls, misses
 

@@ -319,7 +319,7 @@ def test_a_program_byte_that_is_not_utf8_is_a_parse_error_naming_the_file(
     "argv, error",
     [
         (["--param", "flows"], "--param needs KEY=VALUE, got 'flows'"),
-        (["--param", "flows=x"], "--param flows: 'x' is not an integer"),
+        (["--param", "flows=x"], "--param 'flows': 'x' is not an integer"),
     ],
     ids=["no-equals", "not-an-integer"],
 )
@@ -332,11 +332,28 @@ def test_gen_trace_rejects_a_malformed_parameter(argv, error, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "param",
+    ["flows=" + "x" * 100_000, "y" * 100_000 + "=1", "y" * 100_000 + "=x", "y" * 100_000],
+    ids=["long-value", "long-key", "long-key-bad-value", "long-item"],
+)
+def test_gen_trace_quotes_a_long_parameter_in_part(param, tmp_path, capsys):
+    """A long key or value is quoted by its first characters and its
+    length, whichever message names it."""
+    out = tmp_path / "trace.csv"
+    argv = ["gen-trace", "--kind", "poisson_flows", "--out", str(out), "--param", param]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "(100000 characters)" in err
+    assert len(err) < 200
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "param, error",
     [
         # ZeroDivisionError in expovariate, and i % ports, exited 1
-        ("rate_pps=0", "poisson_flows parameter rate_pps: 0 is below 1"),
-        ("ports=0", "poisson_flows parameter ports: 0 is below 1"),
+        ("rate_pps=0", "poisson_flows parameter 'rate_pps': 0 is below 1"),
+        ("ports=0", "poisson_flows parameter 'ports': 0 is below 1"),
     ],
     ids=["rate_pps-0", "ports-0"],
 )

@@ -25,6 +25,7 @@ from helpers import (
     row_key,
     scan_lookup,
     stored_contexts,
+    trace_row,
 )
 from test_acceptance import golden_rows
 from test_replay_digests import MAC_TRACE, TRACES
@@ -70,7 +71,7 @@ def test_flow_key_injective_over_field_values(data):
 
 def run_rows(engine, bind, rows):
     """The verdict rows of a replay, each as a column -> value dict."""
-    verdicts = engine.run_trace(bind(row, i) for i, row in enumerate(rows))
+    verdicts = engine.run_trace(bind(trace_row(row), i) for i, row in enumerate(rows))
     return [dict(zip(VERDICT_COLUMNS, v)) for v in verdicts]
 
 

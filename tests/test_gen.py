@@ -102,7 +102,7 @@ def test_gen_trace_refuses_a_parameter_below_its_least_value(kind, key, value, s
     out = tmp_path / "trace.csv"
     with pytest.raises(OptionError) as err:
         gen.gen_trace(kind, {key: value}, 0, out)
-    assert str(err.value) == f"{kind} parameter {key}: {shown}"
+    assert str(err.value) == f"{kind} parameter {key!r}: {shown}"
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from flowfsm import programs
 from flowfsm.engine import VERDICT_COLUMNS, Engine
+from flowfsm.harness.traceio import read_trace
 from flowfsm.programs import BindError, ProgramParseError, ProgramValidationError
 
 from helpers import (
@@ -21,6 +22,7 @@ from helpers import (
     patched_doc,
     program_config,
     reference_bind,
+    trace_row,
 )
 
 
@@ -265,7 +267,7 @@ def test_fallback_on_the_second_scope_field_steers_packets():
     config = programs.loads(yaml.safe_dump(doc))
     engine, bind = Engine(config), programs.make_binder(config)
     rows = [{"ts": 0, "ip_src": 1, "ip_dst": 7}, {"ts": 1, "ip_src": 1, "ip_dst": 8}]
-    verdicts = engine.run_trace(bind(row, i) for i, row in enumerate(rows))
+    verdicts = engine.run_trace(bind(trace_row(row), i) for i, row in enumerate(rows))
     pre_state = VERDICT_COLUMNS.index("pre_state")
     assert [v[pre_state] for v in verdicts] == ["LONG", "DEFAULT"]
 
@@ -562,7 +564,7 @@ MAC_ROW = {"ts": 0, "in_port": 255, "eth_src": 0xFFFFFFFF, "eth_dst": 0}
 
 def test_binder_accepts_values_up_to_the_field_width():
     bind = programs.make_binder(programs.bundled_program("mac_learning"))
-    h, ts = bind(MAC_ROW, 0)
+    h, ts = bind(trace_row(MAC_ROW), 0)
     assert (h[:2], h[7], ts) == ([0xFFFFFFFF, 0], 255, 0)
 
 
@@ -573,63 +575,74 @@ def test_binder_rejects_column_values_outside_the_field(column, value, width):
     bind = programs.make_binder(programs.bundled_program("mac_learning"))
     message = f"packet 3: column {column!r} value {value} does not fit in {width} bits"
     with pytest.raises(BindError, match=message):
-        bind({**MAC_ROW, column: value}, 3)
+        bind(trace_row({**MAC_ROW, column: value}), 3)
 
 
 def test_binder_rejects_a_timestamp_wider_than_its_field():
     bind = programs.make_binder(programs.bundled_program("c45_classifier"))
     row = {"ts": 2**33 + 5, "ip_src": 1, "ip_dst": 2, "pkt_len": 60}
     with pytest.raises(BindError, match="packet 7: column 'ts' value 8589934597"):
-        bind(row, 7)
-    assert bind({**row, "ts": 2**32 - 1}, 7)[0][6] == 2**32 - 1
+        bind(trace_row(row), 7)
+    assert bind(trace_row({**row, "ts": 2**32 - 1}), 7)[0][6] == 2**32 - 1
 
 
 def test_binder_rejects_a_row_without_a_bound_metadata_column():
     bind = programs.make_binder(programs.bundled_program("c45_classifier"))
     row = {"ts": 5, "ip_src": 1, "ip_dst": 2, "pkt_len": 60}
-    assert bind(row, 4)[0][5] == 60
+    assert bind(trace_row(row), 4)[0][5] == 60
     del row["pkt_len"]
     with pytest.raises(BindError, match="packet 4: missing column 'pkt_len'"):
-        bind(row, 4)
+        bind(trace_row(row), 4)
 
 
 def test_binder_rejects_a_row_without_ts():
     # long_flow binds no ts field; the record's timestamp still needs it
     bind = programs.make_binder(programs.bundled_program("long_flow"))
-    assert bind({"ts": 9, "ip_src": 1, "ip_dst": 2}, 0)[1] == 9
+    assert bind(trace_row({"ts": 9, "ip_src": 1, "ip_dst": 2}), 0)[1] == 9
     with pytest.raises(BindError, match="packet 0: missing column 'ts'"):
-        bind({"ip_src": 1, "ip_dst": 2}, 0)
+        bind(trace_row({"ip_src": 1, "ip_dst": 2}), 0)
 
 
 COLUMNS = ("a", "b", "c", "d", "ts")
+# columns no field reads
+EXTRA = ("x", "y")
 
 
 @st.composite
 def binder_cases(draw):
-    """(fields, row, seq): up to eight fields on distinct slots, with widths
+    """(fields, rows): up to eight fields on distinct slots, with widths
     past the loader's 32 bits, reading columns that may repeat and may be
-    ``ts``; and a row whose cells may be missing, negative, at the field's
-    maximum, one past it, or anything."""
+    ``ts``; and one to four ``((columns, values), seq)`` rows for one
+    binder. Each row's header is a new permutation of the columns and two
+    extra ones, some left out, or the previous row's header object; each
+    value is negative, at its field's maximum, one past it, or anything."""
     slots = draw(st.lists(st.integers(0, 7), unique=True, max_size=8))
     fields = [
         programs.FieldDef(f"f{slot}", slot, draw(st.integers(1, 48)), draw(st.sampled_from(COLUMNS)))
         for slot in slots
     ]
     widths = {f.source: f.width for f in fields}
-    row = {}
-    for column in COLUMNS:
-        width = widths.get(column, 32)
-        value = draw(
-            st.one_of(
-                st.none(),
-                st.integers(-(2**50), -1),
-                st.sampled_from([0, (1 << width) - 1, 1 << width]),
-                st.integers(0, 2**50),
+    rows = []
+    columns = None
+    for _ in range(draw(st.integers(1, 4))):
+        if columns is None or draw(st.booleans()):
+            missing = draw(st.lists(st.sampled_from(COLUMNS + EXTRA), unique=True, max_size=2))
+            order = draw(st.permutations(COLUMNS + EXTRA))
+            columns = tuple(column for column in order if column not in missing)
+        values = []
+        for column in columns:
+            width = widths.get(column, 32)
+            values.append(
+                draw(
+                    st.one_of(
+                        st.integers(-(2**50), -1),
+                        st.sampled_from([0, (1 << width) - 1, 1 << width]),
+                        st.integers(0, 2**50),
+                    )
+                )
             )
-        )
-        if value is not None:
-            row[column] = value
-    return fields, row, draw(st.integers(0, 2**40))
+        rows.append(((columns, tuple(values)), draw(st.integers(0, 2**40))))
+    return fields, rows
 
 
 def bound(bind, *args):
@@ -643,10 +656,29 @@ def bound(bind, *args):
 @given(binder_cases())
 def test_generated_binder_equals_the_field_loop(case):
     """The generated binder returns the loop's record, or raises its error:
-    the first failing field in field order, then a missing ts."""
-    fields, row, seq = case
+    the first failing field in field order, then a missing ts. One binder
+    binds rows whose headers change, so positions found for one header
+    are never used for another."""
+    fields, rows = case
     config = dataclasses.replace(programs.bundled_program("long_flow"), fields=tuple(fields))
-    assert bound(programs.make_binder(config), row, seq) == bound(reference_bind, config, row, seq)
+    bind = programs.make_binder(config)
+    for row, seq in rows:
+        assert bound(bind, row, seq) == bound(reference_bind, config, row, seq)
+
+
+def test_one_binder_binds_two_traces_in_turn(tmp_path):
+    """Rows of two traces whose columns come in different orders, bound
+    alternately by one binder: each row is bound by its own header."""
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_text("ts,ip_src,ip_dst\n" + "".join(f"{t},{t + 1},{t + 2}\n" for t in range(4)))
+    second.write_text("ip_dst,x,ts,ip_src\n" + "".join(f"{t + 9},7,{t},{t + 8}\n" for t in range(4)))
+    config = programs.bundled_program("long_flow")
+    bind = programs.make_binder(config)
+    rows = [row for pair in zip(read_trace(first), read_trace(second)) for row in pair]
+    records = [bind(row, seq) for seq, row in enumerate(rows)]
+    assert records == [reference_bind(config, row, seq) for seq, row in enumerate(rows)]
+    assert records[:4] == [([1, 2, 0, 0, 0, 0, 0, 0], 0), ([8, 9, 0, 0, 0, 0, 0, 0], 0),
+                           ([2, 3, 0, 0, 0, 0, 0, 0], 1), ([9, 10, 0, 0, 0, 0, 0, 0], 1)]
 
 
 def test_context_geometry_at_the_cap_loads():

@@ -19,6 +19,7 @@ from helpers import (
     patched_doc,
     program_config,
     stored_contexts,
+    trace_row,
 )
 
 # Every opcode, shift amounts of 32 and more, a division by a zero
@@ -284,7 +285,7 @@ def test_engines_and_binders_of_one_layout_share_no_state():
     bind = programs.make_binder(config)
     for ts in range(0, 200, 7):
         row = {"ts": ts, "ip_src": ts % 5, "ip_dst": 9, "pkt_len": 60 + ts}
-        used.process_packet(bind(row, ts // 7))
+        used.process_packet(bind(trace_row(row), ts // 7))
     assert used.stats.packets == 29
     assert (fresh.stats.to_dict(), list(fresh.g)) == built
 
@@ -297,5 +298,5 @@ def test_engines_and_binders_of_one_layout_share_no_state():
     renamed = programs.make_binder(programs.loads(yaml.safe_dump(doc)))
     bind = programs.make_binder(programs.bundled_program("long_flow"))
     assert renamed.source == bind.source
-    assert renamed({"ts": 4, "u": 1, "v": 2}, 0) == ([1, 2, 0, 0, 0, 0, 0, 0], 4)
-    assert bind({"ts": 5, "ip_src": 3, "ip_dst": 4}, 0) == ([3, 4, 0, 0, 0, 0, 0, 0], 5)
+    assert renamed(trace_row({"ts": 4, "u": 1, "v": 2}), 0) == ([1, 2, 0, 0, 0, 0, 0, 0], 4)
+    assert bind(trace_row({"ts": 5, "ip_src": 3, "ip_dst": 4}), 0) == ([3, 4, 0, 0, 0, 0, 0, 0], 5)

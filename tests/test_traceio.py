@@ -31,7 +31,7 @@ from flowfsm.harness.traceio import (
     write_verdicts,
 )
 
-from helpers import reference_read_trace
+from helpers import reference_read_trace, trace_row
 
 COLUMNS = ("in_port", "pkt_len", "ip_src", "sport", "tcp_flags", "raw")
 
@@ -141,7 +141,7 @@ def test_missing_ts_column(tmp_path):
     path.write_text("in_port,ip_src\n1,2\n")
     got = outcome(read_trace, path)
     assert got == outcome(reference_read_trace, path)
-    assert got == ([{"in_port": 1, "ip_src": 2}], None, None)
+    assert got == ([trace_row({"in_port": 1, "ip_src": 2})], None, None)
 
 
 def test_duplicate_column_names_the_column(tmp_path):
@@ -167,8 +167,8 @@ def test_non_monotone_timestamp(tmp_path):
     path.write_text("ts,ip_src\n5,1\n0x6,1\n\n5,1\n")
     got = outcome(read_trace, path)
     assert got == outcome(reference_read_trace, path)
-    assert got == ([{"ts": 5, "ip_src": 1}, {"ts": 6, "ip_src": 1}, {"ts": 5, "ip_src": 1}],
-                   None, None)
+    rows = [{"ts": 5, "ip_src": 1}, {"ts": 6, "ip_src": 1}, {"ts": 5, "ip_src": 1}]
+    assert got == (list(map(trace_row, rows)), None, None)
 
 
 def test_negative_timestamps_are_read(tmp_path):
@@ -212,10 +212,10 @@ def test_a_long_bad_cell_is_quoted_in_part(tmp_path, cell, reason, chunk_rows):
 def test_rows_are_ints_and_a_raw_column_is_ordinary(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("ts,in_port,raw\n0x10,2,0xff\n17,0,0\n")
-    assert list(read_trace(path)) == [
+    assert list(read_trace(path)) == list(map(trace_row, [
         {"ts": 16, "in_port": 2, "raw": 255},
         {"ts": 17, "in_port": 0, "raw": 0},
-    ]
+    ]))
     # each bad row follows a good one, so it is row 3
     for row, error in [
         ("18,2,00ff", " column 'raw': '00ff' is not an integer"),
@@ -325,9 +325,9 @@ def test_a_lone_carriage_return_ends_a_row(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_bytes(b"ts,sport\n1,2\r3,4\n5,6\n")
     assert outcome(read_trace, path) == outcome(reference_read_trace, path)
-    assert list(read_trace(path)) == [
+    assert list(read_trace(path)) == list(map(trace_row, [
         {"ts": 1, "sport": 2}, {"ts": 3, "sport": 4}, {"ts": 5, "sport": 6}
-    ]
+    ]))
 
 
 # --- verdict writer ----------------------------------------------------
@@ -383,7 +383,8 @@ def test_csv_reader_takes_over_at_the_first_chunk_that_is_not_plain(
 ):
     """Plain chunks are split without ``csv.reader``, which reads only the
     header; the first chunk that is not plain hands the rest of the trace
-    to a second one."""
+    to a second one. Every row, before the hand-over and after it, shares
+    one header object, so that a binder finds its columns once."""
     path = tmp_path / "trace.csv"
     path.write_text(seam_trace(defect, 2 * READ_CHUNK + 77, "\n"))
     made = []
@@ -394,10 +395,13 @@ def test_csv_reader_takes_over_at_the_first_chunk_that_is_not_plain(
         return reader(*args)
 
     monkeypatch.setattr(csv, "reader", counted)
-    assert outcome(read_trace, path)[0][: 2 * READ_CHUNK] == [
-        {"ts": i, "ip_src": 1000 + i % 7, "sport": i % 3} for i in range(2 * READ_CHUNK)
+    rows = outcome(read_trace, path)[0]
+    assert rows[: 2 * READ_CHUNK] == [
+        trace_row({"ts": i, "ip_src": 1000 + i % 7, "sport": i % 3})
+        for i in range(2 * READ_CHUNK)
     ]
     assert len(made) == readers
+    assert all(columns is rows[0][0] for columns, _ in rows)
 
 
 @pytest.mark.parametrize("text", ["ts\n\n", "ts\n\n5\n", "ts\n4\n\n5\n", "ts\r\n\r\n"])
